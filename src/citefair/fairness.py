@@ -235,15 +235,14 @@ def _cluster_label(cluster_id: str, names: Mapping[str, str] | None) -> str:
 
 
 def write_report_tsv(report: FairnessReport, path: str | Path,
-                     cluster_names: Mapping[str, str] | None = None,
-                     delimiter: str = "\t") -> None:
+                     cluster_names: Mapping[str, str] | None = None) -> None:
     """Write the report as a table: one row per cluster, then the
     "Mean (± st.dev.)" and "Σ|x−z|" summary rows."""
-    lines = [delimiter.join((
+    lines = ["\t".join((
         "cluster", "N_g", "m_g", "pct", "expected_pct",
         "ci_lo_pct", "ci_hi_pct", "ci_lo_count", "ci_hi_count", "within_ci"))]
     for r in report.per_cluster:
-        lines.append(delimiter.join((
+        lines.append("\t".join((
             _cluster_label(r.cluster_id, cluster_names),
             str(r.n_g), str(r.m_g),
             f"{r.pct:.2f}", f"{r.expected_pct:.2f}",
@@ -251,10 +250,10 @@ def write_report_tsv(report: FairnessReport, path: str | Path,
             str(r.ci_counts[0]), str(r.ci_counts[1]),
             "yes" if r.within_ci else "no")))
     sd = f"{report.summary.sd_pct:.2f}" if report.summary.sd_pct is not None else "n/a"
-    lines.append(delimiter.join((
+    lines.append("\t".join((
         "Mean (± st.dev.)", "", "", f"{report.summary.mean_pct:.2f} (± {sd})",
         "", "", "", "", "", "")))
-    lines.append(delimiter.join((
+    lines.append("\t".join((
         f"Σ|x−{report.z:g}|", "", "", f"{report.summary.sum_abs_dev:.2f}",
         "", "", "", "", "",
         "yes" if report.summary.all_within_ci else "no")))
@@ -272,23 +271,22 @@ def write_report_json(report: FairnessReport, path: str | Path,
 
 
 def write_comparison_tsv(comparison: ReportComparison, path: str | Path,
-                         label_a: str = "a", label_b: str = "b",
-                         delimiter: str = "\t") -> None:
+                         label_a: str = "a", label_b: str = "b") -> None:
     def fmt(v):
         return "n/a" if v is None else f"{v:.2f}"
 
     a, b = comparison.a_summary, comparison.b_summary
     name = {"a": label_a, "b": label_b, "tie": "tie", "mixed": "mixed"}
     lines = [
-        delimiter.join(("criterion", label_a, label_b, "winner")),
-        delimiter.join(("sum_abs_dev", fmt(a.sum_abs_dev), fmt(b.sum_abs_dev),
-                        name[comparison.criteria["sum_abs_dev"]])),
-        delimiter.join(("sd_pct", fmt(a.sd_pct), fmt(b.sd_pct),
-                        name[comparison.criteria["sd_pct"]])),
-        delimiter.join(("all_within_ci",
-                        "yes" if a.all_within_ci else "no",
-                        "yes" if b.all_within_ci else "no",
-                        name[comparison.criteria["all_within_ci"]])),
-        delimiter.join(("overall", "", "", name[comparison.overall])),
+        "\t".join(("criterion", label_a, label_b, "winner")),
+        "\t".join(("sum_abs_dev", fmt(a.sum_abs_dev), fmt(b.sum_abs_dev),
+                   name[comparison.criteria["sum_abs_dev"]])),
+        "\t".join(("sd_pct", fmt(a.sd_pct), fmt(b.sd_pct),
+                   name[comparison.criteria["sd_pct"]])),
+        "\t".join(("all_within_ci",
+                   "yes" if a.all_within_ci else "no",
+                   "yes" if b.all_within_ci else "no",
+                   name[comparison.criteria["all_within_ci"]])),
+        "\t".join(("overall", "", "", name[comparison.overall])),
     ]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

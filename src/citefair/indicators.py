@@ -15,9 +15,12 @@ zero for that journal.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Optional
+
+import numpy as np
 
 from .errors import ParseError, RescaleError
 from .model import Dataset
@@ -27,8 +30,6 @@ __all__ = [
     "WINDOW_ALL",
     "IndicatorSpec",
     "IndicatorTable",
-    "if_numerator",
-    "if_denominator",
     "compute_table",
     "compute_tables",
     "rescale",
@@ -107,99 +108,56 @@ class IndicatorTable:
         return {j: v for j, v in self.values.items() if v is not None}
 
 
-def if_denominator(dataset: Dataset, journal_id: str, window: int) -> int:
-    """Citable items summed over the window years [t-window, t-1]."""
-    if window not in (2, 5):
-        raise ValueError(f"window must be 2 or 5, got {window}")
-    items = dataset.items_by_journal_year
-    t = dataset.census_year
-    return sum(items.get((journal_id, y), 0) for y in range(t - window, t))
-
-
-def if_numerator(dataset: Dataset, journal_id: str, spec: IndicatorSpec) -> float:
-    """Citations received in year t to items of the window years.
-
-    Integer counting returns the event count; fractional counting the sum
-    of 1/n_refs over the same events.
-    """
-    if spec.kind not in ("impact_factor", "numerator_only"):
-        raise ValueError(f"numerator undefined for kind '{spec.kind}'")
-    if journal_id not in dataset.journal_ids:
-        raise ValueError(f"journal '{journal_id}' not in dataset")
-    t = dataset.census_year
-    lo = t - spec.window
-    events = [ev for ev in dataset.events_by_cited.get(journal_id, ())
-              if ev.citing_year == t and lo <= ev.cited_year <= t - 1]
-    if spec.counting == "integer":
-        return len(events)
-    return sum(1.0 / ev.n_refs for ev in events)
+def _ratio(num: np.ndarray, den: np.ndarray) -> list[Optional[float]]:
+    """num / den per journal, None wherever the denominator is not positive."""
+    defined = den > 0
+    quotient = num / np.where(defined, den, 1)
+    return [q if ok else None for q, ok in zip(quotient.tolist(), defined.tolist())]
 
 
 def compute_tables(dataset: Dataset, specs: list[IndicatorSpec]) -> list[IndicatorTable]:
-    """Compute several indicator tables in a single pass over the events.
+    """Compute several indicator tables from the census-year events.
 
-    Bulk path for large datasets: accumulators for every required
-    (window, counting) pair are filled together, then assembled per spec.
+    Those events become columns in event order: the cited journal's
+    index, the weight 1/n_refs and the citation age t - cited_year, kept
+    only as one row mask per window.  Each numerator is one bincount over
+    the rows of its window, weighted under fractional counting; IF and
+    c/p denominators come from one journal x age matrix of citable items.
     """
     t = dataset.census_year
     journal_ids = [j.journal_id for j in dataset.journals]
+    index = {jid: i for i, jid in enumerate(journal_ids)}
+    # Each column is read straight off the events: holding a list of the
+    # census-year events, or the ages, would raise the peak memory.
+    events = dataset.citation_events
+    age = np.fromiter((t - ev.cited_year for ev in events if ev.citing_year == t), np.int64)
+    rows = {WINDOW_ALL: slice(None), 2: (age >= 1) & (age <= 2), 5: (age >= 1) & (age <= 5)}
+    del age
+    cited = np.fromiter((index[ev.cited_journal_id] for ev in events if ev.citing_year == t),
+                        np.intp)
+    weight = np.fromiter((1.0 / ev.n_refs for ev in events if ev.citing_year == t), np.float64)
 
-    needed: set[tuple[int | str, str]] = set()
-    for spec in specs:
-        if spec.kind in ("impact_factor", "numerator_only"):
-            needed.add((spec.window, spec.counting))
-        else:
-            needed.add((WINDOW_ALL, spec.counting))
+    # items[i, a]: citable items of journal i in year t - a, for a = 0..5.
+    # Like Dataset.items_by_journal_year, the last record of a repeated
+    # journal-year wins; that lookup dict is not built here, to save memory.
+    items = np.zeros((len(journal_ids), 6), dtype=np.int64)
+    for p in dataset.publication_counts:
+        if p.journal_id in index and 0 <= t - p.year <= 5:
+            items[index[p.journal_id], t - p.year] = p.citable_items
 
-    acc: dict[tuple[int | str, str], dict[str, float]] = {
-        key: dict.fromkeys(journal_ids, 0.0) for key in needed
-    }
-    w2i = acc.get((2, "integer"))
-    w2f = acc.get((2, "fractional"))
-    w5i = acc.get((5, "integer"))
-    w5f = acc.get((5, "fractional"))
-    alli = acc.get((WINDOW_ALL, "integer"))
-    allf = acc.get((WINDOW_ALL, "fractional"))
-
-    for ev in dataset.citation_events:
-        if ev.citing_year != t:
-            continue
-        jid = ev.cited_journal_id
-        dy = t - ev.cited_year
-        if alli is not None:
-            alli[jid] += 1.0
-        if allf is not None:
-            allf[jid] += 1.0 / ev.n_refs
-        if 1 <= dy <= 2:
-            if w2i is not None:
-                w2i[jid] += 1.0
-            if w2f is not None:
-                w2f[jid] += 1.0 / ev.n_refs
-        if 1 <= dy <= 5:
-            if w5i is not None:
-                w5i[jid] += 1.0
-            if w5f is not None:
-                w5f[jid] += 1.0 / ev.n_refs
-
-    items = dataset.items_by_journal_year
     tables = []
     for spec in specs:
-        values: dict[str, Optional[float]] = {}
+        inside = rows[spec.window]
+        if spec.counting == "integer":
+            num = np.bincount(cited[inside], minlength=len(journal_ids)).astype(np.float64)
+        else:
+            num = np.bincount(cited[inside], weight[inside], len(journal_ids))
         if spec.kind == "impact_factor":
-            nums = acc[(spec.window, spec.counting)]
-            for jid in journal_ids:
-                den = sum(items.get((jid, y), 0) for y in range(t - spec.window, t))
-                values[jid] = nums[jid] / den if den > 0 else None
-        elif spec.kind == "numerator_only":
-            nums = acc[(spec.window, spec.counting)]
-            values = dict(nums)
-        elif spec.kind == "total_cites":
-            values = dict(acc[(WINDOW_ALL, spec.counting)])
-        else:  # cp_ratio
-            nums = acc[(WINDOW_ALL, spec.counting)]
-            for jid in journal_ids:
-                den = items.get((jid, t), 0)
-                values[jid] = nums[jid] / den if den > 0 else None
+            column = _ratio(num, items[:, 1:spec.window + 1].sum(axis=1))
+        elif spec.kind == "cp_ratio":
+            column = _ratio(num, items[:, 0])
+        else:
+            column = num.tolist()
         tables.append(IndicatorTable(
             indicator_id=spec.indicator_id,
             kind=spec.kind,
@@ -207,13 +165,13 @@ def compute_tables(dataset: Dataset, specs: list[IndicatorSpec]) -> list[Indicat
             counting=spec.counting,
             normalization="raw",
             census_year=t,
-            values=values,
+            values=dict(zip(journal_ids, column)),
         ))
     return tables
 
 
 def compute_table(dataset: Dataset, spec: IndicatorSpec) -> IndicatorTable:
-    """Compute one indicator table (see compute_tables for the bulk path)."""
+    """Compute one indicator table (compute_tables computes several at once)."""
     return compute_tables(dataset, [spec])[0]
 
 
@@ -286,20 +244,13 @@ def rank_table(table: IndicatorTable, descending: bool = True) -> list[tuple[str
     defined = rank_order(table.values)
     if not descending:
         defined.sort(key=lambda kv: (kv[1], kv[0]))
-    undefined = sorted(j for j, v in table.values.items() if v is None)
-    ranked: list[tuple[str, Optional[float], int]] = []
-    rank = 1
-    for jid, v in defined:
-        ranked.append((jid, v, rank))
-        rank += 1
-    for jid in undefined:
-        ranked.append((jid, None, rank))
-        rank += 1
-    return ranked
+    undefined = [(j, None) for j in sorted(j for j, v in table.values.items() if v is None)]
+    return [(jid, v, rank) for rank, (jid, v) in enumerate(defined + undefined, start=1)]
 
 
-def write_table(table: IndicatorTable, path: str | Path, delimiter: str = "\t") -> None:
-    """Serialize a table: one provenance header line, then journal/value rows.
+def write_table(table: IndicatorTable, path: str | Path) -> None:
+    """Serialize a table: one provenance header line, then tab-separated
+    journal/value rows.
 
     Values keep full precision; UNDEFINED is written as "NA".  Rows are
     sorted by journal id so identical tables produce identical bytes.
@@ -310,16 +261,19 @@ def write_table(table: IndicatorTable, path: str | Path, delimiter: str = "\t") 
             f"normalization={table.normalization} census_year={table.census_year}")
     if table.source_id:
         meta += f" source_id={table.source_id}"
-    lines = [meta, f"journal_id{delimiter}value"]
+    lines = [meta, "journal_id\tvalue"]
     for jid in sorted(table.values):
         v = table.values[jid]
-        lines.append(f"{jid}{delimiter}{NA if v is None else repr(v)}")
+        lines.append(f"{jid}\t{NA if v is None else repr(v)}")
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def read_table(path: str | Path, delimiter: str = "\t") -> IndicatorTable:
+def read_table(path: str | Path) -> IndicatorTable:
     """Read a table written by write_table (or an externally supplied one
-    in the same format, e.g. vendor-provided impact factors)."""
+    in the same format, e.g. vendor-provided impact factors).
+
+    Values must be finite and non-negative, or "NA" for UNDEFINED.
+    """
     path = Path(path)
     with path.open(encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n")
@@ -335,7 +289,7 @@ def read_table(path: str | Path, delimiter: str = "\t") -> IndicatorTable:
                     "normalization", "census_year"):
             if key not in meta:
                 raise ParseError(path, 1, f"provenance header missing '{key}'")
-        columns = fh.readline().rstrip("\n").split(delimiter)
+        columns = fh.readline().rstrip("\n").split("\t")
         if columns[:2] != ["journal_id", "value"]:
             raise ParseError(path, 2, "expected columns journal_id, value")
         values: dict[str, Optional[float]] = {}
@@ -343,7 +297,7 @@ def read_table(path: str | Path, delimiter: str = "\t") -> IndicatorTable:
             line = line.rstrip("\n")
             if not line:
                 continue
-            parts = line.split(delimiter)
+            parts = line.split("\t")
             if len(parts) != 2 or not parts[0]:
                 raise ParseError(path, lineno, f"malformed row: {line!r}")
             jid, raw = parts
@@ -351,11 +305,15 @@ def read_table(path: str | Path, delimiter: str = "\t") -> IndicatorTable:
                 raise ParseError(path, lineno, f"duplicate journal_id '{jid}'")
             if raw == NA:
                 values[jid] = None
-            else:
-                try:
-                    values[jid] = float(raw)
-                except ValueError:
-                    raise ParseError(path, lineno, f"bad value {raw!r}") from None
+                continue
+            try:
+                value = float(raw)
+            except ValueError:
+                raise ParseError(path, lineno, f"bad value {raw!r}") from None
+            if not 0.0 <= value < math.inf:
+                raise ParseError(path, lineno,
+                                 f"value must be finite and non-negative, got {raw!r}")
+            values[jid] = value
     window: int | str = meta["window"]
     if window != WINDOW_ALL:
         window = int(window)

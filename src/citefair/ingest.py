@@ -21,8 +21,9 @@ import csv
 import json
 import warnings
 from dataclasses import dataclass, asdict
+from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import IngestWarning, ParseError, ValidationError
 from .model import Cluster, CitationEvent, Dataset, JournalRecord, PublicationCount, validate
@@ -95,11 +96,42 @@ class IngestSummary:
     retained_events: int
 
 
-def _columns(path: Path, header: Sequence[str], required: Sequence[str]) -> list[int]:
-    missing = [c for c in required if c not in header]
-    if missing:
-        raise ParseError(path, 1, f"missing required column(s): {', '.join(missing)}")
-    return [header.index(c) for c in required]
+def _undecodable_line(path: Path) -> tuple[int, str]:
+    """The first line of ``path`` that is not valid UTF-8, and why."""
+    with path.open("rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                return lineno, f"byte {raw[exc.start]:#04x} at position {exc.start + 1}: {exc.reason}"
+    return 1, "undecodable input"
+
+
+def _rows(path: Path, config: IngestConfig,
+          columns: Sequence[str]) -> Iterator[tuple[int, tuple[str, ...]]]:
+    """Yield (line number, the named fields in ``columns`` order) for every
+    non-blank data row, after checking the header and each row's width."""
+    try:
+        with path.open(encoding="utf-8", newline="") as fh:
+            reader = csv.reader(fh, delimiter=config.delimiter)
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise ParseError(path, 1, "empty file; header row required") from None
+            missing = [c for c in columns if c not in header]
+            if missing:
+                raise ParseError(path, 1, f"missing required column(s): {', '.join(missing)}")
+            pick = itemgetter(*(header.index(c) for c in columns))
+            width = len(header)
+            for lineno, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) < width:
+                    raise ParseError(path, lineno, f"expected {width} columns, got {len(row)}")
+                yield lineno, pick(row)
+    except UnicodeDecodeError:
+        lineno, detail = _undecodable_line(path)
+        raise ParseError(path, lineno, f"not valid UTF-8 ({detail})") from None
 
 
 def _parse_int(path: Path, lineno: int, raw: str, what: str) -> int:
@@ -121,36 +153,24 @@ def parse_journals(path: str | Path,
     cluster_names: dict[str, str] = {}
     cluster_sizes: dict[str, int] = {}
     seen: set[str] = set()
-    with path.open(encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh, delimiter=config.delimiter)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError(path, 1, "empty file; header row required") from None
-        idx = _columns(path, header, JOURNAL_COLUMNS)
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) < len(header):
-                raise ParseError(path, lineno, f"expected {len(header)} columns, got {len(row)}")
-            jid, title, cid, cname = (row[i] for i in idx)
-            if not jid:
-                raise ParseError(path, lineno, "empty journal_id")
-            if not cid:
-                raise ParseError(path, lineno, "empty cluster_id")
-            if jid in seen:
-                raise ValidationError(f"{path}:{lineno}: duplicate journal_id '{jid}'")
-            seen.add(jid)
-            if cid in cluster_names:
-                if cluster_names[cid] != cname:
-                    raise ValidationError(
-                        f"{path}:{lineno}: cluster '{cid}' renamed "
-                        f"('{cluster_names[cid]}' vs '{cname}')")
-            else:
-                cluster_names[cid] = cname
-                cluster_sizes[cid] = 0
-            cluster_sizes[cid] += 1
-            journals.append(JournalRecord(jid, title, cid))
+    for lineno, (jid, title, cid, cname) in _rows(path, config, JOURNAL_COLUMNS):
+        if not jid:
+            raise ParseError(path, lineno, "empty journal_id")
+        if not cid:
+            raise ParseError(path, lineno, "empty cluster_id")
+        if jid in seen:
+            raise ValidationError(f"{path}:{lineno}: duplicate journal_id '{jid}'")
+        seen.add(jid)
+        if cid in cluster_names:
+            if cluster_names[cid] != cname:
+                raise ValidationError(
+                    f"{path}:{lineno}: cluster '{cid}' renamed "
+                    f"('{cluster_names[cid]}' vs '{cname}')")
+        else:
+            cluster_names[cid] = cname
+            cluster_sizes[cid] = 0
+        cluster_sizes[cid] += 1
+        journals.append(JournalRecord(jid, title, cid))
     clusters = [Cluster(cid, cluster_names[cid], cluster_sizes[cid]) for cid in cluster_names]
     return journals, clusters
 
@@ -160,30 +180,18 @@ def parse_publications(path: str | Path,
     path = Path(path)
     counts: list[PublicationCount] = []
     seen: set[tuple[str, int]] = set()
-    with path.open(encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh, delimiter=config.delimiter)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError(path, 1, "empty file; header row required") from None
-        idx = _columns(path, header, PUBLICATION_COLUMNS)
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) < len(header):
-                raise ParseError(path, lineno, f"expected {len(header)} columns, got {len(row)}")
-            jid, year_raw, items_raw = (row[i] for i in idx)
-            if not jid:
-                raise ParseError(path, lineno, "empty journal_id")
-            year = _parse_int(path, lineno, year_raw, "year")
-            items = _parse_int(path, lineno, items_raw, "citable_items")
-            if items < 0:
-                raise ParseError(path, lineno, f"citable_items must be >= 0, got {items}")
-            if (jid, year) in seen:
-                raise ValidationError(
-                    f"{path}:{lineno}: duplicate publication record for ({jid}, {year})")
-            seen.add((jid, year))
-            counts.append(PublicationCount(jid, year, items))
+    for lineno, (jid, year_raw, items_raw) in _rows(path, config, PUBLICATION_COLUMNS):
+        if not jid:
+            raise ParseError(path, lineno, "empty journal_id")
+        year = _parse_int(path, lineno, year_raw, "year")
+        items = _parse_int(path, lineno, items_raw, "citable_items")
+        if items < 0:
+            raise ParseError(path, lineno, f"citable_items must be >= 0, got {items}")
+        if (jid, year) in seen:
+            raise ValidationError(
+                f"{path}:{lineno}: duplicate publication record for ({jid}, {year})")
+        seen.add((jid, year))
+        counts.append(PublicationCount(jid, year, items))
     return counts
 
 
@@ -199,50 +207,37 @@ def parse_citations(path: str | Path,
     events: list[CitationEvent] = []
     paper_info: dict[str, tuple[str, int, int]] = {}
     dropped_zero_refs = 0
-    with path.open(encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh, delimiter=config.delimiter)
+    append = events.append
+    for lineno, (pid, citing_jid, citing_year_raw, cited_jid, cited_year_raw,
+                 n_refs_raw) in _rows(path, config, CITATION_COLUMNS):
+        if not pid:
+            raise ParseError(path, lineno, "empty citing_paper_id")
+        if not cited_jid:
+            raise ParseError(path, lineno, "empty cited_journal_id")
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError(path, 1, "empty file; header row required") from None
-        idx = _columns(path, header, CITATION_COLUMNS)
-        i0, i1, i2, i3, i4, i5 = idx
-        append = events.append
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) < len(header):
-                raise ParseError(path, lineno, f"expected {len(header)} columns, got {len(row)}")
-            pid = row[i0]
-            if not pid:
-                raise ParseError(path, lineno, "empty citing_paper_id")
-            citing_jid = row[i1]
-            cited_jid = row[i3]
-            if not cited_jid:
-                raise ParseError(path, lineno, "empty cited_journal_id")
-            try:
-                citing_year = int(row[i2])
-                cited_year = int(row[i4])
-                n_refs = int(row[i5])
-            except ValueError:
-                raise ParseError(
-                    path, lineno,
-                    f"years and n_refs must be integers: {row[i2]!r}, {row[i4]!r}, {row[i5]!r}",
-                ) from None
-            if n_refs == 0:
-                if config.zero_refs_policy == POLICY_ERROR:
-                    raise ParseError(path, lineno, "n_refs is 0")
-                dropped_zero_refs += 1
-                continue
-            if n_refs < 0:
-                raise ParseError(path, lineno, f"n_refs must be positive, got {n_refs}")
-            info = (citing_jid, citing_year, n_refs)
-            prev = paper_info.setdefault(pid, info)
-            if prev != info:
-                raise ValidationError(
-                    f"{path}:{lineno}: citing paper '{pid}' conflicts with an earlier "
-                    f"row on (citing_journal_id, citing_year, n_refs)")
-            append(CitationEvent(pid, citing_jid, citing_year, cited_jid, cited_year, n_refs))
+            citing_year = int(citing_year_raw)
+            cited_year = int(cited_year_raw)
+            n_refs = int(n_refs_raw)
+        except ValueError:
+            raise ParseError(
+                path, lineno,
+                f"years and n_refs must be integers: "
+                f"{citing_year_raw!r}, {cited_year_raw!r}, {n_refs_raw!r}",
+            ) from None
+        if n_refs == 0:
+            if config.zero_refs_policy == POLICY_ERROR:
+                raise ParseError(path, lineno, "n_refs is 0")
+            dropped_zero_refs += 1
+            continue
+        if n_refs < 0:
+            raise ParseError(path, lineno, f"n_refs must be positive, got {n_refs}")
+        info = (citing_jid, citing_year, n_refs)
+        prev = paper_info.setdefault(pid, info)
+        if prev != info:
+            raise ValidationError(
+                f"{path}:{lineno}: citing paper '{pid}' conflicts with an earlier "
+                f"row on (citing_journal_id, citing_year, n_refs)")
+        append(CitationEvent(pid, citing_jid, citing_year, cited_jid, cited_year, n_refs))
     if dropped_zero_refs:
         warnings.warn(
             f"{path}: dropped {dropped_zero_refs} citation row(s) with n_refs=0",

@@ -114,14 +114,6 @@ class Dataset:
     def items_by_journal_year(self) -> dict[tuple[str, int], int]:
         return {(p.journal_id, p.year): p.citable_items for p in self.publication_counts}
 
-    @cached_property
-    def events_by_cited(self) -> dict[str, tuple[CitationEvent, ...]]:
-        """Citation events grouped by cited journal (built on first use)."""
-        grouped: dict[str, list[CitationEvent]] = {}
-        for ev in self.citation_events:
-            grouped.setdefault(ev.cited_journal_id, []).append(ev)
-        return {jid: tuple(evs) for jid, evs in grouped.items()}
-
 
 def validate(dataset: Dataset) -> list[Violation]:
     """Check every structural invariant; return one Violation per breach.

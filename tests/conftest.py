@@ -5,6 +5,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from citefair.indicators import IndicatorSpec
 from citefair.model import (
     CitationEvent,
     Cluster,
@@ -12,6 +13,34 @@ from citefair.model import (
     JournalRecord,
     PublicationCount,
 )
+from citefair.synth import ClusterProfile, SynthProfile
+
+ALL_KIND_SPECS = [
+    IndicatorSpec("impact_factor", 2, "integer"),
+    IndicatorSpec("impact_factor", 2, "fractional"),
+    IndicatorSpec("impact_factor", 5, "integer"),
+    IndicatorSpec("impact_factor", 5, "fractional"),
+    IndicatorSpec("total_cites", counting="integer"),
+    IndicatorSpec("total_cites", counting="fractional"),
+    IndicatorSpec("cp_ratio", counting="integer"),
+    IndicatorSpec("cp_ratio", counting="fractional"),
+    IndicatorSpec("numerator_only", 2, "integer"),
+    IndicatorSpec("numerator_only", 5, "fractional"),
+]
+
+
+def small_profile(seed: int) -> SynthProfile:
+    """Three 25-journal clusters whose citation rates span about 6x."""
+    return SynthProfile(
+        clusters=(
+            ClusterProfile("1", "Alpha", 25, 0.8, 4.0, 0.4),
+            ClusterProfile("2", "Beta", 25, 2.0, 10.0, 0.5),
+            ClusterProfile("3", "Gamma", 25, 5.0, 25.0, 0.5),
+        ),
+        items_per_journal=(2, 5),
+        years=(2005, 2010),
+        seed=seed,
+    )
 
 
 def make_dataset(journals, clusters, counts, events, census_year=2010) -> Dataset:

@@ -26,38 +26,13 @@ from citefair.stats import (
 )
 from citefair.synth import ClusterProfile, SynthProfile, generate, paper2010_profile
 
+from conftest import ALL_KIND_SPECS, small_profile
 from oracles import pearson_by_sums, spearman_by_ranks
-
-ALL_KIND_SPECS = [
-    IndicatorSpec("impact_factor", 2, "integer"),
-    IndicatorSpec("impact_factor", 2, "fractional"),
-    IndicatorSpec("impact_factor", 5, "integer"),
-    IndicatorSpec("impact_factor", 5, "fractional"),
-    IndicatorSpec("total_cites", counting="integer"),
-    IndicatorSpec("total_cites", counting="fractional"),
-    IndicatorSpec("cp_ratio", counting="integer"),
-    IndicatorSpec("cp_ratio", counting="fractional"),
-    IndicatorSpec("numerator_only", 2, "integer"),
-    IndicatorSpec("numerator_only", 5, "fractional"),
-]
 
 
 def check(criterion: int, ok: bool, detail: str) -> None:
     print(f"ACCEPTANCE {criterion:2d}: {'PASS' if ok else 'FAIL'}  {detail}")
     assert ok, f"criterion {criterion}: {detail}"
-
-
-def small_profile(seed: int) -> SynthProfile:
-    return SynthProfile(
-        clusters=(
-            ClusterProfile("1", "Alpha", 25, 0.8, 4.0, 0.4),
-            ClusterProfile("2", "Beta", 25, 2.0, 10.0, 0.5),
-            ClusterProfile("3", "Gamma", 25, 5.0, 25.0, 0.5),
-        ),
-        items_per_journal=(2, 5),
-        years=(2005, 2010),
-        seed=seed,
-    )
 
 
 def biased_paper_scale_profile(seed: int) -> SynthProfile:

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import citefair
 from citefair.cli import main
 from citefair.synth import ClusterProfile, SynthProfile, profile_to_json
 
@@ -305,3 +310,12 @@ class TestExitCodes:
         monkeypatch.setenv("CITEFAIR_OUT", str(tmp_path / "envout"))
         assert main(["synth", "--profile-file", str(profile_file)]) == 0
         assert (tmp_path / "envout" / "journals.tsv").exists()
+
+    def test_module_entry_point(self):
+        env = dict(os.environ)
+        src = str(Path(citefair.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+        done = subprocess.run([sys.executable, "-m", "citefair.cli", "ingest"],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert done.returncode == 2
+        assert "--journals" in done.stderr

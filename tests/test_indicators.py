@@ -6,8 +6,6 @@ from citefair.indicators import (
     IndicatorTable,
     compute_table,
     compute_tables,
-    if_denominator,
-    if_numerator,
     rank_table,
     read_table,
     rescale,
@@ -15,8 +13,10 @@ from citefair.indicators import (
     write_table,
 )
 from citefair.model import CitationEvent, Cluster, JournalRecord, PublicationCount
+from citefair.synth import generate
 
-from conftest import make_dataset
+from conftest import ALL_KIND_SPECS, make_dataset, small_profile
+from oracles import if_denominator_by_scan, if_numerator_by_scan, indicator_by_scan
 
 
 def flat_table(values, indicator_id="T", normalization="raw"):
@@ -49,7 +49,19 @@ class TestSpec:
         assert IndicatorSpec("cp_ratio", "all").window == "all"
 
 
+def if_numerator(ds, journal_id, spec):
+    return if_numerator_by_scan(ds.citation_events, ds.census_year, journal_id,
+                                spec.window, spec.counting)
+
+
+def if_denominator(ds, journal_id, window):
+    return if_denominator_by_scan(ds.publication_counts, ds.census_year, journal_id, window)
+
+
 class TestNumeratorDenominator:
+    """Hand-computed numerators and denominators, as checks of the oracles
+    that compute_tables is compared against below."""
+
     def test_fractional_two_events_quarter_weight(self, tiny_dataset):
         spec = IndicatorSpec("impact_factor", 2, "fractional")
         # p1 (n_refs=4) cites jA twice in-window and p2 (n_refs=2) once
@@ -89,14 +101,6 @@ class TestNumeratorDenominator:
         counts = [PublicationCount("j1", y, 10) for y in range(2005, 2010)]
         ds = make_dataset([JournalRecord("j1", "One", "g")], [Cluster("g", "G", 1)], counts, [])
         assert if_denominator(ds, "j1", 5) == 50
-
-    def test_numerator_bad_kind(self, tiny_dataset):
-        with pytest.raises(ValueError):
-            if_numerator(tiny_dataset, "jA", IndicatorSpec("total_cites"))
-
-    def test_numerator_unknown_journal(self, tiny_dataset):
-        with pytest.raises(ValueError):
-            if_numerator(tiny_dataset, "nope", IndicatorSpec("impact_factor", 2))
 
 
 class TestComputeTable:
@@ -159,6 +163,29 @@ class TestComputeTable:
         bulk = compute_tables(tiny_dataset, specs)
         for spec, table in zip(specs, bulk):
             assert table.values == compute_table(tiny_dataset, spec).values
+
+    @staticmethod
+    def assert_matches_oracle(ds):
+        journal_ids = [j.journal_id for j in ds.journals]
+        for spec, table in zip(ALL_KIND_SPECS, compute_tables(ds, ALL_KIND_SPECS)):
+            expected = indicator_by_scan(journal_ids, ds.publication_counts,
+                                         ds.citation_events, ds.census_year,
+                                         spec.kind, spec.window, spec.counting)
+            assert list(table.values) == journal_ids, spec.indicator_id
+            assert table.values == expected, spec.indicator_id
+
+    def test_matches_oracle_on_tiny_dataset(self, tiny_dataset):
+        self.assert_matches_oracle(tiny_dataset)
+
+    def test_matches_oracle_on_small_census(self):
+        self.assert_matches_oracle(generate(small_profile(3)))
+
+    def test_matches_oracle_with_zero_denominators(self, tiny_dataset):
+        # jD has no citable items at all, so its IF and c/p are UNDEFINED
+        self.assert_matches_oracle(make_dataset(
+            tiny_dataset.journals + (JournalRecord("jD", "Delta Journal", "g2"),),
+            tiny_dataset.clusters, tiny_dataset.publication_counts,
+            tiny_dataset.citation_events + (CitationEvent("p4", "jA", 2010, "jD", 2009, 3),)))
 
     def test_fractional_at_most_integer(self, tiny_dataset):
         ti = compute_table(tiny_dataset, IndicatorSpec("numerator_only", 2, "integer"))
@@ -317,3 +344,14 @@ class TestTableIo:
             "journal_id\tvalue\na\toops\n")
         with pytest.raises(ParseError, match="3"):
             read_table(path)
+
+    @pytest.mark.parametrize("raw", ["nan", "inf", "-1.5"])
+    def test_non_finite_or_negative_value_names_line(self, tmp_path, raw):
+        path = tmp_path / "bad.tsv"
+        path.write_text(
+            "# indicator_id=X kind=total_cites window=all counting=integer "
+            "normalization=raw census_year=2010\n"
+            f"journal_id\tvalue\na\t1.0\nb\t{raw}\n")
+        with pytest.raises(ParseError, match="finite and non-negative") as err:
+            read_table(path)
+        assert err.value.line == 4

@@ -1,5 +1,6 @@
 import pytest
 
+from citefair.cli import main
 from citefair.errors import IngestWarning, ParseError, ValidationError
 from citefair.ingest import (
     IngestConfig,
@@ -156,6 +157,46 @@ class TestParseCitations:
                      ("p2", "jB", 2010, "jA", 2009, 1)])
         events = parse_citations(path)
         assert [e.cited_journal_id for e in events] == ["jB", "jC", "jA"]
+
+
+class TestUndecodableBytes:
+    """A byte that is not UTF-8 is a ParseError naming its file and line."""
+
+    # per input file: its parser, valid rows, and a row holding a Latin-1 byte
+    FILES = {
+        "journals": (parse_journals, [JHEADER, ("j1", "One", "g1", "G")],
+                     ("j2", "Caf\xe9", "g1", "G")),
+        "publications": (parse_publications, [PHEADER, ("j1", 2009, 1)],
+                         ("j1", 2010, "\xe9")),
+        "citations": (parse_citations, [CHEADER, ("p1", "jB", 2010, "j1", 2009, 4)],
+                      ("p2", "jB", 2010, "j\xe9", 2009, 4)),
+    }
+
+    def write_bad(self, path, kind):
+        _, rows, bad = self.FILES[kind]
+        path.write_bytes("".join("\t".join(str(c) for c in row) + "\n"
+                                 for row in rows + [bad]).encode("latin-1"))
+
+    @pytest.mark.parametrize("kind", sorted(FILES))
+    def test_names_path_and_line(self, tmp_path, kind):
+        path = tmp_path / f"{kind}.tsv"
+        self.write_bad(path, kind)
+        with pytest.raises(ParseError, match="not valid UTF-8") as err:
+            self.FILES[kind][0](path)
+        assert err.value.path == str(path)
+        assert err.value.line == 3
+
+    @pytest.mark.parametrize("kind", sorted(FILES))
+    def test_ingest_exits_two(self, tmp_path, capsys, kind):
+        paths = {name: tmp_path / f"{name}.tsv" for name in self.FILES}
+        for name, (_, rows, _) in self.FILES.items():
+            write(paths[name], rows)
+        self.write_bad(paths[kind], kind)
+        assert main(["ingest", "--journals", str(paths["journals"]),
+                     "--publications", str(paths["publications"]),
+                     "--citations", str(paths["citations"]),
+                     "--out-dir", str(tmp_path / "bundle")]) == 2
+        assert f"{paths[kind]}:3: not valid UTF-8" in capsys.readouterr().err
 
 
 def journals_fixture(sizes):

@@ -119,9 +119,6 @@ class TestDatasetHelpers:
     def test_items_lookup(self, tiny_dataset):
         assert tiny_dataset.items_by_journal_year[("jA", 2009)] == 100
 
-    def test_events_by_cited(self, tiny_dataset):
-        assert len(tiny_dataset.events_by_cited["jA"]) == 4
-
     def test_immutability(self, tiny_dataset):
         with pytest.raises(AttributeError):
             tiny_dataset.census_year = 2011
