@@ -6,9 +6,9 @@ Usage: python demos/01_indicators_and_rescaling.py
 """
 
 from citefair import (
-    CitationEvent,
     Cluster,
     Dataset,
+    Events,
     IndicatorSpec,
     JournalRecord,
     PublicationCount,
@@ -38,9 +38,9 @@ for citing, n_refs, targets in [
 ]:
     pid += 1
     for cited in targets:
-        events.append(CitationEvent(f"p{pid}", citing, 2010, cited, 2009, n_refs))
+        events.append((f"p{pid}", citing, 2010, cited, 2009, n_refs))
 
-dataset = Dataset(tuple(journals), tuple(clusters), tuple(counts), tuple(events), 2010)
+dataset = Dataset(tuple(journals), tuple(clusters), tuple(counts), Events.from_rows(events), 2010)
 assert validate(dataset) == []
 
 print("journal      IF2 (integer)   IF2 (fractional)")

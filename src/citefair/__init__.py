@@ -45,9 +45,9 @@ from .ingest import (
     write_dataset,
 )
 from .model import (
-    CitationEvent,
     Cluster,
     Dataset,
+    Events,
     JournalRecord,
     PublicationCount,
     Violation,

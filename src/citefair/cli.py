@@ -122,10 +122,6 @@ def cmd_indicators(args) -> int:
     return 0
 
 
-def _load_tables(paths) -> list[ind.IndicatorTable]:
-    return [ind.read_table(p) for p in paths]
-
-
 def _narrow(table: ind.IndicatorTable, partition) -> ind.IndicatorTable:
     """Restrict an (external) table to the dataset's journals."""
     inside = {j: v for j, v in table.values.items() if j in partition}
@@ -137,7 +133,7 @@ def _narrow(table: ind.IndicatorTable, partition) -> ind.IndicatorTable:
 
 def cmd_fairness(args) -> int:
     dataset, _ = ing.load_bundle(args.dataset)
-    tables = [_narrow(t, dataset.partition) for t in _load_tables(args.table)]
+    tables = [_narrow(ind.read_table(p), dataset.partition) for p in args.table]
     out = _out_dir(args)
     reports = []
     for table in tables:
@@ -169,19 +165,15 @@ def cmd_correlate(args) -> int:
     if len(args.table) < 2:
         raise CiteFairError("correlate needs at least two --table files")
     dataset, _ = ing.load_bundle(args.dataset)
-    tables = [_narrow(t, dataset.partition) for t in _load_tables(args.table)]
+    tables = [_narrow(ind.read_table(p), dataset.partition) for p in args.table]
     out = _out_dir(args)
 
-    unique: list[ind.IndicatorTable] = []
-    seen = set()
+    by_id: dict[str, ind.IndicatorTable] = {}
     for t in tables:
-        if t.indicator_id not in seen:
-            unique.append(t)
-            seen.add(t.indicator_id)
+        by_id.setdefault(t.indicator_id, t)
 
     # correlation matrix: Spearman above the diagonal, Pearson below
-    ids = [t.indicator_id for t in unique]
-    by_id = {t.indicator_id: t for t in unique}
+    ids = list(by_id)
     lines = ["\t".join(["indicator"] + ids)]
     for i, rid in enumerate(ids):
         row = [rid]
@@ -217,11 +209,11 @@ def cmd_correlate(args) -> int:
         print(f"wrote {dec_path}")
 
     # per-cluster ECDF points and pairwise KS distances for each table
-    order = sorted(dataset.cluster_names, key=lambda c: (len(c), c))
-    for table in unique:
+    for table in by_id.values():
         ecdf = stats.ecdf_by_group(table.values, dataset.partition)
+        groups = sorted(ecdf, key=lambda c: (len(c), c))
         ecdf_lines = ["\t".join(("cluster", "value", "cumulative_fraction"))]
-        for g in sorted(ecdf, key=lambda c: (len(c), c)):
+        for g in groups:
             for value, frac in ecdf[g]:
                 ecdf_lines.append(f"{g}\t{value!r}\t{frac!r}")
         epath = out / f"ecdf-{table.indicator_id}.tsv"
@@ -231,7 +223,6 @@ def cmd_correlate(args) -> int:
         for jid, v in table.values.items():
             if v is not None:
                 by_cluster[dataset.partition[jid]].append(v)
-        groups = [g for g in order if g in by_cluster]
         ks_lines = ["\t".join(["cluster"] + groups)]
         for g in groups:
             row = [g]

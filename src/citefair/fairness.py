@@ -148,8 +148,6 @@ class ReportComparison:
 
 
 def _smaller_wins(va: Optional[float], vb: Optional[float]) -> str:
-    if va is None and vb is None:
-        return "tie"
     if va is None or vb is None:
         return "tie"
     if va < vb:

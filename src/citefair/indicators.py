@@ -127,19 +127,15 @@ def compute_tables(dataset: Dataset, specs: list[IndicatorSpec]) -> list[Indicat
     t = dataset.census_year
     journal_ids = [j.journal_id for j in dataset.journals]
     index = {jid: i for i, jid in enumerate(journal_ids)}
-    # Each column is read straight off the events: holding a list of the
-    # census-year events, or the ages, would raise the peak memory.
     events = dataset.citation_events
-    age = np.fromiter((t - ev.cited_year for ev in events if ev.citing_year == t), np.int64)
+    now = events.citing_year == t
+    age = events.citing_year[now] - events.cited_year[now]
     rows = {WINDOW_ALL: slice(None), 2: (age >= 1) & (age <= 2), 5: (age >= 1) & (age <= 5)}
-    del age
-    cited = np.fromiter((index[ev.cited_journal_id] for ev in events if ev.citing_year == t),
-                        np.intp)
-    weight = np.fromiter((1.0 / ev.n_refs for ev in events if ev.citing_year == t), np.float64)
+    cited = np.fromiter(map(index.__getitem__, events.cited_journal_id[now].tolist()), np.intp)
+    weight = 1.0 / events.n_refs[now]
 
-    # items[i, a]: citable items of journal i in year t - a, for a = 0..5.
-    # Like Dataset.items_by_journal_year, the last record of a repeated
-    # journal-year wins; that lookup dict is not built here, to save memory.
+    # items[i, a]: citable items of journal i in year t - a, for a = 0..5;
+    # the last record of a repeated journal-year wins.
     items = np.zeros((len(journal_ids), 6), dtype=np.int64)
     for p in dataset.publication_counts:
         if p.journal_id in index and 0 <= t - p.year <= 5:
@@ -235,15 +231,14 @@ def rescale(table: IndicatorTable, partition: Mapping[str, str]) -> IndicatorTab
     )
 
 
-def rank_table(table: IndicatorTable, descending: bool = True) -> list[tuple[str, Optional[float], int]]:
-    """Rank journals by value, UNDEFINED last, ties broken by id ascending.
+def rank_table(table: IndicatorTable) -> list[tuple[str, Optional[float], int]]:
+    """Rank journals by value descending, UNDEFINED last, ties broken by id
+    ascending.
 
     Returns (journal_id, value, rank) with 1-based ranks; tied values get
     distinct consecutive ranks under the id tie-break.
     """
     defined = rank_order(table.values)
-    if not descending:
-        defined.sort(key=lambda kv: (kv[1], kv[0]))
     undefined = [(j, None) for j in sorted(j for j, v in table.values.items() if v is None)]
     return [(jid, v, rank) for rank, (jid, v) in enumerate(defined + undefined, start=1)]
 
@@ -314,13 +309,12 @@ def read_table(path: str | Path) -> IndicatorTable:
                 raise ParseError(path, lineno,
                                  f"value must be finite and non-negative, got {raw!r}")
             values[jid] = value
-    window: int | str = meta["window"]
-    if window != WINDOW_ALL:
-        window = int(window)
     try:
+        window = meta["window"] if meta["window"] == WINDOW_ALL else int(meta["window"])
         census_year = int(meta["census_year"])
     except ValueError:
-        raise ParseError(path, 1, f"bad census_year {meta['census_year']!r}") from None
+        raise ParseError(path, 1, f"bad window {meta['window']!r} or census_year "
+                                  f"{meta['census_year']!r}") from None
     return IndicatorTable(
         indicator_id=meta["indicator_id"],
         kind=meta["kind"],

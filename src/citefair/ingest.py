@@ -20,13 +20,15 @@ from __future__ import annotations
 import csv
 import json
 import warnings
+from collections import Counter
 from dataclasses import dataclass, asdict
 from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 from .errors import IngestWarning, ParseError, ValidationError
-from .model import Cluster, CitationEvent, Dataset, JournalRecord, PublicationCount, validate
+from .model import (EVENT_COLUMNS, Cluster, Dataset, Events, JournalRecord, PublicationCount,
+                    _isin, validate)
 
 __all__ = [
     "IngestConfig",
@@ -57,8 +59,8 @@ META_FILE = "dataset.json"
 
 JOURNAL_COLUMNS = ("journal_id", "title", "cluster_id", "cluster_name")
 PUBLICATION_COLUMNS = ("journal_id", "year", "citable_items")
-CITATION_COLUMNS = ("citing_paper_id", "citing_journal_id", "citing_year",
-                    "cited_journal_id", "cited_year", "n_refs")
+CITATION_COLUMNS = EVENT_COLUMNS
+INT64 = range(-2 ** 63, 2 ** 63)
 
 
 @dataclass(frozen=True)
@@ -109,8 +111,9 @@ def _undecodable_line(path: Path) -> tuple[int, str]:
 
 def _rows(path: Path, config: IngestConfig,
           columns: Sequence[str]) -> Iterator[tuple[int, tuple[str, ...]]]:
-    """Yield (line number, the named fields in ``columns`` order) for every
-    non-blank data row, after checking the header and each row's width."""
+    """Yield (physical line number, the named fields in ``columns`` order)
+    for every non-blank data row, after checking the header and each row's
+    width."""
     try:
         with path.open(encoding="utf-8", newline="") as fh:
             reader = csv.reader(fh, delimiter=config.delimiter)
@@ -123,12 +126,15 @@ def _rows(path: Path, config: IngestConfig,
                 raise ParseError(path, 1, f"missing required column(s): {', '.join(missing)}")
             pick = itemgetter(*(header.index(c) for c in columns))
             width = len(header)
-            for lineno, row in enumerate(reader, start=2):
+            for row in reader:
                 if not row:
                     continue
                 if len(row) < width:
-                    raise ParseError(path, lineno, f"expected {width} columns, got {len(row)}")
-                yield lineno, pick(row)
+                    raise ParseError(path, reader.line_num,
+                                     f"expected {width} columns, got {len(row)}")
+                yield reader.line_num, pick(row)
+    except csv.Error as exc:
+        raise ParseError(path, reader.line_num, f"malformed row ({exc})") from None
     except UnicodeDecodeError:
         lineno, detail = _undecodable_line(path)
         raise ParseError(path, lineno, f"not valid UTF-8 ({detail})") from None
@@ -136,9 +142,12 @@ def _rows(path: Path, config: IngestConfig,
 
 def _parse_int(path: Path, lineno: int, raw: str, what: str) -> int:
     try:
-        return int(raw)
+        value = int(raw)
     except ValueError:
         raise ParseError(path, lineno, f"{what} must be an integer, got {raw!r}") from None
+    if value not in INT64:
+        raise ParseError(path, lineno, f"{what} {raw!r} does not fit in 64 bits")
+    return value
 
 
 def parse_journals(path: str | Path,
@@ -151,7 +160,7 @@ def parse_journals(path: str | Path,
     path = Path(path)
     journals: list[JournalRecord] = []
     cluster_names: dict[str, str] = {}
-    cluster_sizes: dict[str, int] = {}
+    cluster_sizes: Counter[str] = Counter()
     seen: set[str] = set()
     for lineno, (jid, title, cid, cname) in _rows(path, config, JOURNAL_COLUMNS):
         if not jid:
@@ -161,14 +170,9 @@ def parse_journals(path: str | Path,
         if jid in seen:
             raise ValidationError(f"{path}:{lineno}: duplicate journal_id '{jid}'")
         seen.add(jid)
-        if cid in cluster_names:
-            if cluster_names[cid] != cname:
-                raise ValidationError(
-                    f"{path}:{lineno}: cluster '{cid}' renamed "
-                    f"('{cluster_names[cid]}' vs '{cname}')")
-        else:
-            cluster_names[cid] = cname
-            cluster_sizes[cid] = 0
+        if cluster_names.setdefault(cid, cname) != cname:
+            raise ValidationError(
+                f"{path}:{lineno}: cluster '{cid}' renamed ('{cluster_names[cid]}' vs '{cname}')")
         cluster_sizes[cid] += 1
         journals.append(JournalRecord(jid, title, cid))
     clusters = [Cluster(cid, cluster_names[cid], cluster_sizes[cid]) for cid in cluster_names]
@@ -195,19 +199,21 @@ def parse_publications(path: str | Path,
     return counts
 
 
-def parse_citations(path: str | Path,
-                    config: IngestConfig = IngestConfig()) -> list[CitationEvent]:
+def parse_citations(path: str | Path, config: IngestConfig = IngestConfig()) -> Events:
     """Read citation events in file order.
 
     n_refs must parse as a positive integer; zero is handled per
-    ``config.zero_refs_policy``.  Events of one citing paper must agree on
-    citing journal, citing year and n_refs.
+    ``config.zero_refs_policy``.  Years and n_refs must fit in 64 bits.
+    Events of one citing paper must agree on citing journal, citing year
+    and n_refs.
     """
     path = Path(path)
-    events: list[CitationEvent] = []
+    columns: tuple[list, ...] = tuple([] for _ in CITATION_COLUMNS)
+    pids, citing_jids, citing_years, cited_jids, cited_years, n_refs_col = columns
+    # One str object per distinct id: the csv reader makes a fresh one per field.
+    intern = {}.setdefault
     paper_info: dict[str, tuple[str, int, int]] = {}
     dropped_zero_refs = 0
-    append = events.append
     for lineno, (pid, citing_jid, citing_year_raw, cited_jid, cited_year_raw,
                  n_refs_raw) in _rows(path, config, CITATION_COLUMNS):
         if not pid:
@@ -231,24 +237,34 @@ def parse_citations(path: str | Path,
             continue
         if n_refs < 0:
             raise ParseError(path, lineno, f"n_refs must be positive, got {n_refs}")
+        if citing_year not in INT64 or cited_year not in INT64 or n_refs not in INT64:
+            raise ParseError(
+                path, lineno, f"years and n_refs must fit in 64 bits: "
+                f"{citing_year_raw!r}, {cited_year_raw!r}, {n_refs_raw!r}")
+        pid, citing_jid = intern(pid, pid), intern(citing_jid, citing_jid)
         info = (citing_jid, citing_year, n_refs)
         prev = paper_info.setdefault(pid, info)
         if prev != info:
             raise ValidationError(
                 f"{path}:{lineno}: citing paper '{pid}' conflicts with an earlier "
                 f"row on (citing_journal_id, citing_year, n_refs)")
-        append(CitationEvent(pid, citing_jid, citing_year, cited_jid, cited_year, n_refs))
+        pids.append(pid)
+        citing_jids.append(citing_jid)
+        citing_years.append(citing_year)
+        cited_jids.append(intern(cited_jid, cited_jid))
+        cited_years.append(cited_year)
+        n_refs_col.append(n_refs)
     if dropped_zero_refs:
         warnings.warn(
             f"{path}: dropped {dropped_zero_refs} citation row(s) with n_refs=0",
             IngestWarning, stacklevel=2)
-    return events
+    return Events(*columns)
 
 
 def assemble(journals: Sequence[JournalRecord],
              clusters: Sequence[Cluster],
              publication_counts: Sequence[PublicationCount],
-             citation_events: Sequence[CitationEvent],
+             citation_events: Events,
              census_year: int | None = None,
              config: IngestConfig = IngestConfig()) -> tuple[Dataset, IngestSummary]:
     """Join the parsed inputs into a validated Dataset.
@@ -258,14 +274,12 @@ def assemble(journals: Sequence[JournalRecord],
     ``census_year`` defaults to the latest citing year seen.  The returned
     summary records everything that was excluded.
     """
-    membership: dict[str, int] = {}
-    for j in journals:
-        membership[j.cluster_id] = membership.get(j.cluster_id, 0) + 1
+    membership = Counter(j.cluster_id for j in journals)
 
     kept_clusters: list[Cluster] = []
     excluded: list[tuple[str, str, int]] = []
     for c in clusters:
-        size = membership.get(c.cluster_id, 0)
+        size = membership[c.cluster_id]
         if size < config.min_cluster_size:
             excluded.append((c.cluster_id, c.name, size))
         else:
@@ -278,60 +292,59 @@ def assemble(journals: Sequence[JournalRecord],
     dropped_journal_ids = {j.journal_id for j in journals if j.cluster_id in excluded_ids}
     kept_journal_ids = {j.journal_id for j in kept_journals}
 
-    kept_events: list[CitationEvent] = []
-    dropped_cluster_events = 0
-    dropped_unknown = 0
-    error_on_unknown = config.unknown_cited_policy == POLICY_ERROR
-    append = kept_events.append
-    for ev in citation_events:
-        if ev.cited_journal_id in dropped_journal_ids or ev.citing_journal_id in dropped_journal_ids:
-            dropped_cluster_events += 1
-            continue
-        if ev.cited_journal_id not in kept_journal_ids:
-            if error_on_unknown:
-                raise ValidationError(
-                    f"citation event of paper '{ev.citing_paper_id}' cites unknown "
-                    f"journal '{ev.cited_journal_id}'")
-            dropped_unknown += 1
-            continue
-        append(ev)
+    cited = citation_events.cited_journal_id
+    dropped = (_isin(cited, dropped_journal_ids)
+               | _isin(citation_events.citing_journal_id, dropped_journal_ids))
+    unknown = ~dropped & ~_isin(cited, kept_journal_ids)
+    if unknown.any() and config.unknown_cited_policy == POLICY_ERROR:
+        i = int(unknown.argmax())
+        raise ValidationError(f"citation event of paper '{citation_events.citing_paper_id[i]}' "
+                              f"cites unknown journal '{cited[i]}'")
+    keep = ~(dropped | unknown)
+    events = citation_events if keep.all() else Events(
+        *(getattr(citation_events, name)[keep] for name in EVENT_COLUMNS))
 
     kept_counts = [p for p in publication_counts if p.journal_id in kept_journal_ids]
     counts_dropped = len(publication_counts) - len(kept_counts)
 
     inferred = census_year is None
     if inferred:
-        if not kept_events:
+        if not len(events):
             raise ValidationError(
                 "census_year not given and no citation events to infer it from")
-        census_year = max(ev.citing_year for ev in kept_events)
+        census_year = int(events.citing_year.max())
 
     dataset = Dataset(
         journals=tuple(kept_journals),
         clusters=tuple(kept_clusters),
         publication_counts=tuple(kept_counts),
-        citation_events=tuple(kept_events),
+        citation_events=events,
         census_year=census_year,
     )
-    violations = validate(dataset)
-    if violations:
-        shown = "; ".join(str(v) for v in violations[:5])
-        more = f" (+{len(violations) - 5} more)" if len(violations) > 5 else ""
-        raise ValidationError(f"assembled dataset fails validation: {shown}{more}")
+    _require_valid(dataset, "assembled dataset")
 
     summary = IngestSummary(
         excluded_clusters=tuple(excluded),
         excluded_journals=len(dropped_journal_ids),
-        events_dropped_excluded_clusters=dropped_cluster_events,
-        events_dropped_unknown_cited=dropped_unknown,
+        events_dropped_excluded_clusters=int(dropped.sum()),
+        events_dropped_unknown_cited=int(unknown.sum()),
         counts_dropped=counts_dropped,
         census_year=census_year,
         census_year_inferred=inferred,
         retained_journals=len(kept_journals),
         retained_clusters=len(kept_clusters),
-        retained_events=len(kept_events),
+        retained_events=len(events),
     )
     return dataset, summary
+
+
+def _require_valid(dataset: Dataset, what: str) -> None:
+    """Raise ValidationError naming the first five violations, if any."""
+    violations = validate(dataset)
+    if violations:
+        shown = "; ".join(str(v) for v in violations[:5])
+        more = f" (+{len(violations) - 5} more)" if len(violations) > 5 else ""
+        raise ValidationError(f"{what} fails validation: {shown}{more}")
 
 
 def _write_rows(path: Path, header: Iterable[str], rows: Iterable[tuple], delimiter: str) -> None:
@@ -356,12 +369,8 @@ def write_publications(counts: Sequence[PublicationCount], path: str | Path,
                 ((p.journal_id, p.year, p.citable_items) for p in counts), delimiter)
 
 
-def write_citations(events: Sequence[CitationEvent], path: str | Path,
-                    delimiter: str = "\t") -> None:
-    _write_rows(Path(path), CITATION_COLUMNS,
-                ((e.citing_paper_id, e.citing_journal_id, e.citing_year,
-                  e.cited_journal_id, e.cited_year, e.n_refs) for e in events),
-                delimiter)
+def write_citations(events: Events, path: str | Path, delimiter: str = "\t") -> None:
+    _write_rows(Path(path), CITATION_COLUMNS, events.rows(), delimiter)
 
 
 def write_dataset(dataset: Dataset, directory: str | Path,
@@ -404,12 +413,9 @@ def save_bundle(dataset: Dataset, directory: str | Path,
     return meta_path
 
 
-def load_bundle(directory: str | Path, verify: bool = False) -> tuple[Dataset, dict]:
-    """Load a bundle written by save_bundle.
-
-    The bundle is trusted as already validated; pass ``verify=True`` to
-    re-run model validation anyway.
-    """
+def load_bundle(directory: str | Path) -> tuple[Dataset, dict]:
+    """Load a bundle written by save_bundle and validate it again, so that a
+    bundle edited after it was saved fails like any other bad input."""
     directory = Path(directory)
     meta_path = directory / META_FILE
     if not meta_path.exists():
@@ -425,13 +431,8 @@ def load_bundle(directory: str | Path, verify: bool = False) -> tuple[Dataset, d
         journals=tuple(journals),
         clusters=tuple(clusters),
         publication_counts=tuple(counts),
-        citation_events=tuple(events),
+        citation_events=events,
         census_year=int(meta["census_year"]),
     )
-    if verify:
-        violations = validate(dataset)
-        if violations:
-            raise ValidationError(
-                f"bundle {directory} fails validation: {violations[0]}"
-                + (f" (+{len(violations) - 1} more)" if len(violations) > 1 else ""))
+    _require_valid(dataset, f"bundle {directory}")
     return dataset, meta

@@ -1,8 +1,9 @@
 """Immutable domain types: journals, clusters, publication counts, citation
-events, and the Dataset bundle that ties them to one census year.
+events (as columns), and the Dataset bundle that ties them to one census year.
 
-A Dataset is safe to share across threads; all record types are frozen and
-the derived lookup tables are built lazily and never mutated afterwards.
+A Dataset is safe to share across threads; all record types are frozen, event
+columns are read-only, and the derived lookup tables are built lazily and
+never mutated afterwards.
 """
 
 from __future__ import annotations
@@ -10,12 +11,15 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Iterable, Iterator
+
+import numpy as np
 
 __all__ = [
     "JournalRecord",
     "Cluster",
     "PublicationCount",
-    "CitationEvent",
+    "Events",
     "Dataset",
     "Violation",
     "validate",
@@ -50,20 +54,55 @@ class PublicationCount:
     citable_items: int
 
 
-@dataclass(frozen=True, slots=True)
-class CitationEvent:
-    """One reference from a citing paper to a cited journal.
+EVENT_COLUMNS = ("citing_paper_id", "citing_journal_id", "citing_year",
+                 "cited_journal_id", "cited_year", "n_refs")
 
-    ``n_refs`` is the length of the citing paper's full reference list and
-    is the source of the 1/n_refs fractional weight.
+
+@dataclass(frozen=True, eq=False)
+class Events:
+    """Citation events, one reference from a citing paper to a cited journal
+    each, as six equal-length read-only columns in file order: ``object``
+    arrays of ``str`` ids and ``int64`` years and ``n_refs``.  ``n_refs`` is
+    the length of the citing paper's full reference list and is the source
+    of the 1/n_refs fractional weight.
     """
 
-    citing_paper_id: str
-    citing_journal_id: str
-    citing_year: int
-    cited_journal_id: str
-    cited_year: int
-    n_refs: int
+    citing_paper_id: np.ndarray
+    citing_journal_id: np.ndarray
+    citing_year: np.ndarray
+    cited_journal_id: np.ndarray
+    cited_year: np.ndarray
+    n_refs: np.ndarray
+
+    def __post_init__(self):
+        for name in EVENT_COLUMNS:
+            column = np.asarray(getattr(self, name),
+                                dtype=object if name.endswith("_id") else np.int64)
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+        if len({len(getattr(self, name)) for name in EVENT_COLUMNS}) != 1:
+            raise ValueError("event columns differ in length")
+
+    @classmethod
+    def from_rows(cls, rows: Iterable[tuple]) -> Events:
+        """Events from tuples in ``EVENT_COLUMNS`` order."""
+        return cls(*(list(zip(*rows)) or [()] * len(EVENT_COLUMNS)))
+
+    def rows(self) -> Iterator[tuple]:
+        """Iterate the events as tuples of plain str and int, in column order."""
+        return zip(*(getattr(self, name).tolist() for name in EVENT_COLUMNS))
+
+    def __len__(self) -> int:
+        return len(self.n_refs)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Events) and all(
+            np.array_equal(getattr(self, name), getattr(other, name)) for name in EVENT_COLUMNS)
+
+
+def _isin(column: np.ndarray, ids) -> np.ndarray:
+    """Which entries of an id column are in ``ids`` (np.isin is quadratic here)."""
+    return np.fromiter(map(ids.__contains__, column.tolist()), bool, len(column))
 
 
 @dataclass(frozen=True)
@@ -94,12 +133,8 @@ class Dataset:
     journals: tuple[JournalRecord, ...]
     clusters: tuple[Cluster, ...]
     publication_counts: tuple[PublicationCount, ...]
-    citation_events: tuple[CitationEvent, ...]
+    citation_events: Events
     census_year: int
-
-    @cached_property
-    def journal_ids(self) -> frozenset[str]:
-        return frozenset(j.journal_id for j in self.journals)
 
     @cached_property
     def partition(self) -> dict[str, str]:
@@ -110,16 +145,13 @@ class Dataset:
     def cluster_names(self) -> dict[str, str]:
         return {c.cluster_id: c.name for c in self.clusters}
 
-    @cached_property
-    def items_by_journal_year(self) -> dict[tuple[str, int], int]:
-        return {(p.journal_id, p.year): p.citable_items for p in self.publication_counts}
-
 
 def validate(dataset: Dataset) -> list[Violation]:
     """Check every structural invariant; return one Violation per breach.
 
     Violations are data, not failures: a clean dataset yields an empty
-    list, and identical input always yields the identical list.
+    list, and identical input always yields the identical list.  Event
+    violations come rule by rule, each rule's in event (file) order.
     """
     violations: list[Violation] = []
     add = violations.append
@@ -163,29 +195,28 @@ def validate(dataset: Dataset) -> list[Violation]:
             add(Violation("publication.negative_items", f"{p.journal_id}/{p.year}",
                           f"citable_items {p.citable_items} < 0"))
 
-    journal_ids = seen_journals
-    paper_info: dict[str, tuple[str, int, int]] = {}
-    paper_events: Counter[str] = Counter()
-    for ev in dataset.citation_events:
-        pid = ev.citing_paper_id
-        if ev.n_refs < 1:
-            add(Violation("event.nonpositive_refs", pid, f"n_refs {ev.n_refs} < 1"))
-        if ev.cited_year > ev.citing_year:
-            add(Violation("event.causality", pid,
-                          f"cited_year {ev.cited_year} > citing_year {ev.citing_year}"))
-        info = (ev.citing_journal_id, ev.citing_year, ev.n_refs)
-        prev = paper_info.setdefault(pid, info)
-        if prev != info:
-            add(Violation("event.paper_inconsistent", pid,
-                          "events of one citing paper disagree on journal, year or n_refs"))
-        if ev.cited_journal_id not in journal_ids:
-            add(Violation("event.unknown_cited_journal", pid,
-                          f"cited journal '{ev.cited_journal_id}' not in dataset"))
-        paper_events[pid] += 1
-    for pid, n_events in paper_events.items():
-        n_refs = paper_info[pid][2]
-        if n_events > n_refs >= 1:
-            add(Violation("event.excess_references", pid,
-                          f"{n_events} recorded references exceed n_refs={n_refs}"))
+    events = dataset.citation_events
+    pids, n_refs = events.citing_paper_id, events.n_refs
+    for i in np.flatnonzero(n_refs < 1).tolist():
+        add(Violation("event.nonpositive_refs", pids[i], f"n_refs {n_refs[i]} < 1"))
+    for i in np.flatnonzero(events.cited_year > events.citing_year).tolist():
+        add(Violation("event.causality", pids[i], f"cited_year {events.cited_year[i]} "
+                      f"> citing_year {events.citing_year[i]}"))
+    # Each event is compared with the first event of its citing paper.
+    _, first, paper_of, n_events = np.unique(
+        pids, return_index=True, return_inverse=True, return_counts=True)
+    lead = first[paper_of]
+    differs = ((events.citing_journal_id[lead] != events.citing_journal_id)
+               | (events.citing_year[lead] != events.citing_year) | (n_refs[lead] != n_refs))
+    for i in np.flatnonzero(differs).tolist():
+        add(Violation("event.paper_inconsistent", pids[i],
+                      "events of one citing paper disagree on journal, year or n_refs"))
+    for i in np.flatnonzero(~_isin(events.cited_journal_id, seen_journals)).tolist():
+        add(Violation("event.unknown_cited_journal", pids[i],
+                      f"cited journal '{events.cited_journal_id[i]}' not in dataset"))
+    paper_refs = n_refs[first]
+    for i in np.sort(first[(n_events > paper_refs) & (paper_refs >= 1)]).tolist():
+        add(Violation("event.excess_references", pids[i],
+                      f"{n_events[paper_of[i]]} recorded references exceed n_refs={n_refs[i]}"))
 
     return violations

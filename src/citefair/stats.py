@@ -283,7 +283,7 @@ def ecdf_by_group(values: Values, partition: Mapping[str, str]) -> dict[str, lis
     Each cluster maps to ascending (value, cumulative fraction) pairs with
     fractions in (0, 1]; duplicated values collapse into a single step.
     """
-    grouped: dict[str, list[float]] = {g: [] for g in set(partition.values())}
+    grouped: dict[str, list[float]] = {g: [] for g in dict.fromkeys(partition.values())}
     for jid, v in values.items():
         if v is None:
             continue

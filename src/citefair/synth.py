@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ProfileError
-from .model import Cluster, CitationEvent, Dataset, JournalRecord, PublicationCount
+from .model import Cluster, Dataset, Events, JournalRecord, PublicationCount
 
 __all__ = [
     "ClusterProfile",
@@ -220,20 +220,17 @@ def generate(profile: SynthProfile) -> Dataset:
     cited_year = census - rng.choice(n_years, size=total_refs, p=recency)
 
     pw = max(6, len(str(n_papers)))
-    paper_ids = [f"P{i + 1:0{pw}d}" for i in range(n_papers)]
-    paper_jid = [journal_ids[ji] for ji in paper_journal.tolist()]
-    nref_list = n_refs.tolist()
-    events = [
-        CitationEvent(paper_ids[p], paper_jid[p], census, journal_ids[c], y, nref_list[p])
-        for p, c, y in zip(np.repeat(np.arange(n_papers), n_refs).tolist(),
-                           cited_journal.tolist(), cited_year.tolist())
-    ]
+    paper_ids = np.array([f"P{i + 1:0{pw}d}" for i in range(n_papers)], dtype=object)
+    jids = np.array(journal_ids, dtype=object)
+    paper = np.repeat(np.arange(n_papers), n_refs)
+    events = Events(paper_ids[paper], jids[paper_journal[paper]], np.full(total_refs, census),
+                    jids[cited_journal], cited_year, n_refs[paper])
 
     return Dataset(
         journals=tuple(journals),
         clusters=tuple(clusters),
         publication_counts=tuple(publication_counts),
-        citation_events=tuple(events),
+        citation_events=events,
         census_year=census,
     )
 

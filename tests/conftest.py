@@ -7,9 +7,9 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from citefair.indicators import IndicatorSpec
 from citefair.model import (
-    CitationEvent,
     Cluster,
     Dataset,
+    Events,
     JournalRecord,
     PublicationCount,
 )
@@ -43,12 +43,12 @@ def small_profile(seed: int) -> SynthProfile:
     )
 
 
-def make_dataset(journals, clusters, counts, events, census_year=2010) -> Dataset:
+def make_dataset(journals, clusters, counts, event_rows, census_year=2010) -> Dataset:
     return Dataset(
         journals=tuple(journals),
         clusters=tuple(clusters),
         publication_counts=tuple(counts),
-        citation_events=tuple(events),
+        citation_events=Events.from_rows(event_rows),
         census_year=census_year,
     )
 
@@ -74,13 +74,13 @@ def tiny_dataset() -> Dataset:
     ]
     events = [
         # one citing paper with 4 refs citing jA twice in-window
-        CitationEvent("p1", "jB", 2010, "jA", 2009, 4),
-        CitationEvent("p1", "jB", 2010, "jA", 2008, 4),
-        CitationEvent("p1", "jB", 2010, "jC", 2009, 4),
+        ("p1", "jB", 2010, "jA", 2009, 4),
+        ("p1", "jB", 2010, "jA", 2008, 4),
+        ("p1", "jB", 2010, "jC", 2009, 4),
         # a second paper citing jA once in-window, once out-of-window
-        CitationEvent("p2", "jC", 2010, "jA", 2009, 2),
-        CitationEvent("p2", "jC", 2010, "jA", 2005, 2),
+        ("p2", "jC", 2010, "jA", 2009, 2),
+        ("p2", "jC", 2010, "jA", 2005, 2),
         # same-year citation (counts for total cites, not for IF2)
-        CitationEvent("p3", "jA", 2010, "jB", 2010, 1),
+        ("p3", "jA", 2010, "jB", 2010, 1),
     ]
     return make_dataset(journals, clusters, counts, events)

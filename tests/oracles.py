@@ -2,8 +2,9 @@
 
 Everything here is deliberately brute force: exhaustive subset
 enumeration, exact rational CDFs, plain-sum formulas, one scan of every
-record per journal.  None of it shares code with the package; the record
-arguments only need the attribute names of the input file columns.
+record per journal.  None of it shares code with the package: count
+records only need the attribute names of the publications file columns,
+and events are plain tuples in the citations file's column order.
 """
 
 from __future__ import annotations
@@ -118,7 +119,7 @@ def variance_parts_by_definition(groups: dict[str, list[float]]):
     return ss_tot, ss_b, ss_w
 
 
-def if_numerator_by_scan(events, census_year: int, journal_id: str,
+def if_numerator_by_scan(event_rows, census_year: int, journal_id: str,
                          window, counting: str) -> float:
     """Citations in the census year t to ``journal_id``'s items of the
     years [t - window, t - 1], or of every year when ``window`` is "all".
@@ -127,12 +128,12 @@ def if_numerator_by_scan(events, census_year: int, journal_id: str,
     sum runs left to right in event order.
     """
     total = 0.0
-    for ev in events:
-        if ev.cited_journal_id != journal_id or ev.citing_year != census_year:
+    for _, _, citing_year, cited_journal_id, cited_year, n_refs in event_rows:
+        if cited_journal_id != journal_id or citing_year != census_year:
             continue
-        if window != "all" and not 1 <= census_year - ev.cited_year <= window:
+        if window != "all" and not 1 <= census_year - cited_year <= window:
             continue
-        total += 1.0 if counting == "integer" else 1.0 / ev.n_refs
+        total += 1.0 if counting == "integer" else 1.0 / n_refs
     return total
 
 
@@ -147,12 +148,12 @@ def if_denominator_by_scan(counts, census_year: int, journal_id: str, window: in
     return items_by_scan(counts, journal_id, range(census_year - window, census_year))
 
 
-def indicator_by_scan(journal_ids, counts, events, census_year: int,
+def indicator_by_scan(journal_ids, counts, event_rows, census_year: int,
                       kind: str, window, counting: str) -> dict:
     """One indicator's {journal_id: value}, None where the denominator is 0."""
     values = {}
     for jid in journal_ids:
-        num = if_numerator_by_scan(events, census_year, jid, window, counting)
+        num = if_numerator_by_scan(event_rows, census_year, jid, window, counting)
         if kind == "impact_factor":
             den = if_denominator_by_scan(counts, census_year, jid, window)
         elif kind == "cp_ratio":

@@ -125,6 +125,20 @@ class TestIngestCommand:
         assert "j.tsv:2" in err
 
 
+class TestTamperedBundle:
+    def test_unknown_cited_journal_exits_two(self, tmp_path, profile_file, capsys):
+        # a census-year row citing a journal that journals.tsv lacks
+        _, bundle, _ = run_pipeline(tmp_path, profile_file)
+        with (bundle / "citations.tsv").open("a", encoding="utf-8") as fh:
+            fh.write("P-TAMPERED\tJ0001\t2010\tNOPE\t2009\t3\n")
+        capsys.readouterr()
+        assert main(["indicators", "--dataset", str(bundle),
+                     "--out-dir", str(tmp_path / "again")]) == 2
+        err = capsys.readouterr().err
+        assert "event.unknown_cited_journal" in err
+        assert "NOPE" in err
+
+
 class TestIndicatorsCommand:
     def test_standard_battery_files(self, tmp_path, profile_file):
         _, _, tables = run_pipeline(tmp_path, profile_file)
@@ -273,7 +287,7 @@ class TestExternalTables:
         rows = ["# indicator_id=ISI-IF2 kind=impact_factor window=2 "
                 "counting=integer normalization=raw census_year=2010",
                 "journal_id\tvalue"]
-        for i, jid in enumerate(sorted(dataset.journal_ids)):
+        for i, jid in enumerate(sorted(dataset.partition)):
             rows.append(f"{jid}\t{(i % 7) + 0.25}")
         rows.append("OUTSIDER\t3.5")
         external = tmp_path / "isi-if2.tsv"

@@ -12,7 +12,7 @@ from citefair.indicators import (
     standard_specs,
     write_table,
 )
-from citefair.model import CitationEvent, Cluster, JournalRecord, PublicationCount
+from citefair.model import Cluster, JournalRecord, PublicationCount
 from citefair.synth import generate
 
 from conftest import ALL_KIND_SPECS, make_dataset, small_profile
@@ -50,7 +50,7 @@ class TestSpec:
 
 
 def if_numerator(ds, journal_id, spec):
-    return if_numerator_by_scan(ds.citation_events, ds.census_year, journal_id,
+    return if_numerator_by_scan(ds.citation_events.rows(), ds.census_year, journal_id,
                                 spec.window, spec.counting)
 
 
@@ -70,8 +70,8 @@ class TestNumeratorDenominator:
     def test_single_paper_two_citations(self):
         journals = [JournalRecord("j1", "One", "g")]
         clusters = [Cluster("g", "G", 1)]
-        events = [CitationEvent("p1", "jX", 2010, "j1", 2009, 4),
-                  CitationEvent("p1", "jX", 2010, "j1", 2008, 4)]
+        events = [("p1", "jX", 2010, "j1", 2009, 4),
+                  ("p1", "jX", 2010, "j1", 2008, 4)]
         ds = make_dataset(journals, clusters, [], events)
         assert if_numerator(ds, "j1", IndicatorSpec("impact_factor", 2, "fractional")) == 0.5
         assert if_numerator(ds, "j1", IndicatorSpec("impact_factor", 2, "integer")) == 2
@@ -83,7 +83,7 @@ class TestNumeratorDenominator:
     def test_all_unit_refs_match_integer(self):
         journals = [JournalRecord("j1", "One", "g")]
         clusters = [Cluster("g", "G", 1)]
-        events = [CitationEvent(f"p{i}", "jX", 2010, "j1", 2009, 1) for i in range(5)]
+        events = [(f"p{i}", "jX", 2010, "j1", 2009, 1) for i in range(5)]
         ds = make_dataset(journals, clusters, [], events)
         frac = if_numerator(ds, "j1", IndicatorSpec("impact_factor", 2, "fractional"))
         whole = if_numerator(ds, "j1", IndicatorSpec("impact_factor", 2, "integer"))
@@ -114,7 +114,7 @@ class TestComputeTable:
         journals = [JournalRecord("j1", "One", "g")]
         clusters = [Cluster("g", "G", 1)]
         counts = [PublicationCount("j1", 2008, 150), PublicationCount("j1", 2009, 100)]
-        events = [CitationEvent(f"p{i}", "jX", 2010, "j1", 2009, 1) for i in range(50)]
+        events = [(f"p{i}", "jX", 2010, "j1", 2009, 1) for i in range(50)]
         ds = make_dataset(journals, clusters, counts, events)
         table = compute_table(ds, IndicatorSpec("impact_factor", 2, "integer"))
         assert table.values["j1"] == pytest.approx(0.2)
@@ -124,7 +124,7 @@ class TestComputeTable:
         # jB and jC have no 2005-2009 items beyond those listed; all have some
         ds = make_dataset(
             [JournalRecord("j1", "One", "g")], [Cluster("g", "G", 1)], [],
-            [CitationEvent("p1", "jX", 2010, "j1", 2009, 2)])
+            [("p1", "jX", 2010, "j1", 2009, 2)])
         t = compute_table(ds, IndicatorSpec("impact_factor", 2, "integer"))
         assert t.values["j1"] is None
 
@@ -139,14 +139,14 @@ class TestComputeTable:
         assert table.values["jA"] == pytest.approx(4 / 80)
         ds = make_dataset(
             [JournalRecord("j1", "One", "g")], [Cluster("g", "G", 1)], [],
-            [CitationEvent("p1", "jX", 2010, "j1", 2009, 2)])
+            [("p1", "jX", 2010, "j1", 2009, 2)])
         assert compute_table(ds, IndicatorSpec("cp_ratio")).values["j1"] is None
 
     def test_fractional_equals_integer_when_unit_refs(self):
         journals = [JournalRecord(f"j{i}", f"J{i}", "g") for i in range(3)]
         clusters = [Cluster("g", "G", 3)]
         counts = [PublicationCount(f"j{i}", y, 10) for i in range(3) for y in (2008, 2009, 2010)]
-        events = [CitationEvent(f"p{k}", "jX", 2010, f"j{k % 3}", 2009 - (k % 2), 1)
+        events = [(f"p{k}", "jX", 2010, f"j{k % 3}", 2009 - (k % 2), 1)
                   for k in range(20)]
         ds = make_dataset(journals, clusters, counts, events)
         for spec_i in standard_specs():
@@ -169,7 +169,7 @@ class TestComputeTable:
         journal_ids = [j.journal_id for j in ds.journals]
         for spec, table in zip(ALL_KIND_SPECS, compute_tables(ds, ALL_KIND_SPECS)):
             expected = indicator_by_scan(journal_ids, ds.publication_counts,
-                                         ds.citation_events, ds.census_year,
+                                         list(ds.citation_events.rows()), ds.census_year,
                                          spec.kind, spec.window, spec.counting)
             assert list(table.values) == journal_ids, spec.indicator_id
             assert table.values == expected, spec.indicator_id
@@ -185,7 +185,7 @@ class TestComputeTable:
         self.assert_matches_oracle(make_dataset(
             tiny_dataset.journals + (JournalRecord("jD", "Delta Journal", "g2"),),
             tiny_dataset.clusters, tiny_dataset.publication_counts,
-            tiny_dataset.citation_events + (CitationEvent("p4", "jA", 2010, "jD", 2009, 3),)))
+            [*tiny_dataset.citation_events.rows(), ("p4", "jA", 2010, "jD", 2009, 3)]))
 
     def test_fractional_at_most_integer(self, tiny_dataset):
         ti = compute_table(tiny_dataset, IndicatorSpec("numerator_only", 2, "integer"))
@@ -195,10 +195,9 @@ class TestComputeTable:
 
     def test_paper_fraction_sums_to_one_iff_all_refs_inside(self, tiny_dataset):
         # p1 has 4 refs but only 3 recorded events: its weights sum below 1
-        by_paper = {}
-        for ev in tiny_dataset.citation_events:
-            by_paper.setdefault(ev.citing_paper_id, []).append(ev)
-        sums = {pid: sum(1 / e.n_refs for e in evs) for pid, evs in by_paper.items()}
+        sums = {}
+        for pid, _, _, _, _, n_refs in tiny_dataset.citation_events.rows():
+            sums[pid] = sums.get(pid, 0.0) + 1 / n_refs
         assert sums["p1"] == pytest.approx(3 / 4)
         assert sums["p2"] == pytest.approx(1.0)  # both refs landed inside
         assert all(s <= 1.0 + 1e-12 for s in sums.values())
@@ -355,3 +354,14 @@ class TestTableIo:
         with pytest.raises(ParseError, match="finite and non-negative") as err:
             read_table(path)
         assert err.value.line == 4
+
+    @pytest.mark.parametrize("window, census_year", [("two", "2010"), ("2", "20x0")])
+    def test_bad_window_or_census_year_names_header(self, tmp_path, window, census_year):
+        path = tmp_path / "bad.tsv"
+        path.write_text(
+            f"# indicator_id=X kind=impact_factor window={window} counting=integer "
+            f"normalization=raw census_year={census_year}\n"
+            "journal_id\tvalue\na\t1.0\n")
+        with pytest.raises(ParseError, match="bad window") as err:
+            read_table(path)
+        assert err.value.line == 1

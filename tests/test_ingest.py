@@ -12,7 +12,7 @@ from citefair.ingest import (
     save_bundle,
     write_dataset,
 )
-from citefair.model import CitationEvent, Cluster, JournalRecord, PublicationCount, validate
+from citefair.model import Cluster, Events, JournalRecord, PublicationCount, validate
 from citefair.synth import ClusterProfile, SynthProfile, generate
 
 
@@ -118,7 +118,8 @@ class TestParseCitations:
         path = tmp_path / "c.tsv"
         write(path, [CHEADER, ("p1", "jA", 2010, "jB", 2009, 4)])
         events = parse_citations(path)
-        assert events == [CitationEvent("p1", "jA", 2010, "jB", 2009, 4)]
+        assert list(events.rows()) == [("p1", "jA", 2010, "jB", 2009, 4)]
+        assert events == Events.from_rows([("p1", "jA", 2010, "jB", 2009, 4)])
 
     def test_zero_refs_dropped_with_warning(self, tmp_path):
         path = tmp_path / "c.tsv"
@@ -156,7 +157,7 @@ class TestParseCitations:
                      ("p1", "jA", 2010, "jC", 2008, 2),
                      ("p2", "jB", 2010, "jA", 2009, 1)])
         events = parse_citations(path)
-        assert [e.cited_journal_id for e in events] == ["jB", "jC", "jA"]
+        assert events.cited_journal_id.tolist() == ["jB", "jC", "jA"]
 
 
 class TestUndecodableBytes:
@@ -199,6 +200,79 @@ class TestUndecodableBytes:
         assert f"{paths[kind]}:3: not valid UTF-8" in capsys.readouterr().err
 
 
+class TestCsvErrorsAndLineNumbers:
+    def test_oversized_title_is_parse_error(self, tmp_path):
+        path = tmp_path / "j.tsv"
+        write(path, [JHEADER, ("j1", "One", "g1", "G"), ("j2", "x" * 200_000, "g1", "G")])
+        with pytest.raises(ParseError, match="field larger than field limit") as err:
+            parse_journals(path)
+        assert (err.value.path, err.value.line) == (str(path), 3)
+
+    def test_oversized_n_refs_is_parse_error(self, tmp_path):
+        path = tmp_path / "c.tsv"
+        write(path, [CHEADER, ("p1", "jA", 2010, "jB", 2009, 4),
+                     ("p2", "jA", 2010, "jB", 2009, "9" * 200_000)])
+        with pytest.raises(ParseError, match="field larger than field limit") as err:
+            parse_citations(path)
+        assert err.value.line == 3
+
+    def test_oversized_field_exits_two(self, tmp_path, capsys):
+        write(tmp_path / "j.tsv", [JHEADER, ("j1", "x" * 200_000, "g1", "G")])
+        write(tmp_path / "p.tsv", [PHEADER])
+        write(tmp_path / "c.tsv", [CHEADER])
+        assert main(["ingest", "--journals", str(tmp_path / "j.tsv"),
+                     "--publications", str(tmp_path / "p.tsv"),
+                     "--citations", str(tmp_path / "c.tsv"),
+                     "--out-dir", str(tmp_path / "bundle")]) == 2
+        assert f"{tmp_path / 'j.tsv'}:2: malformed row" in capsys.readouterr().err
+
+    def test_line_numbers_are_physical_after_multiline_field(self, tmp_path):
+        # the quoted title of line 2 runs onto line 3; the bad row is on line 4
+        path = tmp_path / "j.tsv"
+        path.write_text("\t".join(JHEADER) + "\n"
+                        + 'j1\t"Two\nLines"\tg1\tG\n'
+                        + "\tFour\tg1\tG\n", encoding="utf-8")
+        with pytest.raises(ParseError, match="empty journal_id") as err:
+            parse_journals(path)
+        assert err.value.line == 4
+
+
+class TestIntegerRange:
+    """Integers must fit in 64 bits: the event and count columns are int64."""
+
+    def test_huge_citable_items(self, tmp_path):
+        path = tmp_path / "p.tsv"
+        write(path, [PHEADER, ("j1", 2009, 1), ("j1", 2010, 10 ** 20)])
+        with pytest.raises(ParseError, match="citable_items") as err:
+            parse_publications(path)
+        assert (err.value.path, err.value.line) == (str(path), 3)
+
+    def test_huge_negative_year(self, tmp_path):
+        path = tmp_path / "p.tsv"
+        write(path, [PHEADER, ("j1", -10 ** 20, 1)])
+        with pytest.raises(ParseError, match="year") as err:
+            parse_publications(path)
+        assert err.value.line == 2
+
+    @pytest.mark.parametrize("row", [
+        ("p2", "jA", 2010, "jB", -10 ** 20, 4),
+        ("p2", "jA", 10 ** 20, "jB", 2009, 4),
+        ("p2", "jA", 2010, "jB", 2009, 2 ** 63),
+    ])
+    def test_huge_citation_integers(self, tmp_path, row):
+        path = tmp_path / "c.tsv"
+        write(path, [CHEADER, ("p1", "jA", 2010, "jB", 2009, 4), row])
+        with pytest.raises(ParseError, match="64 bits") as err:
+            parse_citations(path)
+        assert (err.value.path, err.value.line) == (str(path), 3)
+
+    def test_int64_limits_accepted(self, tmp_path):
+        path = tmp_path / "c.tsv"
+        write(path, [CHEADER, ("p1", "jA", 2 ** 63 - 1, "jB", -2 ** 63, 2 ** 63 - 1)])
+        assert list(parse_citations(path).rows()) == [
+            ("p1", "jA", 2 ** 63 - 1, "jB", -2 ** 63, 2 ** 63 - 1)]
+
+
 def journals_fixture(sizes):
     journals = []
     clusters = []
@@ -216,8 +290,8 @@ class TestAssemble:
         journals, clusters = journals_fixture(
             {str(c): 12 for c in range(1, 12)} | {"hum": 2, "prof": 8})
         counts = [PublicationCount(j.journal_id, 2009, 10) for j in journals]
-        events = [CitationEvent("p1", journals[0].journal_id, 2010,
-                                journals[5].journal_id, 2009, 3)]
+        events = Events.from_rows([("p1", journals[0].journal_id, 2010,
+                                    journals[5].journal_id, 2009, 3)])
         ds, summary = assemble(journals, clusters, counts, events, census_year=2010)
         assert len(ds.clusters) == 11
         assert {c for c, _, _ in summary.excluded_clusters} == {"hum", "prof"}
@@ -227,24 +301,24 @@ class TestAssemble:
     def test_nothing_excluded_when_all_big(self):
         journals, clusters = journals_fixture({"a": 10, "b": 11})
         ds, summary = assemble(journals, clusters, [],
-                               [CitationEvent("p1", "x", 2010, "j001", 2009, 2)],
+                               Events.from_rows([("p1", "x", 2010, "j001", 2009, 2)]),
                                census_year=2010)
         assert summary.excluded_clusters == ()
         assert len(ds.journals) == 21
 
     def test_unknown_cited_dropped_and_counted(self):
         journals, clusters = journals_fixture({"a": 10})
-        events = [
-            CitationEvent("p1", "outside", 2010, "j001", 2009, 2),
-            CitationEvent("p2", "outside", 2010, "ghost", 2009, 2),
-        ]
+        events = Events.from_rows([
+            ("p1", "outside", 2010, "j001", 2009, 2),
+            ("p2", "outside", 2010, "ghost", 2009, 2),
+        ])
         ds, summary = assemble(journals, clusters, [], events, census_year=2010)
         assert len(ds.citation_events) == 1
         assert summary.events_dropped_unknown_cited == 1
 
     def test_unknown_cited_error_policy(self):
         journals, clusters = journals_fixture({"a": 10})
-        events = [CitationEvent("p1", "x", 2010, "ghost", 2009, 2)]
+        events = Events.from_rows([("p1", "x", 2010, "ghost", 2009, 2)])
         with pytest.raises(ValidationError, match="ghost"):
             assemble(journals, clusters, [], events, census_year=2010,
                      config=IngestConfig(unknown_cited_policy="error"))
@@ -253,11 +327,11 @@ class TestAssemble:
         journals, clusters = journals_fixture({"big": 10, "tiny": 2})
         tiny_j = journals[-1].journal_id
         big_j = journals[0].journal_id
-        events = [
-            CitationEvent("p1", tiny_j, 2010, big_j, 2009, 2),   # citing side dropped
-            CitationEvent("p2", big_j, 2010, tiny_j, 2009, 2),   # cited side dropped
-            CitationEvent("p3", "x", 2010, big_j, 2009, 2),
-        ]
+        events = Events.from_rows([
+            ("p1", tiny_j, 2010, big_j, 2009, 2),   # citing side dropped
+            ("p2", big_j, 2010, tiny_j, 2009, 2),   # cited side dropped
+            ("p3", "x", 2010, big_j, 2009, 2),
+        ])
         ds, summary = assemble(journals, clusters, [], events, census_year=2010)
         assert len(ds.citation_events) == 1
         assert summary.events_dropped_excluded_clusters == 2
@@ -265,12 +339,12 @@ class TestAssemble:
     def test_empty_dataset_is_error(self):
         journals, clusters = journals_fixture({"a": 3})
         with pytest.raises(ValidationError, match="empty"):
-            assemble(journals, clusters, [], [], census_year=2010)
+            assemble(journals, clusters, [], Events.from_rows([]), census_year=2010)
 
     def test_census_year_inferred(self):
         journals, clusters = journals_fixture({"a": 10})
-        events = [CitationEvent("p1", "x", 2009, "j001", 2008, 2),
-                  CitationEvent("p2", "x", 2012, "j002", 2010, 3)]
+        events = Events.from_rows([("p1", "x", 2009, "j001", 2008, 2),
+                                   ("p2", "x", 2012, "j002", 2010, 3)])
         ds, summary = assemble(journals, clusters, [], events)
         assert ds.census_year == 2012
         assert summary.census_year_inferred
@@ -282,14 +356,14 @@ class TestAssemble:
                   PublicationCount(tiny_j, 2009, 5),
                   PublicationCount("ghost", 2009, 5)]
         ds, summary = assemble(journals, clusters, counts,
-                               [CitationEvent("p1", "x", 2010, "j001", 2009, 1)],
+                               Events.from_rows([("p1", "x", 2010, "j001", 2009, 1)]),
                                census_year=2010)
         assert summary.counts_dropped == 2
         assert len(ds.publication_counts) == 1
 
     def test_exclusion_monotone_in_min_cluster_size(self):
         journals, clusters = journals_fixture({"a": 3, "b": 7, "c": 12, "d": 20})
-        events = [CitationEvent("p1", "x", 2010, journals[-1].journal_id, 2009, 1)]
+        events = Events.from_rows([("p1", "x", 2010, journals[-1].journal_id, 2009, 1)])
         retained = []
         for mcs in (1, 4, 8, 13, 20):
             ds, _ = assemble(journals, clusters, [], events, census_year=2010,
@@ -301,8 +375,8 @@ class TestAssemble:
         journals, clusters = journals_fixture({"a": 10, "b": 12})
         counts = [PublicationCount(j.journal_id, y, 4)
                   for j in journals for y in (2008, 2009, 2010)]
-        events = [CitationEvent(f"p{k}", "x", 2010, journals[k % 22].journal_id, 2009, 2)
-                  for k in range(40)]
+        events = Events.from_rows((f"p{k}", "x", 2010, journals[k % 22].journal_id, 2009, 2)
+                                  for k in range(40))
         # 2 events per paper id would break n_refs accounting; use unique ids
         ds, _ = assemble(journals, clusters, counts, events, census_year=2010)
         assert validate(ds) == []
@@ -335,7 +409,7 @@ class TestRoundTrip:
     def test_bundle_round_trip(self, tmp_path):
         ds = self.small_synth()
         save_bundle(ds, tmp_path)
-        loaded, meta = load_bundle(tmp_path, verify=True)
+        loaded, meta = load_bundle(tmp_path)
         assert loaded == ds
         assert meta["census_year"] == 2010
 
@@ -343,8 +417,8 @@ class TestRoundTrip:
         # an assembled dataset re-ingested under the same policy is unchanged
         journals, clusters = journals_fixture({"a": 10, "b": 12, "c": 4})
         counts = [PublicationCount(j.journal_id, 2009, 3) for j in journals]
-        events = [CitationEvent(f"p{k}", "x", 2010, f"j{(k % 22) + 1:03d}", 2009, 2)
-                  for k in range(30)]
+        events = Events.from_rows((f"p{k}", "x", 2010, f"j{(k % 22) + 1:03d}", 2009, 2)
+                                  for k in range(30))
         config = IngestConfig(min_cluster_size=10)
         ds, _ = assemble(journals, clusters, counts, events, census_year=2010, config=config)
         write_dataset(ds, tmp_path)

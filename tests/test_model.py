@@ -1,8 +1,9 @@
+import numpy as np
 import pytest
 
 from citefair.model import (
-    CitationEvent,
     Cluster,
+    Events,
     JournalRecord,
     PublicationCount,
     cluster_order_key,
@@ -35,7 +36,7 @@ class TestValidate:
         ds = make_dataset(
             [JournalRecord("j1", "One", "g")],
             [Cluster("g", "G", 1)], [],
-            [CitationEvent("p1", "jX", 2008, "j1", 2009, 3)])
+            [("p1", "jX", 2008, "j1", 2009, 3)])
         violations = [v for v in validate(ds) if v.rule == "event.causality"]
         assert len(violations) == 1
 
@@ -72,22 +73,22 @@ class TestValidate:
         ds = make_dataset(
             [JournalRecord("j1", "One", "g")],
             [Cluster("g", "G", 1)], [],
-            [CitationEvent("p1", "jX", 2010, "j1", 2009, 4),
-             CitationEvent("p1", "jX", 2010, "j1", 2008, 5)])
+            [("p1", "jX", 2010, "j1", 2009, 4),
+             ("p1", "jX", 2010, "j1", 2008, 5)])
         assert "event.paper_inconsistent" in rules(validate(ds))
 
     def test_unknown_cited_journal(self):
         ds = make_dataset(
             [JournalRecord("j1", "One", "g")],
             [Cluster("g", "G", 1)], [],
-            [CitationEvent("p1", "jX", 2010, "ghost", 2009, 4)])
+            [("p1", "jX", 2010, "ghost", 2009, 4)])
         assert "event.unknown_cited_journal" in rules(validate(ds))
 
     def test_nonpositive_refs(self):
         ds = make_dataset(
             [JournalRecord("j1", "One", "g")],
             [Cluster("g", "G", 1)], [],
-            [CitationEvent("p1", "jX", 2010, "j1", 2009, 0)])
+            [("p1", "jX", 2010, "j1", 2009, 0)])
         assert "event.nonpositive_refs" in rules(validate(ds))
 
     def test_excess_references(self):
@@ -95,9 +96,29 @@ class TestValidate:
         ds = make_dataset(
             [JournalRecord("j1", "One", "g")],
             [Cluster("g", "G", 1)], [],
-            [CitationEvent("p1", "jX", 2010, "j1", 2009, 1),
-             CitationEvent("p1", "jX", 2010, "j1", 2008, 1)])
+            [("p1", "jX", 2010, "j1", 2009, 1),
+             ("p1", "jX", 2010, "j1", 2008, 1)])
         assert "event.excess_references" in rules(validate(ds))
+
+    def test_event_violations_listed_per_rule_in_file_order(self):
+        ds = make_dataset(
+            [JournalRecord("j1", "One", "g")],
+            [Cluster("g", "G", 1)], [],
+            [("p1", "jX", 2010, "ghost", 2009, 0),
+             ("p2", "jX", 2008, "j1", 2009, 3),
+             ("p2", "jY", 2008, "j1", 2007, 3),
+             ("p3", "jX", 2010, "j1", 2009, 1),
+             ("p3", "jX", 2010, "j1", 2008, 1),
+             ("p4", "jX", 2010, "gone", 2011, 2)])
+        assert [(v.rule, v.record) for v in validate(ds)] == [
+            ("event.nonpositive_refs", "p1"),
+            ("event.causality", "p2"),
+            ("event.causality", "p4"),
+            ("event.paper_inconsistent", "p2"),
+            ("event.unknown_cited_journal", "p1"),
+            ("event.unknown_cited_journal", "p4"),
+            ("event.excess_references", "p3"),
+        ]
 
     def test_clean_dataset_invariants_hold(self, tiny_dataset):
         assert validate(tiny_dataset) == []
@@ -106,18 +127,52 @@ class TestValidate:
         declared = {c.cluster_id for c in tiny_dataset.clusters}
         assert all(j.cluster_id in declared for j in tiny_dataset.journals)
         assert sum(c.size for c in tiny_dataset.clusters) == len(ids)
-        for ev in tiny_dataset.citation_events:
-            assert ev.n_refs >= 1
-            assert ev.cited_year <= ev.citing_year
-            assert ev.cited_journal_id in tiny_dataset.journal_ids
+        for _, _, citing_year, cited_jid, cited_year, n_refs in tiny_dataset.citation_events.rows():
+            assert n_refs >= 1
+            assert cited_year <= citing_year
+            assert cited_jid in tiny_dataset.partition
+
+
+class TestEvents:
+    ROWS = [("p1", "jB", 2010, "jA", 2009, 4), ("p2", "jC", 2010, "jA", 2005, 2)]
+
+    def test_rows_round_trip(self):
+        events = Events.from_rows(self.ROWS)
+        assert len(events) == 2
+        assert list(events.rows()) == self.ROWS
+        assert events.citing_paper_id.dtype == object
+        assert events.cited_year.dtype == np.int64
+
+    def test_empty(self):
+        events = Events.from_rows([])
+        assert len(events) == 0
+        assert list(events.rows()) == []
+        assert events == Events.from_rows(iter(()))
+
+    def test_equality(self):
+        assert Events.from_rows(self.ROWS) == Events.from_rows(list(self.ROWS))
+        assert Events.from_rows(self.ROWS) != Events.from_rows(self.ROWS[:1])
+        changed = [self.ROWS[0], self.ROWS[1][:5] + (3,)]
+        assert Events.from_rows(self.ROWS) != Events.from_rows(changed)
+        assert Events.from_rows(self.ROWS) != self.ROWS
+
+    def test_columns_read_only(self):
+        events = Events.from_rows(self.ROWS)
+        with pytest.raises(ValueError):
+            events.n_refs[0] = 1
+        with pytest.raises(ValueError):
+            events.cited_journal_id[0] = "jC"
+        with pytest.raises(AttributeError):
+            events.n_refs = np.ones(2, dtype=np.int64)
+
+    def test_unequal_column_lengths_rejected(self):
+        with pytest.raises(ValueError, match="length"):
+            Events(["p1"], ["jB"], [2010], ["jA"], [2009], [4, 4])
 
 
 class TestDatasetHelpers:
     def test_partition(self, tiny_dataset):
         assert tiny_dataset.partition == {"jA": "g1", "jB": "g1", "jC": "g2"}
-
-    def test_items_lookup(self, tiny_dataset):
-        assert tiny_dataset.items_by_journal_year[("jA", 2009)] == 100
 
     def test_immutability(self, tiny_dataset):
         with pytest.raises(AttributeError):

@@ -310,6 +310,18 @@ class TestEcdf:
         with pytest.raises(StatsError):
             ecdf_by_group({"a": 1.0, "b": None}, {"a": "g1", "b": "g2"})
 
+    def test_groups_follow_partition_order(self):
+        # 40 clusters listed out of sorted order: the keys keep the listed
+        # order, and with every other journal undefined, the first empty
+        # cluster in that order is the one named
+        clusters = [f"g{(7 * k) % 40}" for k in range(40)]
+        partition = {f"j{k}": g for k, g in enumerate(clusters)}
+        values = {jid: float(k) for k, jid in enumerate(partition)}
+        assert list(ecdf_by_group(values, partition)) == clusters
+        values = {jid: (None if k % 2 else 1.0) for k, jid in enumerate(partition)}
+        with pytest.raises(StatsError, match=f"cluster '{clusters[1]}' "):
+            ecdf_by_group(values, partition)
+
 
 class TestKs:
     def test_identical(self):

@@ -113,24 +113,23 @@ class TestGenerate:
                 ClusterProfile("2", "Beta", 30, 2.5, 1.0, 1e-9),
             ))
         ds = generate(profile)
-        assert all(ev.n_refs == 1 for ev in ds.citation_events)
+        assert (ds.citation_events.n_refs == 1).all()
 
     def test_every_reference_lands_inside(self):
         ds = generate(small_profile(seed=4))
-        by_paper: dict[str, list] = {}
-        for ev in ds.citation_events:
-            by_paper.setdefault(ev.citing_paper_id, []).append(ev)
-        for evs in by_paper.values():
-            total = sum(1 / e.n_refs for e in evs)
+        by_paper: dict[str, float] = {}
+        for pid, _, _, _, _, n_refs in ds.citation_events.rows():
+            by_paper[pid] = by_paper.get(pid, 0.0) + 1 / n_refs
+        for total in by_paper.values():
             assert total == pytest.approx(1.0)
 
     def test_citing_papers_are_census_year_items(self):
         ds = generate(small_profile(seed=4))
-        assert all(ev.citing_year == 2010 for ev in ds.citation_events)
+        assert (ds.citation_events.citing_year == 2010).all()
         papers_by_journal: dict[str, set] = {}
-        for ev in ds.citation_events:
-            papers_by_journal.setdefault(ev.citing_journal_id, set()).add(ev.citing_paper_id)
-        items = ds.items_by_journal_year
+        for pid, citing_jid, _, _, _, _ in ds.citation_events.rows():
+            papers_by_journal.setdefault(citing_jid, set()).add(pid)
+        items = {(p.journal_id, p.year): p.citable_items for p in ds.publication_counts}
         for jid, papers in papers_by_journal.items():
             assert len(papers) <= items[(jid, 2010)]
 
@@ -143,8 +142,8 @@ class TestGenerate:
         )
         ds = generate(profile)
         refs = {}
-        for ev in ds.citation_events:
-            refs[ev.citing_paper_id] = ev.n_refs
+        for pid, _, _, _, _, n_refs in ds.citation_events.rows():
+            refs[pid] = n_refs
         assert len(refs) >= 10_000
         realized = float(np.mean(list(refs.values())))
         assert abs(realized - 12.0) / 12.0 < 0.05
