@@ -38,6 +38,7 @@ from .ingest import (
     IngestConfig,
     assemble,
     load_bundle,
+    load_partition,
     parse_citations,
     parse_journals,
     parse_publications,

@@ -69,7 +69,7 @@ def cmd_ingest(args) -> int:
     dataset, summary = ing.assemble(journals, clusters, counts, events,
                                     census_year=args.census_year, config=config)
     out = _out_dir(args)
-    ing.save_bundle(dataset, out, summary=summary, delimiter=args.delimiter)
+    ing.save_bundle(dataset, out, summary=summary)
     print(f"dataset: {summary.retained_journals} journals in "
           f"{summary.retained_clusters} clusters, {summary.retained_events} events, "
           f"census year {summary.census_year}")
@@ -98,7 +98,7 @@ def _spec_from_args(args) -> ind.IndicatorSpec:
 
 
 def cmd_indicators(args) -> int:
-    dataset, _ = ing.load_bundle(args.dataset)
+    dataset = ing.load_bundle(args.dataset)
     if args.kind:
         specs = [_spec_from_args(args)]
     else:
@@ -132,18 +132,18 @@ def _narrow(table: ind.IndicatorTable, partition) -> ind.IndicatorTable:
 
 
 def cmd_fairness(args) -> int:
-    dataset, _ = ing.load_bundle(args.dataset)
-    tables = [_narrow(ind.read_table(p), dataset.partition) for p in args.table]
+    partition, cluster_names = ing.load_partition(args.dataset)
+    tables = [_narrow(ind.read_table(p), partition) for p in args.table]
     out = _out_dir(args)
     reports = []
     for table in tables:
-        report = fair.fairness_test(table, dataset.partition,
+        report = fair.fairness_test(table, partition,
                                     z=args.z, ci_level=args.ci_level)
         reports.append(report)
         tsv = out / f"{table.indicator_id}-fairness.tsv"
-        fair.write_report_tsv(report, tsv, dataset.cluster_names)
+        fair.write_report_tsv(report, tsv, cluster_names)
         fair.write_report_json(report, out / f"{table.indicator_id}-fairness.json",
-                               dataset.cluster_names)
+                               cluster_names)
         print(f"wrote {tsv} (and .json)")
         if args.stdout:
             if args.format == "structured":
@@ -164,8 +164,8 @@ def cmd_fairness(args) -> int:
 def cmd_correlate(args) -> int:
     if len(args.table) < 2:
         raise CiteFairError("correlate needs at least two --table files")
-    dataset, _ = ing.load_bundle(args.dataset)
-    tables = [_narrow(ind.read_table(p), dataset.partition) for p in args.table]
+    partition, _ = ing.load_partition(args.dataset)
+    tables = [_narrow(ind.read_table(p), partition) for p in args.table]
     out = _out_dir(args)
 
     by_id: dict[str, ind.IndicatorTable] = {}
@@ -210,7 +210,7 @@ def cmd_correlate(args) -> int:
 
     # per-cluster ECDF points and pairwise KS distances for each table
     for table in by_id.values():
-        ecdf = stats.ecdf_by_group(table.values, dataset.partition)
+        ecdf = stats.ecdf_by_group(table.values, partition)
         groups = sorted(ecdf, key=lambda c: (len(c), c))
         ecdf_lines = ["\t".join(("cluster", "value", "cumulative_fraction"))]
         for g in groups:
@@ -222,7 +222,7 @@ def cmd_correlate(args) -> int:
         by_cluster: dict[str, list[float]] = {g: [] for g in ecdf}
         for jid, v in table.values.items():
             if v is not None:
-                by_cluster[dataset.partition[jid]].append(v)
+                by_cluster[partition[jid]].append(v)
         ks_lines = ["\t".join(["cluster"] + groups)]
         for g in groups:
             row = [g]
@@ -265,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
                    default=ing.POLICY_DROP)
     p.add_argument("--zero-refs", choices=[ing.POLICY_DROP_WARN, ing.POLICY_ERROR],
                    default=ing.POLICY_DROP_WARN)
-    p.add_argument("--delimiter", default="\t")
+    p.add_argument("--delimiter", default="\t", help="delimiter of the input files")
     _add_out(p)
     p.set_defaults(func=cmd_ingest)
 

@@ -23,6 +23,7 @@ from typing import Mapping, Optional
 import numpy as np
 
 from .errors import ParseError, RescaleError
+from .ingest import _not_utf8
 from .model import Dataset
 from .stats import rank_order
 
@@ -270,45 +271,48 @@ def read_table(path: str | Path) -> IndicatorTable:
     Values must be finite and non-negative, or "NA" for UNDEFINED.
     """
     path = Path(path)
-    with path.open(encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n")
-        if not header.startswith("#"):
-            raise ParseError(path, 1, "missing provenance header line")
-        meta: dict[str, str] = {}
-        for token in header.lstrip("#").split():
-            key, _, val = token.partition("=")
-            if not _:
-                raise ParseError(path, 1, f"malformed provenance token '{token}'")
-            meta[key] = val
-        for key in ("indicator_id", "kind", "window", "counting",
-                    "normalization", "census_year"):
-            if key not in meta:
-                raise ParseError(path, 1, f"provenance header missing '{key}'")
-        columns = fh.readline().rstrip("\n").split("\t")
-        if columns[:2] != ["journal_id", "value"]:
-            raise ParseError(path, 2, "expected columns journal_id, value")
-        values: dict[str, Optional[float]] = {}
-        for lineno, line in enumerate(fh, start=3):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2 or not parts[0]:
-                raise ParseError(path, lineno, f"malformed row: {line!r}")
-            jid, raw = parts
-            if jid in values:
-                raise ParseError(path, lineno, f"duplicate journal_id '{jid}'")
-            if raw == NA:
-                values[jid] = None
-                continue
-            try:
-                value = float(raw)
-            except ValueError:
-                raise ParseError(path, lineno, f"bad value {raw!r}") from None
-            if not 0.0 <= value < math.inf:
-                raise ParseError(path, lineno,
-                                 f"value must be finite and non-negative, got {raw!r}")
-            values[jid] = value
+    try:
+        with path.open(encoding="utf-8") as fh:
+            header = fh.readline().rstrip("\n")
+            if not header.startswith("#"):
+                raise ParseError(path, 1, "missing provenance header line")
+            meta: dict[str, str] = {}
+            for token in header.lstrip("#").split():
+                key, _, val = token.partition("=")
+                if not _:
+                    raise ParseError(path, 1, f"malformed provenance token '{token}'")
+                meta[key] = val
+            for key in ("indicator_id", "kind", "window", "counting",
+                        "normalization", "census_year"):
+                if key not in meta:
+                    raise ParseError(path, 1, f"provenance header missing '{key}'")
+            columns = fh.readline().rstrip("\n").split("\t")
+            if columns[:2] != ["journal_id", "value"]:
+                raise ParseError(path, 2, "expected columns journal_id, value")
+            values: dict[str, Optional[float]] = {}
+            for lineno, line in enumerate(fh, start=3):
+                line = line.rstrip("\n")
+                if not line:
+                    continue
+                parts = line.split("\t")
+                if len(parts) != 2 or not parts[0]:
+                    raise ParseError(path, lineno, f"malformed row: {line!r}")
+                jid, raw = parts
+                if jid in values:
+                    raise ParseError(path, lineno, f"duplicate journal_id '{jid}'")
+                if raw == NA:
+                    values[jid] = None
+                    continue
+                try:
+                    value = float(raw)
+                except ValueError:
+                    raise ParseError(path, lineno, f"bad value {raw!r}") from None
+                if not 0.0 <= value < math.inf:
+                    raise ParseError(path, lineno,
+                                     f"value must be finite and non-negative, got {raw!r}")
+                values[jid] = value
+    except UnicodeDecodeError:
+        raise _not_utf8(path) from None
     try:
         window = meta["window"] if meta["window"] == WINDOW_ALL else int(meta["window"])
         census_year = int(meta["census_year"])

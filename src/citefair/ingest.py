@@ -3,7 +3,7 @@ publication counts, citation events) and assembling them into a validated
 Dataset with the exclusion policy applied.
 
 File formats (delimiter-separated text, UTF-8, mandatory header row,
-columns matched by name):
+columns matched by name; the files of a bundle are always tab-separated):
 
 journals      journal_id, title, cluster_id, cluster_name
 publications  journal_id, year, citable_items
@@ -43,6 +43,7 @@ __all__ = [
     "write_dataset",
     "save_bundle",
     "load_bundle",
+    "load_partition",
     "JOURNALS_FILE",
     "PUBLICATIONS_FILE",
     "CITATIONS_FILE",
@@ -98,15 +99,16 @@ class IngestSummary:
     retained_events: int
 
 
-def _undecodable_line(path: Path) -> tuple[int, str]:
-    """The first line of ``path`` that is not valid UTF-8, and why."""
+def _not_utf8(path: Path) -> ParseError:
+    """The error naming the first line of ``path`` that is not valid UTF-8."""
     with path.open("rb") as fh:
         for lineno, raw in enumerate(fh, start=1):
             try:
                 raw.decode("utf-8")
             except UnicodeDecodeError as exc:
-                return lineno, f"byte {raw[exc.start]:#04x} at position {exc.start + 1}: {exc.reason}"
-    return 1, "undecodable input"
+                return ParseError(path, lineno, f"not valid UTF-8 (byte {raw[exc.start]:#04x} "
+                                                f"at position {exc.start + 1}: {exc.reason})")
+    return ParseError(path, 1, "not valid UTF-8 (undecodable input)")
 
 
 def _rows(path: Path, config: IngestConfig,
@@ -136,8 +138,7 @@ def _rows(path: Path, config: IngestConfig,
     except csv.Error as exc:
         raise ParseError(path, reader.line_num, f"malformed row ({exc})") from None
     except UnicodeDecodeError:
-        lineno, detail = _undecodable_line(path)
-        raise ParseError(path, lineno, f"not valid UTF-8 ({detail})") from None
+        raise _not_utf8(path) from None
 
 
 def _parse_int(path: Path, lineno: int, raw: str, what: str) -> int:
@@ -347,36 +348,33 @@ def _require_valid(dataset: Dataset, what: str) -> None:
         raise ValidationError(f"{what} fails validation: {shown}{more}")
 
 
-def _write_rows(path: Path, header: Iterable[str], rows: Iterable[tuple], delimiter: str) -> None:
+def _write_rows(path: Path, header: Iterable[str], rows: Iterable[tuple]) -> None:
     with path.open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, delimiter=delimiter, lineterminator="\n")
+        writer = csv.writer(fh, delimiter="\t", lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
 
 
 def write_journals(journals: Sequence[JournalRecord], clusters: Sequence[Cluster],
-                   path: str | Path, delimiter: str = "\t") -> None:
+                   path: str | Path) -> None:
     names = {c.cluster_id: c.name for c in clusters}
     _write_rows(Path(path), JOURNAL_COLUMNS,
                 ((j.journal_id, j.title, j.cluster_id, names.get(j.cluster_id, j.cluster_id))
-                 for j in journals),
-                delimiter)
+                 for j in journals))
 
 
-def write_publications(counts: Sequence[PublicationCount], path: str | Path,
-                       delimiter: str = "\t") -> None:
+def write_publications(counts: Sequence[PublicationCount], path: str | Path) -> None:
     _write_rows(Path(path), PUBLICATION_COLUMNS,
-                ((p.journal_id, p.year, p.citable_items) for p in counts), delimiter)
+                ((p.journal_id, p.year, p.citable_items) for p in counts))
 
 
-def write_citations(events: Events, path: str | Path, delimiter: str = "\t") -> None:
-    _write_rows(Path(path), CITATION_COLUMNS, events.rows(), delimiter)
+def write_citations(events: Events, path: str | Path) -> None:
+    _write_rows(Path(path), CITATION_COLUMNS, events.rows())
 
 
-def write_dataset(dataset: Dataset, directory: str | Path,
-                  delimiter: str = "\t") -> dict[str, Path]:
-    """Write the three input files; record order is preserved, so writing
-    and re-ingesting an assembled dataset round-trips exactly."""
+def write_dataset(dataset: Dataset, directory: str | Path) -> dict[str, Path]:
+    """Write the three input files, tab-separated; record order is preserved,
+    so writing and re-ingesting an assembled dataset round-trips exactly."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     paths = {
@@ -384,21 +382,20 @@ def write_dataset(dataset: Dataset, directory: str | Path,
         "publications": directory / PUBLICATIONS_FILE,
         "citations": directory / CITATIONS_FILE,
     }
-    write_journals(dataset.journals, dataset.clusters, paths["journals"], delimiter)
-    write_publications(dataset.publication_counts, paths["publications"], delimiter)
-    write_citations(dataset.citation_events, paths["citations"], delimiter)
+    write_journals(dataset.journals, dataset.clusters, paths["journals"])
+    write_publications(dataset.publication_counts, paths["publications"])
+    write_citations(dataset.citation_events, paths["citations"])
     return paths
 
 
 def save_bundle(dataset: Dataset, directory: str | Path,
-                summary: IngestSummary | None = None, delimiter: str = "\t") -> Path:
+                summary: IngestSummary | None = None) -> Path:
     """Persist a validated dataset as the three files plus a metadata file."""
     directory = Path(directory)
-    paths = write_dataset(dataset, directory, delimiter)
+    write_dataset(dataset, directory)
     meta = {
         "format": "citefair-dataset/1",
         "census_year": dataset.census_year,
-        "delimiter": delimiter,
         "journals": len(dataset.journals),
         "clusters": [{"cluster_id": c.cluster_id, "name": c.name, "size": c.size}
                      for c in dataset.clusters],
@@ -413,26 +410,37 @@ def save_bundle(dataset: Dataset, directory: str | Path,
     return meta_path
 
 
-def load_bundle(directory: str | Path) -> tuple[Dataset, dict]:
-    """Load a bundle written by save_bundle and validate it again, so that a
-    bundle edited after it was saved fails like any other bad input."""
-    directory = Path(directory)
+def _load_journals(directory: Path) -> tuple[dict, list[JournalRecord], list[Cluster]]:
+    """A bundle's metadata, journals and clusters, the clusters in the order
+    the metadata lists them."""
     meta_path = directory / META_FILE
     if not meta_path.exists():
         raise ValidationError(f"not a dataset bundle (missing {META_FILE}): {directory}")
     meta = json.loads(meta_path.read_text(encoding="utf-8"))
-    config = IngestConfig(min_cluster_size=1, delimiter=meta.get("delimiter", "\t"))
-    journals, clusters = parse_journals(directory / JOURNALS_FILE, config)
-    counts = parse_publications(directory / PUBLICATIONS_FILE, config)
-    events = parse_citations(directory / CITATIONS_FILE, config)
+    journals, clusters = parse_journals(directory / JOURNALS_FILE)
     order = {c["cluster_id"]: i for i, c in enumerate(meta.get("clusters", []))}
     clusters.sort(key=lambda c: order.get(c.cluster_id, len(order)))
+    return meta, journals, clusters
+
+
+def load_partition(directory: str | Path) -> tuple[dict[str, str], dict[str, str]]:
+    """A bundle's partition (journal_id -> cluster_id) and cluster names, from journals.tsv."""
+    _, journals, clusters = _load_journals(Path(directory))
+    return ({j.journal_id: j.cluster_id for j in journals},
+            {c.cluster_id: c.name for c in clusters})
+
+
+def load_bundle(directory: str | Path) -> Dataset:
+    """Load a bundle written by save_bundle and validate it again, so that a
+    bundle edited after it was saved fails like any other bad input."""
+    directory = Path(directory)
+    meta, journals, clusters = _load_journals(directory)
     dataset = Dataset(
         journals=tuple(journals),
         clusters=tuple(clusters),
-        publication_counts=tuple(counts),
-        citation_events=events,
+        publication_counts=tuple(parse_publications(directory / PUBLICATIONS_FILE)),
+        citation_events=parse_citations(directory / CITATIONS_FILE),
         census_year=int(meta["census_year"]),
     )
     _require_valid(dataset, f"bundle {directory}")
-    return dataset, meta
+    return dataset

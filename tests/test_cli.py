@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -139,6 +140,72 @@ class TestTamperedBundle:
         assert "NOPE" in err
 
 
+class TestBundleReads:
+    """indicators reads the whole bundle; fairness and correlate read only
+    dataset.json and journals.tsv."""
+
+    COMMANDS = {
+        "indicators": [],
+        "fairness": ["--table", "IF5-IC-RS.tsv", "--table", "IF5-FC.tsv", "--z", "25"],
+        "correlate": ["--table", "IF2-IC.tsv", "--table", "IF2-FC.tsv",
+                      "--table", "IF2-IC-RS.tsv", "--deciles", "4"],
+    }
+
+    def run(self, command, bundle, tables, out):
+        args = [str(tables / a) if a.endswith(".tsv") else a for a in self.COMMANDS[command]]
+        return main([command, "--dataset", str(bundle), *args, "--out-dir", str(out)])
+
+    def test_partition_commands_ignore_event_files(self, tmp_path, profile_file):
+        _, bundle, tables = run_pipeline(tmp_path, profile_file)
+
+        def outputs(out):
+            for command in ("fairness", "correlate"):
+                assert self.run(command, bundle, tables, out / command) == 0
+            return {p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+
+        before = outputs(tmp_path / "before")
+        (bundle / "citations.tsv").unlink()
+        (bundle / "publications.tsv").unlink()
+        assert outputs(tmp_path / "after") == before
+        # fairness: 2 reports (.tsv, .json) and a comparison;
+        # correlate: the matrix, 2 decile files, and ecdf + ks per table
+        assert len(before) == 2 * 2 + 1 + 1 + 2 + 3 * 2
+
+    def test_duplicate_journal_names_line(self, tmp_path, profile_file, capsys):
+        _, bundle, tables = run_pipeline(tmp_path, profile_file)
+        journals = bundle / "journals.tsv"
+        lines = journals.read_text(encoding="utf-8").splitlines(keepends=True)
+        journals.write_text("".join(lines + [lines[1]]), encoding="utf-8")
+        capsys.readouterr()
+        assert self.run("fairness", bundle, tables, tmp_path / "out") == 2
+        assert f"journals.tsv:{len(lines) + 1}: duplicate journal_id" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_missing_metadata_is_not_a_bundle(self, tmp_path, profile_file, capsys, command):
+        _, bundle, tables = run_pipeline(tmp_path, profile_file)
+        (bundle / "dataset.json").unlink()
+        capsys.readouterr()
+        assert self.run(command, bundle, tables, tmp_path / "out") == 2
+        assert "not a dataset bundle" in capsys.readouterr().err
+
+    def test_bundle_is_tab_separated_whatever_the_input_delimiter(self, tmp_path, profile_file):
+        raw, bundle, _ = run_pipeline(tmp_path, profile_file)
+        commas = tmp_path / "commas"
+        commas.mkdir()
+        for name in ("journals.tsv", "publications.tsv", "citations.tsv"):
+            with (raw / name).open(encoding="utf-8", newline="") as src, \
+                    (commas / name).open("w", encoding="utf-8", newline="") as dst:
+                csv.writer(dst).writerows(csv.reader(src, delimiter="\t"))
+        again = tmp_path / "again"
+        assert main(["ingest", "--delimiter", ",",
+                     "--journals", str(commas / "journals.tsv"),
+                     "--publications", str(commas / "publications.tsv"),
+                     "--citations", str(commas / "citations.tsv"),
+                     "--out-dir", str(again)]) == 0
+        for name in ("journals.tsv", "publications.tsv", "citations.tsv", "dataset.json"):
+            assert (again / name).read_bytes() == (bundle / name).read_bytes(), name
+
+
 class TestIndicatorsCommand:
     def test_standard_battery_files(self, tmp_path, profile_file):
         _, _, tables = run_pipeline(tmp_path, profile_file)
@@ -172,7 +239,7 @@ class TestIndicatorsCommand:
         from citefair.indicators import read_table
         from citefair.ingest import load_bundle
         _, bundle, tables = run_pipeline(tmp_path, profile_file)
-        dataset, _ = load_bundle(bundle)
+        dataset = load_bundle(bundle)
         table = read_table(tables / "IF5-IC-RS.tsv")
         sums: dict[str, list] = {}
         for jid, v in table.values.items():
@@ -283,7 +350,7 @@ class TestExternalTables:
         # vendor-style table: own indicator id, extra journals outside the set
         _, bundle, _ = run_pipeline(tmp_path, profile_file)
         from citefair.ingest import load_bundle
-        dataset, _ = load_bundle(bundle)
+        dataset = load_bundle(bundle)
         rows = ["# indicator_id=ISI-IF2 kind=impact_factor window=2 "
                 "counting=integer normalization=raw census_year=2010",
                 "journal_id\tvalue"]

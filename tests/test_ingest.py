@@ -2,6 +2,7 @@ import pytest
 
 from citefair.cli import main
 from citefair.errors import IngestWarning, ParseError, ValidationError
+from citefair.indicators import read_table
 from citefair.ingest import (
     IngestConfig,
     assemble,
@@ -163,7 +164,7 @@ class TestParseCitations:
 class TestUndecodableBytes:
     """A byte that is not UTF-8 is a ParseError naming its file and line."""
 
-    # per input file: its parser, valid rows, and a row holding a Latin-1 byte
+    # per file: its parser, valid rows, and a row holding a Latin-1 byte
     FILES = {
         "journals": (parse_journals, [JHEADER, ("j1", "One", "g1", "G")],
                      ("j2", "Caf\xe9", "g1", "G")),
@@ -171,7 +172,11 @@ class TestUndecodableBytes:
                          ("j1", 2010, "\xe9")),
         "citations": (parse_citations, [CHEADER, ("p1", "jB", 2010, "j1", 2009, 4)],
                       ("p2", "jB", 2010, "j\xe9", 2009, 4)),
+        "table": (read_table, [("# indicator_id=T kind=impact_factor window=2 counting=integer "
+                                "normalization=raw census_year=2010",), ("journal_id", "value")],
+                  ("j\xe9", 1.5)),
     }
+    INPUTS = ("citations", "journals", "publications")
 
     def write_bad(self, path, kind):
         _, rows, bad = self.FILES[kind]
@@ -187,17 +192,30 @@ class TestUndecodableBytes:
         assert err.value.path == str(path)
         assert err.value.line == 3
 
-    @pytest.mark.parametrize("kind", sorted(FILES))
-    def test_ingest_exits_two(self, tmp_path, capsys, kind):
-        paths = {name: tmp_path / f"{name}.tsv" for name in self.FILES}
-        for name, (_, rows, _) in self.FILES.items():
-            write(paths[name], rows)
-        self.write_bad(paths[kind], kind)
-        assert main(["ingest", "--journals", str(paths["journals"]),
+    def ingest(self, tmp_path, bad=None, *options):
+        """Run ingest on the valid input files, ``bad`` holding its bad row."""
+        paths = {name: tmp_path / f"{name}.tsv" for name in self.INPUTS}
+        for name in self.INPUTS:
+            write(paths[name], self.FILES[name][1])
+        if bad:
+            self.write_bad(paths[bad], bad)
+        return main(["ingest", "--journals", str(paths["journals"]),
                      "--publications", str(paths["publications"]),
                      "--citations", str(paths["citations"]),
-                     "--out-dir", str(tmp_path / "bundle")]) == 2
-        assert f"{paths[kind]}:3: not valid UTF-8" in capsys.readouterr().err
+                     "--out-dir", str(tmp_path / "bundle"), *options])
+
+    @pytest.mark.parametrize("kind", INPUTS)
+    def test_ingest_exits_two(self, tmp_path, capsys, kind):
+        assert self.ingest(tmp_path, kind) == 2
+        assert f"{tmp_path / kind}.tsv:3: not valid UTF-8" in capsys.readouterr().err
+
+    def test_fairness_table_exits_two(self, tmp_path, capsys):
+        assert self.ingest(tmp_path, None, "--min-cluster-size", "1") == 0
+        table = tmp_path / "table.tsv"
+        self.write_bad(table, "table")
+        assert main(["fairness", "--dataset", str(tmp_path / "bundle"), "--table", str(table),
+                     "--out-dir", str(tmp_path / "out")]) == 2
+        assert f"{table}:3: not valid UTF-8 (byte 0xe9" in capsys.readouterr().err
 
 
 class TestCsvErrorsAndLineNumbers:
@@ -409,9 +427,9 @@ class TestRoundTrip:
     def test_bundle_round_trip(self, tmp_path):
         ds = self.small_synth()
         save_bundle(ds, tmp_path)
-        loaded, meta = load_bundle(tmp_path)
+        loaded = load_bundle(tmp_path)
         assert loaded == ds
-        assert meta["census_year"] == 2010
+        assert loaded.census_year == 2010
 
     def test_reingest_idempotent_with_same_config(self, tmp_path):
         # an assembled dataset re-ingested under the same policy is unchanged
