@@ -32,12 +32,14 @@ from .indicators import (
     rank_table,
     read_table,
     rescale,
+    tables_from_counts,
     write_table,
 )
 from .ingest import (
     IngestConfig,
     assemble,
     load_bundle,
+    load_counts,
     load_partition,
     parse_citations,
     parse_journals,
@@ -52,7 +54,9 @@ from .model import (
     JournalRecord,
     PublicationCount,
     Violation,
+    WindowCounts,
     validate,
+    window_counts,
 )
 from .stats import (
     HypergeomParams,

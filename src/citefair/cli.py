@@ -31,6 +31,12 @@ def _out_dir(args) -> Path:
     return out
 
 
+def _one_char(value: str) -> str:
+    if len(value) != 1:
+        raise argparse.ArgumentTypeError(f"the delimiter must be one character, got {value!r}")
+    return value
+
+
 def _add_out(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out-dir", default=None,
                    help="output directory (default: $CITEFAIR_OUT or '.')")
@@ -98,12 +104,12 @@ def _spec_from_args(args) -> ind.IndicatorSpec:
 
 
 def cmd_indicators(args) -> int:
-    dataset = ing.load_bundle(args.dataset)
+    counts, partition = ing.load_counts(args.dataset)
     if args.kind:
         specs = [_spec_from_args(args)]
     else:
         specs = ind.standard_specs()
-    tables = ind.compute_tables(dataset, specs)
+    tables = ind.tables_from_counts(counts, specs)
     out = _out_dir(args)
     written = []
     for table in tables:
@@ -111,7 +117,7 @@ def cmd_indicators(args) -> int:
         ind.write_table(table, path)
         written.append(path)
         if args.rescale:
-            rescaled = ind.rescale(table, dataset.partition)
+            rescaled = ind.rescale(table, partition)
             rs_path = out / f"{rescaled.indicator_id}.tsv"
             ind.write_table(rescaled, rs_path)
             written.append(rs_path)
@@ -265,7 +271,8 @@ def build_parser() -> argparse.ArgumentParser:
                    default=ing.POLICY_DROP)
     p.add_argument("--zero-refs", choices=[ing.POLICY_DROP_WARN, ing.POLICY_ERROR],
                    default=ing.POLICY_DROP_WARN)
-    p.add_argument("--delimiter", default="\t", help="delimiter of the input files")
+    p.add_argument("--delimiter", default="\t", type=_one_char,
+                   help="delimiter of the input files (one character)")
     _add_out(p)
     p.set_defaults(func=cmd_ingest)
 

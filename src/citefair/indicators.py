@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import ParseError, RescaleError
 from .ingest import _not_utf8
-from .model import Dataset
+from .model import WINDOW_ALL, WINDOWS, Dataset, WindowCounts, window_counts
 from .stats import rank_order
 
 __all__ = [
@@ -33,6 +33,7 @@ __all__ = [
     "IndicatorTable",
     "compute_table",
     "compute_tables",
+    "tables_from_counts",
     "rescale",
     "rank_table",
     "write_table",
@@ -42,7 +43,6 @@ __all__ = [
 
 KINDS = ("impact_factor", "total_cites", "cp_ratio", "numerator_only")
 COUNTINGS = ("integer", "fractional")
-WINDOW_ALL = "all"
 
 NA = "NA"  # serialized UNDEFINED sentinel
 
@@ -116,43 +116,20 @@ def _ratio(num: np.ndarray, den: np.ndarray) -> list[Optional[float]]:
     return [q if ok else None for q, ok in zip(quotient.tolist(), defined.tolist())]
 
 
-def compute_tables(dataset: Dataset, specs: list[IndicatorSpec]) -> list[IndicatorTable]:
-    """Compute several indicator tables from the census-year events.
-
-    Those events become columns in event order: the cited journal's
-    index, the weight 1/n_refs and the citation age t - cited_year, kept
-    only as one row mask per window.  Each numerator is one bincount over
-    the rows of its window, weighted under fractional counting; IF and
-    c/p denominators come from one journal x age matrix of citable items.
-    """
-    t = dataset.census_year
-    journal_ids = [j.journal_id for j in dataset.journals]
-    index = {jid: i for i, jid in enumerate(journal_ids)}
-    events = dataset.citation_events
-    now = events.citing_year == t
-    age = events.citing_year[now] - events.cited_year[now]
-    rows = {WINDOW_ALL: slice(None), 2: (age >= 1) & (age <= 2), 5: (age >= 1) & (age <= 5)}
-    cited = np.fromiter(map(index.__getitem__, events.cited_journal_id[now].tolist()), np.intp)
-    weight = 1.0 / events.n_refs[now]
-
-    # items[i, a]: citable items of journal i in year t - a, for a = 0..5;
-    # the last record of a repeated journal-year wins.
-    items = np.zeros((len(journal_ids), 6), dtype=np.int64)
-    for p in dataset.publication_counts:
-        if p.journal_id in index and 0 <= t - p.year <= 5:
-            items[index[p.journal_id], t - p.year] = p.citable_items
-
+def tables_from_counts(counts: WindowCounts,
+                       specs: list[IndicatorSpec]) -> list[IndicatorTable]:
+    """The indicator tables of ``specs`` from a census's window counts:
+    numerators are the counts of the spec's window, and IF and c/p values
+    divide them by that window's citable items."""
     tables = []
     for spec in specs:
-        inside = rows[spec.window]
+        w = WINDOWS.index(spec.window)
         if spec.counting == "integer":
-            num = np.bincount(cited[inside], minlength=len(journal_ids)).astype(np.float64)
+            num = counts.cites[:, w].astype(np.float64)
         else:
-            num = np.bincount(cited[inside], weight[inside], len(journal_ids))
-        if spec.kind == "impact_factor":
-            column = _ratio(num, items[:, 1:spec.window + 1].sum(axis=1))
-        elif spec.kind == "cp_ratio":
-            column = _ratio(num, items[:, 0])
+            num = counts.fractional[:, w]
+        if spec.kind in ("impact_factor", "cp_ratio"):
+            column = _ratio(num, counts.items[:, w])
         else:
             column = num.tolist()
         tables.append(IndicatorTable(
@@ -161,10 +138,15 @@ def compute_tables(dataset: Dataset, specs: list[IndicatorSpec]) -> list[Indicat
             window=spec.window,
             counting=spec.counting,
             normalization="raw",
-            census_year=t,
-            values=dict(zip(journal_ids, column)),
+            census_year=counts.census_year,
+            values=dict(zip(counts.journal_ids, column)),
         ))
     return tables
+
+
+def compute_tables(dataset: Dataset, specs: list[IndicatorSpec]) -> list[IndicatorTable]:
+    """Compute several indicator tables from a dataset's window counts."""
+    return tables_from_counts(window_counts(dataset), specs)
 
 
 def compute_table(dataset: Dataset, spec: IndicatorSpec) -> IndicatorTable:

@@ -13,6 +13,10 @@ citations     citing_paper_id, citing_journal_id, citing_year,
 Citing journals may lie outside the indexed set; only cited journals must
 resolve.  Clusters smaller than ``min_cluster_size`` are removed together
 with their journals and any event touching them.
+
+A bundle (save_bundle) holds the three files, tab-separated, plus
+``counts.tsv`` (the census's WindowCounts) and ``dataset.json``, whose
+manifest records each of the four files' sha256 and row count.
 """
 
 from __future__ import annotations
@@ -26,9 +30,21 @@ from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
+import numpy as np
+
+# CPython's own SHA-256.  hashlib would load OpenSSL, which adds about
+# 3.5 MB of resident memory and 5 ms of start-up to every command.
+try:
+    from _sha2 import sha256  # Python >= 3.12
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
+
 from .errors import IngestWarning, ParseError, ValidationError
 from .model import (EVENT_COLUMNS, Cluster, Dataset, Events, JournalRecord, PublicationCount,
-                    _isin, validate)
+                    WindowCounts, _isin, validate, window_counts)
 
 __all__ = [
     "IngestConfig",
@@ -43,6 +59,7 @@ __all__ = [
     "write_dataset",
     "save_bundle",
     "load_bundle",
+    "load_counts",
     "load_partition",
     "JOURNALS_FILE",
     "PUBLICATIONS_FILE",
@@ -56,11 +73,18 @@ POLICY_DROP_WARN = "drop-with-warning"
 JOURNALS_FILE = "journals.tsv"
 PUBLICATIONS_FILE = "publications.tsv"
 CITATIONS_FILE = "citations.tsv"
+COUNTS_FILE = "counts.tsv"
 META_FILE = "dataset.json"
+BUNDLE_FILES = (JOURNALS_FILE, PUBLICATIONS_FILE, CITATIONS_FILE, COUNTS_FILE)
+BUNDLE_FORMAT = "citefair-dataset/2"
 
 JOURNAL_COLUMNS = ("journal_id", "title", "cluster_id", "cluster_name")
 PUBLICATION_COLUMNS = ("journal_id", "year", "citable_items")
 CITATION_COLUMNS = EVENT_COLUMNS
+# WindowCounts columns, each group in WINDOWS order.
+COUNTS_COLUMNS = ("journal_id", "cites_2", "cites_5", "cites_all",
+                  "fractional_2", "fractional_5", "fractional_all",
+                  "items_1_2", "items_1_5", "items_0")
 INT64 = range(-2 ** 63, 2 ** 63)
 
 
@@ -388,19 +412,53 @@ def write_dataset(dataset: Dataset, directory: str | Path) -> dict[str, Path]:
     return paths
 
 
+def _write_counts(counts: WindowCounts, path: Path) -> None:
+    # Floats are written with repr, so they read back bit for bit.
+    _write_rows(path, COUNTS_COLUMNS,
+                zip(counts.journal_ids, *counts.cites.T.tolist(),
+                    *counts.fractional.T.tolist(), *counts.items.T.tolist()))
+
+
+def _read_counts(path: Path, census_year: int) -> WindowCounts:
+    journal_ids, cites, fractional, items = [], [], [], []
+    for lineno, (jid, *fields) in _rows(path, IngestConfig(), COUNTS_COLUMNS):
+        journal_ids.append(jid)
+        cites.append([_parse_int(path, lineno, raw, "cites") for raw in fields[0:3]])
+        try:
+            fractional.append([float(raw) for raw in fields[3:6]])
+        except ValueError:
+            raise ParseError(path, lineno, f"fractional counts must be numbers: "
+                                           f"{', '.join(map(repr, fields[3:6]))}") from None
+        items.append([_parse_int(path, lineno, raw, "items") for raw in fields[6:9]])
+    return WindowCounts(tuple(journal_ids), census_year, np.array(cites, np.int64),
+                        np.array(fractional, np.float64), np.array(items, np.int64))
+
+
+def _file_sha256(path: Path) -> str:
+    digest = sha256()
+    with path.open("rb") as fh:
+        for block in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(block)
+    return digest.hexdigest()
+
+
 def save_bundle(dataset: Dataset, directory: str | Path,
                 summary: IngestSummary | None = None) -> Path:
-    """Persist a validated dataset as the three files plus a metadata file."""
+    """Persist a validated dataset as the three files, its window counts and
+    a metadata file whose manifest lists each file's sha256 and row count."""
     directory = Path(directory)
     write_dataset(dataset, directory)
+    _write_counts(window_counts(dataset), directory / COUNTS_FILE)
+    rows = {JOURNALS_FILE: len(dataset.journals), COUNTS_FILE: len(dataset.journals),
+            PUBLICATIONS_FILE: len(dataset.publication_counts),
+            CITATIONS_FILE: len(dataset.citation_events)}
     meta = {
-        "format": "citefair-dataset/1",
+        "format": BUNDLE_FORMAT,
         "census_year": dataset.census_year,
-        "journals": len(dataset.journals),
         "clusters": [{"cluster_id": c.cluster_id, "name": c.name, "size": c.size}
                      for c in dataset.clusters],
-        "publication_counts": len(dataset.publication_counts),
-        "citation_events": len(dataset.citation_events),
+        "files": {name: {"rows": rows[name], "sha256": _file_sha256(directory / name)}
+                  for name in BUNDLE_FILES},
         "validated": True,
     }
     if summary is not None:
@@ -410,24 +468,89 @@ def save_bundle(dataset: Dataset, directory: str | Path,
     return meta_path
 
 
+def _read_meta(directory: Path) -> dict:
+    """A bundle's metadata, after checking its format, census year, cluster
+    list and manifest."""
+    path = directory / META_FILE
+    if not path.exists():
+        raise ValidationError(f"not a dataset bundle (missing {META_FILE}): {directory}")
+    try:
+        meta = json.loads(path.read_text(encoding="utf-8"))
+    except UnicodeDecodeError:
+        raise _not_utf8(path) from None
+    except json.JSONDecodeError as exc:
+        raise ParseError(path, exc.lineno, f"not valid JSON ({exc.msg})") from None
+    except RecursionError:
+        raise ParseError(path, 1, "not valid JSON (nested too deeply)") from None
+    found = meta.get("format") if isinstance(meta, dict) else None
+    if found != BUNDLE_FORMAT:
+        raise ValidationError(f"{path}: bundle format {found!r} is not {BUNDLE_FORMAT!r}; "
+                              f"re-run 'citefair ingest' to write the bundle again")
+    if type(meta.get("census_year")) is not int:
+        raise ValidationError(f"{path}: census_year must be an integer")
+    clusters = meta.get("clusters")
+    if not isinstance(clusters, list) or not all(
+            isinstance(c, dict) and isinstance(c.get("cluster_id"), str) for c in clusters):
+        raise ValidationError(f"{path}: clusters must be a list of objects with a cluster_id")
+    files = meta.get("files")
+    for name in BUNDLE_FILES:
+        entry = files.get(name) if isinstance(files, dict) else None
+        if not (isinstance(entry, dict) and isinstance(entry.get("sha256"), str)):
+            raise ValidationError(f"{path}: manifest entry files.{name} lacks its sha256")
+    return meta
+
+
+def _changed(directory: Path, meta: dict, names: Sequence[str]) -> list[str]:
+    """The files among ``names`` whose sha256 differs from the manifest's."""
+    return [name for name in names
+            if _file_sha256(directory / name) != meta["files"][name]["sha256"]]
+
+
+def _changed_error(directory: Path, name: str) -> ValidationError:
+    return ValidationError(f"{directory / name}: sha256 differs from the manifest in "
+                           f"{META_FILE}; the file changed after ingest (re-run 'citefair "
+                           f"ingest' to write the bundle again)")
+
+
 def _load_journals(directory: Path) -> tuple[dict, list[JournalRecord], list[Cluster]]:
     """A bundle's metadata, journals and clusters, the clusters in the order
     the metadata lists them."""
-    meta_path = directory / META_FILE
-    if not meta_path.exists():
-        raise ValidationError(f"not a dataset bundle (missing {META_FILE}): {directory}")
-    meta = json.loads(meta_path.read_text(encoding="utf-8"))
+    meta = _read_meta(directory)
     journals, clusters = parse_journals(directory / JOURNALS_FILE)
-    order = {c["cluster_id"]: i for i, c in enumerate(meta.get("clusters", []))}
+    order = {c["cluster_id"]: i for i, c in enumerate(meta["clusters"])}
     clusters.sort(key=lambda c: order.get(c.cluster_id, len(order)))
     return meta, journals, clusters
 
 
 def load_partition(directory: str | Path) -> tuple[dict[str, str], dict[str, str]]:
-    """A bundle's partition (journal_id -> cluster_id) and cluster names, from journals.tsv."""
-    _, journals, clusters = _load_journals(Path(directory))
+    """A bundle's partition (journal_id -> cluster_id) and cluster names, from
+    journals.tsv, which must still match the manifest."""
+    directory = Path(directory)
+    meta, journals, clusters = _load_journals(directory)
+    if _changed(directory, meta, (JOURNALS_FILE,)):
+        raise _changed_error(directory, JOURNALS_FILE)
     return ({j.journal_id: j.cluster_id for j in journals},
             {c.cluster_id: c.name for c in clusters})
+
+
+def load_counts(directory: str | Path) -> tuple[WindowCounts, dict[str, str]]:
+    """A bundle's window counts and partition, read from counts.tsv and
+    journals.tsv once every bundle file matches the manifest.
+
+    A file that changed after ingest is an error: the bundle is then
+    loaded and validated in full (load_bundle), so an edit that breaks a
+    rule is reported by that rule, and any other edit names the file.
+    """
+    directory = Path(directory)
+    meta, journals, _ = _load_journals(directory)
+    changed = _changed(directory, meta, BUNDLE_FILES)
+    if changed:
+        load_bundle(directory)
+        raise _changed_error(directory, changed[0])
+    counts = _read_counts(directory / COUNTS_FILE, meta["census_year"])
+    if counts.journal_ids != tuple(j.journal_id for j in journals):
+        raise ValidationError(f"{directory / COUNTS_FILE}: journals differ from {JOURNALS_FILE}")
+    return counts, {j.journal_id: j.cluster_id for j in journals}
 
 
 def load_bundle(directory: str | Path) -> Dataset:
@@ -440,7 +563,7 @@ def load_bundle(directory: str | Path) -> Dataset:
         clusters=tuple(clusters),
         publication_counts=tuple(parse_publications(directory / PUBLICATIONS_FILE)),
         citation_events=parse_citations(directory / CITATIONS_FILE),
-        census_year=int(meta["census_year"]),
+        census_year=meta["census_year"],
     )
     _require_valid(dataset, f"bundle {directory}")
     return dataset

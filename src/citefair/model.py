@@ -1,5 +1,6 @@
 """Immutable domain types: journals, clusters, publication counts, citation
-events (as columns), and the Dataset bundle that ties them to one census year.
+events (as columns), the Dataset bundle that ties them to one census year,
+and the per-journal window counts that every indicator is computed from.
 
 A Dataset is safe to share across threads; all record types are frozen, event
 columns are read-only, and the derived lookup tables are built lazily and
@@ -21,6 +22,9 @@ __all__ = [
     "PublicationCount",
     "Events",
     "Dataset",
+    "WindowCounts",
+    "window_counts",
+    "WINDOWS",
     "Violation",
     "validate",
     "cluster_order_key",
@@ -53,6 +57,11 @@ class PublicationCount:
     year: int
     citable_items: int
 
+
+WINDOW_ALL = "all"
+# Citation windows, in the column order of WindowCounts: the 2 and 5 years
+# before the census year, and all years up to it.
+WINDOWS = (2, 5, WINDOW_ALL)
 
 EVENT_COLUMNS = ("citing_paper_id", "citing_journal_id", "citing_year",
                  "cited_journal_id", "cited_year", "n_refs")
@@ -144,6 +153,63 @@ class Dataset:
     @cached_property
     def cluster_names(self) -> dict[str, str]:
         return {c.cluster_id: c.name for c in self.clusters}
+
+
+@dataclass(frozen=True, eq=False)
+class WindowCounts:
+    """What the indicators of a census depend on: one row per journal, in
+    journal order, and one column per citation window, in ``WINDOWS`` order.
+
+    ``cites`` (int64) counts the census-year citations in the window and
+    ``fractional`` (float64) sums their 1/n_refs weights; ``items`` (int64)
+    holds the citable items the window's ratio divides by: those published
+    1..2 and 1..5 years before the census year (IF2, IF5) and, for the c/p
+    ratio of window "all", those published in the census year itself.
+    """
+
+    journal_ids: tuple[str, ...]
+    census_year: int
+    cites: np.ndarray
+    fractional: np.ndarray
+    items: np.ndarray
+
+
+def window_counts(dataset: Dataset) -> WindowCounts:
+    """Sum the census-year events and the citable items per journal and window.
+
+    The events become columns in event order: the cited journal's index,
+    the weight 1/n_refs and the citation age t - cited_year, kept only as
+    one row mask per window.  Each sum is one bincount over the rows of
+    its window, in event order: adding up per-age sums instead would
+    reorder the float additions and change the fractional sums' last bits.
+    The items come from one journal x age matrix.
+    """
+    t = dataset.census_year
+    journal_ids = tuple(j.journal_id for j in dataset.journals)
+    n = len(journal_ids)
+    index = {jid: i for i, jid in enumerate(journal_ids)}
+    events = dataset.citation_events
+    now = events.citing_year == t
+    age = events.citing_year[now] - events.cited_year[now]
+    cited = np.fromiter(map(index.__getitem__, events.cited_journal_id[now].tolist()), np.intp)
+    weight = 1.0 / events.n_refs[now]
+    windows = ((age >= 1) & (age <= 2), (age >= 1) & (age <= 5), slice(None))
+
+    # items[i, a]: citable items of journal i in year t - a, for a = 0..5;
+    # the last record of a repeated journal-year wins.
+    items = np.zeros((n, 6), dtype=np.int64)
+    for p in dataset.publication_counts:
+        if p.journal_id in index and 0 <= t - p.year <= 5:
+            items[index[p.journal_id], t - p.year] = p.citable_items
+
+    return WindowCounts(
+        journal_ids=journal_ids,
+        census_year=t,
+        cites=np.column_stack([np.bincount(cited[w], minlength=n) for w in windows]),
+        fractional=np.column_stack([np.bincount(cited[w], weight[w], n) for w in windows]),
+        items=np.column_stack([items[:, 1:3].sum(axis=1), items[:, 1:6].sum(axis=1),
+                               items[:, 0]]),
+    )
 
 
 def validate(dataset: Dataset) -> list[Violation]:

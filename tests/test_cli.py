@@ -125,6 +125,12 @@ class TestIngestCommand:
         err = capsys.readouterr().err
         assert "j.tsv:2" in err
 
+    def test_delimiter_must_be_one_character(self, tmp_path, capsys):
+        assert main(["ingest", "--delimiter", ",,", "--journals", "j.tsv",
+                     "--publications", "p.tsv", "--citations", "c.tsv",
+                     "--out-dir", str(tmp_path)]) == 2
+        assert "the delimiter must be one character" in capsys.readouterr().err
+
 
 class TestTamperedBundle:
     def test_unknown_cited_journal_exits_two(self, tmp_path, profile_file, capsys):
@@ -140,9 +146,18 @@ class TestTamperedBundle:
         assert "NOPE" in err
 
 
+def rewrite_json(edit):
+    def apply(text):
+        meta = json.loads(text)
+        edit(meta)
+        return json.dumps(meta)
+    return apply
+
+
 class TestBundleReads:
-    """indicators reads the whole bundle; fairness and correlate read only
-    dataset.json and journals.tsv."""
+    """indicators reads dataset.json, journals.tsv and counts.tsv, after
+    checking every bundle file against the manifest; fairness and correlate
+    read only dataset.json and journals.tsv, and check journals.tsv."""
 
     COMMANDS = {
         "indicators": [],
@@ -188,6 +203,44 @@ class TestBundleReads:
         assert self.run(command, bundle, tables, tmp_path / "out") == 2
         assert "not a dataset bundle" in capsys.readouterr().err
 
+    # edit of dataset.json -> a fragment the error must hold besides "dataset.json"
+    METADATA_EDITS = {
+        "not-json": (lambda text: text[:len(text) // 2], "not valid JSON"),
+        "too-deep": (lambda text: "[" * 100_000, "nested too deeply"),
+        "no-census-year": (rewrite_json(lambda m: m.pop("census_year")), "census_year"),
+        "no-manifest": (rewrite_json(lambda m: m.pop("files")), "manifest"),
+        "bad-manifest": (rewrite_json(lambda m: m["files"]["counts.tsv"].pop("sha256")),
+                         "manifest entry files.counts.tsv"),
+        "format-1": (rewrite_json(lambda m: m.update(format="citefair-dataset/1")),
+                     "re-run 'citefair ingest'"),
+    }
+
+    @pytest.mark.parametrize("edit", sorted(METADATA_EDITS))
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_bad_metadata_exits_two(self, tmp_path, profile_file, capsys, command, edit):
+        _, bundle, tables = run_pipeline(tmp_path, profile_file)
+        meta = bundle / "dataset.json"
+        change, fragment = self.METADATA_EDITS[edit]
+        meta.write_text(change(meta.read_text(encoding="utf-8")), encoding="utf-8")
+        capsys.readouterr()
+        assert self.run(command, bundle, tables, tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert "dataset.json" in err and fragment in err
+
+    @pytest.mark.parametrize("command", ["fairness", "correlate"])
+    def test_partition_edited_after_ingest_exits_two(self, tmp_path, profile_file, capsys,
+                                                     command):
+        _, bundle, tables = run_pipeline(tmp_path, profile_file)
+        journals = bundle / "journals.tsv"
+        lines = journals.read_text(encoding="utf-8").splitlines(keepends=True)
+        jid, title, cluster, _ = lines[1].rstrip("\n").split("\t")
+        assert cluster == "1"
+        lines[1] = f"{jid}\t{title}\t2\tBeta\n"
+        journals.write_text("".join(lines), encoding="utf-8")
+        capsys.readouterr()
+        assert self.run(command, bundle, tables, tmp_path / "out") == 2
+        assert "journals.tsv: sha256 differs from the manifest" in capsys.readouterr().err
+
     def test_bundle_is_tab_separated_whatever_the_input_delimiter(self, tmp_path, profile_file):
         raw, bundle, _ = run_pipeline(tmp_path, profile_file)
         commas = tmp_path / "commas"
@@ -204,6 +257,53 @@ class TestBundleReads:
                      "--out-dir", str(again)]) == 0
         for name in ("journals.tsv", "publications.tsv", "citations.tsv", "dataset.json"):
             assert (again / name).read_bytes() == (bundle / name).read_bytes(), name
+
+
+class TestVerifiedBundle:
+    """indicators computes its tables from counts.tsv once every bundle file
+    matches the manifest, and rejects a bundle edited after ingest."""
+
+    def indicators(self, bundle, out):
+        return main(["indicators", "--dataset", str(bundle), "--out-dir", str(out)])
+
+    def test_reads_no_events(self, tmp_path, profile_file, monkeypatch):
+        import citefair.ingest
+        import citefair.model
+        _, bundle, tables = run_pipeline(tmp_path, profile_file)
+
+        def boom(*_):
+            raise RuntimeError("events read")
+
+        for module, name in ((citefair.ingest, "parse_citations"),
+                             (citefair.ingest, "parse_publications"),
+                             (citefair.ingest, "validate"), (citefair.model, "validate")):
+            monkeypatch.setattr(module, name, boom)
+        out = tmp_path / "again"
+        assert self.indicators(bundle, out) == 0
+        assert ({p.name: p.read_bytes() for p in out.iterdir()}
+                == {p.name: p.read_bytes() for p in tables.iterdir()})
+
+    def test_truncated_citations_exit_two(self, tmp_path, profile_file, capsys):
+        from citefair.ingest import load_bundle
+        _, bundle, _ = run_pipeline(tmp_path, profile_file)
+        citations = bundle / "citations.tsv"
+        lines = citations.read_text(encoding="utf-8").splitlines(keepends=True)
+        citations.write_text("".join(lines[:-1]), encoding="utf-8")
+        assert len(load_bundle(bundle).citation_events) == len(lines) - 2  # still valid
+        capsys.readouterr()
+        assert self.indicators(bundle, tmp_path / "again") == 2
+        assert "citations.tsv: sha256 differs from the manifest" in capsys.readouterr().err
+
+    def test_flipped_count_digit_exits_two(self, tmp_path, profile_file, capsys):
+        _, bundle, _ = run_pipeline(tmp_path, profile_file)
+        counts = bundle / "counts.tsv"
+        lines = counts.read_text(encoding="utf-8").splitlines(keepends=True)
+        row = lines[1].rstrip("\n")
+        lines[1] = f"{row[:-1]}{(int(row[-1]) + 1) % 10}\n"
+        counts.write_text("".join(lines), encoding="utf-8")
+        capsys.readouterr()
+        assert self.indicators(bundle, tmp_path / "again") == 2
+        assert "counts.tsv: sha256 differs from the manifest" in capsys.readouterr().err
 
 
 class TestIndicatorsCommand:
@@ -378,7 +478,7 @@ class TestExitCodes:
         def boom(_):
             raise RuntimeError("wires crossed")
 
-        monkeypatch.setattr(cli_mod.ing, "load_bundle", boom)
+        monkeypatch.setattr(cli_mod.ing, "load_counts", boom)
         assert main(["indicators", "--dataset", str(tmp_path),
                      "--out-dir", str(tmp_path)]) == 1
         assert "internal error" in capsys.readouterr().err

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from citefair.errors import ParseError, RescaleError
@@ -10,8 +11,11 @@ from citefair.indicators import (
     read_table,
     rescale,
     standard_specs,
+    tables_from_counts,
+    window_counts,
     write_table,
 )
+from citefair.ingest import load_counts, save_bundle
 from citefair.model import Cluster, JournalRecord, PublicationCount
 from citefair.synth import generate
 
@@ -56,6 +60,15 @@ def if_numerator(ds, journal_id, spec):
 
 def if_denominator(ds, journal_id, window):
     return if_denominator_by_scan(ds.publication_counts, ds.census_year, journal_id, window)
+
+
+def with_zero_denominators(tiny_dataset):
+    """tiny_dataset plus jD, which has no citable items at all, so its IF and
+    c/p are UNDEFINED."""
+    return make_dataset(
+        tiny_dataset.journals + (JournalRecord("jD", "Delta Journal", "g2"),),
+        tiny_dataset.clusters, tiny_dataset.publication_counts,
+        [*tiny_dataset.citation_events.rows(), ("p4", "jA", 2010, "jD", 2009, 3)])
 
 
 class TestNumeratorDenominator:
@@ -181,11 +194,7 @@ class TestComputeTable:
         self.assert_matches_oracle(generate(small_profile(3)))
 
     def test_matches_oracle_with_zero_denominators(self, tiny_dataset):
-        # jD has no citable items at all, so its IF and c/p are UNDEFINED
-        self.assert_matches_oracle(make_dataset(
-            tiny_dataset.journals + (JournalRecord("jD", "Delta Journal", "g2"),),
-            tiny_dataset.clusters, tiny_dataset.publication_counts,
-            [*tiny_dataset.citation_events.rows(), ("p4", "jA", 2010, "jD", 2009, 3)]))
+        self.assert_matches_oracle(with_zero_denominators(tiny_dataset))
 
     def test_fractional_at_most_integer(self, tiny_dataset):
         ti = compute_table(tiny_dataset, IndicatorSpec("numerator_only", 2, "integer"))
@@ -201,6 +210,32 @@ class TestComputeTable:
         assert sums["p1"] == pytest.approx(3 / 4)
         assert sums["p2"] == pytest.approx(1.0)  # both refs landed inside
         assert all(s <= 1.0 + 1e-12 for s in sums.values())
+
+
+class TestWindowCounts:
+    """Tables from the counts.tsv of a saved bundle equal those computed
+    from the dataset's events."""
+
+    @staticmethod
+    def assert_bundle_round_trip(ds, directory):
+        save_bundle(ds, directory)
+        counts, partition = load_counts(directory)
+        made = window_counts(ds)
+        assert counts.journal_ids == made.journal_ids
+        assert counts.census_year == made.census_year
+        for name in ("cites", "fractional", "items"):
+            read, expected = getattr(counts, name), getattr(made, name)
+            assert read.dtype == expected.dtype and np.array_equal(read, expected), name
+        assert partition == ds.partition
+        assert tables_from_counts(counts, ALL_KIND_SPECS) == compute_tables(ds, ALL_KIND_SPECS)
+
+    def test_tiny_dataset(self, tiny_dataset, tmp_path):
+        self.assert_bundle_round_trip(tiny_dataset, tmp_path)
+
+    def test_zero_denominators(self, tiny_dataset, tmp_path):
+        ds = with_zero_denominators(tiny_dataset)
+        self.assert_bundle_round_trip(ds, tmp_path)
+        assert compute_table(ds, IndicatorSpec("cp_ratio")).values["jD"] is None
 
 
 class TestRescale:

@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import pytest
 
 from citefair.cli import main
@@ -430,6 +433,16 @@ class TestRoundTrip:
         loaded = load_bundle(tmp_path)
         assert loaded == ds
         assert loaded.census_year == 2010
+
+    def test_bundle_manifest(self, tmp_path):
+        save_bundle(self.small_synth(), tmp_path)
+        files = json.loads((tmp_path / "dataset.json").read_text(encoding="utf-8"))["files"]
+        assert sorted(files) == ["citations.tsv", "counts.tsv", "journals.tsv",
+                                 "publications.tsv"]
+        for name, entry in files.items():
+            data = (tmp_path / name).read_bytes()
+            assert entry == {"rows": data.count(b"\n") - 1,
+                             "sha256": hashlib.sha256(data).hexdigest()}, name
 
     def test_reingest_idempotent_with_same_config(self, tmp_path):
         # an assembled dataset re-ingested under the same policy is unchanged
