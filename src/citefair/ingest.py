@@ -14,6 +14,12 @@ Citing journals may lie outside the indexed set; only cited journals must
 resolve.  Clusters smaller than ``min_cluster_size`` are removed together
 with their journals and any event touching them.
 
+The publications and citations files are read as columns of codes over
+each column's distinct fields (_read_columns), and each rule is checked
+once per distinct field or as one mask over the rows; the earliest row
+that breaks a rule is reported, in the words of the first rule it breaks.
+Integer fields are ASCII numerals, ``[+-]?[0-9]+``.
+
 A bundle (save_bundle) holds the three files, tab-separated, plus
 ``counts.tsv`` (the census's WindowCounts) and ``dataset.json``, whose
 manifest records each of the four files' sha256 and row count.
@@ -22,13 +28,18 @@ manifest records each of the four files' sha256 and row count.
 from __future__ import annotations
 
 import csv
+import io
 import json
+import re
 import warnings
-from collections import Counter
+from bisect import bisect_right
+from collections import Counter, deque
 from dataclasses import dataclass, asdict
-from operator import itemgetter
+from functools import cached_property
+from itertools import repeat
+from operator import not_
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -42,9 +53,10 @@ except ImportError:
     except ImportError:
         from hashlib import sha256
 
-from .errors import IngestWarning, ParseError, ValidationError
+from .errors import CiteFairError, IngestWarning, ParseError, ValidationError
 from .model import (EVENT_COLUMNS, Cluster, Dataset, Events, JournalRecord, PublicationCount,
-                    WindowCounts, _isin, validate, window_counts)
+                    WindowCounts, _isin, encode, paper_conflicts, repeats, validate,
+                    vocabulary, window_counts)
 
 __all__ = [
     "IngestConfig",
@@ -86,6 +98,11 @@ COUNTS_COLUMNS = ("journal_id", "cites_2", "cites_5", "cites_all",
                   "fractional_2", "fractional_5", "fractional_all",
                   "items_1_2", "items_1_5", "items_0")
 INT64 = range(-2 ** 63, 2 ** 63)
+_NUMERAL = re.compile(r"[+-]?[0-9]+").fullmatch
+# Characters of text read per chunk, and rows written per block: small, so
+# that a chunk's or a block's field strings never take much memory.
+_CHUNK_CHARS = 1 << 18
+_BLOCK_ROWS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -135,44 +152,214 @@ def _not_utf8(path: Path) -> ParseError:
     return ParseError(path, 1, "not valid UTF-8 (undecodable input)")
 
 
-def _rows(path: Path, config: IngestConfig,
-          columns: Sequence[str]) -> Iterator[tuple[int, tuple[str, ...]]]:
-    """Yield (physical line number, the named fields in ``columns`` order)
-    for every non-blank data row, after checking the header and each row's
-    width."""
+def _chunks(fh) -> Iterator[str]:
+    """The text of ``fh`` in pieces of whole lines, about _CHUNK_CHARS long;
+    only the last piece may lack its final newline."""
+    carry = ""
+    for text in iter(lambda: fh.read(_CHUNK_CHARS), ""):
+        cut = text.rfind("\n") + 1
+        if cut:
+            yield carry + text[:cut]
+            carry = text[cut:]
+        else:
+            carry += text
+    if carry:
+        yield carry
+
+
+def _split_plain(text: str, delimiter: str, width: int) -> list[str] | None:
+    """The fields of ``text``, row after row, if csv.reader would read it as
+    plain rows: no quote, carriage return or NUL, no blank line, no line
+    longer than the csv field limit, and ``width`` fields on every line.
+    None for any other text."""
+    if delimiter in '"\r\n\0' or '"' in text or "\r" in text or "\0" in text:
+        return None
+    lines = text.split("\n")
+    if not lines[-1]:
+        lines.pop()
+    fields = delimiter.join(lines).split(delimiter)
+    if (len(fields) != len(lines) * width
+            or min(map(str.count, lines, repeat(delimiter))) != width - 1
+            or max(map(len, lines)) > csv.field_size_limit()):
+        return None
+    return fields
+
+
+def _feed(pending: deque, chunks: Iterator[str]) -> Iterator[str]:
+    """Pop the lines of ``pending``, refilling it from the next chunk only
+    when asked for a line after its last."""
+    while pending:
+        yield pending.popleft()
+        if not pending:
+            pending.extend(io.StringIO(next(chunks, ""), newline=""))
+
+
+def _pick(path: Path, header: list[str], columns: Sequence[str]) -> list[int]:
+    """The header positions of ``columns``."""
+    missing = [c for c in columns if c not in header]
+    if missing:
+        raise ParseError(path, 1, f"missing required column(s): {', '.join(missing)}")
+    return [header.index(c) for c in columns]
+
+
+def _batches(path: Path, delimiter: str,
+             columns: Sequence[str]) -> Iterator[tuple[Sequence[int], list[list[str]]]]:
+    """Yield, a chunk of the file at a time, the physical line numbers of its
+    non-blank data rows and one list of raw fields per name in ``columns``,
+    after checking the header and each row's width.
+
+    A plain chunk (_split_plain) is split in bulk.  Any other is read by
+    csv.reader, which reads on into the next chunks only to finish a quoted
+    field that spans lines.  Both give the rows csv.reader gives.  A
+    malformed row ends the batches with a ParseError once the rows before
+    it are yielded.
+    """
     try:
         with path.open(encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh, delimiter=config.delimiter)
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise ParseError(path, 1, "empty file; header row required") from None
-            missing = [c for c in columns if c not in header]
-            if missing:
-                raise ParseError(path, 1, f"missing required column(s): {', '.join(missing)}")
-            pick = itemgetter(*(header.index(c) for c in columns))
-            width = len(header)
-            for row in reader:
-                if not row:
+            chunks = _chunks(fh)
+            header, line = None, 0
+            for text in chunks:
+                if header is None:
+                    head, _, rest = text.partition("\n")
+                    header = _split_plain(head, delimiter, head.count(delimiter) + 1) if head else None
+                    if header is not None:
+                        pick, width, line, text = _pick(path, header, columns), len(header), 1, rest
+                        if not text:
+                            continue
+                fields = _split_plain(text, delimiter, width) if header is not None else None
+                if fields is not None:
+                    n = len(fields) // width
+                    yield range(line + 1, line + n + 1), [fields[k::width] for k in pick]
+                    line += n
                     continue
-                if len(row) < width:
-                    raise ParseError(path, reader.line_num,
-                                     f"expected {width} columns, got {len(row)}")
-                yield reader.line_num, pick(row)
-    except csv.Error as exc:
-        raise ParseError(path, reader.line_num, f"malformed row ({exc})") from None
+
+                pending = deque(io.StringIO(text, newline=""))
+                reader = csv.reader(_feed(pending, chunks), delimiter=delimiter)
+                rows, lines, error = [], [], None
+                try:
+                    for row in reader:
+                        if header is None:
+                            header = row
+                            pick, width = _pick(path, header, columns), len(header)
+                        elif len(row) >= width:
+                            rows.append(row)
+                            lines.append(line + reader.line_num)
+                        elif row:
+                            error = ParseError(path, line + reader.line_num,
+                                               f"expected {width} columns, got {len(row)}")
+                            break
+                        if not pending:
+                            break
+                except csv.Error as exc:
+                    error = ParseError(path, line + reader.line_num, f"malformed row ({exc})")
+                if rows:
+                    yield lines, [[row[k] for row in rows] for k in pick]
+                if error:
+                    raise error
+                line += reader.line_num
+            if header is None:
+                raise ParseError(path, 1, "empty file; header row required")
     except UnicodeDecodeError:
         raise _not_utf8(path) from None
 
 
-def _parse_int(path: Path, lineno: int, raw: str, what: str) -> int:
+def _rows(path: Path, config: IngestConfig,
+          columns: Sequence[str]) -> Iterator[tuple[int, tuple[str, ...]]]:
+    """Yield (physical line number, the named fields in ``columns`` order)
+    for every non-blank data row."""
+    for lines, fields in _batches(path, config.delimiter, columns):
+        yield from zip(lines, zip(*fields))
+
+
+def _integer(raw: str) -> int | None:
+    """The value of ``raw`` if it is a numeral ``[+-]?[0-9]+`` that int()
+    converts, else None."""
+    if _NUMERAL(raw):
+        try:
+            return int(raw)
+        except ValueError:  # more digits than sys.get_int_max_str_digits()
+            pass
+    return None
+
+
+def _fits(value: int | None) -> bool:
+    return value is not None and value in INT64
+
+
+def _int_error(path: Path, lineno: int, raw: str, what: str) -> ParseError:
+    """The error for an integer field that is not a numeral fitting in 64 bits."""
+    if _integer(raw) is None:
+        return ParseError(path, lineno, f"{what} must be an integer, got {raw!r}")
+    return ParseError(path, lineno, f"{what} {raw!r} does not fit in 64 bits")
+
+
+@dataclass(frozen=True)
+class _Column:
+    """One column of a file: an int32 code per row over the distinct raw
+    fields, numbered in order of first appearance."""
+
+    codes: np.ndarray
+    values: list[str]
+
+    @cached_property
+    def numbers(self) -> list[int | None]:
+        """Each distinct field as an integer (_integer)."""
+        return list(map(_integer, self.values))
+
+    def raw(self, row: int) -> str:
+        return self.values[self.codes[row]]
+
+    def where(self, flags: Iterable[bool]) -> np.ndarray:
+        """Per row, the flag of its field; ``flags`` holds one per distinct field."""
+        return np.fromiter(flags, bool, len(self.values))[self.codes]
+
+    def empty(self) -> np.ndarray:
+        return self.where(map(not_, self.values))
+
+    def int64(self) -> np.ndarray:
+        """Per row, the field's value where it is an integer that fits in 64 bits, else 0."""
+        return np.array([v if _fits(v) else 0 for v in self.numbers], np.int64)[self.codes]
+
+    def strings(self, rows=slice(None)) -> np.ndarray:
+        return np.array(self.values, object)[self.codes[rows]]
+
+
+def _read_columns(path: Path, config: IngestConfig, columns: Sequence[str]
+                  ) -> tuple[list[_Column], Callable[[int], int], ParseError | None]:
+    """The named columns of the data rows, a function from row index to
+    physical line number, and the ParseError that ended the reading early,
+    if any: that error stands only when no row before it breaks a rule
+    (_first_error).  Line numbers are kept per batch, as a range for a
+    plain chunk, not per row."""
+    indexes = [vocabulary() for _ in columns]
+    codes = [[np.empty(0, np.int32)] for _ in columns]
+    starts, lines, stop = [0], [], None
     try:
-        value = int(raw)
-    except ValueError:
-        raise ParseError(path, lineno, f"{what} must be an integer, got {raw!r}") from None
-    if value not in INT64:
-        raise ParseError(path, lineno, f"{what} {raw!r} does not fit in 64 bits")
-    return value
+        for batch_lines, fields in _batches(path, config.delimiter, columns):
+            starts.append(starts[-1] + len(batch_lines))
+            lines.append(batch_lines)
+            for index, parts, column in zip(indexes, codes, fields):
+                parts.append(encode(column, index))
+    except ParseError as exc:
+        stop = exc
+
+    def line_of(row: int) -> int:
+        batch = bisect_right(starts, row) - 1
+        return lines[batch][row - starts[batch]]
+
+    return ([_Column(np.concatenate(parts), list(index)) for parts, index in zip(codes, indexes)],
+            line_of, stop)
+
+
+def _first_error(line_of: Callable[[int], int], rules) -> CiteFairError | None:
+    """The error of the earliest row that breaks a rule, or None.  ``rules``
+    are (row mask, error builder) pairs in the order a row is checked in;
+    a builder takes the row's line and index."""
+    hits = [(int(mask.argmax()), k) for k, (mask, _) in enumerate(rules) if mask.any()]
+    if not hits:
+        return None
+    row, k = min(hits)
+    return rules[k][1](line_of(row), row)
 
 
 def parse_journals(path: str | Path,
@@ -206,22 +393,28 @@ def parse_journals(path: str | Path,
 
 def parse_publications(path: str | Path,
                        config: IngestConfig = IngestConfig()) -> list[PublicationCount]:
+    """Read publication counts in file order.  Years and citable_items must
+    be integers that fit in 64 bits, citable_items >= 0, and no journal-year
+    may repeat."""
     path = Path(path)
-    counts: list[PublicationCount] = []
-    seen: set[tuple[str, int]] = set()
-    for lineno, (jid, year_raw, items_raw) in _rows(path, config, PUBLICATION_COLUMNS):
-        if not jid:
-            raise ParseError(path, lineno, "empty journal_id")
-        year = _parse_int(path, lineno, year_raw, "year")
-        items = _parse_int(path, lineno, items_raw, "citable_items")
-        if items < 0:
-            raise ParseError(path, lineno, f"citable_items must be >= 0, got {items}")
-        if (jid, year) in seen:
-            raise ValidationError(
-                f"{path}:{lineno}: duplicate publication record for ({jid}, {year})")
-        seen.add((jid, year))
-        counts.append(PublicationCount(jid, year, items))
-    return counts
+    (jids, years, items), line_of, stop = _read_columns(path, config, PUBLICATION_COLUMNS)
+    year_values, item_values = years.int64(), items.int64()
+    repeat = repeats(jids.codes, np.unique(year_values, return_inverse=True)[1])
+    error = _first_error(line_of, [
+        (jids.empty(), lambda line, i: ParseError(path, line, "empty journal_id")),
+        (years.where(not _fits(v) for v in years.numbers),
+         lambda line, i: _int_error(path, line, years.raw(i), "year")),
+        (items.where(not _fits(v) for v in items.numbers),
+         lambda line, i: _int_error(path, line, items.raw(i), "citable_items")),
+        (item_values < 0, lambda line, i: ParseError(
+            path, line, f"citable_items must be >= 0, got {item_values[i]}")),
+        (repeat, lambda line, i: ValidationError(
+            f"{path}:{line}: duplicate publication record for ({jids.raw(i)}, {year_values[i]})")),
+    ]) or stop
+    if error:
+        raise error
+    return list(map(PublicationCount, jids.strings().tolist(),
+                    year_values.tolist(), item_values.tolist()))
 
 
 def parse_citations(path: str | Path, config: IngestConfig = IngestConfig()) -> Events:
@@ -233,57 +426,42 @@ def parse_citations(path: str | Path, config: IngestConfig = IngestConfig()) -> 
     and n_refs.
     """
     path = Path(path)
-    columns: tuple[list, ...] = tuple([] for _ in CITATION_COLUMNS)
-    pids, citing_jids, citing_years, cited_jids, cited_years, n_refs_col = columns
-    # One str object per distinct id: the csv reader makes a fresh one per field.
-    intern = {}.setdefault
-    paper_info: dict[str, tuple[str, int, int]] = {}
-    dropped_zero_refs = 0
-    for lineno, (pid, citing_jid, citing_year_raw, cited_jid, cited_year_raw,
-                 n_refs_raw) in _rows(path, config, CITATION_COLUMNS):
-        if not pid:
-            raise ParseError(path, lineno, "empty citing_paper_id")
-        if not cited_jid:
-            raise ParseError(path, lineno, "empty cited_journal_id")
-        try:
-            citing_year = int(citing_year_raw)
-            cited_year = int(cited_year_raw)
-            n_refs = int(n_refs_raw)
-        except ValueError:
-            raise ParseError(
-                path, lineno,
-                f"years and n_refs must be integers: "
-                f"{citing_year_raw!r}, {cited_year_raw!r}, {n_refs_raw!r}",
-            ) from None
-        if n_refs == 0:
-            if config.zero_refs_policy == POLICY_ERROR:
-                raise ParseError(path, lineno, "n_refs is 0")
-            dropped_zero_refs += 1
-            continue
-        if n_refs < 0:
-            raise ParseError(path, lineno, f"n_refs must be positive, got {n_refs}")
-        if citing_year not in INT64 or cited_year not in INT64 or n_refs not in INT64:
-            raise ParseError(
-                path, lineno, f"years and n_refs must fit in 64 bits: "
-                f"{citing_year_raw!r}, {cited_year_raw!r}, {n_refs_raw!r}")
-        pid, citing_jid = intern(pid, pid), intern(citing_jid, citing_jid)
-        info = (citing_jid, citing_year, n_refs)
-        prev = paper_info.setdefault(pid, info)
-        if prev != info:
-            raise ValidationError(
-                f"{path}:{lineno}: citing paper '{pid}' conflicts with an earlier "
-                f"row on (citing_journal_id, citing_year, n_refs)")
-        pids.append(pid)
-        citing_jids.append(citing_jid)
-        citing_years.append(citing_year)
-        cited_jids.append(intern(cited_jid, cited_jid))
-        cited_years.append(cited_year)
-        n_refs_col.append(n_refs)
-    if dropped_zero_refs:
-        warnings.warn(
-            f"{path}: dropped {dropped_zero_refs} citation row(s) with n_refs=0",
-            IngestWarning, stacklevel=2)
-    return Events(*columns)
+    columns, line_of, stop = _read_columns(path, config, CITATION_COLUMNS)
+    pids, citing_jids, citing_years, cited_jids, cited_years, n_refs = columns
+    numbers = (citing_years, cited_years, n_refs)
+    citing_year, cited_year, n_refs_value = (c.int64() for c in numbers)
+    zero = n_refs.where(v == 0 for v in n_refs.numbers)
+    keep = np.flatnonzero(~zero) if zero.any() else slice(None)
+    conflict, kept_conflict = np.zeros(len(zero), bool), np.zeros(len(zero) - zero.sum(), bool)
+    kept_conflict[paper_conflicts(pids.codes[keep], citing_jids.codes[keep],
+                                  citing_year[keep], n_refs_value[keep])] = True
+    conflict[keep] = kept_conflict
+
+    def raws(i: int) -> str:
+        return ", ".join(repr(c.raw(i)) for c in numbers)
+
+    error = _first_error(line_of, [
+        (pids.empty(), lambda line, i: ParseError(path, line, "empty citing_paper_id")),
+        (cited_jids.empty(), lambda line, i: ParseError(path, line, "empty cited_journal_id")),
+        (np.logical_or.reduce([c.where(v is None for v in c.numbers) for c in numbers]),
+         lambda line, i: ParseError(path, line, f"years and n_refs must be integers: {raws(i)}")),
+        (zero & (config.zero_refs_policy == POLICY_ERROR),
+         lambda line, i: ParseError(path, line, "n_refs is 0")),
+        (n_refs.where(v is not None and v < 0 for v in n_refs.numbers), lambda line, i: ParseError(
+            path, line, f"n_refs must be positive, got {_integer(n_refs.raw(i))}")),
+        (~zero & np.logical_or.reduce([c.where(not _fits(v) for v in c.numbers) for c in numbers]),
+         lambda line, i: ParseError(path, line, f"years and n_refs must fit in 64 bits: {raws(i)}")),
+        (conflict, lambda line, i: ValidationError(
+            f"{path}:{line}: citing paper '{pids.raw(i)}' conflicts with an earlier "
+            f"row on (citing_journal_id, citing_year, n_refs)")),
+    ]) or stop
+    if error:
+        raise error
+    if zero.any():
+        warnings.warn(f"{path}: dropped {zero.sum()} citation row(s) with n_refs=0",
+                      IngestWarning, stacklevel=2)
+    return Events(pids.strings(keep), citing_jids.strings(keep), citing_year[keep],
+                  cited_jids.strings(keep), cited_year[keep], n_refs_value[keep])
 
 
 def assemble(journals: Sequence[JournalRecord],
@@ -372,28 +550,52 @@ def _require_valid(dataset: Dataset, what: str) -> None:
         raise ValidationError(f"{what} fails validation: {shown}{more}")
 
 
-def _write_rows(path: Path, header: Iterable[str], rows: Iterable[tuple]) -> None:
+def _strings(column) -> list[str]:
+    """A column's fields as str, as csv.writer writes them; an integer array
+    formats each distinct value once."""
+    if isinstance(column, np.ndarray) and column.dtype.kind == "i":
+        values, inverse = np.unique(column, return_inverse=True)
+        return np.array(list(map(str, values.tolist())), object)[inverse].tolist()
+    return list(map(str, column.tolist() if isinstance(column, np.ndarray) else column))
+
+
+def _write_columns(path: Path, header: Sequence[str], columns: Sequence) -> None:
+    """Write equal-length columns (lists, or numpy arrays) as a tab-separated
+    file, one join per block of _BLOCK_ROWS rows.  A block with a tab,
+    newline, carriage return or quote inside a field is written by
+    csv.writer, which quotes it: the bytes are csv.writer's either way."""
     with path.open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, delimiter="\t", lineterminator="\n")
         writer.writerow(header)
-        writer.writerows(rows)
+        for start in range(0, len(columns[0]), _BLOCK_ROWS):
+            block = [_strings(column[start:start + _BLOCK_ROWS]) for column in columns]
+            n = len(block[0])
+            text = "\n".join(map("\t".join, zip(*block))) + "\n"
+            if ('"' in text or "\r" in text or text.count("\n") != n
+                    or text.count("\t") != n * (len(header) - 1)):
+                writer.writerows(zip(*block))
+            else:
+                fh.write(text)
 
 
 def write_journals(journals: Sequence[JournalRecord], clusters: Sequence[Cluster],
                    path: str | Path) -> None:
     names = {c.cluster_id: c.name for c in clusters}
-    _write_rows(Path(path), JOURNAL_COLUMNS,
-                ((j.journal_id, j.title, j.cluster_id, names.get(j.cluster_id, j.cluster_id))
-                 for j in journals))
+    _write_columns(Path(path), JOURNAL_COLUMNS, (
+        [j.journal_id for j in journals], [j.title for j in journals],
+        [j.cluster_id for j in journals],
+        [names.get(j.cluster_id, j.cluster_id) for j in journals]))
 
 
 def write_publications(counts: Sequence[PublicationCount], path: str | Path) -> None:
-    _write_rows(Path(path), PUBLICATION_COLUMNS,
-                ((p.journal_id, p.year, p.citable_items) for p in counts))
+    _write_columns(Path(path), PUBLICATION_COLUMNS, (
+        [p.journal_id for p in counts], np.array([p.year for p in counts]),
+        np.array([p.citable_items for p in counts])))
 
 
 def write_citations(events: Events, path: str | Path) -> None:
-    _write_rows(Path(path), CITATION_COLUMNS, events.rows())
+    _write_columns(Path(path), CITATION_COLUMNS,
+                   [getattr(events, name) for name in CITATION_COLUMNS])
 
 
 def write_dataset(dataset: Dataset, directory: str | Path) -> dict[str, Path]:
@@ -414,24 +616,40 @@ def write_dataset(dataset: Dataset, directory: str | Path) -> dict[str, Path]:
 
 def _write_counts(counts: WindowCounts, path: Path) -> None:
     # Floats are written with repr, so they read back bit for bit.
-    _write_rows(path, COUNTS_COLUMNS,
-                zip(counts.journal_ids, *counts.cites.T.tolist(),
-                    *counts.fractional.T.tolist(), *counts.items.T.tolist()))
+    _write_columns(path, COUNTS_COLUMNS, (counts.journal_ids, *counts.cites.T,
+                                          *counts.fractional.T, *counts.items.T))
+
+
+def _float(raw: str) -> float | None:
+    try:
+        return float(raw)
+    except ValueError:
+        return None
 
 
 def _read_counts(path: Path, census_year: int) -> WindowCounts:
-    journal_ids, cites, fractional, items = [], [], [], []
-    for lineno, (jid, *fields) in _rows(path, IngestConfig(), COUNTS_COLUMNS):
-        journal_ids.append(jid)
-        cites.append([_parse_int(path, lineno, raw, "cites") for raw in fields[0:3]])
-        try:
-            fractional.append([float(raw) for raw in fields[3:6]])
-        except ValueError:
-            raise ParseError(path, lineno, f"fractional counts must be numbers: "
-                                           f"{', '.join(map(repr, fields[3:6]))}") from None
-        items.append([_parse_int(path, lineno, raw, "items") for raw in fields[6:9]])
-    return WindowCounts(tuple(journal_ids), census_year, np.array(cites, np.int64),
-                        np.array(fractional, np.float64), np.array(items, np.int64))
+    (jids, *columns), line_of, stop = _read_columns(path, IngestConfig(), COUNTS_COLUMNS)
+    cites, fractional, items = columns[0:3], columns[3:6], columns[6:9]
+    floats = [list(map(_float, c.values)) for c in fractional]
+
+    def integers(column: _Column, what: str):
+        return (column.where(not _fits(v) for v in column.numbers),
+                lambda line, i: _int_error(path, line, column.raw(i), what))
+
+    error = _first_error(line_of, [
+        *(integers(c, "cites") for c in cites),
+        (np.logical_or.reduce([c.where(v is None for v in f) for c, f in zip(fractional, floats)]),
+         lambda line, i: ParseError(path, line, "fractional counts must be numbers: "
+                                    + ", ".join(repr(c.raw(i)) for c in fractional))),
+        *(integers(c, "items") for c in items),
+    ]) or stop
+    if error:
+        raise error
+    return WindowCounts(tuple(jids.strings().tolist()), census_year,
+                        np.column_stack([c.int64() for c in cites]),
+                        np.column_stack([np.array(f, np.float64)[c.codes]
+                                         for c, f in zip(fractional, floats)]),
+                        np.column_stack([c.int64() for c in items]))
 
 
 def _file_sha256(path: Path) -> str:

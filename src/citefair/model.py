@@ -9,10 +9,11 @@ never mutated afterwards.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator
+from itertools import count
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -112,6 +113,46 @@ class Events:
 def _isin(column: np.ndarray, ids) -> np.ndarray:
     """Which entries of an id column are in ``ids`` (np.isin is quadratic here)."""
     return np.fromiter(map(ids.__contains__, column.tolist()), bool, len(column))
+
+
+def vocabulary() -> defaultdict:
+    """An empty value -> code mapping that gives each new value the next code."""
+    return defaultdict(count().__next__)
+
+
+def encode(values: Sequence, index: defaultdict | None = None) -> np.ndarray:
+    """An int32 code per value, numbering the distinct values in order of
+    first appearance; ``index`` (from vocabulary) carries the numbering on
+    from one call to the next."""
+    index = vocabulary() if index is None else index
+    return np.fromiter(map(index.__getitem__, values), np.int32, len(values))
+
+
+def _first_rows(codes: np.ndarray) -> np.ndarray:
+    """The index of each code's first row (len(codes) for an unused code)."""
+    first = np.full(int(codes.max(initial=-1)) + 1, len(codes), np.intp)
+    np.minimum.at(first, codes, np.arange(len(codes)))
+    return first
+
+
+def paper_conflicts(paper: np.ndarray, *fields: np.ndarray) -> np.ndarray:
+    """The ascending indices of the events that differ in any of ``fields``
+    from the first event of their citing paper; ``paper`` holds one
+    non-negative integer code per citing paper."""
+    lead = _first_rows(paper)[paper]
+    differs = np.zeros(len(paper), bool)
+    for field in fields:
+        differs |= field[lead] != field
+    return np.flatnonzero(differs)
+
+
+def repeats(first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """Which rows repeat the (first, second) pair of an earlier row; both
+    columns hold non-negative integer codes."""
+    key = first.astype(np.int64) * (int(second.max(initial=-1)) + 1) + second
+    repeat = np.ones(len(key), bool)
+    repeat[np.unique(key, return_index=True)[1]] = False
+    return repeat
 
 
 @dataclass(frozen=True)
@@ -250,14 +291,15 @@ def validate(dataset: Dataset) -> list[Violation]:
         add(Violation("cluster.size_sum", "<dataset>",
                       "declared cluster sizes do not sum to the journal count"))
 
-    seen_counts: set[tuple[str, int]] = set()
-    for p in dataset.publication_counts:
-        key = (p.journal_id, p.year)
-        if key in seen_counts:
+    counts = dataset.publication_counts
+    repeat = repeats(encode([p.journal_id for p in counts]), encode([p.year for p in counts]))
+    negative = np.fromiter((p.citable_items < 0 for p in counts), bool, len(counts))
+    for i in np.flatnonzero(repeat | negative).tolist():
+        p = counts[i]
+        if repeat[i]:
             add(Violation("publication.duplicate", f"{p.journal_id}/{p.year}",
                           "more than one record for this journal-year"))
-        seen_counts.add(key)
-        if p.citable_items < 0:
+        if negative[i]:
             add(Violation("publication.negative_items", f"{p.journal_id}/{p.year}",
                           f"citable_items {p.citable_items} < 0"))
 
@@ -268,21 +310,18 @@ def validate(dataset: Dataset) -> list[Violation]:
     for i in np.flatnonzero(events.cited_year > events.citing_year).tolist():
         add(Violation("event.causality", pids[i], f"cited_year {events.cited_year[i]} "
                       f"> citing_year {events.citing_year[i]}"))
-    # Each event is compared with the first event of its citing paper.
-    _, first, paper_of, n_events = np.unique(
-        pids, return_index=True, return_inverse=True, return_counts=True)
-    lead = first[paper_of]
-    differs = ((events.citing_journal_id[lead] != events.citing_journal_id)
-               | (events.citing_year[lead] != events.citing_year) | (n_refs[lead] != n_refs))
-    for i in np.flatnonzero(differs).tolist():
+    paper = encode(pids.tolist())
+    for i in paper_conflicts(paper, events.citing_journal_id, events.citing_year, n_refs).tolist():
         add(Violation("event.paper_inconsistent", pids[i],
                       "events of one citing paper disagree on journal, year or n_refs"))
     for i in np.flatnonzero(~_isin(events.cited_journal_id, seen_journals)).tolist():
         add(Violation("event.unknown_cited_journal", pids[i],
                       f"cited journal '{events.cited_journal_id[i]}' not in dataset"))
+    # Papers are coded in order of first appearance, so ``first`` ascends.
+    first, n_events = _first_rows(paper), np.bincount(paper)
     paper_refs = n_refs[first]
-    for i in np.sort(first[(n_events > paper_refs) & (paper_refs >= 1)]).tolist():
+    for i in first[(n_events > paper_refs) & (paper_refs >= 1)].tolist():
         add(Violation("event.excess_references", pids[i],
-                      f"{n_events[paper_of[i]]} recorded references exceed n_refs={n_refs[i]}"))
+                      f"{n_events[paper[i]]} recorded references exceed n_refs={n_refs[i]}"))
 
     return violations

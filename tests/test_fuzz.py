@@ -1,9 +1,13 @@
 """Arbitrary rows fed to the file readers: each either parses or raises a
-CiteFairError (which the CLI reports with exit 2), never anything else."""
+CiteFairError (which the CLI reports with exit 2), never anything else; and
+the bulk split of plain chunks reads every file as csv.reader does."""
+
+import warnings
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import citefair.ingest
 from citefair.errors import CiteFairError
 from citefair.indicators import read_table
 from citefair.ingest import (
@@ -61,6 +65,61 @@ def test_parsers_raise_only_citefair_errors(tmp_path, reader, columns, check, da
         return
     if check:
         check(parsed)
+
+
+# Rows that mostly pass the checks, so that differential runs also compare
+# parsed results: a few ids, years and n_refs values, zero included.
+IDS = st.sampled_from(["p1", "p2", "j1", "j2", ""])
+NUMBERS = st.sampled_from(["0", "1", "2", "2009", "2010", "+3", "-1", "2_010"])
+LIKELY = {
+    "journals": st.tuples(IDS, FIELDS, st.sampled_from(["g1", "g2"]), st.sampled_from(["G", "H"])),
+    "publications": st.tuples(IDS, NUMBERS, NUMBERS),
+    "citations": st.tuples(IDS, IDS, NUMBERS, IDS, NUMBERS, NUMBERS),
+}
+READERS = {"journals": (parse_journals, JOURNAL_COLUMNS),
+           "publications": (parse_publications, PUBLICATION_COLUMNS),
+           "citations": (parse_citations, CITATION_COLUMNS)}
+
+
+@st.composite
+def file_texts(draw, kind):
+    """A file of header and rows, with blank lines, LF or CRLF line ends,
+    ragged rows and oversized fields, and with or without a final newline."""
+    columns, likely = READERS[kind][1], LIKELY[kind].map(list)
+    rows = [draw(header_rows(columns))] + draw(st.lists(st.one_of(
+        likely, likely.map(lambda row: row[:-1]), likely.map(lambda row: row + ["x"]),
+        st.lists(FIELDS, max_size=8), st.just([])), max_size=8))
+    ends = draw(st.lists(st.sampled_from(["\n", "\n", "\r\n"]),
+                         min_size=len(rows), max_size=len(rows)))
+    text = "".join("\t".join(row) + end for row, end in zip(rows, ends))
+    return text if draw(st.booleans()) else text.rstrip("\r\n")
+
+
+def outcome(reader, path):
+    """What ``reader`` makes of ``path``: its result and warnings, or its
+    error's type, path, line and message."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = reader(path)
+        except CiteFairError as exc:
+            return type(exc), getattr(exc, "path", None), getattr(exc, "line", None), str(exc)
+    return result, [str(w.message) for w in caught]
+
+
+@pytest.mark.parametrize("kind", sorted(READERS))
+@SETTINGS
+@given(data=st.data())
+def test_bulk_split_reads_like_csv_reader(tmp_path, monkeypatch, kind, data):
+    reader = READERS[kind][0]
+    path = tmp_path / "input.tsv"
+    path.write_bytes(data.draw(file_texts(kind)).encode("utf-8"))
+    with monkeypatch.context() as patch:
+        patch.setattr(citefair.ingest, "_CHUNK_CHARS", data.draw(st.sampled_from([1, 7, 64, 1 << 18])))
+        bulk = outcome(reader, path)
+    with monkeypatch.context() as patch:
+        patch.setattr(citefair.ingest, "_split_plain", lambda *_: None)
+        assert bulk == outcome(reader, path)
 
 
 PROVENANCE = {"indicator_id": "T", "kind": "impact_factor", "window": "2",

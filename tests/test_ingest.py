@@ -1,8 +1,11 @@
+import csv
 import hashlib
+import io
 import json
 
 import pytest
 
+import citefair.ingest
 from citefair.cli import main
 from citefair.errors import IngestWarning, ParseError, ValidationError
 from citefair.indicators import read_table
@@ -14,6 +17,7 @@ from citefair.ingest import (
     parse_journals,
     parse_publications,
     save_bundle,
+    write_citations,
     write_dataset,
 )
 from citefair.model import Cluster, Events, JournalRecord, PublicationCount, validate
@@ -292,6 +296,154 @@ class TestIntegerRange:
         write(path, [CHEADER, ("p1", "jA", 2 ** 63 - 1, "jB", -2 ** 63, 2 ** 63 - 1)])
         assert list(parse_citations(path).rows()) == [
             ("p1", "jA", 2 ** 63 - 1, "jB", -2 ** 63, 2 ** 63 - 1)]
+
+
+class TestIntegerSyntax:
+    """Integer fields are ASCII numerals, [+-]?[0-9]+: int() alone would also
+    take underscores, surrounding spaces and other scripts' digits."""
+
+    FORMS = {"underscore": "2_010", "arabic-indic": " \u0662\u0660\u0660\u0669 ",
+             "spaced-underscore": " 1_0"}
+
+    @pytest.mark.parametrize("raw", FORMS.values(), ids=FORMS.keys())
+    def test_citations(self, tmp_path, raw):
+        path = tmp_path / "c.tsv"
+        write(path, [CHEADER, ("p1", "jA", 2010, "jB", 2009, 4), ("p2", "jA", 2010, "jB", raw, 4)])
+        with pytest.raises(ParseError, match="years and n_refs must be integers") as err:
+            parse_citations(path)
+        assert (err.value.path, err.value.line) == (str(path), 3)
+
+    @pytest.mark.parametrize("raw", FORMS.values(), ids=FORMS.keys())
+    def test_publications(self, tmp_path, raw):
+        path = tmp_path / "p.tsv"
+        write(path, [PHEADER, ("j1", 2009, 1), ("j1", 2010, raw)])
+        with pytest.raises(ParseError, match=f"citable_items must be an integer, got {raw!r}") as err:
+            parse_publications(path)
+        assert (err.value.path, err.value.line) == (str(path), 3)
+
+    @pytest.mark.parametrize("raw", FORMS.values(), ids=FORMS.keys())
+    def test_counts(self, tmp_path, raw):
+        save_bundle(TestRoundTrip().small_synth(), tmp_path)
+        path = tmp_path / "counts.tsv"
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        fields = lines[2].split("\t")
+        lines[2] = "\t".join([fields[0], raw] + fields[2:])
+        path.write_text("".join(lines), encoding="utf-8")
+        with pytest.raises(ParseError, match=f"cites must be an integer, got {raw!r}") as err:
+            citefair.ingest._read_counts(path, 2010)
+        assert (err.value.path, err.value.line) == (str(path), 3)
+
+    def test_signs_and_leading_zeros_accepted(self, tmp_path):
+        path = tmp_path / "c.tsv"
+        write(path, [CHEADER, ("p1", "jA", "+2010", "jB", "02009", "+4")])
+        assert list(parse_citations(path).rows()) == [("p1", "jA", 2010, "jB", 2009, 4)]
+
+
+def read_both_ways(reader, path, monkeypatch, chunk_chars):
+    """The reader's result at ``chunk_chars`` per chunk, and its result when
+    every chunk goes through csv.reader."""
+    with monkeypatch.context() as patch:
+        patch.setattr(citefair.ingest, "_CHUNK_CHARS", chunk_chars)
+        bulk = reader(path)
+    with monkeypatch.context() as patch:
+        patch.setattr(citefair.ingest, "_split_plain", lambda *_: None)
+        return bulk, reader(path)
+
+
+class TestChunkedReader:
+    """Chunks of a few characters split rows, quoted fields and CRLF pairs
+    across chunk boundaries; the rows, line numbers and errors stay those
+    of csv.reader."""
+
+    CITATIONS = ("\t".join(CHEADER) + "\n"
+                 + "p1\tjA\t2010\tjB\t2009\t2\n"
+                 + "\n"
+                 + 'p1\tjA\t2010\t"j\nC"\t2008\t2\r\n'
+                 + "p2\tjB\t2010\tjA\t2009\t1\textra\n"
+                 + "p3\tjB\t2009\tjA\t2008\t1")
+
+    @pytest.mark.parametrize("chunk_chars", [1, 2, 3, 5, 8, 13, 1 << 18])
+    def test_rows_across_chunk_boundaries(self, tmp_path, monkeypatch, chunk_chars):
+        path = tmp_path / "c.tsv"
+        path.write_text(self.CITATIONS, encoding="utf-8")
+        bulk, by_csv = read_both_ways(parse_citations, path, monkeypatch, chunk_chars)
+        assert bulk == by_csv == Events.from_rows([
+            ("p1", "jA", 2010, "jB", 2009, 2), ("p1", "jA", 2010, "j\nC", 2008, 2),
+            ("p2", "jB", 2010, "jA", 2009, 1), ("p3", "jB", 2009, "jA", 2008, 1)])
+
+    @pytest.mark.parametrize("chunk_chars", [1, 3, 7, 1 << 18])
+    def test_error_line_across_chunk_boundaries(self, tmp_path, monkeypatch, chunk_chars):
+        path = tmp_path / "c.tsv"
+        path.write_text(self.CITATIONS + "\np4\tjB\t2010\tjA\n", encoding="utf-8")
+        for patch in ({"_CHUNK_CHARS": chunk_chars}, {"_split_plain": lambda *_: None}):
+            with monkeypatch.context() as m, pytest.raises(ParseError) as err:
+                for name, value in patch.items():
+                    m.setattr(citefair.ingest, name, value)
+                parse_citations(path)
+            assert (err.value.line, str(err.value)) == (8, f"{path}:8: expected 6 columns, got 4")
+
+    def test_crlf_file(self, tmp_path):
+        path = tmp_path / "c.tsv"
+        path.write_bytes(b"\r\n".join(["\t".join(CHEADER).encode(), b"p1\tjA\t2010\tjB\t2009\t2",
+                                        b"p2\tjA\t2010\tjC\t2008\t1", b""]))
+        assert list(parse_citations(path).rows()) == [("p1", "jA", 2010, "jB", 2009, 2),
+                                                      ("p2", "jA", 2010, "jC", 2008, 1)]
+
+    def test_ragged_rows_that_balance_out(self, tmp_path):
+        # a 7-field and a 5-field row hold as many fields as two 6-field rows
+        path = tmp_path / "c.tsv"
+        write(path, [CHEADER, ("p1", "jA", 2010, "jB", 2009, 2, "x"), ("p2", "jA", 2010, "jB", 2009)])
+        with pytest.raises(ParseError, match="expected 6 columns, got 5") as err:
+            parse_citations(path)
+        assert err.value.line == 3
+
+    def test_earlier_row_error_wins_over_later_malformed_row(self, tmp_path):
+        path = tmp_path / "p.tsv"
+        write(path, [PHEADER, ("j1", 2009, 1), ("j1", 2009, 2), ("j2", 2009)])
+        with pytest.raises(ValidationError, match=":3: duplicate publication record"):
+            parse_publications(path)
+
+
+class TestColumnWriter:
+    """write_citations writes blocks with one join each; a block holding a
+    tab, quote or newline in an id goes through csv.writer."""
+
+    ROWS = [("p1", "jA", 2010, "jB", 2009, 2), ("p\t2", 'j"B', 2010, "jA", 2009, 1),
+            ("p3", "jA", 2010, "j\nC", 2008, 1), ("p4", "jC", 2009, "jA", 2008, 3)]
+
+    @staticmethod
+    def csv_bytes(rows):
+        out = io.StringIO()
+        writer = csv.writer(out, delimiter="\t", lineterminator="\n")
+        writer.writerow(CHEADER)
+        writer.writerows(rows)
+        return out.getvalue().encode("utf-8")
+
+    @pytest.mark.parametrize("block_rows", [1, 2, 1 << 14])
+    def test_bytes_are_csv_writers_and_round_trip(self, tmp_path, monkeypatch, block_rows):
+        monkeypatch.setattr(citefair.ingest, "_BLOCK_ROWS", block_rows)
+        events = Events.from_rows(self.ROWS)
+        path = tmp_path / "c.tsv"
+        write_citations(events, path)
+        assert path.read_bytes() == self.csv_bytes(self.ROWS)
+        assert parse_citations(path) == events
+
+    def test_ids_from_comma_separated_input(self, tmp_path):
+        source = tmp_path / "in.csv"
+        source.write_text(",".join(CHEADER) + "\n" + 'p\t1,"j,A",2010,"j""B",2009,1\n',
+                          encoding="utf-8")
+        events = parse_citations(source, IngestConfig(delimiter=","))
+        assert list(events.rows()) == [("p\t1", "j,A", 2010, 'j"B', 2009, 1)]
+        path = tmp_path / "c.tsv"
+        write_citations(events, path)
+        assert path.read_bytes() == self.csv_bytes(events.rows())
+        assert parse_citations(path) == events
+
+    def test_empty_events_write_the_header_only(self, tmp_path):
+        path = tmp_path / "c.tsv"
+        write_citations(Events.from_rows([]), path)
+        assert path.read_bytes() == self.csv_bytes([])
+        assert len(parse_citations(path)) == 0
 
 
 def journals_fixture(sizes):

@@ -69,6 +69,21 @@ class TestValidate:
             [PublicationCount("j1", 2009, -1)], [])
         assert "publication.negative_items" in rules(validate(ds))
 
+    def test_publication_violations_listed_in_record_order(self):
+        ds = make_dataset(
+            [JournalRecord("j1", "One", "g"), JournalRecord("j2", "Two", "g")],
+            [Cluster("g", "G", 2)],
+            [PublicationCount("j1", 2009, 5), PublicationCount("j1", 2009, -1),
+             PublicationCount("j2", 2009, -2), PublicationCount("j2", 2010, 1),
+             PublicationCount("j1", 2009, 7), PublicationCount("j1", 10 ** 30, 1)],
+            [])
+        assert [(v.rule, v.record) for v in validate(ds)] == [
+            ("publication.duplicate", "j1/2009"),
+            ("publication.negative_items", "j1/2009"),
+            ("publication.negative_items", "j2/2009"),
+            ("publication.duplicate", "j1/2009"),
+        ]
+
     def test_inconsistent_paper(self):
         ds = make_dataset(
             [JournalRecord("j1", "One", "g")],
