@@ -11,7 +11,7 @@ from citefair import (
     Events,
     IndicatorSpec,
     JournalRecord,
-    PublicationCount,
+    PublicationCounts,
     compute_table,
     rescale,
     validate,
@@ -25,7 +25,8 @@ journals = [
     JournalRecord("bio-b", "Long Reference Letters", "bio"),
 ]
 clusters = [Cluster("math", "Mathematics", 2), Cluster("bio", "Biosciences", 2)]
-counts = [PublicationCount(j.journal_id, y, 50) for j in journals for y in (2008, 2009, 2010)]
+counts = PublicationCounts.from_rows(
+    (j.journal_id, y, 50) for j in journals for y in (2008, 2009, 2010))
 
 # biosciences papers carry long reference lists; mathematics short ones
 events = []
@@ -40,7 +41,7 @@ for citing, n_refs, targets in [
     for cited in targets:
         events.append((f"p{pid}", citing, 2010, cited, 2009, n_refs))
 
-dataset = Dataset(tuple(journals), tuple(clusters), tuple(counts), Events.from_rows(events), 2010)
+dataset = Dataset(tuple(journals), tuple(clusters), counts, Events.from_rows(events), 2010)
 assert validate(dataset) == []
 
 print("journal      IF2 (integer)   IF2 (fractional)")

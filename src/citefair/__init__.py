@@ -51,8 +51,9 @@ from .model import (
     Cluster,
     Dataset,
     Events,
+    Ids,
     JournalRecord,
-    PublicationCount,
+    PublicationCounts,
     Violation,
     WindowCounts,
     validate,

@@ -54,9 +54,9 @@ except ImportError:
         from hashlib import sha256
 
 from .errors import CiteFairError, IngestWarning, ParseError, ValidationError
-from .model import (EVENT_COLUMNS, Cluster, Dataset, Events, JournalRecord, PublicationCount,
-                    WindowCounts, _isin, encode, paper_conflicts, repeats, validate,
-                    vocabulary, window_counts)
+from .model import (EVENT_COLUMNS, PUBLICATION_COLUMNS, Cluster, Dataset, Events, Ids,
+                    JournalRecord, PublicationCounts, WindowCounts, encode, paper_conflicts,
+                    repeats, validate, vocabulary, window_counts)
 
 __all__ = [
     "IngestConfig",
@@ -91,7 +91,6 @@ BUNDLE_FILES = (JOURNALS_FILE, PUBLICATIONS_FILE, CITATIONS_FILE, COUNTS_FILE)
 BUNDLE_FORMAT = "citefair-dataset/2"
 
 JOURNAL_COLUMNS = ("journal_id", "title", "cluster_id", "cluster_name")
-PUBLICATION_COLUMNS = ("journal_id", "year", "citable_items")
 CITATION_COLUMNS = EVENT_COLUMNS
 # WindowCounts columns, each group in WINDOWS order.
 COUNTS_COLUMNS = ("journal_id", "cites_2", "cites_5", "cites_all",
@@ -99,6 +98,9 @@ COUNTS_COLUMNS = ("journal_id", "cites_2", "cites_5", "cites_all",
                   "items_1_2", "items_1_5", "items_0")
 INT64 = range(-2 ** 63, 2 ** 63)
 _NUMERAL = re.compile(r"[+-]?[0-9]+").fullmatch
+# Fields that are written quoted: csv.writer's choice, plus the carriage
+# return, which csv.writer leaves bare under lineterminator="\n".
+_QUOTED = re.compile('[\t\n\r"]').search
 # Characters of text read per chunk, and rows written per block: small, so
 # that a chunk's or a block's field strings never take much memory.
 _CHUNK_CHARS = 1 << 18
@@ -263,14 +265,6 @@ def _batches(path: Path, delimiter: str,
         raise _not_utf8(path) from None
 
 
-def _rows(path: Path, config: IngestConfig,
-          columns: Sequence[str]) -> Iterator[tuple[int, tuple[str, ...]]]:
-    """Yield (physical line number, the named fields in ``columns`` order)
-    for every non-blank data row."""
-    for lines, fields in _batches(path, config.delimiter, columns):
-        yield from zip(lines, zip(*fields))
-
-
 def _integer(raw: str) -> int | None:
     """The value of ``raw`` if it is a numeral ``[+-]?[0-9]+`` that int()
     converts, else None."""
@@ -293,35 +287,22 @@ def _int_error(path: Path, lineno: int, raw: str, what: str) -> ParseError:
     return ParseError(path, lineno, f"{what} {raw!r} does not fit in 64 bits")
 
 
-@dataclass(frozen=True)
-class _Column:
+@dataclass(frozen=True, eq=False)
+class _Column(Ids):
     """One column of a file: an int32 code per row over the distinct raw
     fields, numbered in order of first appearance."""
-
-    codes: np.ndarray
-    values: list[str]
 
     @cached_property
     def numbers(self) -> list[int | None]:
         """Each distinct field as an integer (_integer)."""
         return list(map(_integer, self.values))
 
-    def raw(self, row: int) -> str:
-        return self.values[self.codes[row]]
-
-    def where(self, flags: Iterable[bool]) -> np.ndarray:
-        """Per row, the flag of its field; ``flags`` holds one per distinct field."""
-        return np.fromiter(flags, bool, len(self.values))[self.codes]
-
     def empty(self) -> np.ndarray:
-        return self.where(map(not_, self.values))
+        return self.expand(map(not_, self.values))
 
     def int64(self) -> np.ndarray:
         """Per row, the field's value where it is an integer that fits in 64 bits, else 0."""
         return np.array([v if _fits(v) else 0 for v in self.numbers], np.int64)[self.codes]
-
-    def strings(self, rows=slice(None)) -> np.ndarray:
-        return np.array(self.values, object)[self.codes[rows]]
 
 
 def _read_columns(path: Path, config: IngestConfig, columns: Sequence[str]
@@ -347,7 +328,7 @@ def _read_columns(path: Path, config: IngestConfig, columns: Sequence[str]
         batch = bisect_right(starts, row) - 1
         return lines[batch][row - starts[batch]]
 
-    return ([_Column(np.concatenate(parts), list(index)) for parts, index in zip(codes, indexes)],
+    return ([_Column(np.concatenate(parts), tuple(index)) for parts, index in zip(codes, indexes)],
             line_of, stop)
 
 
@@ -370,29 +351,28 @@ def parse_journals(path: str | Path,
     ValidationError for duplicate journal ids or conflicting cluster names.
     """
     path = Path(path)
-    journals: list[JournalRecord] = []
-    cluster_names: dict[str, str] = {}
-    cluster_sizes: Counter[str] = Counter()
-    seen: set[str] = set()
-    for lineno, (jid, title, cid, cname) in _rows(path, config, JOURNAL_COLUMNS):
-        if not jid:
-            raise ParseError(path, lineno, "empty journal_id")
-        if not cid:
-            raise ParseError(path, lineno, "empty cluster_id")
-        if jid in seen:
-            raise ValidationError(f"{path}:{lineno}: duplicate journal_id '{jid}'")
-        seen.add(jid)
-        if cluster_names.setdefault(cid, cname) != cname:
-            raise ValidationError(
-                f"{path}:{lineno}: cluster '{cid}' renamed ('{cluster_names[cid]}' vs '{cname}')")
-        cluster_sizes[cid] += 1
-        journals.append(JournalRecord(jid, title, cid))
-    clusters = [Cluster(cid, cluster_names[cid], cluster_sizes[cid]) for cid in cluster_names]
-    return journals, clusters
+    (jids, titles, cids, names), line_of, stop = _read_columns(path, config, JOURNAL_COLUMNS)
+    first = np.unique(cids.codes, return_index=True)[1]
+    renamed = np.zeros(len(cids), bool)
+    renamed[paper_conflicts(cids.codes, names.codes)] = True
+    error = _first_error(line_of, [
+        (jids.empty(), lambda line, i: ParseError(path, line, "empty journal_id")),
+        (cids.empty(), lambda line, i: ParseError(path, line, "empty cluster_id")),
+        (repeats(jids.codes), lambda line, i: ValidationError(
+            f"{path}:{line}: duplicate journal_id '{jids[i]}'")),
+        (renamed, lambda line, i: ValidationError(
+            f"{path}:{line}: cluster '{cids[i]}' renamed "
+            f"('{names[first[cids.codes[i]]]}' vs '{names[i]}')")),
+    ]) or stop
+    if error:
+        raise error
+    journals = list(map(JournalRecord, *(c.strings().tolist() for c in (jids, titles, cids))))
+    sizes = np.bincount(cids.codes, minlength=len(cids.values)).tolist()
+    return journals, list(map(Cluster, cids.values, [names[i] for i in first.tolist()], sizes))
 
 
 def parse_publications(path: str | Path,
-                       config: IngestConfig = IngestConfig()) -> list[PublicationCount]:
+                       config: IngestConfig = IngestConfig()) -> PublicationCounts:
     """Read publication counts in file order.  Years and citable_items must
     be integers that fit in 64 bits, citable_items >= 0, and no journal-year
     may repeat."""
@@ -402,19 +382,18 @@ def parse_publications(path: str | Path,
     repeat = repeats(jids.codes, np.unique(year_values, return_inverse=True)[1])
     error = _first_error(line_of, [
         (jids.empty(), lambda line, i: ParseError(path, line, "empty journal_id")),
-        (years.where(not _fits(v) for v in years.numbers),
-         lambda line, i: _int_error(path, line, years.raw(i), "year")),
-        (items.where(not _fits(v) for v in items.numbers),
-         lambda line, i: _int_error(path, line, items.raw(i), "citable_items")),
+        (years.expand(not _fits(v) for v in years.numbers),
+         lambda line, i: _int_error(path, line, years[i], "year")),
+        (items.expand(not _fits(v) for v in items.numbers),
+         lambda line, i: _int_error(path, line, items[i], "citable_items")),
         (item_values < 0, lambda line, i: ParseError(
             path, line, f"citable_items must be >= 0, got {item_values[i]}")),
         (repeat, lambda line, i: ValidationError(
-            f"{path}:{line}: duplicate publication record for ({jids.raw(i)}, {year_values[i]})")),
+            f"{path}:{line}: duplicate publication record for ({jids[i]}, {year_values[i]})")),
     ]) or stop
     if error:
         raise error
-    return list(map(PublicationCount, jids.strings().tolist(),
-                    year_values.tolist(), item_values.tolist()))
+    return PublicationCounts(Ids(jids.codes, jids.values), year_values, item_values)
 
 
 def parse_citations(path: str | Path, config: IngestConfig = IngestConfig()) -> Events:
@@ -430,7 +409,7 @@ def parse_citations(path: str | Path, config: IngestConfig = IngestConfig()) -> 
     pids, citing_jids, citing_years, cited_jids, cited_years, n_refs = columns
     numbers = (citing_years, cited_years, n_refs)
     citing_year, cited_year, n_refs_value = (c.int64() for c in numbers)
-    zero = n_refs.where(v == 0 for v in n_refs.numbers)
+    zero = n_refs.expand(v == 0 for v in n_refs.numbers)
     keep = np.flatnonzero(~zero) if zero.any() else slice(None)
     conflict, kept_conflict = np.zeros(len(zero), bool), np.zeros(len(zero) - zero.sum(), bool)
     kept_conflict[paper_conflicts(pids.codes[keep], citing_jids.codes[keep],
@@ -438,21 +417,21 @@ def parse_citations(path: str | Path, config: IngestConfig = IngestConfig()) -> 
     conflict[keep] = kept_conflict
 
     def raws(i: int) -> str:
-        return ", ".join(repr(c.raw(i)) for c in numbers)
+        return ", ".join(repr(c[i]) for c in numbers)
 
     error = _first_error(line_of, [
         (pids.empty(), lambda line, i: ParseError(path, line, "empty citing_paper_id")),
         (cited_jids.empty(), lambda line, i: ParseError(path, line, "empty cited_journal_id")),
-        (np.logical_or.reduce([c.where(v is None for v in c.numbers) for c in numbers]),
+        (np.logical_or.reduce([c.expand(v is None for v in c.numbers) for c in numbers]),
          lambda line, i: ParseError(path, line, f"years and n_refs must be integers: {raws(i)}")),
         (zero & (config.zero_refs_policy == POLICY_ERROR),
          lambda line, i: ParseError(path, line, "n_refs is 0")),
-        (n_refs.where(v is not None and v < 0 for v in n_refs.numbers), lambda line, i: ParseError(
-            path, line, f"n_refs must be positive, got {_integer(n_refs.raw(i))}")),
-        (~zero & np.logical_or.reduce([c.where(not _fits(v) for v in c.numbers) for c in numbers]),
+        (n_refs.expand(v is not None and v < 0 for v in n_refs.numbers), lambda line, i: ParseError(
+            path, line, f"n_refs must be positive, got {_integer(n_refs[i])}")),
+        (~zero & np.logical_or.reduce([c.expand(not _fits(v) for v in c.numbers) for c in numbers]),
          lambda line, i: ParseError(path, line, f"years and n_refs must fit in 64 bits: {raws(i)}")),
         (conflict, lambda line, i: ValidationError(
-            f"{path}:{line}: citing paper '{pids.raw(i)}' conflicts with an earlier "
+            f"{path}:{line}: citing paper '{pids[i]}' conflicts with an earlier "
             f"row on (citing_journal_id, citing_year, n_refs)")),
     ]) or stop
     if error:
@@ -460,13 +439,13 @@ def parse_citations(path: str | Path, config: IngestConfig = IngestConfig()) -> 
     if zero.any():
         warnings.warn(f"{path}: dropped {zero.sum()} citation row(s) with n_refs=0",
                       IngestWarning, stacklevel=2)
-    return Events(pids.strings(keep), citing_jids.strings(keep), citing_year[keep],
-                  cited_jids.strings(keep), cited_year[keep], n_refs_value[keep])
+    return Events(pids[keep], citing_jids[keep], citing_year[keep],
+                  cited_jids[keep], cited_year[keep], n_refs_value[keep])
 
 
 def assemble(journals: Sequence[JournalRecord],
              clusters: Sequence[Cluster],
-             publication_counts: Sequence[PublicationCount],
+             publication_counts: PublicationCounts,
              citation_events: Events,
              census_year: int | None = None,
              config: IngestConfig = IngestConfig()) -> tuple[Dataset, IngestSummary]:
@@ -496,19 +475,17 @@ def assemble(journals: Sequence[JournalRecord],
     kept_journal_ids = {j.journal_id for j in kept_journals}
 
     cited = citation_events.cited_journal_id
-    dropped = (_isin(cited, dropped_journal_ids)
-               | _isin(citation_events.citing_journal_id, dropped_journal_ids))
-    unknown = ~dropped & ~_isin(cited, kept_journal_ids)
+    dropped = cited.isin(dropped_journal_ids) | citation_events.citing_journal_id.isin(
+        dropped_journal_ids)
+    unknown = ~dropped & ~cited.isin(kept_journal_ids)
     if unknown.any() and config.unknown_cited_policy == POLICY_ERROR:
         i = int(unknown.argmax())
         raise ValidationError(f"citation event of paper '{citation_events.citing_paper_id[i]}' "
                               f"cites unknown journal '{cited[i]}'")
     keep = ~(dropped | unknown)
-    events = citation_events if keep.all() else Events(
-        *(getattr(citation_events, name)[keep] for name in EVENT_COLUMNS))
-
-    kept_counts = [p for p in publication_counts if p.journal_id in kept_journal_ids]
-    counts_dropped = len(publication_counts) - len(kept_counts)
+    events = citation_events if keep.all() else citation_events[keep]
+    kept = publication_counts.journal_id.isin(kept_journal_ids)
+    counts = publication_counts if kept.all() else publication_counts[kept]
 
     inferred = census_year is None
     if inferred:
@@ -520,7 +497,7 @@ def assemble(journals: Sequence[JournalRecord],
     dataset = Dataset(
         journals=tuple(kept_journals),
         clusters=tuple(kept_clusters),
-        publication_counts=tuple(kept_counts),
+        publication_counts=counts,
         citation_events=events,
         census_year=census_year,
     )
@@ -531,7 +508,7 @@ def assemble(journals: Sequence[JournalRecord],
         excluded_journals=len(dropped_journal_ids),
         events_dropped_excluded_clusters=int(dropped.sum()),
         events_dropped_unknown_cited=int(unknown.sum()),
-        counts_dropped=counts_dropped,
+        counts_dropped=len(publication_counts) - len(counts),
         census_year=census_year,
         census_year_inferred=inferred,
         retained_journals=len(kept_journals),
@@ -550,32 +527,39 @@ def _require_valid(dataset: Dataset, what: str) -> None:
         raise ValidationError(f"{what} fails validation: {shown}{more}")
 
 
-def _strings(column) -> list[str]:
-    """A column's fields as str, as csv.writer writes them; an integer array
-    formats each distinct value once."""
+def _coded(column) -> tuple[np.ndarray, np.ndarray]:
+    """A column as its distinct fields (an ``object`` array of ``str``) and
+    a code per row into them; Ids and integer columns format each distinct
+    value once."""
+    if isinstance(column, Ids):
+        return np.array(column.values, object), column.codes
     if isinstance(column, np.ndarray) and column.dtype.kind == "i":
-        values, inverse = np.unique(column, return_inverse=True)
-        return np.array(list(map(str, values.tolist())), object)[inverse].tolist()
-    return list(map(str, column.tolist() if isinstance(column, np.ndarray) else column))
+        values, codes = np.unique(column, return_inverse=True)
+        return np.array(list(map(str, values.tolist())), object), codes
+    values = column.tolist() if isinstance(column, np.ndarray) else column
+    return np.array(list(map(str, values)), object), np.arange(len(values))
+
+
+def _quote(field: str) -> str:
+    return '"' + field.replace('"', '""') + '"' if _QUOTED(field) else field
 
 
 def _write_columns(path: Path, header: Sequence[str], columns: Sequence) -> None:
-    """Write equal-length columns (lists, or numpy arrays) as a tab-separated
-    file, one join per block of _BLOCK_ROWS rows.  A block with a tab,
-    newline, carriage return or quote inside a field is written by
-    csv.writer, which quotes it: the bytes are csv.writer's either way."""
+    """Write equal-length columns (Ids, numpy arrays or lists) as a
+    tab-separated file, one join per block of _BLOCK_ROWS rows.  A field
+    holding a tab, newline, carriage return or quote is quoted as
+    csv.writer quotes it (_QUOTED), so every field reads back."""
+    coded = [_coded(column) for column in columns]
     with path.open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, delimiter="\t", lineterminator="\n")
-        writer.writerow(header)
-        for start in range(0, len(columns[0]), _BLOCK_ROWS):
-            block = [_strings(column[start:start + _BLOCK_ROWS]) for column in columns]
+        fh.write("\t".join(header) + "\n")
+        for start in range(0, len(coded[0][1]), _BLOCK_ROWS):
+            block = [values[codes[start:start + _BLOCK_ROWS]].tolist() for values, codes in coded]
             n = len(block[0])
             text = "\n".join(map("\t".join, zip(*block))) + "\n"
             if ('"' in text or "\r" in text or text.count("\n") != n
                     or text.count("\t") != n * (len(header) - 1)):
-                writer.writerows(zip(*block))
-            else:
-                fh.write(text)
+                text = "".join("\t".join(map(_quote, row)) + "\n" for row in zip(*block))
+            fh.write(text)
 
 
 def write_journals(journals: Sequence[JournalRecord], clusters: Sequence[Cluster],
@@ -587,15 +571,12 @@ def write_journals(journals: Sequence[JournalRecord], clusters: Sequence[Cluster
         [names.get(j.cluster_id, j.cluster_id) for j in journals]))
 
 
-def write_publications(counts: Sequence[PublicationCount], path: str | Path) -> None:
-    _write_columns(Path(path), PUBLICATION_COLUMNS, (
-        [p.journal_id for p in counts], np.array([p.year for p in counts]),
-        np.array([p.citable_items for p in counts])))
+def write_publications(counts: PublicationCounts, path: str | Path) -> None:
+    _write_columns(Path(path), PUBLICATION_COLUMNS, counts.columns())
 
 
 def write_citations(events: Events, path: str | Path) -> None:
-    _write_columns(Path(path), CITATION_COLUMNS,
-                   [getattr(events, name) for name in CITATION_COLUMNS])
+    _write_columns(Path(path), CITATION_COLUMNS, events.columns())
 
 
 def write_dataset(dataset: Dataset, directory: str | Path) -> dict[str, Path]:
@@ -633,14 +614,14 @@ def _read_counts(path: Path, census_year: int) -> WindowCounts:
     floats = [list(map(_float, c.values)) for c in fractional]
 
     def integers(column: _Column, what: str):
-        return (column.where(not _fits(v) for v in column.numbers),
-                lambda line, i: _int_error(path, line, column.raw(i), what))
+        return (column.expand(not _fits(v) for v in column.numbers),
+                lambda line, i: _int_error(path, line, column[i], what))
 
     error = _first_error(line_of, [
         *(integers(c, "cites") for c in cites),
-        (np.logical_or.reduce([c.where(v is None for v in f) for c, f in zip(fractional, floats)]),
+        (np.logical_or.reduce([c.expand(v is None for v in f) for c, f in zip(fractional, floats)]),
          lambda line, i: ParseError(path, line, "fractional counts must be numbers: "
-                                    + ", ".join(repr(c.raw(i)) for c in fractional))),
+                                    + ", ".join(repr(c[i]) for c in fractional))),
         *(integers(c, "items") for c in items),
     ]) or stop
     if error:
@@ -681,14 +662,21 @@ def save_bundle(dataset: Dataset, directory: str | Path,
     }
     if summary is not None:
         meta["ingest_summary"] = asdict(summary)
+    meta["sha256"] = _meta_sha256(meta)
     meta_path = directory / META_FILE
     meta_path.write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     return meta_path
 
 
+def _meta_sha256(meta: dict) -> str:
+    """The sha256 of the canonical JSON of every metadata field but ``sha256``."""
+    fields = {key: value for key, value in meta.items() if key != "sha256"}
+    return sha256(json.dumps(fields, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
+
+
 def _read_meta(directory: Path) -> dict:
     """A bundle's metadata, after checking its format, census year, cluster
-    list and manifest."""
+    list and manifest, and then its own sha256."""
     path = directory / META_FILE
     if not path.exists():
         raise ValidationError(f"not a dataset bundle (missing {META_FILE}): {directory}")
@@ -715,6 +703,10 @@ def _read_meta(directory: Path) -> dict:
         entry = files.get(name) if isinstance(files, dict) else None
         if not (isinstance(entry, dict) and isinstance(entry.get("sha256"), str)):
             raise ValidationError(f"{path}: manifest entry files.{name} lacks its sha256")
+    if meta.get("sha256") != _meta_sha256(meta):
+        raise ValidationError(f"{path}: sha256 differs from that of its other fields; the file "
+                              f"changed after ingest (re-run 'citefair ingest' to write the "
+                              f"bundle again)")
     return meta
 
 
@@ -779,7 +771,7 @@ def load_bundle(directory: str | Path) -> Dataset:
     dataset = Dataset(
         journals=tuple(journals),
         clusters=tuple(clusters),
-        publication_counts=tuple(parse_publications(directory / PUBLICATIONS_FILE)),
+        publication_counts=parse_publications(directory / PUBLICATIONS_FILE),
         citation_events=parse_citations(directory / CITATIONS_FILE),
         census_year=meta["census_year"],
     )

@@ -1,8 +1,9 @@
-"""Immutable domain types: journals, clusters, publication counts, citation
-events (as columns), the Dataset bundle that ties them to one census year,
-and the per-journal window counts that every indicator is computed from.
+"""Immutable domain types: journals, clusters, publication counts and
+citation events (both as columns), the Dataset bundle that ties them to
+one census year, and the per-journal window counts that every indicator
+is computed from.
 
-A Dataset is safe to share across threads; all record types are frozen, event
+A Dataset is safe to share across threads; all record types are frozen, the
 columns are read-only, and the derived lookup tables are built lazily and
 never mutated afterwards.
 """
@@ -13,14 +14,15 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import count
-from typing import Iterable, Iterator, Sequence
+from typing import ClassVar, Collection, Iterable, Iterator, Sequence
 
 import numpy as np
 
 __all__ = [
     "JournalRecord",
     "Cluster",
-    "PublicationCount",
+    "Ids",
+    "PublicationCounts",
     "Events",
     "Dataset",
     "WindowCounts",
@@ -50,69 +52,14 @@ class Cluster:
     size: int
 
 
-@dataclass(frozen=True, slots=True)
-class PublicationCount:
-    """Citable items (articles, reviews, proceedings) of one journal-year."""
-
-    journal_id: str
-    year: int
-    citable_items: int
-
-
 WINDOW_ALL = "all"
 # Citation windows, in the column order of WindowCounts: the 2 and 5 years
 # before the census year, and all years up to it.
 WINDOWS = (2, 5, WINDOW_ALL)
 
+PUBLICATION_COLUMNS = ("journal_id", "year", "citable_items")
 EVENT_COLUMNS = ("citing_paper_id", "citing_journal_id", "citing_year",
                  "cited_journal_id", "cited_year", "n_refs")
-
-
-@dataclass(frozen=True, eq=False)
-class Events:
-    """Citation events, one reference from a citing paper to a cited journal
-    each, as six equal-length read-only columns in file order: ``object``
-    arrays of ``str`` ids and ``int64`` years and ``n_refs``.  ``n_refs`` is
-    the length of the citing paper's full reference list and is the source
-    of the 1/n_refs fractional weight.
-    """
-
-    citing_paper_id: np.ndarray
-    citing_journal_id: np.ndarray
-    citing_year: np.ndarray
-    cited_journal_id: np.ndarray
-    cited_year: np.ndarray
-    n_refs: np.ndarray
-
-    def __post_init__(self):
-        for name in EVENT_COLUMNS:
-            column = np.asarray(getattr(self, name),
-                                dtype=object if name.endswith("_id") else np.int64)
-            column.flags.writeable = False
-            object.__setattr__(self, name, column)
-        if len({len(getattr(self, name)) for name in EVENT_COLUMNS}) != 1:
-            raise ValueError("event columns differ in length")
-
-    @classmethod
-    def from_rows(cls, rows: Iterable[tuple]) -> Events:
-        """Events from tuples in ``EVENT_COLUMNS`` order."""
-        return cls(*(list(zip(*rows)) or [()] * len(EVENT_COLUMNS)))
-
-    def rows(self) -> Iterator[tuple]:
-        """Iterate the events as tuples of plain str and int, in column order."""
-        return zip(*(getattr(self, name).tolist() for name in EVENT_COLUMNS))
-
-    def __len__(self) -> int:
-        return len(self.n_refs)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Events) and all(
-            np.array_equal(getattr(self, name), getattr(other, name)) for name in EVENT_COLUMNS)
-
-
-def _isin(column: np.ndarray, ids) -> np.ndarray:
-    """Which entries of an id column are in ``ids`` (np.isin is quadratic here)."""
-    return np.fromiter(map(ids.__contains__, column.tolist()), bool, len(column))
 
 
 def vocabulary() -> defaultdict:
@@ -126,6 +73,126 @@ def encode(values: Sequence, index: defaultdict | None = None) -> np.ndarray:
     from one call to the next."""
     index = vocabulary() if index is None else index
     return np.fromiter(map(index.__getitem__, values), np.int32, len(values))
+
+
+@dataclass(frozen=True, eq=False)
+class Ids:
+    """A column of string ids: a read-only int32 code per row into
+    ``values``, the distinct ids.  Files and synth number the ids in order
+    of first appearance; once rows are dropped, ``values`` may still list
+    ids that no row uses.  Work per id is done once per distinct id and
+    spread to the rows with ``[codes]`` (expand)."""
+
+    codes: np.ndarray
+    values: tuple[str, ...]
+
+    def __post_init__(self):
+        codes = np.asarray(self.codes, dtype=np.int32)
+        codes.flags.writeable = False
+        object.__setattr__(self, "codes", codes)
+        object.__setattr__(self, "values", tuple(self.values))
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    def __getitem__(self, rows):
+        """The id of one row, or the Ids of the rows a mask, slice or index array selects."""
+        codes = self.codes[rows]
+        return self.values[codes] if codes.ndim == 0 else Ids(codes, self.values)
+
+    def expand(self, per_value: Iterable, dtype=bool) -> np.ndarray:
+        """Per row, the entry of ``per_value`` (one per distinct id) for its id."""
+        return np.fromiter(per_value, dtype, len(self.values))[self.codes]
+
+    def isin(self, ids: Collection[str]) -> np.ndarray:
+        """Per row, whether its id is in ``ids``."""
+        return self.expand(map(ids.__contains__, self.values))
+
+    def strings(self) -> np.ndarray:
+        """The ids row by row, as an ``object`` array of ``str``."""
+        return np.array(self.values, object)[self.codes]
+
+    def __eq__(self, other) -> bool:
+        """Equal rows of ids, however each side numbers them."""
+        if not isinstance(other, Ids) or len(self) != len(other):
+            return False
+        index = {value: code for code, value in enumerate(other.values)}
+        return bool(np.array_equal(self.expand((index.get(v, -1) for v in self.values), np.intp),
+                                   other.codes))
+
+
+class _Record:
+    """Equal-length read-only columns in row order, one per name in
+    ``COLUMNS``: Ids for the ``*_id`` columns, ``int64`` for the others.
+    A plain sequence of ids is coded on construction."""
+
+    COLUMNS: ClassVar[tuple[str, ...]]
+
+    def __post_init__(self):
+        for name in self.COLUMNS:
+            column = getattr(self, name)
+            if not name.endswith("_id"):
+                column = np.asarray(column, dtype=np.int64)
+                column.flags.writeable = False
+            elif not isinstance(column, Ids):
+                index = vocabulary()
+                column = Ids(encode(column, index), index)
+            object.__setattr__(self, name, column)
+        if len({len(column) for column in self.columns()}) != 1:
+            raise ValueError(f"{type(self).__name__} columns differ in length")
+
+    @classmethod
+    def from_rows(cls, rows: Iterable[tuple]):
+        """A record from tuples in ``COLUMNS`` order."""
+        return cls(*(list(zip(*rows)) or [()] * len(cls.COLUMNS)))
+
+    def columns(self) -> list:
+        return [getattr(self, name) for name in self.COLUMNS]
+
+    def rows(self) -> Iterator[tuple]:
+        """Iterate the rows as tuples of plain str and int, in column order."""
+        return zip(*(column.strings().tolist() if isinstance(column, Ids) else column.tolist()
+                     for column in self.columns()))
+
+    def __len__(self) -> int:
+        return len(getattr(self, self.COLUMNS[-1]))
+
+    def __getitem__(self, rows):
+        """The rows a mask, slice or index array selects, as a record of the same type."""
+        return type(self)(*(column[rows] for column in self.columns()))
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and all(
+            a == b if isinstance(a, Ids) else np.array_equal(a, b)
+            for a, b in zip(self.columns(), other.columns()))
+
+
+@dataclass(frozen=True, eq=False)
+class PublicationCounts(_Record):
+    """Citable items (articles, reviews, proceedings) per journal-year, in
+    file order."""
+
+    COLUMNS: ClassVar = PUBLICATION_COLUMNS
+    journal_id: Ids
+    year: np.ndarray
+    citable_items: np.ndarray
+
+
+@dataclass(frozen=True, eq=False)
+class Events(_Record):
+    """Citation events, one reference from a citing paper to a cited journal
+    each, in file order: three Ids columns and ``int64`` years and
+    ``n_refs``.  ``n_refs`` is the length of the citing paper's full
+    reference list and is the source of the 1/n_refs fractional weight.
+    """
+
+    COLUMNS: ClassVar = EVENT_COLUMNS
+    citing_paper_id: Ids
+    citing_journal_id: Ids
+    citing_year: np.ndarray
+    cited_journal_id: Ids
+    cited_year: np.ndarray
+    n_refs: np.ndarray
 
 
 def _first_rows(codes: np.ndarray) -> np.ndarray:
@@ -146,10 +213,12 @@ def paper_conflicts(paper: np.ndarray, *fields: np.ndarray) -> np.ndarray:
     return np.flatnonzero(differs)
 
 
-def repeats(first: np.ndarray, second: np.ndarray) -> np.ndarray:
-    """Which rows repeat the (first, second) pair of an earlier row; both
-    columns hold non-negative integer codes."""
-    key = first.astype(np.int64) * (int(second.max(initial=-1)) + 1) + second
+def repeats(first: np.ndarray, second: np.ndarray | None = None) -> np.ndarray:
+    """Which rows repeat the ``first`` code, or the (first, second) pair of
+    codes, of an earlier row; codes are non-negative integers."""
+    key = first.astype(np.int64)
+    if second is not None:
+        key = key * (int(second.max(initial=-1)) + 1) + second
     repeat = np.ones(len(key), bool)
     repeat[np.unique(key, return_index=True)[1]] = False
     return repeat
@@ -182,7 +251,7 @@ class Dataset:
 
     journals: tuple[JournalRecord, ...]
     clusters: tuple[Cluster, ...]
-    publication_counts: tuple[PublicationCount, ...]
+    publication_counts: PublicationCounts
     citation_events: Events
     census_year: int
 
@@ -229,19 +298,28 @@ def window_counts(dataset: Dataset) -> WindowCounts:
     journal_ids = tuple(j.journal_id for j in dataset.journals)
     n = len(journal_ids)
     index = {jid: i for i, jid in enumerate(journal_ids)}
+
+    def journal_index(ids: Ids) -> np.ndarray:
+        """Per row, the index of its journal, or -1 for a journal not in the dataset."""
+        return ids.expand((index.get(v, -1) for v in ids.values), np.intp)
+
     events = dataset.citation_events
     now = events.citing_year == t
     age = events.citing_year[now] - events.cited_year[now]
-    cited = np.fromiter(map(index.__getitem__, events.cited_journal_id[now].tolist()), np.intp)
+    cited = journal_index(events.cited_journal_id)[now]
     weight = 1.0 / events.n_refs[now]
     windows = ((age >= 1) & (age <= 2), (age >= 1) & (age <= 5), slice(None))
 
-    # items[i, a]: citable items of journal i in year t - a, for a = 0..5;
-    # the last record of a repeated journal-year wins.
+    # items[i, a]: citable items of journal i in year t - a, for a = 0..5.
+    # Fancy assignment leaves the winner among repeated cells unspecified,
+    # so the last record of a repeated journal-year is picked explicitly.
+    counts = dataset.publication_counts
+    journal, year = journal_index(counts.journal_id), counts.year
+    rows = np.flatnonzero((journal >= 0) & (year <= t) & (year >= t - 5))
+    journal, ago = journal[rows], t - year[rows]
+    last = ~repeats(journal[::-1], ago[::-1])[::-1]
     items = np.zeros((n, 6), dtype=np.int64)
-    for p in dataset.publication_counts:
-        if p.journal_id in index and 0 <= t - p.year <= 5:
-            items[index[p.journal_id], t - p.year] = p.citable_items
+    items[journal[last], ago[last]] = counts.citable_items[rows][last]
 
     return WindowCounts(
         journal_ids=journal_ids,
@@ -292,36 +370,40 @@ def validate(dataset: Dataset) -> list[Violation]:
                       "declared cluster sizes do not sum to the journal count"))
 
     counts = dataset.publication_counts
-    repeat = repeats(encode([p.journal_id for p in counts]), encode([p.year for p in counts]))
-    negative = np.fromiter((p.citable_items < 0 for p in counts), bool, len(counts))
+    jids, years, items = counts.journal_id, counts.year, counts.citable_items
+    repeat = repeats(jids.codes, np.unique(years, return_inverse=True)[1])
+    negative = items < 0
     for i in np.flatnonzero(repeat | negative).tolist():
-        p = counts[i]
+        record = f"{jids[i]}/{years[i]}"
         if repeat[i]:
-            add(Violation("publication.duplicate", f"{p.journal_id}/{p.year}",
+            add(Violation("publication.duplicate", record,
                           "more than one record for this journal-year"))
         if negative[i]:
-            add(Violation("publication.negative_items", f"{p.journal_id}/{p.year}",
-                          f"citable_items {p.citable_items} < 0"))
+            add(Violation("publication.negative_items", record,
+                          f"citable_items {items[i]} < 0"))
 
     events = dataset.citation_events
-    pids, n_refs = events.citing_paper_id, events.n_refs
+    pids, cited, n_refs = events.citing_paper_id, events.cited_journal_id, events.n_refs
     for i in np.flatnonzero(n_refs < 1).tolist():
         add(Violation("event.nonpositive_refs", pids[i], f"n_refs {n_refs[i]} < 1"))
     for i in np.flatnonzero(events.cited_year > events.citing_year).tolist():
         add(Violation("event.causality", pids[i], f"cited_year {events.cited_year[i]} "
                       f"> citing_year {events.citing_year[i]}"))
-    paper = encode(pids.tolist())
-    for i in paper_conflicts(paper, events.citing_journal_id, events.citing_year, n_refs).tolist():
+    paper = pids.codes
+    for i in paper_conflicts(paper, events.citing_journal_id.codes, events.citing_year,
+                             n_refs).tolist():
         add(Violation("event.paper_inconsistent", pids[i],
                       "events of one citing paper disagree on journal, year or n_refs"))
-    for i in np.flatnonzero(~_isin(events.cited_journal_id, seen_journals)).tolist():
+    for i in np.flatnonzero(~cited.isin(seen_journals)).tolist():
         add(Violation("event.unknown_cited_journal", pids[i],
-                      f"cited journal '{events.cited_journal_id[i]}' not in dataset"))
-    # Papers are coded in order of first appearance, so ``first`` ascends.
-    first, n_events = _first_rows(paper), np.bincount(paper)
-    paper_refs = n_refs[first]
-    for i in first[(n_events > paper_refs) & (paper_refs >= 1)].tolist():
+                      f"cited journal '{cited[i]}' not in dataset"))
+    # One entry per citing paper that has events, listed by its first event.
+    first = _first_rows(paper)
+    n_events = np.bincount(paper, minlength=len(first))
+    first, n_events = first[n_events > 0], n_events[n_events > 0]
+    excess = (n_events > n_refs[first]) & (n_refs[first] >= 1)
+    for i, n in sorted(zip(first[excess].tolist(), n_events[excess].tolist())):
         add(Violation("event.excess_references", pids[i],
-                      f"{n_events[paper[i]]} recorded references exceed n_refs={n_refs[i]}"))
+                      f"{n} recorded references exceed n_refs={n_refs[i]}"))
 
     return violations

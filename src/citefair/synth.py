@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ProfileError
-from .model import Cluster, Dataset, Events, JournalRecord, PublicationCount
+from .model import Cluster, Dataset, Events, Ids, JournalRecord, PublicationCounts
 
 __all__ = [
     "ClusterProfile",
@@ -186,10 +186,9 @@ def generate(profile: SynthProfile) -> Dataset:
             j += 1
 
     items = rng.integers(lo, hi + 1, size=(total, n_years))
-    publication_counts = [
-        PublicationCount(journal_ids[ji], first_year + yi, int(items[ji, yi]))
-        for ji in range(total) for yi in range(n_years)
-    ]
+    publication_counts = PublicationCounts(Ids(np.repeat(np.arange(total), n_years), journal_ids),
+                                           np.tile(np.arange(first_year, census + 1), total),
+                                           items.ravel())
 
     base_rate = np.asarray([c.mean_cites_per_item for c in profile.clusters])[cluster_of]
     if profile.journal_spread > 0:
@@ -220,16 +219,16 @@ def generate(profile: SynthProfile) -> Dataset:
     cited_year = census - rng.choice(n_years, size=total_refs, p=recency)
 
     pw = max(6, len(str(n_papers)))
-    paper_ids = np.array([f"P{i + 1:0{pw}d}" for i in range(n_papers)], dtype=object)
-    jids = np.array(journal_ids, dtype=object)
+    paper_ids = [f"P{i + 1:0{pw}d}" for i in range(n_papers)]
     paper = np.repeat(np.arange(n_papers), n_refs)
-    events = Events(paper_ids[paper], jids[paper_journal[paper]], np.full(total_refs, census),
-                    jids[cited_journal], cited_year, n_refs[paper])
+    events = Events(Ids(paper, paper_ids), Ids(paper_journal[paper], journal_ids),
+                    np.full(total_refs, census), Ids(cited_journal, journal_ids), cited_year,
+                    n_refs[paper])
 
     return Dataset(
         journals=tuple(journals),
         clusters=tuple(clusters),
-        publication_counts=tuple(publication_counts),
+        publication_counts=publication_counts,
         citation_events=events,
         census_year=census,
     )

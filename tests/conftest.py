@@ -11,9 +11,11 @@ from citefair.model import (
     Dataset,
     Events,
     JournalRecord,
-    PublicationCount,
+    PublicationCounts,
 )
 from citefair.synth import ClusterProfile, SynthProfile
+
+from oracles import PublicationCount
 
 ALL_KIND_SPECS = [
     IndicatorSpec("impact_factor", 2, "integer"),
@@ -43,11 +45,11 @@ def small_profile(seed: int) -> SynthProfile:
     )
 
 
-def make_dataset(journals, clusters, counts, event_rows, census_year=2010) -> Dataset:
+def make_dataset(journals, clusters, count_rows, event_rows, census_year=2010) -> Dataset:
     return Dataset(
         journals=tuple(journals),
         clusters=tuple(clusters),
-        publication_counts=tuple(counts),
+        publication_counts=PublicationCounts.from_rows(count_rows),
         citation_events=Events.from_rows(event_rows),
         census_year=census_year,
     )

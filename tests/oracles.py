@@ -3,8 +3,8 @@
 Everything here is deliberately brute force: exhaustive subset
 enumeration, exact rational CDFs, plain-sum formulas, one scan of every
 record per journal.  None of it shares code with the package: count
-records only need the attribute names of the publications file columns,
-and events are plain tuples in the citations file's column order.
+records are PublicationCount tuples and events are plain tuples, each in
+its file's column order.
 """
 
 from __future__ import annotations
@@ -12,6 +12,15 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import combinations
+from typing import NamedTuple
+
+
+class PublicationCount(NamedTuple):
+    """Citable items of one journal-year: one row of the publications file."""
+
+    journal_id: str
+    year: int
+    citable_items: int
 
 
 def pmf_by_enumeration(m: int, n_population: int, k_successes: int, n_draws: int) -> float:
@@ -137,29 +146,99 @@ def if_numerator_by_scan(event_rows, census_year: int, journal_id: str,
     return total
 
 
-def items_by_scan(counts, journal_id: str, years) -> int:
+def items_by_scan(count_rows, journal_id: str, years) -> int:
     """Citable items of ``journal_id`` summed over ``years``."""
-    return sum(p.citable_items for p in counts
-               if p.journal_id == journal_id and p.year in years)
+    return sum(items for jid, year, items in count_rows if jid == journal_id and year in years)
 
 
-def if_denominator_by_scan(counts, census_year: int, journal_id: str, window: int) -> int:
+def if_denominator_by_scan(count_rows, census_year: int, journal_id: str, window: int) -> int:
     """Citable items of the window years [t - window, t - 1]."""
-    return items_by_scan(counts, journal_id, range(census_year - window, census_year))
+    return items_by_scan(count_rows, journal_id, range(census_year - window, census_year))
 
 
-def indicator_by_scan(journal_ids, counts, event_rows, census_year: int,
+def indicator_by_scan(journal_ids, count_rows, event_rows, census_year: int,
                       kind: str, window, counting: str) -> dict:
     """One indicator's {journal_id: value}, None where the denominator is 0."""
     values = {}
     for jid in journal_ids:
         num = if_numerator_by_scan(event_rows, census_year, jid, window, counting)
         if kind == "impact_factor":
-            den = if_denominator_by_scan(counts, census_year, jid, window)
+            den = if_denominator_by_scan(count_rows, census_year, jid, window)
         elif kind == "cp_ratio":
-            den = items_by_scan(counts, jid, (census_year,))
+            den = items_by_scan(count_rows, jid, (census_year,))
         else:  # total_cites, numerator_only
             values[jid] = num
             continue
         values[jid] = num / den if den > 0 else None
     return values
+
+
+def assemble_by_rows(journals, count_rows, event_rows, min_cluster_size: int):
+    """What assemble keeps and drops, one row at a time: (kept event rows,
+    kept count rows, events dropped with excluded clusters, event rows
+    citing a journal outside the dataset).  ``journals`` need only
+    ``journal_id`` and ``cluster_id`` attributes."""
+    sizes: dict[str, int] = {}
+    for j in journals:
+        sizes[j.cluster_id] = sizes.get(j.cluster_id, 0) + 1
+    kept = {j.journal_id for j in journals if sizes[j.cluster_id] >= min_cluster_size}
+    dropped = {j.journal_id for j in journals} - kept
+    events, excluded, unknown = [], 0, []
+    for row in event_rows:
+        citing, cited = row[1], row[3]
+        if citing in dropped or cited in dropped:
+            excluded += 1
+        elif cited not in kept:
+            unknown.append(row)
+        else:
+            events.append(row)
+    return events, [row for row in count_rows if row[0] in kept], excluded, unknown
+
+
+def record_violations_by_rows(journal_ids, count_rows, event_rows) -> list[tuple[str, str, str]]:
+    """The (rule, record, message) of every publication and event rule a
+    dataset breaks, rule by rule, each in row order (excess references in
+    order of each paper's first event)."""
+    found = []
+    seen = set()
+    for jid, year, items in count_rows:
+        if (jid, year) in seen:
+            found.append(("publication.duplicate", f"{jid}/{year}",
+                          "more than one record for this journal-year"))
+        seen.add((jid, year))
+        if items < 0:
+            found.append(("publication.negative_items", f"{jid}/{year}",
+                          f"citable_items {items} < 0"))
+    events = list(event_rows)
+    for pid, _, _, _, _, n_refs in events:
+        if n_refs < 1:
+            found.append(("event.nonpositive_refs", pid, f"n_refs {n_refs} < 1"))
+    for pid, _, citing_year, _, cited_year, _ in events:
+        if cited_year > citing_year:
+            found.append(("event.causality", pid,
+                          f"cited_year {cited_year} > citing_year {citing_year}"))
+    first = {}
+    for pid, citing_jid, citing_year, _, _, n_refs in events:
+        if first.setdefault(pid, (citing_jid, citing_year, n_refs)) != (citing_jid, citing_year,
+                                                                         n_refs):
+            found.append(("event.paper_inconsistent", pid,
+                          "events of one citing paper disagree on journal, year or n_refs"))
+    for pid, _, _, cited_jid, _, _ in events:
+        if cited_jid not in journal_ids:
+            found.append(("event.unknown_cited_journal", pid,
+                          f"cited journal '{cited_jid}' not in dataset"))
+    for pid, (_, _, n_refs) in first.items():
+        recorded = sum(1 for row in events if row[0] == pid)
+        if n_refs >= 1 and recorded > n_refs:
+            found.append(("event.excess_references", pid,
+                          f"{recorded} recorded references exceed n_refs={n_refs}"))
+    return found
+
+
+def items_last_record_wins(count_rows, journal_id: str, year: int) -> int:
+    """Citable items of one journal-year, taken from its last record (0 if none)."""
+    items = 0
+    for jid, y, n in count_rows:
+        if jid == journal_id and y == year:
+            items = n
+    return items

@@ -132,6 +132,39 @@ class TestIngestCommand:
         assert "the delimiter must be one character" in capsys.readouterr().err
 
 
+class TestCarriageReturns:
+    """A field holding a carriage return, read from a quoted input field,
+    must read back from the bundle: ingest exiting 0 and indicators then
+    exiting 2 would mean ingest wrote a bundle it cannot read."""
+
+    # the field that holds the carriage return: (journal id, title, cluster name, paper id)
+    FIELDS = {"title": ("j2", "T\r0", "G", "p1"), "title-crlf": ("j2", "a\r\nb", "G", "p1"),
+              "journal-id": ("j\r2", "Two", "G", "p1"), "cluster-name": ("j2", "Two", "G\rX", "p1"),
+              "paper-id": ("j2", "Two", "G", "p\r1")}
+
+    @pytest.mark.parametrize("field", sorted(FIELDS))
+    def test_ingest_then_indicators(self, tmp_path, field):
+        jid, title, cluster_name, pid = self.FIELDS[field]
+        files = {
+            "journals": [("journal_id", "title", "cluster_id", "cluster_name"),
+                         ("j1", "One", "g", cluster_name), (jid, title, "g", cluster_name)],
+            "publications": [("journal_id", "year", "citable_items"), ("j1", 2009, 5),
+                             (jid, 2009, 4), ("j1", 2010, 3), (jid, 2010, 2)],
+            "citations": [("citing_paper_id", "citing_journal_id", "citing_year",
+                           "cited_journal_id", "cited_year", "n_refs"), (pid, "j1", 2010, jid, 2009, 1)],
+        }
+        for name, rows in files.items():
+            with (tmp_path / f"{name}.tsv").open("w", encoding="utf-8", newline="") as fh:
+                csv.writer(fh, delimiter="\t", quoting=csv.QUOTE_ALL).writerows(rows)
+        bundle = tmp_path / "bundle"
+        assert main(["ingest", *(f"--{name}={tmp_path / name}.tsv" for name in files),
+                     "--min-cluster-size", "1", "--out-dir", str(bundle)]) == 0
+        assert main(["indicators", "--dataset", str(bundle),
+                     "--out-dir", str(tmp_path / "tables")]) == 0
+        from citefair.ingest import load_bundle
+        assert list(load_bundle(bundle).citation_events.rows()) == [(pid, "j1", 2010, jid, 2009, 1)]
+
+
 class TestTamperedBundle:
     def test_unknown_cited_journal_exits_two(self, tmp_path, profile_file, capsys):
         # a census-year row citing a journal that journals.tsv lacks
@@ -226,6 +259,31 @@ class TestBundleReads:
         assert self.run(command, bundle, tables, tmp_path / "out") == 2
         err = capsys.readouterr().err
         assert "dataset.json" in err and fragment in err
+
+    # edits that leave dataset.json well-formed but no longer the one ingest wrote
+    METADATA_CHANGES = {
+        "census-year": lambda m: m.update(census_year=m["census_year"] - 1),
+        "cluster-order": lambda m: m["clusters"].reverse(),
+    }
+
+    @pytest.mark.parametrize("edit", sorted(METADATA_CHANGES))
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_metadata_edited_after_ingest_exits_two(self, tmp_path, profile_file, capsys,
+                                                    command, edit):
+        _, bundle, tables = run_pipeline(tmp_path, profile_file)
+        meta = bundle / "dataset.json"
+        meta.write_text(rewrite_json(self.METADATA_CHANGES[edit])(meta.read_text(encoding="utf-8")),
+                        encoding="utf-8")
+        capsys.readouterr()
+        assert self.run(command, bundle, tables, tmp_path / "out") == 2
+        assert (f"{meta}: sha256 differs from that of its other fields"
+                in capsys.readouterr().err)
+
+    def test_metadata_layout_is_not_hashed(self, tmp_path, profile_file):
+        _, bundle, tables = run_pipeline(tmp_path, profile_file)
+        meta = bundle / "dataset.json"
+        meta.write_text(json.dumps(json.loads(meta.read_text(encoding="utf-8"))), encoding="utf-8")
+        assert self.run("indicators", bundle, tables, tmp_path / "out") == 0
 
     @pytest.mark.parametrize("command", ["fairness", "correlate"])
     def test_partition_edited_after_ingest_exits_two(self, tmp_path, profile_file, capsys,

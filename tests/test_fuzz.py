@@ -44,7 +44,7 @@ def write_rows(path, rows):
 
 def counts_fit_in_64_bits(counts):
     int64 = range(-2 ** 63, 2 ** 63)
-    assert all(p.year in int64 and p.citable_items in int64 for p in counts)
+    assert all(year in int64 and items in int64 for _, year, items in counts.rows())
 
 
 # A parse that succeeds is checked by ``check``: the publication integers must

@@ -16,11 +16,12 @@ from citefair.indicators import (
     write_table,
 )
 from citefair.ingest import load_counts, save_bundle
-from citefair.model import Cluster, JournalRecord, PublicationCount
+from citefair.model import Cluster, JournalRecord
 from citefair.synth import generate
 
 from conftest import ALL_KIND_SPECS, make_dataset, small_profile
-from oracles import if_denominator_by_scan, if_numerator_by_scan, indicator_by_scan
+from oracles import (PublicationCount, if_denominator_by_scan, if_numerator_by_scan,
+                     indicator_by_scan, items_last_record_wins)
 
 
 def flat_table(values, indicator_id="T", normalization="raw"):
@@ -59,7 +60,8 @@ def if_numerator(ds, journal_id, spec):
 
 
 def if_denominator(ds, journal_id, window):
-    return if_denominator_by_scan(ds.publication_counts, ds.census_year, journal_id, window)
+    return if_denominator_by_scan(ds.publication_counts.rows(), ds.census_year, journal_id,
+                                  window)
 
 
 def with_zero_denominators(tiny_dataset):
@@ -67,7 +69,7 @@ def with_zero_denominators(tiny_dataset):
     c/p are UNDEFINED."""
     return make_dataset(
         tiny_dataset.journals + (JournalRecord("jD", "Delta Journal", "g2"),),
-        tiny_dataset.clusters, tiny_dataset.publication_counts,
+        tiny_dataset.clusters, list(tiny_dataset.publication_counts.rows()),
         [*tiny_dataset.citation_events.rows(), ("p4", "jA", 2010, "jD", 2009, 3)])
 
 
@@ -181,7 +183,7 @@ class TestComputeTable:
     def assert_matches_oracle(ds):
         journal_ids = [j.journal_id for j in ds.journals]
         for spec, table in zip(ALL_KIND_SPECS, compute_tables(ds, ALL_KIND_SPECS)):
-            expected = indicator_by_scan(journal_ids, ds.publication_counts,
+            expected = indicator_by_scan(journal_ids, list(ds.publication_counts.rows()),
                                          list(ds.citation_events.rows()), ds.census_year,
                                          spec.kind, spec.window, spec.counting)
             assert list(table.values) == journal_ids, spec.indicator_id
@@ -236,6 +238,21 @@ class TestWindowCounts:
         ds = with_zero_denominators(tiny_dataset)
         self.assert_bundle_round_trip(ds, tmp_path)
         assert compute_table(ds, IndicatorSpec("cp_ratio")).values["jD"] is None
+
+
+    def test_last_record_of_a_repeated_journal_year_wins(self):
+        # an unvalidated dataset: every journal-year of 2004-2011 repeats,
+        # some records name journals outside the dataset
+        rng = np.random.default_rng(5)
+        journals = [JournalRecord(f"j{i}", f"J{i}", "g") for i in range(3)]
+        rows = [(f"j{rng.integers(0, 4)}", int(rng.integers(2004, 2012)), int(rng.integers(0, 1000)))
+                for _ in range(400)]
+        ds = make_dataset(journals, [Cluster("g", "G", 3)], rows, [])
+        items = window_counts(ds).items
+        for i, journal in enumerate(journals):
+            last = [items_last_record_wins(rows, journal.journal_id, 2010 - age)
+                    for age in range(6)]
+            assert items[i].tolist() == [sum(last[1:3]), sum(last[1:6]), last[0]]
 
 
 class TestRescale:

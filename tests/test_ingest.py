@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 
+import numpy as np
 import pytest
 
 import citefair.ingest
@@ -20,8 +21,11 @@ from citefair.ingest import (
     write_citations,
     write_dataset,
 )
-from citefair.model import Cluster, Events, JournalRecord, PublicationCount, validate
+from citefair.model import (Cluster, Dataset, Events, Ids, JournalRecord, PublicationCounts,
+                            validate)
 from citefair.synth import ClusterProfile, SynthProfile, generate
+
+from oracles import PublicationCount, assemble_by_rows, record_violations_by_rows
 
 
 def write(path, rows):
@@ -100,7 +104,8 @@ class TestParsePublications:
     def test_ok(self, tmp_path):
         path = tmp_path / "p.tsv"
         write(path, [PHEADER, ("j1", 2009, 100)])
-        assert parse_publications(path) == [PublicationCount("j1", 2009, 100)]
+        assert parse_publications(path) == PublicationCounts.from_rows(
+            [PublicationCount("j1", 2009, 100)])
 
     def test_non_integer_year(self, tmp_path):
         path = tmp_path / "p.tsv"
@@ -165,7 +170,7 @@ class TestParseCitations:
                      ("p1", "jA", 2010, "jC", 2008, 2),
                      ("p2", "jB", 2010, "jA", 2009, 1)])
         events = parse_citations(path)
-        assert events.cited_journal_id.tolist() == ["jB", "jC", "jA"]
+        assert events.cited_journal_id.strings().tolist() == ["jB", "jC", "jA"]
 
 
 class TestUndecodableBytes:
@@ -446,6 +451,9 @@ class TestColumnWriter:
         assert len(parse_citations(path)) == 0
 
 
+NO_COUNTS = PublicationCounts.from_rows([])
+
+
 def journals_fixture(sizes):
     journals = []
     clusters = []
@@ -462,7 +470,8 @@ class TestAssemble:
     def test_small_clusters_excluded(self):
         journals, clusters = journals_fixture(
             {str(c): 12 for c in range(1, 12)} | {"hum": 2, "prof": 8})
-        counts = [PublicationCount(j.journal_id, 2009, 10) for j in journals]
+        counts = PublicationCounts.from_rows(
+            PublicationCount(j.journal_id, 2009, 10) for j in journals)
         events = Events.from_rows([("p1", journals[0].journal_id, 2010,
                                     journals[5].journal_id, 2009, 3)])
         ds, summary = assemble(journals, clusters, counts, events, census_year=2010)
@@ -473,7 +482,7 @@ class TestAssemble:
 
     def test_nothing_excluded_when_all_big(self):
         journals, clusters = journals_fixture({"a": 10, "b": 11})
-        ds, summary = assemble(journals, clusters, [],
+        ds, summary = assemble(journals, clusters, NO_COUNTS,
                                Events.from_rows([("p1", "x", 2010, "j001", 2009, 2)]),
                                census_year=2010)
         assert summary.excluded_clusters == ()
@@ -485,7 +494,7 @@ class TestAssemble:
             ("p1", "outside", 2010, "j001", 2009, 2),
             ("p2", "outside", 2010, "ghost", 2009, 2),
         ])
-        ds, summary = assemble(journals, clusters, [], events, census_year=2010)
+        ds, summary = assemble(journals, clusters, NO_COUNTS, events, census_year=2010)
         assert len(ds.citation_events) == 1
         assert summary.events_dropped_unknown_cited == 1
 
@@ -493,7 +502,7 @@ class TestAssemble:
         journals, clusters = journals_fixture({"a": 10})
         events = Events.from_rows([("p1", "x", 2010, "ghost", 2009, 2)])
         with pytest.raises(ValidationError, match="ghost"):
-            assemble(journals, clusters, [], events, census_year=2010,
+            assemble(journals, clusters, NO_COUNTS, events, census_year=2010,
                      config=IngestConfig(unknown_cited_policy="error"))
 
     def test_events_touching_dropped_clusters_removed(self):
@@ -505,29 +514,29 @@ class TestAssemble:
             ("p2", big_j, 2010, tiny_j, 2009, 2),   # cited side dropped
             ("p3", "x", 2010, big_j, 2009, 2),
         ])
-        ds, summary = assemble(journals, clusters, [], events, census_year=2010)
+        ds, summary = assemble(journals, clusters, NO_COUNTS, events, census_year=2010)
         assert len(ds.citation_events) == 1
         assert summary.events_dropped_excluded_clusters == 2
 
     def test_empty_dataset_is_error(self):
         journals, clusters = journals_fixture({"a": 3})
         with pytest.raises(ValidationError, match="empty"):
-            assemble(journals, clusters, [], Events.from_rows([]), census_year=2010)
+            assemble(journals, clusters, NO_COUNTS, Events.from_rows([]), census_year=2010)
 
     def test_census_year_inferred(self):
         journals, clusters = journals_fixture({"a": 10})
         events = Events.from_rows([("p1", "x", 2009, "j001", 2008, 2),
                                    ("p2", "x", 2012, "j002", 2010, 3)])
-        ds, summary = assemble(journals, clusters, [], events)
+        ds, summary = assemble(journals, clusters, NO_COUNTS, events)
         assert ds.census_year == 2012
         assert summary.census_year_inferred
 
     def test_counts_for_dropped_and_unknown_journals_removed(self):
         journals, clusters = journals_fixture({"big": 10, "tiny": 2})
         tiny_j = journals[-1].journal_id
-        counts = [PublicationCount("j001", 2009, 5),
-                  PublicationCount(tiny_j, 2009, 5),
-                  PublicationCount("ghost", 2009, 5)]
+        counts = PublicationCounts.from_rows([PublicationCount("j001", 2009, 5),
+                                              PublicationCount(tiny_j, 2009, 5),
+                                              PublicationCount("ghost", 2009, 5)])
         ds, summary = assemble(journals, clusters, counts,
                                Events.from_rows([("p1", "x", 2010, "j001", 2009, 1)]),
                                census_year=2010)
@@ -539,15 +548,15 @@ class TestAssemble:
         events = Events.from_rows([("p1", "x", 2010, journals[-1].journal_id, 2009, 1)])
         retained = []
         for mcs in (1, 4, 8, 13, 20):
-            ds, _ = assemble(journals, clusters, [], events, census_year=2010,
+            ds, _ = assemble(journals, clusters, NO_COUNTS, events, census_year=2010,
                              config=IngestConfig(min_cluster_size=mcs))
             retained.append(len(ds.journals))
         assert retained == sorted(retained, reverse=True)
 
     def test_assembled_dataset_validates(self, tmp_path):
         journals, clusters = journals_fixture({"a": 10, "b": 12})
-        counts = [PublicationCount(j.journal_id, y, 4)
-                  for j in journals for y in (2008, 2009, 2010)]
+        counts = PublicationCounts.from_rows(PublicationCount(j.journal_id, y, 4)
+                                             for j in journals for y in (2008, 2009, 2010))
         events = Events.from_rows((f"p{k}", "x", 2010, journals[k % 22].journal_id, 2009, 2)
                                   for k in range(40))
         # 2 events per paper id would break n_refs accounting; use unique ids
@@ -599,7 +608,8 @@ class TestRoundTrip:
     def test_reingest_idempotent_with_same_config(self, tmp_path):
         # an assembled dataset re-ingested under the same policy is unchanged
         journals, clusters = journals_fixture({"a": 10, "b": 12, "c": 4})
-        counts = [PublicationCount(j.journal_id, 2009, 3) for j in journals]
+        counts = PublicationCounts.from_rows(
+            PublicationCount(j.journal_id, 2009, 3) for j in journals)
         events = Events.from_rows((f"p{k}", "x", 2010, f"j{(k % 22) + 1:03d}", 2009, 2)
                                   for k in range(30))
         config = IngestConfig(min_cluster_size=10)
@@ -610,3 +620,114 @@ class TestRoundTrip:
         e2 = parse_citations(tmp_path / "citations.tsv", config)
         ds2, _ = assemble(j2, c2, p2, e2, census_year=2010, config=config)
         assert ds2 == ds
+
+
+def recoded(record, rng):
+    """The same rows, each id column numbered in a shuffled vocabulary that
+    also lists two ids no row uses."""
+    def shuffle(ids):
+        values = list(ids.values) + ["unused-1", "unused-2"]
+        order = rng.permutation(len(values))
+        position = np.empty(len(order), np.intp)
+        position[order] = np.arange(len(order))
+        return Ids(position[ids.codes], [values[k] for k in order])
+    return type(record)(*(shuffle(c) if isinstance(c, Ids) else c for c in record.columns()))
+
+
+def record_violations(ds):
+    return [(v.rule, v.record, v.message) for v in validate(ds)
+            if v.rule.startswith(("publication.", "event."))]
+
+
+class TestCodedColumns:
+    """assemble and validate work on id codes; a brute-force scan of the
+    rows (tests/oracles.py) must keep, drop and report the same."""
+
+    JOURNALS, CLUSTERS = journals_fixture({"big": 10, "mid": 5, "tiny": 2})
+    IDS = [j.journal_id for j in JOURNALS] + ["ghost", "outside"]
+
+    def valid_rows(self, rng):
+        """Rows that validate once the events of excluded or unknown
+        journals are dropped: one citing journal, year and n_refs per paper."""
+        events = []
+        for paper in range(int(rng.integers(0, 12))):
+            citing, n_refs = str(rng.choice(self.IDS)), int(rng.integers(1, 5))
+            for _ in range(int(rng.integers(1, n_refs + 1))):
+                events.append((f"p{paper}", citing, 2010, str(rng.choice(self.IDS)),
+                               int(rng.integers(2005, 2011)), n_refs))
+        order = rng.permutation(len(events))
+        counts = [(jid, year, int(rng.integers(0, 9))) for jid in self.IDS
+                  for year in (2008, 2009) if rng.random() < 0.5]
+        return [events[k] for k in order], counts
+
+    def any_rows(self, rng):
+        """Rows that may break any publication or event rule."""
+        def pick(low, high):
+            return int(rng.integers(low, high))
+        events = [(f"p{pick(0, 6)}", str(rng.choice(self.IDS)), pick(2008, 2011),
+                   str(rng.choice(self.IDS)), pick(2007, 2012), pick(-1, 4))
+                  for _ in range(pick(0, 30))]
+        counts = [(str(rng.choice(self.IDS)), pick(2008, 2011), pick(-2, 5))
+                  for _ in range(pick(0, 20))]
+        return events, counts
+
+    @pytest.mark.parametrize("seed", range(40))
+    @pytest.mark.parametrize("min_cluster_size", [3, 6])
+    def test_assemble_keeps_and_drops_as_the_rows_do(self, seed, min_cluster_size):
+        rng = np.random.default_rng(seed)
+        event_rows, count_rows = self.valid_rows(rng)
+        events = recoded(Events.from_rows(event_rows), rng)
+        counts = recoded(PublicationCounts.from_rows(count_rows), rng)
+        kept, kept_counts, excluded, unknown = assemble_by_rows(
+            self.JOURNALS, count_rows, event_rows, min_cluster_size)
+        config = IngestConfig(min_cluster_size=min_cluster_size)
+        ds, summary = assemble(self.JOURNALS, self.CLUSTERS, counts, events, 2010, config)
+        assert list(ds.citation_events.rows()) == kept
+        assert list(ds.publication_counts.rows()) == kept_counts
+        assert (summary.events_dropped_excluded_clusters, summary.events_dropped_unknown_cited,
+                summary.counts_dropped) == (excluded, len(unknown),
+                                            len(count_rows) - len(kept_counts))
+        assert record_violations(ds) == []
+
+        strict = IngestConfig(min_cluster_size=min_cluster_size, unknown_cited_policy="error")
+        if unknown:
+            pid, _, _, cited, _, _ = unknown[0]
+            with pytest.raises(ValidationError) as err:
+                assemble(self.JOURNALS, self.CLUSTERS, counts, events, 2010, strict)
+            assert str(err.value) == (f"citation event of paper '{pid}' "
+                                      f"cites unknown journal '{cited}'")
+        else:
+            assert assemble(self.JOURNALS, self.CLUSTERS, counts, events, 2010, strict)[0] == ds
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_validate_reports_as_the_rows_do(self, seed):
+        rng = np.random.default_rng(seed)
+        event_rows, count_rows = self.any_rows(rng)
+        # every other row dropped from columns whose vocabulary keeps their ids
+        keep = rng.random(len(event_rows)) < 0.5
+        events = recoded(Events.from_rows(event_rows), rng)[keep]
+        counts = recoded(PublicationCounts.from_rows(count_rows), rng)
+        ds = Dataset(tuple(self.JOURNALS), tuple(self.CLUSTERS), counts, events, 2010)
+        kept_rows = [row for row, k in zip(event_rows, keep) if k]
+        assert list(events.rows()) == kept_rows
+        assert record_violations(ds) == record_violations_by_rows(
+            {j.journal_id for j in self.JOURNALS}, count_rows, kept_rows)
+
+    def test_tampered_bundle(self, tmp_path):
+        ds = TestRoundTrip().small_synth()
+        save_bundle(ds, tmp_path)
+        journal = ds.journals[0].journal_id
+        with (tmp_path / "citations.tsv").open("a", encoding="utf-8") as fh:
+            fh.write(f"Pz1\t{journal}\t2010\tNOPE\t2009\t3\n"   # unknown cited journal
+                     f"Pz2\t{journal}\t2009\t{journal}\t2010\t1\n"  # cites the future
+                     f"Pz3\tx\t2010\t{journal}\t2009\t1\n"       # two references of one
+                     f"Pz3\tx\t2010\t{journal}\t2008\t1\n")
+        events = parse_citations(tmp_path / "citations.tsv")
+        counts = parse_publications(tmp_path / "publications.tsv")
+        tampered = Dataset(ds.journals, ds.clusters, counts, events, ds.census_year)
+        expected = record_violations_by_rows(set(ds.partition), counts.rows(), events.rows())
+        assert [rule for rule, _, _ in expected] == [
+            "event.causality", "event.unknown_cited_journal", "event.excess_references"]
+        assert record_violations(tampered) == expected
+        with pytest.raises(ValidationError, match="event.causality"):
+            load_bundle(tmp_path)

@@ -4,13 +4,14 @@ import pytest
 from citefair.model import (
     Cluster,
     Events,
+    Ids,
     JournalRecord,
-    PublicationCount,
     cluster_order_key,
     validate,
 )
 
 from conftest import make_dataset
+from oracles import PublicationCount
 
 
 def rules(violations):
@@ -75,7 +76,7 @@ class TestValidate:
             [Cluster("g", "G", 2)],
             [PublicationCount("j1", 2009, 5), PublicationCount("j1", 2009, -1),
              PublicationCount("j2", 2009, -2), PublicationCount("j2", 2010, 1),
-             PublicationCount("j1", 2009, 7), PublicationCount("j1", 10 ** 30, 1)],
+             PublicationCount("j1", 2009, 7), PublicationCount("j1", 2 ** 63 - 1, 1)],
             [])
         assert [(v.rule, v.record) for v in validate(ds)] == [
             ("publication.duplicate", "j1/2009"),
@@ -155,7 +156,7 @@ class TestEvents:
         events = Events.from_rows(self.ROWS)
         assert len(events) == 2
         assert list(events.rows()) == self.ROWS
-        assert events.citing_paper_id.dtype == object
+        assert events.citing_paper_id.codes.dtype == np.int32
         assert events.cited_year.dtype == np.int64
 
     def test_empty(self):
@@ -171,12 +172,23 @@ class TestEvents:
         assert Events.from_rows(self.ROWS) != Events.from_rows(changed)
         assert Events.from_rows(self.ROWS) != self.ROWS
 
+    def test_equal_in_any_vocabulary_order(self):
+        events = Events.from_rows(self.ROWS)
+        pids = events.citing_paper_id
+        assert pids.values == ("p1", "p2")
+        renumbered = Ids(1 - pids.codes, ("p2", "p1", "p9"))
+        same = Events(renumbered, *events.columns()[1:])
+        assert same == events and events == same
+        assert list(same.rows()) == self.ROWS
+        swapped = Events(Ids(pids.codes, ("p2", "p1")), *events.columns()[1:])
+        assert swapped != events
+
     def test_columns_read_only(self):
         events = Events.from_rows(self.ROWS)
         with pytest.raises(ValueError):
             events.n_refs[0] = 1
         with pytest.raises(ValueError):
-            events.cited_journal_id[0] = "jC"
+            events.cited_journal_id.codes[0] = 1
         with pytest.raises(AttributeError):
             events.n_refs = np.ones(2, dtype=np.int64)
 

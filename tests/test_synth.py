@@ -129,7 +129,7 @@ class TestGenerate:
         papers_by_journal: dict[str, set] = {}
         for pid, citing_jid, _, _, _, _ in ds.citation_events.rows():
             papers_by_journal.setdefault(citing_jid, set()).add(pid)
-        items = {(p.journal_id, p.year): p.citable_items for p in ds.publication_counts}
+        items = {(jid, year): n for jid, year, n in ds.publication_counts.rows()}
         for jid, papers in papers_by_journal.items():
             assert len(papers) <= items[(jid, 2010)]
 
