@@ -67,11 +67,10 @@ def vocabulary() -> defaultdict:
     return defaultdict(count().__next__)
 
 
-def encode(values: Sequence, index: defaultdict | None = None) -> np.ndarray:
+def encode(values: Sequence, index: defaultdict) -> np.ndarray:
     """An int32 code per value, numbering the distinct values in order of
     first appearance; ``index`` (from vocabulary) carries the numbering on
     from one call to the next."""
-    index = vocabulary() if index is None else index
     return np.fromiter(map(index.__getitem__, values), np.int32, len(values))
 
 
