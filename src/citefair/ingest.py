@@ -534,10 +534,16 @@ def _coded(column) -> tuple[np.ndarray, np.ndarray]:
     if isinstance(column, Ids):
         return np.array(column.values, object), column.codes
     if isinstance(column, np.ndarray) and column.dtype.kind == "i":
-        values, codes = np.unique(column, return_inverse=True)
-        return np.array(list(map(str, values.tolist())), object), codes
-    values = column.tolist() if isinstance(column, np.ndarray) else column
-    return np.array(list(map(str, values)), object), np.arange(len(values))
+        low, high = (int(column.min()), int(column.max())) if len(column) else (0, 0)
+        if high - low < len(column):  # a narrow range: code by offset, without a sort
+            values, codes = range(low, high + 1), column - low
+        else:
+            values, codes = np.unique(column, return_inverse=True)
+            values = values.tolist()
+    else:
+        values = column.tolist() if isinstance(column, np.ndarray) else column
+        codes = np.arange(len(values))
+    return np.array(list(map(str, values)), object), codes
 
 
 def _quote(field: str) -> str:
