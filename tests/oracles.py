@@ -242,3 +242,49 @@ def items_last_record_wins(count_rows, journal_id: str, year: int) -> int:
         if jid == journal_id and y == year:
             items = n
     return items
+
+
+def rescale_by_dicts(values, partition):
+    """Each defined value divided by the mean of the defined values of its
+    cluster, by one pass over a journal -> value dict (None for UNDEFINED).
+
+    Returns (values, baselines), baselines mapping each cluster, in order
+    of its first journal, to (mean, defined count).  A journal outside the
+    partition, then the first cluster without defined values or with a
+    zero mean, raises ValueError with the package's RescaleError message.
+    """
+    sums: dict[str, float] = {}
+    counts: dict[str, int] = {}
+    for jid, v in values.items():
+        if jid not in partition:
+            raise ValueError(f"journal '{jid}' missing from the partition")
+        g = partition[jid]
+        sums.setdefault(g, 0.0)
+        counts.setdefault(g, 0)
+        if v is not None:
+            sums[g] += v
+            counts[g] += 1
+    baselines = {}
+    for g in sums:
+        if counts[g] == 0:
+            raise ValueError(f"cluster '{g}' has no defined values to rescale")
+        if sums[g] / counts[g] == 0.0:
+            raise ValueError(f"cluster '{g}' has zero mean; cannot rescale")
+        baselines[g] = (sums[g] / counts[g], counts[g])
+    return ({jid: None if v is None else v / baselines[partition[jid]][0]
+             for jid, v in values.items()}, baselines)
+
+
+def table_text_by_rows(table, values) -> str:
+    """The text of an indicator table file: the provenance header of
+    ``table``, the column names, then one row per journal of ``values``
+    (None for UNDEFINED) in sorted id order, each value as repr or NA."""
+    header = (f"# indicator_id={table.indicator_id} kind={table.kind} "
+              f"window={table.window} counting={table.counting} "
+              f"normalization={table.normalization} census_year={table.census_year}")
+    if table.source_id:
+        header += f" source_id={table.source_id}"
+    lines = [header, "journal_id\tvalue"]
+    for jid in sorted(values):
+        lines.append(jid + "\t" + ("NA" if values[jid] is None else repr(values[jid])))
+    return "\n".join(lines) + "\n"

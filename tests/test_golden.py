@@ -1,6 +1,6 @@
 """Golden bytes: the CLI pipeline synth -> ingest -> indicators -> fairness
--> correlate on a small fixed profile writes files whose sha256 digests
-equal those recorded in golden.json.
+-> correlate on small fixed profiles writes files whose sha256 digests
+equal those recorded in golden.json and golden_na.json.
 
 dataset.json is left out: it carries bookkeeping that may grow, while
 every result file is compared byte for byte.  After a change meant to
@@ -11,10 +11,11 @@ import hashlib
 import json
 from pathlib import Path
 
+import pytest
+
 from citefair.cli import main
 from citefair.synth import ClusterProfile, SynthProfile, profile_to_json
 
-GOLDEN = Path(__file__).with_name("golden.json")
 UNDIGESTED = {"dataset.json"}
 
 # Four clusters, one below the default min_cluster_size of 10, so ingest
@@ -31,11 +32,26 @@ PROFILE = SynthProfile(
     seed=424242,
 )
 
+# Zero or one citable item per journal-year, so many journals have no
+# items in a window and the IF and c/p tables hold NA rows.
+NA_PROFILE = SynthProfile(
+    clusters=(
+        ClusterProfile("1", "Alpha", 15, 1.0, 6.0, 0.4),
+        ClusterProfile("2", "Beta", 20, 2.5, 14.0, 0.5),
+        ClusterProfile("3", "Gamma", 12, 0.8, 20.0, 0.5),
+    ),
+    items_per_journal=(0, 1),
+    years=(2005, 2010),
+    seed=1860,
+)
 
-def run_pipeline(root: Path) -> dict[str, str]:
-    """Run the five commands under ``root``; return {relative path: sha256}
-    of every file they wrote."""
-    profile_to_json(PROFILE, root / "profile.json")
+GOLDEN = {"golden.json": PROFILE, "golden_na.json": NA_PROFILE}
+
+
+def run_pipeline(root: Path, profile: SynthProfile) -> dict[str, str]:
+    """Run the five commands on ``profile`` under ``root``; return
+    {relative path: sha256} of every file they wrote."""
+    profile_to_json(profile, root / "profile.json")
     inputs, bundle, tables = root / "inputs", root / "bundle", root / "tables"
     steps = [
         ["synth", "--profile-file", str(root / "profile.json"), "--out-dir", str(inputs)],
@@ -56,9 +72,10 @@ def run_pipeline(root: Path) -> dict[str, str]:
             if path.is_file() and path.name not in UNDIGESTED and path.name != "profile.json"}
 
 
-def test_pipeline_bytes_match_golden(tmp_path):
-    expected = json.loads(GOLDEN.read_text(encoding="utf-8"))
-    found = run_pipeline(tmp_path)
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_pipeline_bytes_match_golden(tmp_path, name):
+    expected = json.loads(Path(__file__).with_name(name).read_text(encoding="utf-8"))
+    found = run_pipeline(tmp_path, GOLDEN[name])
     assert sorted(found) == sorted(expected)
     assert [name for name in expected if found[name] != expected[name]] == []
 
@@ -66,7 +83,9 @@ def test_pipeline_bytes_match_golden(tmp_path):
 if __name__ == "__main__":
     import tempfile
 
-    with tempfile.TemporaryDirectory() as scratch:
-        digests = run_pipeline(Path(scratch))
-    GOLDEN.write_text(json.dumps(digests, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    print(f"recorded {len(digests)} digests in {GOLDEN}")
+    for name, profile in GOLDEN.items():
+        with tempfile.TemporaryDirectory() as scratch:
+            digests = run_pipeline(Path(scratch), profile)
+        path = Path(__file__).with_name(name)
+        path.write_text(json.dumps(digests, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        print(f"recorded {len(digests)} digests in {path}")

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from citefair.errors import ParseError, RescaleError
 from citefair.indicators import (
@@ -21,7 +22,8 @@ from citefair.synth import generate
 
 from conftest import ALL_KIND_SPECS, make_dataset, small_profile
 from oracles import (PublicationCount, if_denominator_by_scan, if_numerator_by_scan,
-                     indicator_by_scan, items_last_record_wins)
+                     indicator_by_scan, items_last_record_wins, rescale_by_dicts,
+                     table_text_by_rows)
 
 
 def flat_table(values, indicator_id="T", normalization="raw"):
@@ -417,3 +419,86 @@ class TestTableIo:
         with pytest.raises(ParseError, match="bad window") as err:
             read_table(path)
         assert err.value.line == 1
+
+
+# Ids that a table file can hold: any text without tab, line breaks or
+# surrogates, including non-ASCII letters and trailing NULs.
+JOURNAL_IDS = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\t\n\r"),
+                      min_size=1, max_size=5)
+EDGE_VALUES = (0.0, -0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e308, 0.1, 1.0, 1 / 3)
+VALUES = st.one_of(st.none(), st.sampled_from(EDGE_VALUES),
+                   st.floats(0.0, 1e308, allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def tables_with_partitions(draw):
+    """(values, partition): a journal -> value dict in an order unlike
+    sorted order, with UNDEFINED, repeated and extreme values, and a
+    partition over up to four clusters that may miss one journal."""
+    ids = draw(st.permutations(draw(st.lists(JOURNAL_IDS, min_size=1, max_size=30,
+                                             unique=True))))
+    values = {jid: draw(VALUES) for jid in ids}
+    partition = {jid: draw(st.sampled_from(("g1", "g2", "10", "é"))) for jid in ids}
+    if draw(st.integers(0, 9)) == 0:
+        del partition[draw(st.sampled_from(ids))]
+    return values, partition
+
+
+def bits(values):
+    """Journal -> value pairs in order, each value by its exact bits."""
+    return [(jid, None if v is None else float(v).hex()) for jid, v in values.items()]
+
+
+class TestAgainstDictOracles:
+    """The table layer against the one-journal-at-a-time dict oracles:
+    identical values, baselines, errors and file bytes."""
+
+    @given(tables_with_partitions())
+    @settings(max_examples=300, deadline=None)
+    def test_rescale(self, case):
+        values, partition = case
+        try:
+            expected, baselines = rescale_by_dicts(values, partition)
+        except ValueError as err:
+            with pytest.raises(RescaleError) as got:
+                rescale(flat_table(values), partition)
+            assert str(got.value) == str(err)
+            return
+        out = rescale(flat_table(values), partition)
+        assert bits(out.values) == bits(expected)
+        assert [(g, float(mean).hex(), n) for g, (mean, n) in out.cluster_baselines.items()] \
+            == [(g, mean.hex(), n) for g, (mean, n) in baselines.items()]
+
+    @given(tables_with_partitions())
+    @settings(max_examples=200, deadline=None)
+    def test_write_table_bytes(self, tmp_path_factory, case):
+        values, partition = case
+        path = tmp_path_factory.mktemp("write") / "t.tsv"
+        table = flat_table(values)
+        tables = [table]
+        try:
+            tables.append(rescale(table, partition))
+        except RescaleError:
+            pass
+        for t in tables:
+            write_table(t, path)
+            assert path.read_bytes() == table_text_by_rows(t, t.values).encode("utf-8")
+
+    @given(tables_with_partitions())
+    @settings(max_examples=200, deadline=None)
+    def test_read_table_round_trip(self, tmp_path_factory, case):
+        values, _ = case
+        directory = tmp_path_factory.mktemp("read")
+        text = table_text_by_rows(flat_table(values), values).encode("utf-8")
+        (directory / "in.tsv").write_bytes(text)
+        loaded = read_table(directory / "in.tsv")
+        assert bits(loaded.values) == bits(dict(sorted(values.items())))
+        write_table(loaded, directory / "out.tsv")
+        assert (directory / "out.tsv").read_bytes() == text
+
+    def test_negative_zero_kept_beside_zero(self, tmp_path):
+        values = {"b": 0.0, "a": -0.0, "c": None, "d": -0.0}
+        write_table(flat_table(values), tmp_path / "t.tsv")
+        assert (tmp_path / "t.tsv").read_text(encoding="utf-8").splitlines()[2:] == \
+            ["a\t-0.0", "b\t0.0", "c\tNA", "d\t-0.0"]
+        assert bits(read_table(tmp_path / "t.tsv").values) == bits(dict(sorted(values.items())))
