@@ -13,7 +13,10 @@ import argparse
 import os
 import sys
 from dataclasses import replace
+from itertools import compress
 from pathlib import Path
+
+import numpy as np
 
 from . import fairness as fair
 from . import indicators as ind
@@ -130,11 +133,13 @@ def cmd_indicators(args) -> int:
 
 def _narrow(table: ind.IndicatorTable, partition) -> ind.IndicatorTable:
     """Restrict an (external) table to the dataset's journals."""
-    inside = {j: v for j, v in table.values.items() if j in partition}
-    ignored = len(table.values) - len(inside)
-    if ignored:
-        print(f"{table.indicator_id}: ignoring {ignored} journal(s) outside the dataset")
-    return replace(table, values=inside)
+    inside = list(map(partition.__contains__, table.journal_ids))
+    ignored = inside.count(False)
+    if not ignored:
+        return table
+    print(f"{table.indicator_id}: ignoring {ignored} journal(s) outside the dataset")
+    return replace(table, journal_ids=tuple(compress(table.journal_ids, inside)),
+                   column=table.column[np.array(inside, dtype=bool)])
 
 
 def cmd_fairness(args) -> int:
@@ -229,12 +234,13 @@ def cmd_correlate(args) -> int:
         for jid, v in table.values.items():
             if v is not None:
                 by_cluster[partition[jid]].append(v)
+        samples = {g: np.sort(np.array(xs, dtype=np.float64)) for g, xs in by_cluster.items()}
         ks_lines = ["\t".join(["cluster"] + groups)]
         for g in groups:
             row = [g]
             for h in groups:
                 row.append("" if g == h
-                           else f"{stats.ks_two_sample(by_cluster[g], by_cluster[h]):.4f}")
+                           else f"{stats.ks_two_sample(samples[g], samples[h]):.4f}")
             ks_lines.append("\t".join(row))
         kpath = out / f"ks-{table.indicator_id}.tsv"
         kpath.write_text("\n".join(ks_lines) + "\n", encoding="utf-8")

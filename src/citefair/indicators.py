@@ -9,14 +9,16 @@ fractional  every event adds 1/n_refs, n_refs being the citing paper's
             full reference-list length; denominators are never
             fractionalized.
 
-A value is UNDEFINED (None) exactly when the indicator's denominator is
-zero for that journal.
+A value is UNDEFINED exactly when the indicator's denominator is zero for
+that journal: NaN in a table's column, None in its ``values`` mapping and
+"NA" in a table file.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
+from functools import cached_property, lru_cache
 from pathlib import Path
 from typing import Mapping, Optional
 
@@ -24,7 +26,7 @@ import numpy as np
 
 from .errors import ParseError, RescaleError
 from .ingest import _not_utf8
-from .model import WINDOW_ALL, WINDOWS, Dataset, WindowCounts, window_counts
+from .model import WINDOW_ALL, WINDOWS, Dataset, WindowCounts, encode, vocabulary, window_counts
 from .stats import rank_order
 
 __all__ = [
@@ -84,14 +86,15 @@ class IndicatorSpec:
         return f"CP-{suffix}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IndicatorTable:
     """One indicator's value per journal, with provenance.
 
-    ``values`` maps every journal to a non-negative float or None
-    (UNDEFINED).  Rescaled tables carry the raw table's id in
-    ``source_id`` and the divisor used per cluster in
-    ``cluster_baselines`` (mean, defined-count) pairs.
+    ``column`` holds one read-only float64 value per journal of
+    ``journal_ids`` (distinct ids), NaN where the value is UNDEFINED;
+    ``values`` maps each journal to its value or None instead.  Rescaled
+    tables carry the raw table's id in ``source_id`` and the divisor used
+    per cluster in ``cluster_baselines`` (mean, defined-count) pairs.
     """
 
     indicator_id: str
@@ -100,38 +103,64 @@ class IndicatorTable:
     counting: str
     normalization: str
     census_year: int
-    values: Mapping[str, Optional[float]]
+    journal_ids: tuple[str, ...]
+    column: np.ndarray
     source_id: Optional[str] = None
-    cluster_baselines: Optional[Mapping[str, tuple[float, int]]] = field(
-        default=None, compare=False)
+    cluster_baselines: Optional[Mapping[str, tuple[float, int]]] = None
+
+    def __post_init__(self):
+        column = np.array(self.column, dtype=np.float64)
+        column.flags.writeable = False
+        object.__setattr__(self, "journal_ids", tuple(self.journal_ids))
+        object.__setattr__(self, "column", column)
+        if column.shape != (len(self.journal_ids),):
+            raise ValueError("an indicator table needs one value per journal")
+
+    @classmethod
+    def from_values(cls, indicator_id: str, kind: str, window: int | str, counting: str,
+                    normalization: str, census_year: int,
+                    values: Mapping[str, Optional[float]],
+                    source_id: Optional[str] = None) -> IndicatorTable:
+        """A table from a journal -> value mapping, None for UNDEFINED."""
+        return cls(indicator_id, kind, window, counting, normalization, census_year,
+                   tuple(values), [math.nan if v is None else v for v in values.values()],
+                   source_id)
+
+    @cached_property
+    def values(self) -> dict[str, Optional[float]]:
+        """journal_id -> value in journal order, None where UNDEFINED."""
+        return dict(zip(self.journal_ids,
+                        [None if v != v else v for v in self.column.tolist()]))
 
     def defined(self) -> dict[str, float]:
         return {j: v for j, v in self.values.items() if v is not None}
 
+    def __eq__(self, other) -> bool:
+        """Equal provenance and values; the baselines are not compared."""
+        if not isinstance(other, IndicatorTable):
+            return NotImplemented
+        return self._compared() == other._compared()
 
-def _ratio(num: np.ndarray, den: np.ndarray) -> list[Optional[float]]:
-    """num / den per journal, None wherever the denominator is not positive."""
-    defined = den > 0
-    quotient = num / np.where(defined, den, 1)
-    return [q if ok else None for q, ok in zip(quotient.tolist(), defined.tolist())]
+    def _compared(self) -> tuple:
+        return (self.indicator_id, self.kind, self.window, self.counting, self.normalization,
+                self.census_year, self.source_id, self.values)
 
 
 def tables_from_counts(counts: WindowCounts,
                        specs: list[IndicatorSpec]) -> list[IndicatorTable]:
     """The indicator tables of ``specs`` from a census's window counts:
     numerators are the counts of the spec's window, and IF and c/p values
-    divide them by that window's citable items."""
+    divide them by that window's citable items (NaN where there are none)."""
     tables = []
     for spec in specs:
         w = WINDOWS.index(spec.window)
         if spec.counting == "integer":
-            num = counts.cites[:, w].astype(np.float64)
+            column = counts.cites[:, w].astype(np.float64)
         else:
-            num = counts.fractional[:, w]
+            column = counts.fractional[:, w]
         if spec.kind in ("impact_factor", "cp_ratio"):
-            column = _ratio(num, counts.items[:, w])
-        else:
-            column = num.tolist()
+            items = counts.items[:, w]
+            column = np.divide(column, items, out=np.full(len(items), np.nan), where=items > 0)
         tables.append(IndicatorTable(
             indicator_id=spec.indicator_id,
             kind=spec.kind,
@@ -139,7 +168,8 @@ def tables_from_counts(counts: WindowCounts,
             counting=spec.counting,
             normalization="raw",
             census_year=counts.census_year,
-            values=dict(zip(counts.journal_ids, column)),
+            journal_ids=counts.journal_ids,
+            column=column,
         ))
     return tables
 
@@ -171,44 +201,33 @@ def rescale(table: IndicatorTable, partition: Mapping[str, str]) -> IndicatorTab
 
     Means are taken over defined values only; UNDEFINED values stay
     UNDEFINED and the per-cluster divisor and defined-count used are
-    recorded on the result.  After rescaling, each cluster's mean of
-    defined values is 1.
+    recorded on the result, clusters in order of their first journal.
+    After rescaling, each cluster's mean of defined values is 1.  Each
+    cluster's sum is one bincount in journal order, so its float additions
+    are those of a sequential sum.
     """
-    sums: dict[str, float] = {}
-    counts: dict[str, int] = {}
-    for jid, v in table.values.items():
-        try:
-            g = partition[jid]
-        except KeyError:
-            raise RescaleError(f"journal '{jid}' missing from the partition") from None
-        if v is None:
-            sums.setdefault(g, 0.0)
-            counts.setdefault(g, 0)
-            continue
-        sums[g] = sums.get(g, 0.0) + v
-        counts[g] = counts.get(g, 0) + 1
+    index = vocabulary()
+    cluster = encode(list(map(partition.get, table.journal_ids)), index)
+    if None in index:
+        jid = table.journal_ids[int(np.argmax(cluster == index[None]))]
+        raise RescaleError(f"journal '{jid}' missing from the partition")
+    defined = ~np.isnan(table.column)
+    sums = np.bincount(cluster[defined], table.column[defined], len(index))
+    counts = np.bincount(cluster[defined], minlength=len(index))
 
     baselines: dict[str, tuple[float, int]] = {}
-    for g in sums:
-        if counts[g] == 0:
+    for g, total, n in zip(index, sums.tolist(), counts.tolist()):
+        if n == 0:
             raise RescaleError(f"cluster '{g}' has no defined values to rescale")
-        mean = sums[g] / counts[g]
-        if mean == 0.0:
+        if total / n == 0.0:
             raise RescaleError(f"cluster '{g}' has zero mean; cannot rescale")
-        baselines[g] = (mean, counts[g])
-
-    values = {
-        jid: (None if v is None else v / baselines[partition[jid]][0])
-        for jid, v in table.values.items()
-    }
-    return IndicatorTable(
+        baselines[g] = (total / n, n)
+    means = np.array([mean for mean, _ in baselines.values()], dtype=np.float64)
+    return replace(
+        table,
         indicator_id=f"{table.indicator_id}-RS",
-        kind=table.kind,
-        window=table.window,
-        counting=table.counting,
         normalization="rescaled",
-        census_year=table.census_year,
-        values=values,
+        column=table.column / means[cluster],
         source_id=table.indicator_id,
         cluster_baselines=baselines,
     )
@@ -226,12 +245,25 @@ def rank_table(table: IndicatorTable) -> list[tuple[str, Optional[float], int]]:
     return [(jid, v, rank) for rank, (jid, v) in enumerate(defined + undefined, start=1)]
 
 
+@lru_cache(maxsize=1)
+def _row_layout(journal_ids: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of a table file, once per census: the journal indices in
+    sorted id order, and an object array holding each row's "id\t" prefix
+    at the even places, the odd places left for the values."""
+    order = sorted(range(len(journal_ids)), key=journal_ids.__getitem__)
+    rows = np.empty(2 * len(order), dtype=object)
+    rows[0::2] = [journal_ids[i] + "\t" for i in order]
+    return np.array(order, dtype=np.intp), rows
+
+
 def write_table(table: IndicatorTable, path: str | Path) -> None:
     """Serialize a table: one provenance header line, then tab-separated
     journal/value rows.
 
-    Values keep full precision; UNDEFINED is written as "NA".  Rows are
-    sorted by journal id so identical tables produce identical bytes.
+    Values keep full precision (repr); UNDEFINED is written as "NA".  Rows
+    are sorted by journal id so identical tables produce identical bytes.
+    Each distinct value, told apart by its bits so that -0.0 stays -0.0,
+    is formatted once.
     """
     path = Path(path)
     meta = (f"# indicator_id={table.indicator_id} kind={table.kind} "
@@ -239,11 +271,13 @@ def write_table(table: IndicatorTable, path: str | Path) -> None:
             f"normalization={table.normalization} census_year={table.census_year}")
     if table.source_id:
         meta += f" source_id={table.source_id}"
-    lines = [meta, "journal_id\tvalue"]
-    for jid in sorted(table.values):
-        v = table.values[jid]
-        lines.append(f"{jid}\t{NA if v is None else repr(v)}")
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    order, rows = _row_layout(table.journal_ids)
+    distinct, row_value = np.unique(table.column[order].view(np.uint64), return_inverse=True)
+    texts = [f"{NA}\n" if v != v else repr(v) + "\n"
+             for v in distinct.view(np.float64).tolist()]
+    rows = rows.copy()
+    rows[1::2] = np.array(texts, dtype=object)[row_value]
+    path.write_text(f"{meta}\njournal_id\tvalue\n" + "".join(rows.tolist()), encoding="utf-8")
 
 
 def read_table(path: str | Path) -> IndicatorTable:
@@ -271,7 +305,9 @@ def read_table(path: str | Path) -> IndicatorTable:
             columns = fh.readline().rstrip("\n").split("\t")
             if columns[:2] != ["journal_id", "value"]:
                 raise ParseError(path, 2, "expected columns journal_id, value")
-            values: dict[str, Optional[float]] = {}
+            journal_ids: list[str] = []
+            column: list[float] = []
+            seen: set[str] = set()
             for lineno, line in enumerate(fh, start=3):
                 line = line.rstrip("\n")
                 if not line:
@@ -280,10 +316,12 @@ def read_table(path: str | Path) -> IndicatorTable:
                 if len(parts) != 2 or not parts[0]:
                     raise ParseError(path, lineno, f"malformed row: {line!r}")
                 jid, raw = parts
-                if jid in values:
+                if jid in seen:
                     raise ParseError(path, lineno, f"duplicate journal_id '{jid}'")
+                seen.add(jid)
+                journal_ids.append(jid)
                 if raw == NA:
-                    values[jid] = None
+                    column.append(math.nan)
                     continue
                 try:
                     value = float(raw)
@@ -292,7 +330,7 @@ def read_table(path: str | Path) -> IndicatorTable:
                 if not 0.0 <= value < math.inf:
                     raise ParseError(path, lineno,
                                      f"value must be finite and non-negative, got {raw!r}")
-                values[jid] = value
+                column.append(value)
     except UnicodeDecodeError:
         raise _not_utf8(path) from None
     try:
@@ -308,6 +346,7 @@ def read_table(path: str | Path) -> IndicatorTable:
         counting=meta["counting"],
         normalization=meta["normalization"],
         census_year=census_year,
-        values=values,
+        journal_ids=journal_ids,
+        column=column,
         source_id=meta.get("source_id"),
     )

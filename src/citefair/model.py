@@ -18,6 +18,8 @@ from typing import ClassVar, Collection, Iterable, Iterator, Sequence
 
 import numpy as np
 
+from .errors import ValidationError
+
 __all__ = [
     "JournalRecord",
     "Cluster",
@@ -152,6 +154,9 @@ class _Record:
         """Iterate the rows as tuples of plain str and int, in column order."""
         return zip(*(column.strings().tolist() if isinstance(column, Ids) else column.tolist()
                      for column in self.columns()))
+
+    def __iter__(self) -> Iterator[tuple]:
+        return self.rows()
 
     def __len__(self) -> int:
         return len(getattr(self, self.COLUMNS[-1]))
@@ -291,7 +296,9 @@ def window_counts(dataset: Dataset) -> WindowCounts:
     one row mask per window.  Each sum is one bincount over the rows of
     its window, in event order: adding up per-age sums instead would
     reorder the float additions and change the fractional sums' last bits.
-    The items come from one journal x age matrix.
+    The items come from one journal x age matrix.  A census-year event
+    citing a journal outside the dataset raises ValidationError naming the
+    event.unknown_cited_journal rule.
     """
     t = dataset.census_year
     journal_ids = tuple(j.journal_id for j in dataset.journals)
@@ -306,6 +313,11 @@ def window_counts(dataset: Dataset) -> WindowCounts:
     now = events.citing_year == t
     age = events.citing_year[now] - events.cited_year[now]
     cited = journal_index(events.cited_journal_id)[now]
+    if cited.min(initial=0) < 0:
+        i = int(np.flatnonzero(now)[np.argmax(cited < 0)])
+        raise ValidationError(str(Violation(
+            "event.unknown_cited_journal", events.citing_paper_id[i],
+            f"cited journal '{events.cited_journal_id[i]}' not in dataset")))
     weight = 1.0 / events.n_refs[now]
     windows = ((age >= 1) & (age <= 2), (age >= 1) & (age <= 5), slice(None))
 

@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import citefair
@@ -494,7 +495,7 @@ class TestCorrelateCommand:
         base = read_table(tables / "IF2-IC.tsv")
         flipped = dataclasses.replace(
             base, indicator_id="FLIP",
-            values={j: (None if v is not None else 1.0) for j, v in base.values.items()})
+            column=np.where(np.isnan(base.column), 1.0, np.nan))
         write_table(flipped, tmp_path / "flip.tsv")
         code = main(["correlate", "--dataset", str(bundle),
                      "--table", str(tables / "IF2-IC.tsv"),

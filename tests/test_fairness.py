@@ -146,7 +146,8 @@ class TestFairnessTest:
         from citefair.indicators import IndicatorTable, rescale
         rng = np.random.default_rng(51)
         values, partition = two_cluster_table(rng)
-        table = IndicatorTable("X", "total_cites", "all", "integer", "raw", 2010, values)
+        table = IndicatorTable.from_values("X", "total_cites", "all", "integer", "raw", 2010,
+                                           values)
         rescaled_once = rescale(table, partition)
         rescaled_twice = rescale(rescaled_once, partition)
         r1 = fairness_test(rescaled_once, partition, z=10)

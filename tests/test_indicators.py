@@ -27,7 +27,7 @@ from oracles import (PublicationCount, if_denominator_by_scan, if_numerator_by_s
 
 
 def flat_table(values, indicator_id="T", normalization="raw"):
-    return IndicatorTable(
+    return IndicatorTable.from_values(
         indicator_id=indicator_id, kind="impact_factor", window=2,
         counting="integer", normalization=normalization, census_year=2010,
         values=values)

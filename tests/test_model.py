@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
 
+from citefair.errors import ValidationError
 from citefair.model import (
     Cluster,
     Events,
     Ids,
     JournalRecord,
+    PublicationCounts,
     cluster_order_key,
     validate,
+    window_counts,
 )
 
 from conftest import make_dataset
@@ -195,6 +198,40 @@ class TestEvents:
     def test_unequal_column_lengths_rejected(self):
         with pytest.raises(ValueError, match="length"):
             Events(["p1"], ["jB"], [2010], ["jA"], [2009], [4, 4])
+
+    def test_iterates_rows(self):
+        assert list(Events.from_rows(self.ROWS)) == self.ROWS
+        assert list(Events.from_rows([])) == []
+
+
+class TestPublicationCounts:
+    ROWS = [("jA", 2009, 100), ("jB", 2010, 0), ("jA", 2010, 80)]
+
+    def test_iterates_rows(self):
+        counts = PublicationCounts.from_rows(self.ROWS)
+        assert [row for row in counts] == self.ROWS
+        assert list(counts[1:]) == self.ROWS[1:]
+        assert list(PublicationCounts.from_rows([])) == []
+
+
+class TestWindowCounts:
+    def test_unknown_cited_journal_in_census_year_names_rule(self):
+        # unvalidated: p2's census-year event cites a journal outside the dataset
+        ds = make_dataset(
+            [JournalRecord("j1", "One", "g")], [Cluster("g", "G", 1)],
+            [PublicationCount("j1", 2009, 10)],
+            [("p1", "j1", 2009, "NOPE", 2008, 2), ("p1", "j1", 2009, "j1", 2008, 2),
+             ("p2", "j1", 2010, "j1", 2009, 3), ("p2", "j1", 2010, "NOPE", 2009, 3)])
+        with pytest.raises(ValidationError, match=r"^\[event\.unknown_cited_journal\] p2: "
+                                                  r"cited journal 'NOPE' not in dataset$"):
+            window_counts(ds)
+
+    def test_unknown_cited_journal_outside_census_year_is_ignored(self):
+        ds = make_dataset(
+            [JournalRecord("j1", "One", "g")], [Cluster("g", "G", 1)],
+            [PublicationCount("j1", 2009, 10)],
+            [("p1", "j1", 2009, "NOPE", 2008, 2), ("p2", "j1", 2010, "j1", 2009, 3)])
+        assert window_counts(ds).cites.tolist() == [[1, 1, 1]]
 
 
 class TestDatasetHelpers:

@@ -23,7 +23,7 @@ from oracles import exact_interval_coverage
 
 
 def as_table(values):
-    return IndicatorTable("X", "total_cites", "all", "integer", "raw", 2010, values)
+    return IndicatorTable.from_values("X", "total_cites", "all", "integer", "raw", 2010, values)
 
 
 params_strategy = st.integers(1, 60).flatmap(
