@@ -434,13 +434,14 @@ VALUES = st.one_of(st.none(), st.sampled_from(EDGE_VALUES),
 def tables_with_partitions(draw):
     """(values, partition): a journal -> value dict in an order unlike
     sorted order, with UNDEFINED, repeated and extreme values, and a
-    partition over up to four clusters that may miss one journal."""
+    partition over up to four clusters that may miss up to three journals."""
     ids = draw(st.permutations(draw(st.lists(JOURNAL_IDS, min_size=1, max_size=30,
                                              unique=True))))
     values = {jid: draw(VALUES) for jid in ids}
     partition = {jid: draw(st.sampled_from(("g1", "g2", "10", "é"))) for jid in ids}
     if draw(st.integers(0, 9)) == 0:
-        del partition[draw(st.sampled_from(ids))]
+        for jid in draw(st.lists(st.sampled_from(ids), min_size=1, max_size=3, unique=True)):
+            del partition[jid]
     return values, partition
 
 
@@ -502,3 +503,9 @@ class TestAgainstDictOracles:
         assert (tmp_path / "t.tsv").read_text(encoding="utf-8").splitlines()[2:] == \
             ["a\t-0.0", "b\t0.0", "c\tNA", "d\t-0.0"]
         assert bits(read_table(tmp_path / "t.tsv").values) == bits(dict(sorted(values.items())))
+
+    def test_ids_that_differ_by_trailing_nuls(self, tmp_path):
+        values = {"a\x00": 1.0, "b": 0.5, "a": 2.0, "\x00": None, "a\x00\x00": 3.0}
+        table = flat_table(values)
+        write_table(table, tmp_path / "t.tsv")
+        assert (tmp_path / "t.tsv").read_bytes() == table_text_by_rows(table, values).encode()
