@@ -253,7 +253,9 @@ def _row_layout(journal_ids: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
     order = sorted(range(len(journal_ids)), key=journal_ids.__getitem__)
     rows = np.empty(2 * len(order), dtype=object)
     rows[0::2] = [journal_ids[i] + "\t" for i in order]
-    return np.array(order, dtype=np.intp), rows
+    order = np.array(order, dtype=np.intp)
+    order.flags.writeable = rows.flags.writeable = False
+    return order, rows
 
 
 def write_table(table: IndicatorTable, path: str | Path) -> None:
