@@ -11,8 +11,6 @@ import hashlib
 import json
 from pathlib import Path
 
-import pytest
-
 from citefair.cli import main
 from citefair.synth import ClusterProfile, SynthProfile, profile_to_json
 
@@ -72,12 +70,19 @@ def run_pipeline(root: Path, profile: SynthProfile) -> dict[str, str]:
             if path.is_file() and path.name not in UNDIGESTED and path.name != "profile.json"}
 
 
-@pytest.mark.parametrize("name", sorted(GOLDEN))
-def test_pipeline_bytes_match_golden(tmp_path, name):
+def assert_pipeline_matches(root: Path, name: str) -> None:
     expected = json.loads(Path(__file__).with_name(name).read_text(encoding="utf-8"))
-    found = run_pipeline(tmp_path, GOLDEN[name])
+    found = run_pipeline(root, GOLDEN[name])
     assert sorted(found) == sorted(expected)
-    assert [name for name in expected if found[name] != expected[name]] == []
+    assert [path for path in expected if found[path] != expected[path]] == []
+
+
+def test_pipeline_bytes_match_golden(tmp_path):
+    assert_pipeline_matches(tmp_path, "golden.json")
+
+
+def test_pipeline_bytes_with_na_rows_match_golden(tmp_path):
+    assert_pipeline_matches(tmp_path, "golden_na.json")
 
 
 if __name__ == "__main__":
