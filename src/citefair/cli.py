@@ -23,7 +23,7 @@ from . import indicators as ind
 from . import ingest as ing
 from . import stats
 from . import synth
-from .errors import CiteFairError
+from .errors import CiteFairError, ValidationError
 
 __all__ = ["main", "run", "build_parser"]
 
@@ -131,8 +131,13 @@ def cmd_indicators(args) -> int:
     return 0
 
 
-def _narrow(table: ind.IndicatorTable, partition) -> ind.IndicatorTable:
-    """Restrict an (external) table to the dataset's journals."""
+def _read_table(path: str, partition, census_year: int) -> ind.IndicatorTable:
+    """Read a table computed for the bundle's census year, restricted (as an
+    external table may need) to the dataset's journals."""
+    table = ind.read_table(path)
+    if table.census_year != census_year:
+        raise ValidationError(f"{path}: census_year {table.census_year} differs from "
+                              f"census_year {census_year} of the bundle")
     inside = list(map(partition.__contains__, table.journal_ids))
     ignored = inside.count(False)
     if not ignored:
@@ -143,8 +148,8 @@ def _narrow(table: ind.IndicatorTable, partition) -> ind.IndicatorTable:
 
 
 def cmd_fairness(args) -> int:
-    partition, cluster_names = ing.load_partition(args.dataset)
-    tables = [_narrow(ind.read_table(p), partition) for p in args.table]
+    partition, cluster_names, census_year = ing.load_partition(args.dataset)
+    tables = [_read_table(p, partition, census_year) for p in args.table]
     out = _out_dir(args)
     reports = []
     for table in tables:
@@ -175,13 +180,22 @@ def cmd_fairness(args) -> int:
 def cmd_correlate(args) -> int:
     if len(args.table) < 2:
         raise CiteFairError("correlate needs at least two --table files")
-    partition, _ = ing.load_partition(args.dataset)
-    tables = [_narrow(ind.read_table(p), partition) for p in args.table]
+    partition, _, census_year = ing.load_partition(args.dataset)
+    tables = [_read_table(p, partition, census_year) for p in args.table]
     out = _out_dir(args)
 
-    by_id: dict[str, ind.IndicatorTable] = {}
-    for t in tables:
-        by_id.setdefault(t.indicator_id, t)
+    # each table as a column over the dataset's journals in id order, NaN
+    # where it has no defined value; the first table of each id is kept
+    journals = sorted(partition)
+    position = dict(zip(journals, range(len(journals))))
+    columns = []
+    for table in tables:
+        column = np.full(len(journals), np.nan)
+        column[list(map(position.__getitem__, table.journal_ids))] = table.column
+        columns.append(column)
+    by_id: dict[str, np.ndarray] = {}
+    for table, column in zip(tables, columns):
+        by_id.setdefault(table.indicator_id, column)
 
     # correlation matrix: Spearman above the diagonal, Pearson below
     ids = list(by_id)
@@ -192,11 +206,7 @@ def cmd_correlate(args) -> int:
             if i == j:
                 row.append("")
                 continue
-            a, b = by_id[rid], by_id[cid]
-            shared = sorted(set(a.values) & set(b.values))
-            xs = [a.values[k] for k in shared]
-            ys = [b.values[k] for k in shared]
-            r = stats.spearman(xs, ys) if j > i else stats.pearson(xs, ys)
+            r = (stats.spearman if j > i else stats.pearson)(by_id[rid], by_id[cid])
             row.append("n/a" if r is None else f"{r:.3f}")
         lines.append("\t".join(row))
     matrix_path = out / "correlation-matrix.tsv"
@@ -206,43 +216,38 @@ def cmd_correlate(args) -> int:
         sys.stdout.write(matrix_path.read_text(encoding="utf-8"))
 
     # per-decile rank correlations against the first table
-    baseline = tables[0]
-    for other in tables[1:]:
-        rhos = stats.decile_correlations(baseline.values, other.values, k=args.deciles)
-        shared_n = len({j for j, v in baseline.values.items()
-                        if v is not None and other.values.get(j) is not None})
+    baseline = columns[0]
+    for table, other in zip(tables[1:], columns[1:]):
+        rhos = stats.decile_rhos(baseline, other, k=args.deciles)
+        shared_n = int(np.sum(~np.isnan(baseline) & ~np.isnan(other)))
         sizes = stats.bin_sizes(shared_n, args.deciles)
         dec_lines = ["\t".join(("bin", "size", "spearman"))]
         for b, (size, rho) in enumerate(zip(sizes, rhos), start=1):
             dec_lines.append(f"{b}\t{size}\t" + ("n/a" if rho is None else f"{rho:.3f}"))
-        dec_path = out / f"deciles-{baseline.indicator_id}-vs-{other.indicator_id}.tsv"
+        dec_path = out / f"deciles-{tables[0].indicator_id}-vs-{table.indicator_id}.tsv"
         dec_path.write_text("\n".join(dec_lines) + "\n", encoding="utf-8")
         print(f"wrote {dec_path}")
 
     # per-cluster ECDF points and pairwise KS distances for each table
-    for table in by_id.values():
-        ecdf = stats.ecdf_by_group(table.values, partition)
-        groups = sorted(ecdf, key=lambda c: (len(c), c))
+    clusters, codes = stats.cluster_codes(journals, partition)
+    groups = sorted(range(len(clusters)), key=lambda g: (len(clusters[g]), clusters[g]))
+    for indicator_id, column in by_id.items():
+        values, bounds = stats.cluster_sort(column, codes, clusters)
+        steps = stats.ecdf_steps(values, bounds)
         ecdf_lines = ["\t".join(("cluster", "value", "cumulative_fraction"))]
         for g in groups:
-            for value, frac in ecdf[g]:
-                ecdf_lines.append(f"{g}\t{value!r}\t{frac!r}")
-        epath = out / f"ecdf-{table.indicator_id}.tsv"
+            xs, fractions = steps[g]
+            ecdf_lines += [f"{clusters[g]}\t{value!r}\t{frac!r}"
+                           for value, frac in zip(xs.tolist(), fractions.tolist())]
+        epath = out / f"ecdf-{indicator_id}.tsv"
         epath.write_text("\n".join(ecdf_lines) + "\n", encoding="utf-8")
 
-        by_cluster: dict[str, list[float]] = {g: [] for g in ecdf}
-        for jid, v in table.values.items():
-            if v is not None:
-                by_cluster[partition[jid]].append(v)
-        samples = {g: np.sort(np.array(xs, dtype=np.float64)) for g, xs in by_cluster.items()}
-        ks_lines = ["\t".join(["cluster"] + groups)]
+        ks = stats.ks_matrix(values, bounds).tolist()
+        ks_lines = ["\t".join(["cluster"] + [clusters[g] for g in groups])]
         for g in groups:
-            row = [g]
-            for h in groups:
-                row.append("" if g == h
-                           else f"{stats.ks_two_sample(samples[g], samples[h]):.4f}")
-            ks_lines.append("\t".join(row))
-        kpath = out / f"ks-{table.indicator_id}.tsv"
+            ks_lines.append("\t".join([clusters[g]] + ["" if g == h else f"{ks[g][h]:.4f}"
+                                                        for h in groups]))
+        kpath = out / f"ks-{indicator_id}.tsv"
         kpath.write_text("\n".join(ks_lines) + "\n", encoding="utf-8")
         print(f"wrote {epath} and {kpath}")
     return 0

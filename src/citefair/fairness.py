@@ -18,9 +18,9 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from .errors import FairnessError
-from .indicators import IndicatorTable
+from .indicators import IndicatorTable, _id_order
 from .model import cluster_order_key
-from .stats import HypergeomParams, hypergeom_ci, share_count, top_fraction
+from .stats import HypergeomParams, cluster_codes, hypergeom_ci, share_count, top_rows
 
 __all__ = [
     "ClusterFairness",
@@ -86,33 +86,32 @@ def fairness_test(table: IndicatorTable | Mapping[str, Optional[float]],
     """Run the fairness test for one indicator over a cluster partition.
 
     Every journal in the table must belong to the partition, and every
-    cluster must contribute at least one defined value.
+    cluster must contribute at least one defined value.  A journal -> value
+    mapping (None for UNDEFINED) is taken as a table's column.
     """
-    values = table.values if isinstance(table, IndicatorTable) else table
-    for jid in values:
-        if jid not in partition:
-            raise FairnessError(f"journal '{jid}' missing from the partition")
+    if isinstance(table, IndicatorTable):
+        ids, column = table.journal_ids, table.column
+    else:
+        ids, column = tuple(table), np.array(list(table.values()), dtype=np.float64)
+    inside = list(map(partition.__contains__, ids))
+    if not all(inside):
+        raise FairnessError(f"journal '{ids[inside.index(False)]}' missing from the partition")
+    clusters, codes = cluster_codes(ids, partition)
+    order = _id_order(ids)
+    codes, column = codes[order], column[order]
 
-    defined_by_cluster: dict[str, int] = dict.fromkeys(partition.values(), 0)
-    for jid, v in values.items():
-        if v is not None:
-            defined_by_cluster[partition[jid]] += 1
-    empty = sorted((g for g, n in defined_by_cluster.items() if n == 0),
-                   key=cluster_order_key)
+    n_by_cluster = np.bincount(codes[~np.isnan(column)], minlength=len(clusters)).tolist()
+    empty = sorted((g for g, n in zip(clusters, n_by_cluster) if n == 0), key=cluster_order_key)
     if empty:
         raise FairnessError(
             f"cluster(s) without any defined value: {', '.join(empty)}")
 
-    selected, n_z = top_fraction(values, z)
-    n_total = sum(defined_by_cluster.values())
-    m_by_cluster: dict[str, int] = dict.fromkeys(defined_by_cluster, 0)
-    for jid in selected:
-        m_by_cluster[partition[jid]] += 1
-
+    top = top_rows(column, z)
+    m_by_cluster = np.bincount(codes[top], minlength=len(clusters)).tolist()
+    n_total, n_z = sum(n_by_cluster), len(top)
     rows = []
-    for g in sorted(defined_by_cluster, key=cluster_order_key):
-        n_g = defined_by_cluster[g]
-        m_g = m_by_cluster[g]
+    for g, n_g, m_g in sorted(zip(clusters, n_by_cluster, m_by_cluster),
+                              key=lambda row: cluster_order_key(row[0])):
         m_lo, m_hi = hypergeom_ci(HypergeomParams(n_total, n_g, n_z), ci_level)
         rows.append(ClusterFairness(
             cluster_id=g,

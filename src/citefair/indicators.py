@@ -19,15 +19,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
+from itertools import repeat
 from pathlib import Path
 from typing import Mapping, Optional
 
 import numpy as np
 
 from .errors import ParseError, RescaleError
-from .ingest import _not_utf8
-from .model import WINDOW_ALL, WINDOWS, Dataset, WindowCounts, encode, vocabulary, window_counts
-from .stats import rank_order
+from .ingest import _first_error, _float, _not_utf8
+from .model import (WINDOW_ALL, WINDOWS, Dataset, WindowCounts, encode, repeats, vocabulary,
+                    window_counts)
+from .stats import ranking
 
 __all__ = [
     "WINDOW_ALL",
@@ -45,6 +47,7 @@ __all__ = [
 
 KINDS = ("impact_factor", "total_cites", "cp_ratio", "numerator_only")
 COUNTINGS = ("integer", "fractional")
+NORMALIZATIONS = ("raw", "rescaled")
 
 NA = "NA"  # serialized UNDEFINED sentinel
 
@@ -131,9 +134,6 @@ class IndicatorTable:
         """journal_id -> value in journal order, None where UNDEFINED."""
         return dict(zip(self.journal_ids,
                         [None if v != v else v for v in self.column.tolist()]))
-
-    def defined(self) -> dict[str, float]:
-        return {j: v for j, v in self.values.items() if v is not None}
 
     def __eq__(self, other) -> bool:
         """Equal provenance and values; the baselines are not compared."""
@@ -233,6 +233,17 @@ def rescale(table: IndicatorTable, partition: Mapping[str, str]) -> IndicatorTab
     )
 
 
+@lru_cache(maxsize=1)
+def _id_order(journal_ids: tuple[str, ...]) -> np.ndarray:
+    """The journal indices in ascending id order, read-only, once per
+    census.  Python sorted orders the ids: a numpy U array would drop
+    their trailing NULs."""
+    order = np.array(sorted(range(len(journal_ids)), key=journal_ids.__getitem__),
+                     dtype=np.intp)
+    order.flags.writeable = False
+    return order
+
+
 def rank_table(table: IndicatorTable) -> list[tuple[str, Optional[float], int]]:
     """Rank journals by value descending, UNDEFINED last, ties broken by id
     ascending.
@@ -240,9 +251,11 @@ def rank_table(table: IndicatorTable) -> list[tuple[str, Optional[float], int]]:
     Returns (journal_id, value, rank) with 1-based ranks; tied values get
     distinct consecutive ranks under the id tie-break.
     """
-    defined = rank_order(table.values)
-    undefined = [(j, None) for j in sorted(j for j, v in table.values.items() if v is None)]
-    return [(jid, v, rank) for rank, (jid, v) in enumerate(defined + undefined, start=1)]
+    order = _id_order(table.journal_ids)
+    column = table.column[order]
+    rows = order[np.concatenate((ranking(column), np.flatnonzero(np.isnan(column))))]
+    return [(table.journal_ids[i], None if v != v else v, rank) for rank, (i, v)
+            in enumerate(zip(rows.tolist(), table.column[rows].tolist()), start=1)]
 
 
 @lru_cache(maxsize=1)
@@ -250,11 +263,10 @@ def _row_layout(journal_ids: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
     """The rows of a table file, once per census: the journal indices in
     sorted id order, and an object array holding each row's "id\t" prefix
     at the even places, the odd places left for the values."""
-    order = sorted(range(len(journal_ids)), key=journal_ids.__getitem__)
+    order = _id_order(journal_ids)
     rows = np.empty(2 * len(order), dtype=object)
-    rows[0::2] = [journal_ids[i] + "\t" for i in order]
-    order = np.array(order, dtype=np.intp)
-    order.flags.writeable = rows.flags.writeable = False
+    rows[0::2] = [journal_ids[i] + "\t" for i in order.tolist()]
+    rows.flags.writeable = False
     return order, rows
 
 
@@ -286,61 +298,75 @@ def read_table(path: str | Path) -> IndicatorTable:
     """Read a table written by write_table (or an externally supplied one
     in the same format, e.g. vendor-provided impact factors).
 
-    Values must be finite and non-negative, or "NA" for UNDEFINED.
+    Values must be finite and non-negative, or "NA" for UNDEFINED, and the
+    header's kind, window, counting and normalization must be ones
+    write_table writes.  The rows are read in bulk: each distinct value is
+    parsed once and each rule is a row mask.  Errors are reported in this
+    order: the header line, the column line, the earliest row that breaks
+    a rule, then the header's window, census year and the rest.
     """
     path = Path(path)
     try:
-        with path.open(encoding="utf-8") as fh:
-            header = fh.readline().rstrip("\n")
-            if not header.startswith("#"):
-                raise ParseError(path, 1, "missing provenance header line")
-            meta: dict[str, str] = {}
-            for token in header.lstrip("#").split():
-                key, _, val = token.partition("=")
-                if not _:
-                    raise ParseError(path, 1, f"malformed provenance token '{token}'")
-                meta[key] = val
-            for key in ("indicator_id", "kind", "window", "counting",
-                        "normalization", "census_year"):
-                if key not in meta:
-                    raise ParseError(path, 1, f"provenance header missing '{key}'")
-            columns = fh.readline().rstrip("\n").split("\t")
-            if columns[:2] != ["journal_id", "value"]:
-                raise ParseError(path, 2, "expected columns journal_id, value")
-            journal_ids: list[str] = []
-            column: list[float] = []
-            seen: set[str] = set()
-            for lineno, line in enumerate(fh, start=3):
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                parts = line.split("\t")
-                if len(parts) != 2 or not parts[0]:
-                    raise ParseError(path, lineno, f"malformed row: {line!r}")
-                jid, raw = parts
-                if jid in seen:
-                    raise ParseError(path, lineno, f"duplicate journal_id '{jid}'")
-                seen.add(jid)
-                journal_ids.append(jid)
-                if raw == NA:
-                    column.append(math.nan)
-                    continue
-                try:
-                    value = float(raw)
-                except ValueError:
-                    raise ParseError(path, lineno, f"bad value {raw!r}") from None
-                if not 0.0 <= value < math.inf:
-                    raise ParseError(path, lineno,
-                                     f"value must be finite and non-negative, got {raw!r}")
-                column.append(value)
+        lines = path.read_text(encoding="utf-8").split("\n")
     except UnicodeDecodeError:
         raise _not_utf8(path) from None
+    if not lines[0].startswith("#"):
+        raise ParseError(path, 1, "missing provenance header line")
+    meta: dict[str, str] = {}
+    for token in lines[0].lstrip("#").split():
+        key, _, val = token.partition("=")
+        if not _:
+            raise ParseError(path, 1, f"malformed provenance token '{token}'")
+        meta[key] = val
+    for key in ("indicator_id", "kind", "window", "counting", "normalization", "census_year"):
+        if key not in meta:
+            raise ParseError(path, 1, f"provenance header missing '{key}'")
+    if (lines[1] if len(lines) > 1 else "").split("\t")[:2] != ["journal_id", "value"]:
+        raise ParseError(path, 2, "expected columns journal_id, value")
+
+    rows = list(filter(None, lines[2:]))
+
+    def line_of(row: int) -> int:
+        return int(np.flatnonzero(list(map(bool, lines[2:])))[row]) + 3
+
+    ragged = np.fromiter(map(str.count, rows, repeat("\t")), np.intp, len(rows)) != 1
+    cut = int(ragged.argmax()) if ragged.any() else len(rows)
+    stop = (ParseError(path, line_of(cut), f"malformed row: {rows[cut]!r}")
+            if cut < len(rows) else None)
+    fields = "\t".join(rows[:cut]).split("\t") if cut else []
+    ids, raws = fields[0::2], fields[1::2]
+    names = vocabulary()
+    id_codes = encode(ids, names)
+    texts = vocabulary()
+    codes = encode(raws, texts)
+    values = [math.nan if raw == NA else _float(raw) for raw in texts]
+    unparsed = np.array([v is None for v in values], dtype=bool)[codes]
+    negative_or_infinite = np.array([raw != NA and v is not None and not 0.0 <= v < math.inf
+                                     for raw, v in zip(texts, values)], dtype=bool)[codes]
+    error = _first_error(line_of, [
+        (id_codes == names.get("", -1),
+         lambda line, i: ParseError(path, line, f"malformed row: {rows[i]!r}")),
+        (repeats(id_codes),
+         lambda line, i: ParseError(path, line, f"duplicate journal_id '{ids[i]}'")),
+        (unparsed, lambda line, i: ParseError(path, line, f"bad value {raws[i]!r}")),
+        (negative_or_infinite, lambda line, i: ParseError(
+            path, line, f"value must be finite and non-negative, got {raws[i]!r}")),
+    ]) or stop
+    if error:
+        raise error
+
     try:
         window = meta["window"] if meta["window"] == WINDOW_ALL else int(meta["window"])
         census_year = int(meta["census_year"])
     except ValueError:
         raise ParseError(path, 1, f"bad window {meta['window']!r} or census_year "
                                   f"{meta['census_year']!r}") from None
+    try:
+        IndicatorSpec(meta["kind"], window, meta["counting"])
+    except ValueError as exc:
+        raise ParseError(path, 1, str(exc)) from None
+    if meta["normalization"] not in NORMALIZATIONS:
+        raise ParseError(path, 1, f"unknown normalization '{meta['normalization']}'")
     return IndicatorTable(
         indicator_id=meta["indicator_id"],
         kind=meta["kind"],
@@ -348,7 +374,7 @@ def read_table(path: str | Path) -> IndicatorTable:
         counting=meta["counting"],
         normalization=meta["normalization"],
         census_year=census_year,
-        journal_ids=journal_ids,
-        column=column,
+        journal_ids=tuple(ids),
+        column=np.array(values, dtype=np.float64)[codes],
         source_id=meta.get("source_id"),
     )

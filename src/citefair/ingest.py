@@ -738,15 +738,16 @@ def _load_journals(directory: Path) -> tuple[dict, list[JournalRecord], list[Clu
     return meta, journals, clusters
 
 
-def load_partition(directory: str | Path) -> tuple[dict[str, str], dict[str, str]]:
-    """A bundle's partition (journal_id -> cluster_id) and cluster names, from
-    journals.tsv, which must still match the manifest."""
+def load_partition(directory: str | Path) -> tuple[dict[str, str], dict[str, str], int]:
+    """A bundle's partition (journal_id -> cluster_id), cluster names and
+    census year, from journals.tsv, which must still match the manifest,
+    and dataset.json."""
     directory = Path(directory)
     meta, journals, clusters = _load_journals(directory)
     if _changed(directory, meta, (JOURNALS_FILE,)):
         raise _changed_error(directory, JOURNALS_FILE)
     return ({j.journal_id: j.cluster_id for j in journals},
-            {c.cluster_id: c.name for c in clusters})
+            {c.cluster_id: c.name for c in clusters}, meta["census_year"])
 
 
 def load_counts(directory: str | Path) -> tuple[WindowCounts, dict[str, str]]:

@@ -4,10 +4,13 @@ rank correlations, empirical CDFs and the two-sample KS statistic.
 
 Conventions
 -----------
-Indicator values are mappings ``journal_id -> float | None`` where ``None``
-marks an UNDEFINED value (zero denominator).  UNDEFINED values are excluded
-from means, ranks and correlations by pairwise deletion.  All functions are
-pure; callers may parallelize per-cluster or per-bin work freely.
+The ranking, decile and ECDF kernels take columns: float64 arrays holding
+one value per journal, journals in ascending id order, NaN marking an
+UNDEFINED value (zero denominator).  Their mapping forms take
+``journal_id -> float | None`` dicts, ``None`` for UNDEFINED, and lay them
+out as such columns.  UNDEFINED values are excluded from means, ranks and
+correlations by pairwise deletion; tied values are ordered by journal id,
+and -0.0 ties with 0.0.  All functions are pure.
 """
 
 from __future__ import annotations
@@ -27,15 +30,21 @@ __all__ = [
     "hypergeom_pmf",
     "hypergeom_cdf",
     "hypergeom_ci",
-    "rank_order",
+    "ranking",
     "share_count",
+    "top_rows",
     "top_fraction",
     "variance_decomposition",
     "pearson",
     "spearman",
     "average_ranks",
+    "decile_rhos",
     "decile_correlations",
     "bin_sizes",
+    "cluster_codes",
+    "cluster_sort",
+    "ecdf_steps",
+    "ks_matrix",
     "ecdf_by_group",
     "ks_two_sample",
 ]
@@ -118,11 +127,19 @@ def hypergeom_ci(params: HypergeomParams, level: float) -> tuple[int, int]:
     return m_lo, m_hi
 
 
-def rank_order(values: Values) -> list[tuple[str, float]]:
-    """Defined values sorted by value descending, ties by id ascending."""
-    defined = [(jid, v) for jid, v in values.items() if v is not None]
-    defined.sort(key=lambda kv: (-kv[1], kv[0]))
-    return defined
+def _columns(*values: Values) -> tuple[list[str], np.ndarray]:
+    """The journals of the mappings in ascending id order, and one column
+    per mapping over them: NaN where a mapping's value is None or absent."""
+    ids = sorted(set().union(*values))
+    return ids, np.array([[v.get(jid) for jid in ids] for v in values],
+                         dtype=np.float64).reshape(len(values), len(ids))
+
+
+def ranking(column: np.ndarray) -> np.ndarray:
+    """The positions of the defined values of a column, by value descending.
+    The sort is stable, so tied values keep id order."""
+    defined = np.flatnonzero(~np.isnan(column))
+    return defined[np.argsort(-column[defined], kind="stable")]
 
 
 def share_count(z: float, n: int) -> int:
@@ -131,23 +148,27 @@ def share_count(z: float, n: int) -> int:
     return int(Fraction(str(z)) * n / 100)
 
 
-def top_fraction(values: Values, z: float) -> tuple[frozenset[str], int]:
-    """Extract the top z% set: the floor(z*N/100) highest-ranked journals.
-
-    N counts journals with defined values only.  Returns the selected ids
-    and n_z; a fraction too small to select anything is an error.
-    """
+def top_rows(column: np.ndarray, z: float) -> np.ndarray:
+    """The positions of the top z% of a column: its floor(z*N/100)
+    highest-ranked values, N counting defined values only.  A fraction too
+    small to select anything is an error."""
     if not 0.0 < z <= 100.0:
         raise StatsError(f"z must lie in (0, 100], got {z}")
-    ordered = rank_order(values)
-    n_defined = len(ordered)
-    if n_defined == 0:
+    ranked = ranking(column)
+    if len(ranked) == 0:
         raise StatsError("no defined values to rank")
-    n_z = share_count(z, n_defined)
+    n_z = share_count(z, len(ranked))
     if n_z == 0:
         raise StatsError(
-            f"top-{z}% of {n_defined} values selects nothing (n_z = 0)")
-    return frozenset(jid for jid, _ in ordered[:n_z]), n_z
+            f"top-{z}% of {len(ranked)} values selects nothing (n_z = 0)")
+    return ranked[:n_z]
+
+
+def top_fraction(values: Values, z: float) -> tuple[frozenset[str], int]:
+    """The ids of the top z% set (top_rows) and n_z."""
+    ids, (column,) = _columns(values)
+    top = top_rows(column, z)
+    return frozenset(ids[i] for i in top.tolist()), len(top)
 
 
 @dataclass(frozen=True)
@@ -199,13 +220,14 @@ def variance_decomposition(values: Values, partition: Mapping[str, str]) -> Vari
 
 
 def _paired_arrays(x: Sequence[Optional[float]], y: Sequence[Optional[float]]):
+    """The pairs where both values are defined (neither None nor NaN)."""
     if len(x) != len(y):
         raise StatsError(f"length mismatch: {len(x)} vs {len(y)}")
-    pairs = [(a, b) for a, b in zip(x, y) if a is not None and b is not None]
-    if len(pairs) < 2:
-        raise StatsError(f"need at least 2 defined pairs, got {len(pairs)}")
-    arr = np.asarray(pairs, dtype=float)
-    return arr[:, 0], arr[:, 1]
+    xs, ys = np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)
+    both = ~(np.isnan(xs) | np.isnan(ys))
+    if both.sum() < 2:
+        raise StatsError(f"need at least 2 defined pairs, got {both.sum()}")
+    return xs[both], ys[both]
 
 
 def _pearson_arrays(xs: np.ndarray, ys: np.ndarray) -> Optional[float]:
@@ -220,7 +242,8 @@ def _pearson_arrays(xs: np.ndarray, ys: np.ndarray) -> Optional[float]:
 
 
 def pearson(x: Sequence[Optional[float]], y: Sequence[Optional[float]]) -> Optional[float]:
-    """Sample Pearson r with pairwise deletion; None if either variance is 0."""
+    """Sample Pearson r with pairwise deletion of None or NaN values; None
+    if either variance is 0."""
     xs, ys = _paired_arrays(x, y)
     return _pearson_arrays(xs, ys)
 
@@ -248,66 +271,101 @@ def bin_sizes(n: int, k: int) -> list[int]:
     return [base + 1] * rem + [base] * (k - rem)
 
 
-def decile_correlations(baseline: Values, other: Values, k: int = 10) -> list[Optional[float]]:
-    """Per-bin Spearman between two indicators along the baseline ranking.
+def decile_rhos(x: np.ndarray, y: np.ndarray, k: int = 10) -> list[Optional[float]]:
+    """Per-bin Spearman between two columns along the ranking of ``x``.
 
-    Journals defined in both tables are sorted by the baseline (value
-    descending, id ascending) and cut into k contiguous bins.  A bin where
-    either variable is constant (including single-journal bins) yields None.
+    Journals defined in both are ranked by ``x`` (ranking) and cut into k
+    contiguous bins (bin_sizes).  A bin where either variable is constant
+    (including single-journal bins) yields None.
     """
     if k < 2:
         raise StatsError(f"need at least 2 bins, got k={k}")
-    shared = {jid: v for jid, v in baseline.items()
-              if v is not None and other.get(jid) is not None}
+    shared = ranking(np.where(np.isnan(y), np.nan, x))
     if len(shared) < k:
         raise StatsError(
             f"shared defined support {len(shared)} is smaller than k={k}")
-    ordered = [jid for jid, _ in rank_order(shared)]
     out: list[Optional[float]] = []
-    pos = 0
-    for size in bin_sizes(len(ordered), k):
-        ids = ordered[pos:pos + size]
-        pos += size
-        if size < 2:
+    for rows in np.split(shared, np.cumsum(bin_sizes(len(shared), k))[:-1]):
+        if len(rows) < 2:
             out.append(None)
             continue
-        xs = np.asarray([baseline[j] for j in ids], dtype=float)
-        ys = np.asarray([other[j] for j in ids], dtype=float)
-        out.append(_pearson_arrays(average_ranks(xs), average_ranks(ys)))
+        out.append(_pearson_arrays(average_ranks(x[rows]), average_ranks(y[rows])))
     return out
+
+
+def decile_correlations(baseline: Values, other: Values, k: int = 10) -> list[Optional[float]]:
+    """decile_rhos of two journal -> value mappings."""
+    _, (x, y) = _columns(baseline, other)
+    return decile_rhos(x, y, k)
+
+
+def cluster_sort(column: np.ndarray, codes: np.ndarray,
+                 clusters: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+    """The defined values of a column sorted by cluster, then by value,
+    and each cluster's bounds: cluster g's values are
+    ``values[bounds[g]:bounds[g + 1]]``.  ``codes`` gives each journal's
+    index into ``clusters``; a cluster without defined values is an error.
+    The sort is stable, so equal values keep id order."""
+    defined = ~np.isnan(column)
+    column, codes = column[defined], codes[defined]
+    sizes = np.bincount(codes, minlength=len(clusters))
+    if not sizes.all():
+        raise StatsError(f"cluster '{clusters[int(np.argmin(sizes))]}' has no defined values")
+    return column[np.lexsort((column, codes))], np.concatenate(([0], np.cumsum(sizes)))
+
+
+def ecdf_steps(values: np.ndarray, bounds: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Right-continuous ECDF step points per cluster of cluster_sort's
+    output: the cluster's distinct values ascending, and the fraction of
+    its values at or below each, in (0, 1].  Equal values (-0.0 and 0.0)
+    make one step, showing the value of the journal first in id order."""
+    steps = []
+    for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+        xs = values[lo:hi]
+        starts = np.flatnonzero(np.concatenate(([True], xs[1:] != xs[:-1])))
+        steps.append((xs[starts], np.append(starts[1:], len(xs)) / len(xs)))
+    return steps
+
+
+def ks_matrix(values: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """The two-sample KS statistic sup |ECDF_g - ECDF_h| of every pair of
+    clusters of cluster_sort's output.  ECDF_g - ECDF_h changes only at
+    values of g or h, so the supremum is the larger of its maxima over g's
+    values and over h's values; every ECDF is taken at every value once."""
+    spans = list(zip(bounds[:-1].tolist(), bounds[1:].tolist()))
+    cdf = np.array([np.searchsorted(values[lo:hi], values, side="right") / (hi - lo)
+                    for lo, hi in spans])
+    own = np.array([np.abs(cdf[:, lo:hi] - cdf[g, lo:hi]).max(axis=1)
+                    for g, (lo, hi) in enumerate(spans)])
+    return np.maximum(own, own.T)
+
+
+def cluster_codes(ids: Sequence[str], partition: Mapping[str, str]) -> tuple[list[str], np.ndarray]:
+    """The partition's clusters in order of their first journal, and the
+    index of each journal's cluster among them."""
+    clusters = list(dict.fromkeys(partition.values()))
+    index = dict(zip(clusters, range(len(clusters))))
+    return clusters, np.array([index[partition[jid]] for jid in ids], dtype=np.intp)
 
 
 def ecdf_by_group(values: Values, partition: Mapping[str, str]) -> dict[str, list[tuple[float, float]]]:
-    """Right-continuous ECDF step points per cluster, over defined values.
-
-    Each cluster maps to ascending (value, cumulative fraction) pairs with
-    fractions in (0, 1]; duplicated values collapse into a single step.
-    """
-    grouped: dict[str, list[float]] = {g: [] for g in dict.fromkeys(partition.values())}
-    for jid, v in values.items():
-        if v is None:
-            continue
-        try:
-            grouped[partition[jid]].append(v)
-        except KeyError:
-            raise StatsError(f"journal '{jid}' missing from the partition") from None
-    out: dict[str, list[tuple[float, float]]] = {}
-    for g, xs in grouped.items():
-        if not xs:
-            raise StatsError(f"cluster '{g}' has no defined values")
-        uniq, counts = np.unique(np.asarray(xs, dtype=float), return_counts=True)
-        frac = np.cumsum(counts) / len(xs)
-        out[g] = list(zip(uniq.tolist(), frac.tolist()))
-    return out
+    """ecdf_steps of a journal -> value mapping, per cluster of the
+    partition in order of its first journal, as (value, fraction) pairs."""
+    defined = {jid: v for jid, v in values.items() if v is not None}
+    for jid in defined:
+        if jid not in partition:
+            raise StatsError(f"journal '{jid}' missing from the partition")
+    ids, (column,) = _columns(defined)
+    clusters, codes = cluster_codes(ids, partition)
+    steps = ecdf_steps(*cluster_sort(column, codes, clusters))
+    return {g: list(zip(xs.tolist(), fractions.tolist()))
+            for g, (xs, fractions) in zip(clusters, steps)}
 
 
 def ks_two_sample(a: Sequence[float], b: Sequence[float]) -> float:
-    """sup |ECDF_a - ECDF_b| over the pooled sample points."""
+    """ks_matrix of two samples."""
     if len(a) == 0 or len(b) == 0:
         raise StatsError("both samples must be nonempty")
-    xa = np.sort(np.asarray(a, dtype=float))
-    xb = np.sort(np.asarray(b, dtype=float))
-    grid = np.concatenate([xa, xb])
-    cdf_a = np.searchsorted(xa, grid, side="right") / len(xa)
-    cdf_b = np.searchsorted(xb, grid, side="right") / len(xb)
-    return float(np.max(np.abs(cdf_a - cdf_b)))
+    column = np.concatenate((np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)))
+    codes = np.repeat([0, 1], [len(a), len(b)])
+    return float(ks_matrix(*cluster_sort(column, codes, ("a", "b")))[0, 1])

@@ -288,3 +288,129 @@ def table_text_by_rows(table, values) -> str:
     for jid in sorted(values):
         lines.append(jid + "\t" + ("NA" if values[jid] is None else repr(values[jid])))
     return "\n".join(lines) + "\n"
+
+
+def rank_by_sort(values):
+    """The defined (journal, value) pairs of a journal -> value dict (None
+    for UNDEFINED), by value descending, ties by id ascending: one Python
+    sort, under which -0.0 ties with 0.0."""
+    defined = [(jid, v) for jid, v in values.items() if v is not None]
+    defined.sort(key=lambda kv: (-kv[1], kv[0]))
+    return defined
+
+
+def top_set_by_sort(values, z):
+    """The ids of the floor(z*N/100) first journals of rank_by_sort, N the
+    number of defined values, with z read exactly from its decimal form."""
+    ranked = rank_by_sort(values)
+    n_z = int(Fraction(str(z)) * len(ranked) / 100)
+    return frozenset(jid for jid, _ in ranked[:n_z]), n_z
+
+
+def decile_bins_by_sort(baseline, other, k):
+    """The journals defined in both dicts, ranked by ``baseline`` as
+    rank_by_sort ranks them, cut into k contiguous bins (the remainder one
+    each to the top bins): per bin, the (baseline, other) value pairs."""
+    shared = {jid: v for jid, v in baseline.items()
+              if v is not None and other.get(jid) is not None}
+    ranked = [jid for jid, _ in rank_by_sort(shared)]
+    base, rem = divmod(len(ranked), k)
+    bins, pos = [], 0
+    for b in range(k):
+        size = base + (b < rem)
+        bins.append([(baseline[j], other[j]) for j in ranked[pos:pos + size]])
+        pos += size
+    return bins
+
+
+def ecdf_by_dicts(values, partition):
+    """Per cluster, in order of the cluster's first journal in the
+    partition, the ECDF steps of its defined values: (value, fraction of
+    the cluster's values at or below it) at each distinct value ascending.
+    Of equal values (-0.0 and 0.0), a step shows the smallest id's."""
+    grouped = {g: [] for g in dict.fromkeys(partition.values())}
+    for jid, v in values.items():
+        if v is not None:
+            grouped[partition[jid]].append((v, jid))
+    steps = {}
+    for g, pairs in grouped.items():
+        pairs.sort()
+        points = []
+        for i, (v, _) in enumerate(pairs):
+            if points and points[-1][0] == v:
+                points[-1] = (points[-1][0], (i + 1) / len(pairs))
+            else:
+                points.append((v, (i + 1) / len(pairs)))
+        steps[g] = points
+    return steps
+
+
+def ks_by_counts(a, b) -> float:
+    """sup |ECDF_a - ECDF_b| over the pooled points, each ECDF value the
+    count at or below the point over the sample size."""
+    return max(abs(sum(v <= x for v in a) / len(a) - sum(v <= x for v in b) / len(b))
+               for x in list(a) + list(b))
+
+
+def read_table_by_lines(path):
+    """An indicator table file read one line at a time: (provenance dict,
+    journal ids, values with None for NA), or ValueError((line, message))
+    for the first rule broken, the rules checked in this order: the header
+    line, the column line, each data row in turn, then the header's
+    window, census year, kind, counting and normalization."""
+    with open(path, encoding="utf-8") as fh:
+        header = fh.readline().rstrip("\n")
+        if not header.startswith("#"):
+            raise ValueError((1, "missing provenance header line"))
+        meta = {}
+        for token in header.lstrip("#").split():
+            key, eq, val = token.partition("=")
+            if not eq:
+                raise ValueError((1, f"malformed provenance token '{token}'"))
+            meta[key] = val
+        for key in ("indicator_id", "kind", "window", "counting", "normalization",
+                    "census_year"):
+            if key not in meta:
+                raise ValueError((1, f"provenance header missing '{key}'"))
+        if fh.readline().rstrip("\n").split("\t")[:2] != ["journal_id", "value"]:
+            raise ValueError((2, "expected columns journal_id, value"))
+        ids, values = [], []
+        for lineno, line in enumerate(fh, start=3):
+            line = line.rstrip("\n")
+            if not line:
+                continue
+            parts = line.split("\t")
+            if len(parts) != 2 or not parts[0]:
+                raise ValueError((lineno, f"malformed row: {line!r}"))
+            jid, raw = parts
+            if jid in ids:
+                raise ValueError((lineno, f"duplicate journal_id '{jid}'"))
+            ids.append(jid)
+            if raw == "NA":
+                values.append(None)
+                continue
+            try:
+                value = float(raw)
+            except ValueError:
+                raise ValueError((lineno, f"bad value {raw!r}")) from None
+            if not 0.0 <= value < math.inf:
+                raise ValueError((lineno, f"value must be finite and non-negative, got {raw!r}"))
+            values.append(value)
+    try:
+        window = meta["window"] if meta["window"] == "all" else int(meta["window"])
+        int(meta["census_year"])
+    except ValueError:
+        raise ValueError((1, f"bad window {meta['window']!r} or census_year "
+                             f"{meta['census_year']!r}")) from None
+    kind = meta["kind"]
+    if kind not in ("impact_factor", "total_cites", "cp_ratio", "numerator_only"):
+        raise ValueError((1, f"unknown indicator kind '{kind}'"))
+    if meta["counting"] not in ("integer", "fractional"):
+        raise ValueError((1, f"unknown counting mode '{meta['counting']}'"))
+    if kind in ("impact_factor", "numerator_only") and window not in (2, 5):
+        raise ValueError((1, f"{kind} requires window 2 or 5, got {window!r}"))
+    if kind in ("total_cites", "cp_ratio") and window != "all":
+        raise ValueError((1, f"{kind} uses all prior years; got window {window!r}"))
+    if meta["normalization"] not in ("raw", "rescaled"):
+        raise ValueError((1, f"unknown normalization '{meta['normalization']}'"))
+    return meta, ids, values

@@ -527,6 +527,22 @@ class TestExternalTables:
         assert (out / "ISI-IF2-fairness.tsv").exists()
 
 
+class TestTableProvenance:
+    @pytest.mark.parametrize("command", ["fairness", "correlate"])
+    def test_other_census_year_exits_two(self, tmp_path, profile_file, capsys, command):
+        _, bundle, tables = run_pipeline(tmp_path, profile_file)
+        text = (tables / "IF2-FC.tsv").read_text(encoding="utf-8")
+        assert "census_year=2010" in text
+        other = tmp_path / "IF2-FC-2009.tsv"
+        other.write_text(text.replace("census_year=2010", "census_year=2009", 1),
+                         encoding="utf-8")
+        assert main([command, "--dataset", str(bundle), "--table", str(tables / "IF2-IC.tsv"),
+                     "--table", str(other), "--out-dir", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "census_year 2009" in err and "census_year 2010" in err
+        assert str(other) in err
+
+
 class TestExitCodes:
     def test_usage_error_is_two(self):
         assert main(["frobnicate"]) == 2

@@ -2,8 +2,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from citefair.errors import FairnessError
+from citefair.indicators import IndicatorTable
 from citefair.fairness import (
     calibration,
     compare_reports,
@@ -13,6 +15,8 @@ from citefair.fairness import (
     write_report_json,
     write_report_tsv,
 )
+
+from oracles import top_set_by_sort
 
 # Published 11-group top-10% percentage columns with known summary rows,
 # used as frozen regression fixtures for the aggregation arithmetic.
@@ -294,3 +298,30 @@ class TestReportIo:
         text = path.read_text(encoding="utf-8")
         assert "criterion\tleft\tright\twinner" in text
         assert "overall\t\t\ttie" in text
+
+
+# Ids with trailing NULs, values with ties, -0.0 beside 0.0 and UNDEFINED.
+IDS = st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=3)
+TIED = st.one_of(st.none(), st.sampled_from([0.0, -0.0, 1.0, 2.5]),
+                 st.floats(0.0, 4.0, allow_nan=False))
+
+
+class TestAgainstDictOracle:
+    @given(st.lists(IDS, min_size=1, max_size=40, unique=True).flatmap(st.permutations),
+           st.data(), st.sampled_from([10, 25, 50]))
+    @settings(max_examples=200, deadline=None)
+    def test_counts_match_the_oracle_top_set(self, ids, data, z):
+        values = {jid: data.draw(TIED) for jid in ids}
+        partition = {jid: data.draw(st.sampled_from(("g1", "g2", "10"))) for jid in ids}
+        defined = {g: sum(values[j] is not None for j in ids if partition[j] == g)
+                   for g in partition.values()}
+        selected, n_z = top_set_by_sort(values, z)
+        if 0 in defined.values() or n_z == 0:
+            return
+        table = IndicatorTable.from_values("T", "total_cites", "all", "integer", "raw", 2010,
+                                           values)
+        report = fairness_test(table, partition, z=z)
+        assert report == fairness_test(values, partition, z=z)
+        assert report.n_z == n_z
+        assert {r.cluster_id: (r.n_g, r.m_g) for r in report.per_cluster} == \
+            {g: (n, sum(partition[j] == g for j in selected)) for g, n in defined.items()}

@@ -1,6 +1,7 @@
 """Arbitrary rows fed to the file readers: each either parses or raises a
-CiteFairError (which the CLI reports with exit 2), never anything else; and
-the bulk split of plain chunks reads every file as csv.reader does."""
+CiteFairError (which the CLI reports with exit 2), never anything else; the
+bulk split of plain chunks reads every file as csv.reader does; and mutated
+table files given to the commands that read them exit 0 or 2, never 1."""
 
 import warnings
 
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import citefair.ingest
+from citefair.cli import main
 from citefair.errors import CiteFairError
 from citefair.indicators import read_table
 from citefair.ingest import (
@@ -17,7 +19,11 @@ from citefair.ingest import (
     parse_citations,
     parse_journals,
     parse_publications,
+    save_bundle,
 )
+from citefair.synth import generate
+
+from conftest import small_profile
 
 # Text fields may hold tabs, quotes, newlines and NULs; integer-like fields
 # reach the numeric checks, up to and past the 64-bit range.
@@ -140,3 +146,50 @@ def test_read_table_raises_only_citefair_errors(tmp_path, meta, dropped, columns
         read_table(path)
     except CiteFairError:
         pass
+
+
+@pytest.fixture(scope="module")
+def pipeline(tmp_path_factory):
+    """A bundle and its indicator tables."""
+    directory = tmp_path_factory.mktemp("pipeline")
+    save_bundle(generate(small_profile(5)), directory / "bundle")
+    assert main(["indicators", "--dataset", str(directory / "bundle"),
+                 "--out-dir", str(directory / "tables")]) == 0
+    return directory / "bundle", directory / "tables"
+
+
+@st.composite
+def mutated(draw, data: bytes) -> bytes:
+    """``data`` truncated, with bytes flipped, a column dropped, the two
+    columns swapped, or rows repeated."""
+    lines = data.split(b"\n")
+    how = draw(st.sampled_from(["truncate", "flip", "drop", "swap", "repeat"]))
+    if how == "truncate":
+        return data[:draw(st.integers(0, len(data)))]
+    if how == "flip":
+        out = bytearray(data)
+        for at in draw(st.lists(st.integers(0, len(data) - 1), min_size=1, max_size=4)):
+            out[at] ^= draw(st.integers(1, 255))
+        return bytes(out)
+    if how in ("drop", "swap"):
+        start = draw(st.integers(0, 2))
+        edit = (lambda f: f[1:] if how == "drop" else f[1::-1] + f[2:])
+        return b"\n".join(lines[:start] + [b"\t".join(edit(line.split(b"\t")))
+                                            for line in lines[start:]])
+    rows = draw(st.lists(st.integers(0, len(lines) - 1), min_size=1, max_size=5))
+    return b"\n".join(lines + [lines[i] for i in rows])
+
+
+@pytest.mark.parametrize("command", ["fairness", "correlate"])
+@SETTINGS
+@given(data=st.data())
+def test_commands_exit_zero_or_two_on_mutated_tables(pipeline, tmp_path_factory, command, data):
+    bundle, tables = pipeline
+    name = data.draw(st.sampled_from(["IF2-IC", "IF2-FC-RS", "CP-FC"]))
+    directory = tmp_path_factory.mktemp("mutated")
+    table = directory / f"{name}.tsv"
+    table.write_bytes(data.draw(mutated((tables / f"{name}.tsv").read_bytes())))
+    options = ["--z", "25"] if command == "fairness" else ["--deciles", "4"]
+    assert main([command, "--dataset", str(bundle), "--table", str(table),
+                 "--table", str(tables / "IF5-IC.tsv"), *options,
+                 "--out-dir", str(directory / "out")]) in (0, 2)

@@ -22,8 +22,8 @@ from citefair.synth import generate
 
 from conftest import ALL_KIND_SPECS, make_dataset, small_profile
 from oracles import (PublicationCount, if_denominator_by_scan, if_numerator_by_scan,
-                     indicator_by_scan, items_last_record_wins, rescale_by_dicts,
-                     table_text_by_rows)
+                     indicator_by_scan, items_last_record_wins, rank_by_sort,
+                     read_table_by_lines, rescale_by_dicts, table_text_by_rows)
 
 
 def flat_table(values, indicator_id="T", normalization="raw"):
@@ -409,6 +409,25 @@ class TestTableIo:
             read_table(path)
         assert err.value.line == 4
 
+    @pytest.mark.parametrize("kind, window, counting, normalization, message", [
+        ("impact_factors", "2", "integer", "raw", "unknown indicator kind 'impact_factors'"),
+        ("impact_factor", "3", "integer", "raw", "impact_factor requires window 2 or 5, got 3"),
+        ("impact_factor", "all", "integer", "raw", "requires window 2 or 5, got 'all'"),
+        ("cp_ratio", "5", "integer", "raw", "cp_ratio uses all prior years; got window 5"),
+        ("total_cites", "all", "whole", "raw", "unknown counting mode 'whole'"),
+        ("total_cites", "all", "integer", "scaled", "unknown normalization 'scaled'"),
+    ])
+    def test_provenance_citefair_cannot_write_names_header(self, tmp_path, kind, window,
+                                                           counting, normalization, message):
+        path = tmp_path / "bad.tsv"
+        path.write_text(
+            f"# indicator_id=X kind={kind} window={window} counting={counting} "
+            f"normalization={normalization} census_year=2010\n"
+            "journal_id\tvalue\na\t1.0\n")
+        with pytest.raises(ParseError, match=message) as err:
+            read_table(path)
+        assert err.value.line == 1
+
     @pytest.mark.parametrize("window, census_year", [("two", "2010"), ("2", "20x0")])
     def test_bad_window_or_census_year_names_header(self, tmp_path, window, census_year):
         path = tmp_path / "bad.tsv"
@@ -510,3 +529,86 @@ class TestAgainstDictOracles:
         table = flat_table(values)
         write_table(table, tmp_path / "t.tsv")
         assert (tmp_path / "t.tsv").read_bytes() == table_text_by_rows(table, values).encode()
+
+    @given(tables_with_partitions())
+    @settings(max_examples=200, deadline=None)
+    def test_rank_table(self, case):
+        values, _ = case
+        ranked = rank_by_sort(values) + [(j, None) for j in sorted(values) if values[j] is None]
+        assert [(jid, None if v is None else v.hex(), rank)
+                for jid, v, rank in rank_table(flat_table(values))] == \
+            [(jid, None if v is None else v.hex(), rank)
+             for rank, (jid, v) in enumerate(ranked, start=1)]
+
+
+# Lines of a table file: the rows a reader must accept and those it must
+# reject (an extra or missing tab, an empty id, values float() refuses,
+# non-finite or negative values, repeated ids), ended by LF, CRLF or a lone
+# CR, with blank lines between them.
+TABLE_IDS = st.sampled_from(["a", "b", "a\x00", "\x00", "é", "z", " a", "", "Z9"])
+RAW_VALUES = st.one_of(
+    st.sampled_from(["1.5", " 1.5", "1_0", "NA", "na", "nan", "inf", "-1", "-0.0", "0", "0.0",
+                     "1e308", "1e309", "5e-324", "x", "", "2 ", "+3"]),
+    st.floats(0.0, 1e9, allow_nan=False).map(repr))
+TABLE_ROWS = st.one_of(
+    st.tuples(TABLE_IDS, RAW_VALUES).map("\t".join),
+    st.tuples(TABLE_IDS, RAW_VALUES, RAW_VALUES).map("\t".join),
+    TABLE_IDS,
+    st.just(""))
+HEADERS = st.sampled_from([
+    "# indicator_id=T kind=impact_factor window=2 counting=integer normalization=raw "
+    "census_year=2010",
+    "# indicator_id=T-RS kind=total_cites window=all counting=fractional "
+    "normalization=rescaled census_year=2010 source_id=T",
+    "# indicator_id=T kind=impact_factor window=x counting=integer normalization=raw "
+    "census_year=2010",
+    "# indicator_id=T kind=cp_ratio window=5 counting=integer normalization=raw "
+    "census_year=2010",
+    "# indicator_id=T kind=impact_factor window=2 counting=integer normalization=raw"])
+
+
+@st.composite
+def table_texts(draw):
+    lines = [draw(HEADERS), draw(st.sampled_from(["journal_id\tvalue", "journal_id\tvalue\tx",
+                                                  "id\tvalue"]))]
+    lines += draw(st.lists(TABLE_ROWS, max_size=12))
+    ends = draw(st.lists(st.sampled_from(["\n", "\n", "\r\n", "\r"]),
+                         min_size=len(lines), max_size=len(lines)))
+    text = "".join(line + end for line, end in zip(lines, ends))
+    return text if draw(st.booleans()) else text.rstrip("\r\n")
+
+
+class TestReadTableAgainstLineReader:
+    """read_table against the one-line-at-a-time reader: the same table, or
+    the same error line and message."""
+
+    @given(table_texts())
+    @settings(max_examples=500, deadline=None)
+    def test_same_table_or_error(self, tmp_path_factory, text):
+        path = tmp_path_factory.mktemp("table") / "t.tsv"
+        path.write_bytes(text.encode("utf-8"))
+        try:
+            meta, ids, values = read_table_by_lines(path)
+        except ValueError as err:
+            line, message = err.args[0]
+            with pytest.raises(ParseError) as got:
+                read_table(path)
+            assert (got.value.line, str(got.value)) == (line, f"{path}:{line}: {message}")
+            return
+        table = read_table(path)
+        assert table.journal_ids == tuple(ids)
+        assert [v.hex() for v in table.column.tolist()] == \
+            [float("nan").hex() if v is None else v.hex() for v in values]
+        assert (table.indicator_id, table.kind, str(table.window), table.counting,
+                table.normalization, str(table.census_year), table.source_id) == \
+            (meta["indicator_id"], meta["kind"], meta["window"], meta["counting"],
+             meta["normalization"], meta["census_year"], meta.get("source_id"))
+
+    def test_earliest_row_error_wins_over_a_bad_window(self, tmp_path):
+        path = tmp_path / "t.tsv"
+        path.write_text("# indicator_id=T kind=impact_factor window=x counting=integer "
+                        "normalization=raw census_year=2010\njournal_id\tvalue\n"
+                        "a\t1\r\rb\t1\ta\nc\tnan\n", encoding="utf-8")
+        with pytest.raises(ParseError, match="malformed row") as err:
+            read_table(path)
+        assert err.value.line == 5

@@ -2,17 +2,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from citefair.errors import StatsError
 from citefair.stats import (
     HypergeomParams,
     average_ranks,
     bin_sizes,
+    cluster_codes,
+    cluster_sort,
     decile_correlations,
     ecdf_by_group,
     hypergeom_cdf,
     hypergeom_ci,
     hypergeom_pmf,
+    ks_matrix,
     ks_two_sample,
     pearson,
     spearman,
@@ -21,12 +25,16 @@ from citefair.stats import (
 )
 
 from oracles import (
+    decile_bins_by_sort,
+    ecdf_by_dicts,
     exact_equal_tail_ci,
     exact_interval_coverage,
+    ks_by_counts,
     ks_by_enumeration,
     pearson_by_sums,
     pmf_by_enumeration,
     spearman_by_ranks,
+    top_set_by_sort,
     variance_parts_by_definition,
 )
 
@@ -345,3 +353,100 @@ class TestKs:
     def test_empty_is_error(self):
         with pytest.raises(StatsError):
             ks_two_sample([], [1.0])
+
+
+# Ids with non-ASCII letters and trailing NULs; values with ties, -0.0
+# beside 0.0 and UNDEFINED (None).
+IDS = st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=3)
+DEFINED = st.one_of(st.sampled_from([0.0, -0.0, 1.0, 2.5, 5e-324, 1e308]),
+                    st.floats(0.0, 4.0, allow_nan=False))
+TIED = st.one_of(st.none(), DEFINED)
+CLUSTERS = st.sampled_from(("g1", "g2", "10", "é"))
+
+
+@st.composite
+def valued_partitions(draw):
+    """(values, partition): a journal -> value dict in an order unlike
+    sorted order, and a partition of its journals over up to four clusters."""
+    ids = draw(st.permutations(draw(st.lists(IDS, min_size=1, max_size=40, unique=True))))
+    return {jid: draw(TIED) for jid in ids}, {jid: draw(CLUSTERS) for jid in ids}
+
+
+def hexed(rhos):
+    return [None if r is None else r.hex() for r in rhos]
+
+
+class TestAgainstDictOracles:
+    """The statistics against one-journal-at-a-time dict oracles, bit for bit."""
+
+    @given(valued_partitions(), st.sampled_from([1, 10, 33.3, 50, 100]))
+    @settings(max_examples=300, deadline=None)
+    def test_top_fraction(self, case, z):
+        values, _ = case
+        expected = top_set_by_sort(values, z)
+        if expected[1] == 0:
+            with pytest.raises(StatsError):
+                top_fraction(values, z)
+        else:
+            assert top_fraction(values, z) == expected
+
+    @given(valued_partitions(), st.data(), st.integers(2, 5))
+    @settings(max_examples=300, deadline=None)
+    def test_decile_correlations(self, case, data, k):
+        baseline, _ = case
+        ids = data.draw(st.lists(st.one_of(st.sampled_from(sorted(baseline)), IDS), max_size=45))
+        other = {jid: data.draw(TIED) for jid in ids}
+        bins = decile_bins_by_sort(baseline, other, k)
+        if sum(map(len, bins)) < k:
+            with pytest.raises(StatsError, match="smaller than k"):
+                decile_correlations(baseline, other, k)
+            return
+        # each bin's rho is the package's Spearman of the oracle's bin
+        expected = [None if len(pairs) < 2 else spearman(*zip(*pairs)) for pairs in bins]
+        assert hexed(decile_correlations(baseline, other, k)) == hexed(expected)
+
+    @given(valued_partitions())
+    @settings(max_examples=300, deadline=None)
+    def test_ecdf_by_group(self, case):
+        values, partition = case
+        expected = ecdf_by_dicts(values, partition)
+        empty = [g for g, steps in expected.items() if not steps]
+        if empty:
+            with pytest.raises(StatsError, match=f"cluster '{empty[0]}' "):
+                ecdf_by_group(values, partition)
+            return
+        got = ecdf_by_group(values, partition)
+        assert list(got) == list(expected)
+        assert {g: [(v.hex(), f.hex()) for v, f in steps] for g, steps in got.items()} == \
+            {g: [(v.hex(), f.hex()) for v, f in steps] for g, steps in expected.items()}
+
+    @given(st.lists(DEFINED, min_size=1, max_size=30), st.lists(DEFINED, min_size=1, max_size=30))
+    @settings(max_examples=300, deadline=None)
+    def test_ks_two_sample(self, a, b):
+        assert ks_two_sample(a, b).hex() == ks_by_counts(a, b).hex()
+
+    @given(valued_partitions())
+    @settings(max_examples=300, deadline=None)
+    def test_ks_matrix(self, case):
+        values, partition = case
+        samples = {g: [] for g in dict.fromkeys(partition.values())}
+        for jid, v in values.items():
+            if v is not None:
+                samples[partition[jid]].append(v)
+        if not all(samples.values()):
+            return
+        ids = sorted(values)
+        clusters, codes = cluster_codes(ids, partition)
+        column = np.array([values[jid] for jid in ids], dtype=np.float64)
+        ks = ks_matrix(*cluster_sort(column, codes, clusters)).tolist()
+        assert clusters == list(samples)
+        assert [[v.hex() for v in row] for row in ks] == \
+            [[ks_by_counts(samples[g], samples[h]).hex() for h in clusters] for g in clusters]
+
+    def test_negative_zero_ties_with_zero(self):
+        values = {"b": 0.0, "a": -0.0, "c": 0.0, "d": 1.0, "e": None}
+        assert top_fraction(values, 50) == (frozenset({"d", "a"}), 2)
+        partition = dict.fromkeys(values, "g")
+        assert [(v.hex(), f) for v, f in ecdf_by_group(values, partition)["g"]] == \
+            [((-0.0).hex(), 0.75), ((1.0).hex(), 1.0)]
+        assert ks_two_sample([-0.0, 1.0], [0.0, 1.0]) == 0.0
