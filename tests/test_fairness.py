@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from citefair.errors import FairnessError
-from citefair.indicators import IndicatorTable
 from citefair.fairness import (
     calibration,
     compare_reports,
@@ -15,6 +14,7 @@ from citefair.fairness import (
     write_report_json,
     write_report_tsv,
 )
+from citefair.indicators import IndicatorTable
 
 from oracles import top_set_by_sort
 
