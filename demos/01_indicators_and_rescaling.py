@@ -17,6 +17,7 @@ from citefair import (
     validate,
     variance_decomposition,
 )
+from citefair.stats import cluster_codes
 
 journals = [
     JournalRecord("math-a", "Annals of Short Lists", "math"),
@@ -47,18 +48,20 @@ assert validate(dataset) == []
 print("journal      IF2 (integer)   IF2 (fractional)")
 integer = compute_table(dataset, IndicatorSpec("impact_factor", 2, "integer"))
 fractional = compute_table(dataset, IndicatorSpec("impact_factor", 2, "fractional"))
-for jid in sorted(integer.values):
-    print(f"{jid:<12} {integer.values[jid]:<15.4f} {fractional.values[jid]:.4f}")
+for jid, whole, frac in sorted(zip(integer.journal_ids, integer.column.tolist(),
+                                  fractional.column.tolist())):
+    print(f"{jid:<12} {whole:<15.4f} {frac:.4f}")
 
 print("\nThe biosciences dominate the raw table purely because their")
 print("reference lists are long. Rescaling divides each journal by its")
 print("cluster mean:")
 rescaled = rescale(integer, dataset.partition)
-for jid in sorted(rescaled.values):
-    print(f"{jid:<12} {rescaled.values[jid]:.4f}")
+for jid, value in sorted(zip(rescaled.journal_ids, rescaled.column.tolist())):
+    print(f"{jid:<12} {value:.4f}")
 
+clusters, codes = cluster_codes(integer.journal_ids, dataset.partition)
 for label, table in [("raw", integer), ("rescaled", rescaled)]:
-    vd = variance_decomposition(table.values, dataset.partition)
+    vd = variance_decomposition(table.column, codes, clusters)
     share = vd.eta_squared if vd.eta_squared is not None else float("nan")
     print(f"\n{label}: SS_total={vd.ss_total:.6f}  SS_between={vd.ss_between:.2e}  "
           f"between-group share={share:.2e}")

@@ -6,16 +6,10 @@ collapse measured with KS distances.
 Usage: python demos/04_correlations_and_collapse.py
 """
 
-from citefair import (
-    IndicatorSpec,
-    compute_table,
-    decile_correlations,
-    ecdf_by_group,
-    ks_two_sample,
-    pearson,
-    rescale,
-    spearman,
-)
+import numpy as np
+
+from citefair import IndicatorSpec, compute_table, pearson, rescale, spearman
+from citefair.stats import cluster_codes, cluster_sort, decile_rhos, ecdf_steps, ks_matrix
 from citefair.synth import ClusterProfile, SynthProfile, generate
 
 profile = SynthProfile(
@@ -32,35 +26,36 @@ dataset = generate(profile)
 raw = compute_table(dataset, IndicatorSpec("impact_factor", 2, "integer"))
 rescaled = rescale(raw, dataset.partition)
 
-shared = sorted(j for j, v in raw.values.items() if v is not None)
-xs = [raw.values[j] for j in shared]
-ys = [rescaled.values[j] for j in shared]
-print(f"whole-set correlations raw vs rescaled over {len(shared)} journals:")
-print(f"  Pearson r = {pearson(xs, ys):.3f}   Spearman rho = {spearman(xs, ys):.3f}")
+# both tables as columns over the journals in id order, NaN where UNDEFINED,
+# as `citefair correlate` lays them out
+order = sorted(range(len(raw.journal_ids)), key=raw.journal_ids.__getitem__)
+journals = [raw.journal_ids[i] for i in order]
+x, y = raw.column[order], rescaled.column[order]
+
+shared = int((~(np.isnan(x) | np.isnan(y))).sum())
+print(f"whole-set correlations raw vs rescaled over {shared} journals:")
+print(f"  Pearson r = {pearson(x, y):.3f}   Spearman rho = {spearman(x, y):.3f}")
 
 print("\nper-decile Spearman along the raw ranking (bin 1 = top decile):")
-rhos = decile_correlations(raw.values, rescaled.values, k=10)
-for i, rho in enumerate(rhos, start=1):
+for i, rho in enumerate(decile_rhos(x, y, k=10), start=1):
     shown = "n/a" if rho is None else f"{rho:+.3f}"
     print(f"  decile {i:>2}: {shown}")
 print("High agreement at the top and bottom, weaker in the middle, where")
 print("small value differences make rankings sensitive to normalization.")
 
 names = dataset.cluster_names
-for label, table in [("raw", raw), ("rescaled", rescaled)]:
-    ecdf = ecdf_by_group(table.values, dataset.partition)
-    samples: dict[str, list] = {g: [] for g in ecdf}
-    for jid, v in table.values.items():
-        if v is not None:
-            samples[dataset.partition[jid]].append(v)
-    groups = sorted(samples)
-    medians = {g: next(v for v, frac in ecdf[g] if frac >= 0.5) for g in groups}
+clusters, codes = cluster_codes(journals, dataset.partition)
+groups = sorted(range(len(clusters)), key=clusters.__getitem__)
+for label, column in [("raw", x), ("rescaled", y)]:
+    values, bounds = cluster_sort(column, codes, clusters)
+    steps = ecdf_steps(values, bounds)
+    medians = {g: steps[g][0][np.argmax(steps[g][1] >= 0.5)] for g in groups}
     print(f"\n{label}: cluster medians "
-          + ", ".join(f"{names[g]} {medians[g]:.3f}" for g in groups))
+          + ", ".join(f"{names[clusters[g]]} {medians[g]:.3f}" for g in groups))
     print(f"{label}: pairwise KS distance between cluster value distributions")
+    ks = ks_matrix(values, bounds)
     for i, g in enumerate(groups):
         for h in groups[i + 1:]:
-            d = ks_two_sample(samples[g], samples[h])
-            print(f"  {names[g]:<9} vs {names[h]:<9} KS = {d:.3f}")
+            print(f"  {names[clusters[g]]:<9} vs {names[clusters[h]]:<9} KS = {ks[g, h]:.3f}")
 print("\nRescaling pulls the cluster distributions onto a near-common curve;")
 print("the KS distances shrink accordingly.")

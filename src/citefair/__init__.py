@@ -29,7 +29,6 @@ from .indicators import (
     IndicatorTable,
     compute_table,
     compute_tables,
-    rank_table,
     read_table,
     rescale,
     tables_from_counts,
@@ -62,14 +61,10 @@ from .model import (
 from .stats import (
     HypergeomParams,
     VarianceDecomposition,
-    decile_correlations,
-    ecdf_by_group,
     hypergeom_ci,
     hypergeom_pmf,
-    ks_two_sample,
     pearson,
     spearman,
-    top_fraction,
     variance_decomposition,
 )
 from .synth import SynthProfile, generate, paper2010_profile

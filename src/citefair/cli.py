@@ -189,12 +189,11 @@ def cmd_correlate(args) -> int:
     journals = sorted(partition)
     position = dict(zip(journals, range(len(journals))))
     columns = []
+    by_id: dict[str, np.ndarray] = {}
     for table in tables:
         column = np.full(len(journals), np.nan)
         column[list(map(position.__getitem__, table.journal_ids))] = table.column
         columns.append(column)
-    by_id: dict[str, np.ndarray] = {}
-    for table, column in zip(tables, columns):
         by_id.setdefault(table.indicator_id, column)
 
     # correlation matrix: Spearman above the diagonal, Pearson below

@@ -79,20 +79,16 @@ def percentage_summary(pcts: Sequence[float], z: float) -> tuple[float, Optional
     return mean, sd, sum_abs
 
 
-def fairness_test(table: IndicatorTable | Mapping[str, Optional[float]],
+def fairness_test(table: IndicatorTable,
                   partition: Mapping[str, str],
                   z: float = 10.0,
                   ci_level: float = 0.90) -> FairnessReport:
-    """Run the fairness test for one indicator over a cluster partition.
+    """Run the fairness test for one indicator table over a partition.
 
     Every journal in the table must belong to the partition, and every
-    cluster must contribute at least one defined value.  A journal -> value
-    mapping (None for UNDEFINED) is taken as a table's column.
+    cluster must contribute at least one defined value.
     """
-    if isinstance(table, IndicatorTable):
-        ids, column = table.journal_ids, table.column
-    else:
-        ids, column = tuple(table), np.array(list(table.values()), dtype=np.float64)
+    ids, column = table.journal_ids, table.column
     inside = list(map(partition.__contains__, ids))
     if not all(inside):
         raise FairnessError(f"journal '{ids[inside.index(False)]}' missing from the partition")

@@ -10,15 +10,14 @@ fractional  every event adds 1/n_refs, n_refs being the citing paper's
             fractionalized.
 
 A value is UNDEFINED exactly when the indicator's denominator is zero for
-that journal: NaN in a table's column, None in its ``values`` mapping and
-"NA" in a table file.
+that journal: NaN in a table's column and "NA" in a table file.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import repeat
 from pathlib import Path
 from typing import Mapping, Optional
@@ -29,7 +28,6 @@ from .errors import ParseError, RescaleError
 from .ingest import _first_error, _float, _not_utf8
 from .model import (WINDOW_ALL, WINDOWS, Dataset, WindowCounts, encode, repeats, vocabulary,
                     window_counts)
-from .stats import ranking
 
 __all__ = [
     "WINDOW_ALL",
@@ -39,7 +37,6 @@ __all__ = [
     "compute_tables",
     "tables_from_counts",
     "rescale",
-    "rank_table",
     "write_table",
     "read_table",
     "standard_specs",
@@ -94,10 +91,10 @@ class IndicatorTable:
     """One indicator's value per journal, with provenance.
 
     ``column`` holds one read-only float64 value per journal of
-    ``journal_ids`` (distinct ids), NaN where the value is UNDEFINED;
-    ``values`` maps each journal to its value or None instead.  Rescaled
-    tables carry the raw table's id in ``source_id`` and the divisor used
-    per cluster in ``cluster_baselines`` (mean, defined-count) pairs.
+    ``journal_ids`` (distinct ids), NaN where the value is UNDEFINED.
+    Rescaled tables carry the raw table's id in ``source_id`` and the
+    divisor used per cluster in ``cluster_baselines`` (mean, defined-count)
+    pairs.
     """
 
     indicator_id: str
@@ -119,31 +116,18 @@ class IndicatorTable:
         if column.shape != (len(self.journal_ids),):
             raise ValueError("an indicator table needs one value per journal")
 
-    @classmethod
-    def from_values(cls, indicator_id: str, kind: str, window: int | str, counting: str,
-                    normalization: str, census_year: int,
-                    values: Mapping[str, Optional[float]],
-                    source_id: Optional[str] = None) -> IndicatorTable:
-        """A table from a journal -> value mapping, None for UNDEFINED."""
-        return cls(indicator_id, kind, window, counting, normalization, census_year,
-                   tuple(values), [math.nan if v is None else v for v in values.values()],
-                   source_id)
-
-    @cached_property
-    def values(self) -> dict[str, Optional[float]]:
-        """journal_id -> value in journal order, None where UNDEFINED."""
-        return dict(zip(self.journal_ids,
-                        [None if v != v else v for v in self.column.tolist()]))
-
     def __eq__(self, other) -> bool:
-        """Equal provenance and values; the baselines are not compared."""
+        """Equal provenance and the same value per journal, in any journal
+        order: NaN equals NaN and -0.0 equals 0.0.  Baselines are not compared."""
         if not isinstance(other, IndicatorTable):
             return NotImplemented
-        return self._compared() == other._compared()
+        return self._compared() == other._compared() and np.array_equal(
+            self.column[_id_order(self.journal_ids)],
+            other.column[_id_order(other.journal_ids)], equal_nan=True)
 
     def _compared(self) -> tuple:
         return (self.indicator_id, self.kind, self.window, self.counting, self.normalization,
-                self.census_year, self.source_id, self.values)
+                self.census_year, self.source_id, sorted(self.journal_ids))
 
 
 def tables_from_counts(counts: WindowCounts,
@@ -242,20 +226,6 @@ def _id_order(journal_ids: tuple[str, ...]) -> np.ndarray:
                      dtype=np.intp)
     order.flags.writeable = False
     return order
-
-
-def rank_table(table: IndicatorTable) -> list[tuple[str, Optional[float], int]]:
-    """Rank journals by value descending, UNDEFINED last, ties broken by id
-    ascending.
-
-    Returns (journal_id, value, rank) with 1-based ranks; tied values get
-    distinct consecutive ranks under the id tie-break.
-    """
-    order = _id_order(table.journal_ids)
-    column = table.column[order]
-    rows = order[np.concatenate((ranking(column), np.flatnonzero(np.isnan(column))))]
-    return [(table.journal_ids[i], None if v != v else v, rank) for rank, (i, v)
-            in enumerate(zip(rows.tolist(), table.column[rows].tolist()), start=1)]
 
 
 @lru_cache(maxsize=1)

@@ -4,13 +4,12 @@ rank correlations, empirical CDFs and the two-sample KS statistic.
 
 Conventions
 -----------
-The ranking, decile and ECDF kernels take columns: float64 arrays holding
-one value per journal, journals in ascending id order, NaN marking an
-UNDEFINED value (zero denominator).  Their mapping forms take
-``journal_id -> float | None`` dicts, ``None`` for UNDEFINED, and lay them
-out as such columns.  UNDEFINED values are excluded from means, ranks and
-correlations by pairwise deletion; tied values are ordered by journal id,
-and -0.0 ties with 0.0.  All functions are pure.
+The ranking, variance, decile and ECDF kernels take columns: float64
+arrays holding one value per journal, journals in ascending id order, NaN
+marking an UNDEFINED value (zero denominator).  UNDEFINED values are
+excluded from means, ranks and correlations by pairwise deletion; tied
+values are ordered by journal id, and -0.0 ties with 0.0.  All functions
+are pure.
 """
 
 from __future__ import annotations
@@ -33,24 +32,17 @@ __all__ = [
     "ranking",
     "share_count",
     "top_rows",
-    "top_fraction",
     "variance_decomposition",
     "pearson",
     "spearman",
     "average_ranks",
     "decile_rhos",
-    "decile_correlations",
     "bin_sizes",
     "cluster_codes",
     "cluster_sort",
     "ecdf_steps",
     "ks_matrix",
-    "ecdf_by_group",
-    "ks_two_sample",
 ]
-
-Values = Mapping[str, Optional[float]]
-
 
 @dataclass(frozen=True)
 class HypergeomParams:
@@ -127,14 +119,6 @@ def hypergeom_ci(params: HypergeomParams, level: float) -> tuple[int, int]:
     return m_lo, m_hi
 
 
-def _columns(*values: Values) -> tuple[list[str], np.ndarray]:
-    """The journals of the mappings in ascending id order, and one column
-    per mapping over them: NaN where a mapping's value is None or absent."""
-    ids = sorted(set().union(*values))
-    return ids, np.array([[v.get(jid) for jid in ids] for v in values],
-                         dtype=np.float64).reshape(len(values), len(ids))
-
-
 def ranking(column: np.ndarray) -> np.ndarray:
     """The positions of the defined values of a column, by value descending.
     The sort is stable, so tied values keep id order."""
@@ -164,13 +148,6 @@ def top_rows(column: np.ndarray, z: float) -> np.ndarray:
     return ranked[:n_z]
 
 
-def top_fraction(values: Values, z: float) -> tuple[frozenset[str], int]:
-    """The ids of the top z% set (top_rows) and n_z."""
-    ids, (column,) = _columns(values)
-    top = top_rows(column, z)
-    return frozenset(ids[i] for i in top.tolist()), len(top)
-
-
 @dataclass(frozen=True)
 class VarianceDecomposition:
     """One-way sums of squares: ss_total = ss_between + ss_within."""
@@ -183,37 +160,25 @@ class VarianceDecomposition:
     eta_squared: Optional[float]
 
 
-def variance_decomposition(values: Values, partition: Mapping[str, str]) -> VarianceDecomposition:
-    """Decompose total spread into between- and within-group components.
-
-    ss_between = sum_j n_j (mean_j - grand_mean)^2 with n_j the number of
-    defined values in group j; ss_within is the remainder.
-    """
-    xs: list[float] = []
-    groups: list[str] = []
-    for jid, v in values.items():
-        if v is None:
-            continue
-        try:
-            groups.append(partition[jid])
-        except KeyError:
-            raise StatsError(f"journal '{jid}' missing from the partition") from None
-        xs.append(v)
-    if len(xs) < 2:
+def variance_decomposition(column: np.ndarray, codes: np.ndarray,
+                           clusters: Sequence[str]) -> VarianceDecomposition:
+    """One-way decomposition of a column's defined values over the clusters
+    of ``codes`` and ``clusters`` (as cluster_sort takes them):
+    ss_between = sum_g n_g (mean_g - grand_mean)^2, n_g the number of
+    defined values in cluster g, and ss_within the remainder.  Cluster sums
+    are bincounts in journal order; ``group_means`` holds the clusters with
+    defined values, in order."""
+    defined = ~np.isnan(column)
+    x, codes = column[defined], codes[defined]
+    if len(x) < 2:
         raise StatsError("variance decomposition needs at least 2 defined values")
-
-    x = np.asarray(xs, dtype=float)
     grand = float(x.mean())
     ss_total = float(np.sum((x - grand) ** 2))
-
-    sums: dict[str, float] = {}
-    counts: dict[str, int] = {}
-    for g, v in zip(groups, xs):
-        sums[g] = sums.get(g, 0.0) + v
-        counts[g] = counts.get(g, 0) + 1
-    group_means = {g: sums[g] / counts[g] for g in sums}
-    ss_between = float(
-        sum(counts[g] * (group_means[g] - grand) ** 2 for g in group_means))
+    counts = np.bincount(codes, minlength=len(clusters))
+    present = np.flatnonzero(counts)
+    means = np.bincount(codes, x, len(clusters))[present] / counts[present]
+    group_means = dict(zip([clusters[g] for g in present.tolist()], means.tolist()))
+    ss_between = float(np.sum(counts[present] * (means - grand) ** 2))
     ss_within = max(0.0, ss_total - ss_between)
     eta = ss_between / ss_total if ss_total > 0.0 else None
     return VarianceDecomposition(ss_total, ss_between, ss_within, group_means, grand, eta)
@@ -293,12 +258,6 @@ def decile_rhos(x: np.ndarray, y: np.ndarray, k: int = 10) -> list[Optional[floa
     return out
 
 
-def decile_correlations(baseline: Values, other: Values, k: int = 10) -> list[Optional[float]]:
-    """decile_rhos of two journal -> value mappings."""
-    _, (x, y) = _columns(baseline, other)
-    return decile_rhos(x, y, k)
-
-
 def cluster_sort(column: np.ndarray, codes: np.ndarray,
                  clusters: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
     """The defined values of a column sorted by cluster, then by value,
@@ -342,30 +301,11 @@ def ks_matrix(values: np.ndarray, bounds: np.ndarray) -> np.ndarray:
 
 def cluster_codes(ids: Sequence[str], partition: Mapping[str, str]) -> tuple[list[str], np.ndarray]:
     """The partition's clusters in order of their first journal, and the
-    index of each journal's cluster among them."""
+    index of each journal's cluster among them.  A journal outside the
+    partition is an error."""
     clusters = list(dict.fromkeys(partition.values()))
     index = dict(zip(clusters, range(len(clusters))))
-    return clusters, np.array([index[partition[jid]] for jid in ids], dtype=np.intp)
-
-
-def ecdf_by_group(values: Values, partition: Mapping[str, str]) -> dict[str, list[tuple[float, float]]]:
-    """ecdf_steps of a journal -> value mapping, per cluster of the
-    partition in order of its first journal, as (value, fraction) pairs."""
-    defined = {jid: v for jid, v in values.items() if v is not None}
-    for jid in defined:
-        if jid not in partition:
-            raise StatsError(f"journal '{jid}' missing from the partition")
-    ids, (column,) = _columns(defined)
-    clusters, codes = cluster_codes(ids, partition)
-    steps = ecdf_steps(*cluster_sort(column, codes, clusters))
-    return {g: list(zip(xs.tolist(), fractions.tolist()))
-            for g, (xs, fractions) in zip(clusters, steps)}
-
-
-def ks_two_sample(a: Sequence[float], b: Sequence[float]) -> float:
-    """ks_matrix of two samples."""
-    if len(a) == 0 or len(b) == 0:
-        raise StatsError("both samples must be nonempty")
-    column = np.concatenate((np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)))
-    codes = np.repeat([0, 1], [len(a), len(b)])
-    return float(ks_matrix(*cluster_sort(column, codes, ("a", "b")))[0, 1])
+    try:
+        return clusters, np.array([index[partition[jid]] for jid in ids], dtype=np.intp)
+    except KeyError as missing:
+        raise StatsError(f"journal '{missing.args[0]}' missing from the partition") from None

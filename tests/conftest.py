@@ -1,11 +1,14 @@
+import math
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from citefair.indicators import IndicatorSpec
+from citefair.indicators import IndicatorSpec, IndicatorTable
+from citefair.stats import cluster_codes, variance_decomposition
 from citefair.model import (
     Cluster,
     Dataset,
@@ -29,6 +32,36 @@ ALL_KIND_SPECS = [
     IndicatorSpec("numerator_only", 2, "integer"),
     IndicatorSpec("numerator_only", 5, "fractional"),
 ]
+
+
+def table_of(values, indicator_id="X", kind="total_cites", window="all",
+             normalization="raw") -> IndicatorTable:
+    """An integer-counting 2010 table of a journal -> value dict (None for
+    UNDEFINED), its journals in the dict's order."""
+    return IndicatorTable(indicator_id, kind, window, "integer", normalization, 2010,
+                          tuple(values), [math.nan if v is None else v for v in values.values()])
+
+
+def values_of(table: IndicatorTable) -> dict:
+    """A table's journal -> value dict in its journal order, None where
+    UNDEFINED."""
+    return dict(zip(table.journal_ids, [None if v != v else v for v in table.column.tolist()]))
+
+
+def columns_of(*values) -> tuple[list, np.ndarray]:
+    """The journals of the journal -> value dicts in ascending id order,
+    and one float64 column per dict over them: NaN where its value is None
+    or absent."""
+    ids = sorted(set().union(*values))
+    return ids, np.array([[v.get(jid) for jid in ids] for v in values],
+                         dtype=np.float64).reshape(len(values), len(ids))
+
+
+def decompose(values, partition):
+    """variance_decomposition of a journal -> value dict's column."""
+    ids, (column,) = columns_of(values)
+    clusters, codes = cluster_codes(ids, partition)
+    return variance_decomposition(column, codes, clusters)
 
 
 def small_profile(seed: int) -> SynthProfile:

@@ -12,6 +12,8 @@ import citefair
 from citefair.cli import main
 from citefair.synth import ClusterProfile, SynthProfile, profile_to_json
 
+from conftest import values_of
+
 
 @pytest.fixture
 def profile_file(tmp_path):
@@ -401,7 +403,7 @@ class TestIndicatorsCommand:
         dataset = load_bundle(bundle)
         table = read_table(tables / "IF5-IC-RS.tsv")
         sums: dict[str, list] = {}
-        for jid, v in table.values.items():
+        for jid, v in values_of(table).items():
             if v is not None:
                 sums.setdefault(dataset.partition[jid], []).append(v)
         for vals in sums.values():

@@ -1,0 +1,62 @@
+"""Every exported name resolves, and the deleted mapping forms of the
+tables and statistics stay deleted."""
+
+import ast
+import importlib
+import pkgutil
+from pathlib import Path
+
+import pytest
+
+import citefair
+from citefair.indicators import IndicatorTable
+
+MODULES = sorted(f"citefair.{m.name}" for m in pkgutil.iter_modules(citefair.__path__))
+
+# Dict-shaped forms of the columnar kernels, removed in favour of the
+# kernels themselves: ranking, top_rows, decile_rhos, cluster_sort with
+# ecdf_steps, ks_matrix, and fairness_test of a table.
+REMOVED = {
+    "citefair.indicators": ("rank_table",),
+    "citefair.stats": ("Values", "_columns", "top_fraction", "decile_correlations",
+                       "ecdf_by_group", "ks_two_sample"),
+}
+
+
+def package_imports():
+    """(module, name) of every name that citefair/__init__.py imports."""
+    tree = ast.parse(Path(citefair.__file__).read_text(encoding="utf-8"))
+    return [(f"citefair.{node.module}", alias.name) for node in tree.body
+            if isinstance(node, ast.ImportFrom) for alias in node.names]
+
+
+def test_every_module_is_listed():
+    assert "citefair.stats" in MODULES and "citefair.indicators" in MODULES
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_all_names_resolve(module):
+    loaded = importlib.import_module(module)
+    exported = getattr(loaded, "__all__", ())  # errors has no __all__
+    assert len(set(exported)) == len(exported)
+    assert [name for name in exported if not hasattr(loaded, name)] == []
+
+
+def test_package_imports_resolve():
+    imports = package_imports()
+    assert len(imports) > 50
+    for module, name in imports:
+        assert getattr(citefair, name) is getattr(importlib.import_module(module), name), name
+
+
+@pytest.mark.parametrize("module", sorted(REMOVED))
+def test_removed_names_are_gone(module):
+    names, loaded = REMOVED[module], importlib.import_module(module)
+    assert [n for n in names if hasattr(loaded, n) or n in loaded.__all__] == []
+    assert [n for n in names if hasattr(citefair, n)] == []
+    assert [n for _, n in package_imports() if n in names] == []
+
+
+def test_tables_have_no_mapping_form():
+    assert not hasattr(IndicatorTable, "values")
+    assert not hasattr(IndicatorTable, "from_values")

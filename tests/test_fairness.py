@@ -14,8 +14,7 @@ from citefair.fairness import (
     write_report_json,
     write_report_tsv,
 )
-from citefair.indicators import IndicatorTable
-
+from conftest import table_of
 from oracles import top_set_by_sort
 
 # Published 11-group top-10% percentage columns with known summary rows,
@@ -79,7 +78,7 @@ class TestFairnessTest:
     def test_single_cluster_trivially_within(self):
         values = {f"j{i:02d}": float(i) for i in range(30)}
         partition = {j: "only" for j in values}
-        report = fairness_test(values, partition, z=10, ci_level=0.90)
+        report = fairness_test(table_of(values), partition, z=10, ci_level=0.90)
         row = report.per_cluster[0]
         assert report.n_z == 3
         assert row.pct == pytest.approx(100 * 3 / 30)
@@ -90,7 +89,7 @@ class TestFairnessTest:
     def test_counts_sum_to_n_z(self):
         rng = np.random.default_rng(21)
         values, partition = two_cluster_table(rng)
-        report = fairness_test(values, partition, z=25)
+        report = fairness_test(table_of(values), partition, z=25)
         assert sum(r.m_g for r in report.per_cluster) == report.n_z
         # accounting identity on the percentage scale
         total = sum(r.n_g * r.pct / 100 for r in report.per_cluster)
@@ -106,7 +105,7 @@ class TestFairnessTest:
         for i in range(969):
             values[f"o{i:03d}"] = 10.0 + i
             partition[f"o{i:03d}"] = "1"
-        report = fairness_test(values, partition, z=10, ci_level=0.90)
+        report = fairness_test(table_of(values), partition, z=10, ci_level=0.90)
         small = next(r for r in report.per_cluster if r.cluster_id == "13")
         assert small.m_g == 0
         assert small.pct == 0.0
@@ -118,7 +117,7 @@ class TestFairnessTest:
         values, partition = two_cluster_table(rng)
         for j in list(values)[:10]:
             values[j] = None
-        report = fairness_test(values, partition, z=10)
+        report = fairness_test(table_of(values), partition, z=10)
         assert report.n_z == 9  # floor(10% of 90 defined)
         assert sum(r.n_g for r in report.per_cluster) == 90
 
@@ -126,33 +125,31 @@ class TestFairnessTest:
         values = {"a": 1.0, "b": None}
         partition = {"a": "g1", "b": "g2"}
         with pytest.raises(FairnessError, match="g2"):
-            fairness_test(values, partition, z=50)
+            fairness_test(table_of(values), partition, z=50)
 
     def test_cluster_absent_from_table_is_error(self):
         values = {"a": 1.0, "c": 2.0}
         partition = {"a": "g1", "b": "g2", "c": "g1"}
         with pytest.raises(FairnessError, match="g2"):
-            fairness_test(values, partition, z=50)
+            fairness_test(table_of(values), partition, z=50)
 
     def test_journal_missing_from_partition_is_error(self):
         with pytest.raises(FairnessError, match="b"):
-            fairness_test({"a": 1.0, "b": 2.0}, {"a": "g"}, z=50)
+            fairness_test(table_of({"a": 1.0, "b": 2.0}), {"a": "g"}, z=50)
 
     def test_global_scaling_leaves_report_unchanged(self):
         rng = np.random.default_rng(41)
         values, partition = two_cluster_table(rng)
-        r1 = fairness_test(values, partition, z=10)
-        r2 = fairness_test({k: 17.3 * v for k, v in values.items()}, partition, z=10)
+        r1 = fairness_test(table_of(values), partition, z=10)
+        r2 = fairness_test(table_of({k: 17.3 * v for k, v in values.items()}), partition, z=10)
         assert r1 == r2
 
     def test_identity_on_cluster_mean_one_table(self):
         # a table whose cluster means are already 1 is unchanged by rescaling
-        from citefair.indicators import IndicatorTable, rescale
+        from citefair.indicators import rescale
         rng = np.random.default_rng(51)
         values, partition = two_cluster_table(rng)
-        table = IndicatorTable.from_values("X", "total_cites", "all", "integer", "raw", 2010,
-                                           values)
-        rescaled_once = rescale(table, partition)
+        rescaled_once = rescale(table_of(values), partition)
         rescaled_twice = rescale(rescaled_once, partition)
         r1 = fairness_test(rescaled_once, partition, z=10)
         r2 = fairness_test(rescaled_twice, partition, z=10)
@@ -164,9 +161,9 @@ class TestCompareReports:
     def reports(self):
         rng = np.random.default_rng(61)
         values, partition = two_cluster_table(rng, shift=2.0)  # g1 privileged
-        biased = fairness_test(values, partition, z=10)
+        biased = fairness_test(table_of(values), partition, z=10)
         fair_values = {k: float(rng.random()) for k in values}
-        level = fairness_test(fair_values, partition, z=10)
+        level = fairness_test(table_of(fair_values), partition, z=10)
         return biased, level
 
     def test_identical_reports_tie(self):
@@ -199,7 +196,7 @@ class TestCompareReports:
         a, b = self.reports()
         with pytest.raises(FairnessError):
             compare_reports(a, fairness_test(
-                {r.cluster_id: 1.0 for r in a.per_cluster} | {"x": 2.0},
+                table_of({r.cluster_id: 1.0 for r in a.per_cluster} | {"x": 2.0}),
                 dict.fromkeys([r.cluster_id for r in a.per_cluster] + ["x"], "g"),
                 z=50))
 
@@ -208,7 +205,8 @@ class TestCompareReports:
         v1, p1 = two_cluster_table(rng, n_a=40, n_b=60)
         v2, p2 = two_cluster_table(rng, n_a=50, n_b=50)
         with pytest.raises(FairnessError, match="partition"):
-            compare_reports(fairness_test(v1, p1, z=10), fairness_test(v2, p2, z=10))
+            compare_reports(fairness_test(table_of(v1), p1, z=10),
+                            fairness_test(table_of(v2), p2, z=10))
 
     def test_published_sums_order_rescaled_wins(self):
         _, _, rescaled = percentage_summary(COL_IF5_RESCALED, 10)
@@ -245,7 +243,7 @@ class TestCalibration:
         for _ in range(trials):
             scores = rng.random(n_total)
             values = dict(zip(ids, scores.tolist()))
-            report = fairness_test(values, partition, z=20, ci_level=0.90)
+            report = fairness_test(table_of(values), partition, z=20, ci_level=0.90)
             for row in report.per_cluster:
                 within_direct[row.cluster_id] += row.within_ci
         direct = {g: within_direct[g] / trials for g in sizes}
@@ -267,7 +265,8 @@ class TestReportIo:
     def make_report(self):
         rng = np.random.default_rng(81)
         values, partition = two_cluster_table(rng)
-        return fairness_test(values, partition, z=10), {"g1": "Group One", "g2": "Group Two"}
+        names = {"g1": "Group One", "g2": "Group Two"}
+        return fairness_test(table_of(values), partition, z=10), names
 
     def test_tsv_shape(self, tmp_path):
         report, names = self.make_report()
@@ -318,10 +317,7 @@ class TestAgainstDictOracle:
         selected, n_z = top_set_by_sort(values, z)
         if 0 in defined.values() or n_z == 0:
             return
-        table = IndicatorTable.from_values("T", "total_cites", "all", "integer", "raw", 2010,
-                                           values)
-        report = fairness_test(table, partition, z=z)
-        assert report == fairness_test(values, partition, z=z)
+        report = fairness_test(table_of(values), partition, z=z)
         assert report.n_z == n_z
         assert {r.cluster_id: (r.n_g, r.m_g) for r in report.per_cluster} == \
             {g: (n, sum(partition[j] == g for j in selected)) for g, n in defined.items()}

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -5,10 +7,8 @@ from hypothesis import given, settings, strategies as st
 from citefair.errors import ParseError, RescaleError
 from citefair.indicators import (
     IndicatorSpec,
-    IndicatorTable,
     compute_table,
     compute_tables,
-    rank_table,
     read_table,
     rescale,
     standard_specs,
@@ -18,19 +18,25 @@ from citefair.indicators import (
 )
 from citefair.ingest import load_counts, save_bundle
 from citefair.model import Cluster, JournalRecord
+from citefair.stats import ranking
 from citefair.synth import generate
 
-from conftest import ALL_KIND_SPECS, make_dataset, small_profile
+from conftest import ALL_KIND_SPECS, columns_of, make_dataset, small_profile, table_of, values_of
 from oracles import (PublicationCount, if_denominator_by_scan, if_numerator_by_scan,
                      indicator_by_scan, items_last_record_wins, rank_by_sort,
                      read_table_by_lines, rescale_by_dicts, table_text_by_rows)
 
 
 def flat_table(values, indicator_id="T", normalization="raw"):
-    return IndicatorTable.from_values(
-        indicator_id=indicator_id, kind="impact_factor", window=2,
-        counting="integer", normalization=normalization, census_year=2010,
-        values=values)
+    return table_of(values, indicator_id, "impact_factor", 2, normalization)
+
+
+def ranked(values):
+    """The (journal, value) pairs of ranking over a journal -> value dict's
+    column in id order."""
+    ids, (column,) = columns_of(values)
+    rows = ranking(column)
+    return [(ids[i], v) for i, v in zip(rows.tolist(), column[rows].tolist())]
 
 
 class TestSpec:
@@ -123,7 +129,7 @@ class TestNumeratorDenominator:
 class TestComputeTable:
     def test_if2_integer(self, tiny_dataset):
         table = compute_table(tiny_dataset, IndicatorSpec("impact_factor", 2, "integer"))
-        assert table.values["jA"] == pytest.approx(3 / 250)
+        assert values_of(table)["jA"] == pytest.approx(3 / 250)
         assert table.indicator_id == "IF2-IC"
         assert table.normalization == "raw"
 
@@ -134,7 +140,7 @@ class TestComputeTable:
         events = [(f"p{i}", "jX", 2010, "j1", 2009, 1) for i in range(50)]
         ds = make_dataset(journals, clusters, counts, events)
         table = compute_table(ds, IndicatorSpec("impact_factor", 2, "integer"))
-        assert table.values["j1"] == pytest.approx(0.2)
+        assert values_of(table)["j1"] == pytest.approx(0.2)
 
     def test_zero_denominator_undefined(self, tiny_dataset):
         table = compute_table(tiny_dataset, IndicatorSpec("impact_factor", 5, "integer"))
@@ -143,21 +149,22 @@ class TestComputeTable:
             [JournalRecord("j1", "One", "g")], [Cluster("g", "G", 1)], [],
             [("p1", "jX", 2010, "j1", 2009, 2)])
         t = compute_table(ds, IndicatorSpec("impact_factor", 2, "integer"))
-        assert t.values["j1"] is None
+        assert values_of(t)["j1"] is None
 
     def test_total_cites_counts_all_years(self, tiny_dataset):
-        table = compute_table(tiny_dataset, IndicatorSpec("total_cites", counting="integer"))
-        assert table.values["jA"] == 4.0  # includes the 2005 citation
-        assert table.values["jB"] == 1.0  # the same-year citation
-        assert table.values["jC"] == 1.0
+        table = values_of(compute_table(tiny_dataset, IndicatorSpec("total_cites",
+                                                                      counting="integer")))
+        assert table["jA"] == 4.0  # includes the 2005 citation
+        assert table["jB"] == 1.0  # the same-year citation
+        assert table["jC"] == 1.0
 
     def test_cp_ratio(self, tiny_dataset):
         table = compute_table(tiny_dataset, IndicatorSpec("cp_ratio", counting="integer"))
-        assert table.values["jA"] == pytest.approx(4 / 80)
+        assert values_of(table)["jA"] == pytest.approx(4 / 80)
         ds = make_dataset(
             [JournalRecord("j1", "One", "g")], [Cluster("g", "G", 1)], [],
             [("p1", "jX", 2010, "j1", 2009, 2)])
-        assert compute_table(ds, IndicatorSpec("cp_ratio")).values["j1"] is None
+        assert values_of(compute_table(ds, IndicatorSpec("cp_ratio")))["j1"] is None
 
     def test_fractional_equals_integer_when_unit_refs(self):
         journals = [JournalRecord(f"j{i}", f"J{i}", "g") for i in range(3)]
@@ -173,13 +180,13 @@ class TestComputeTable:
                                    "fractional")
             ti = compute_table(ds, spec_i)
             tf = compute_table(ds, spec_f)
-            assert ti.values == tf.values
+            assert values_of(ti) == values_of(tf)
 
     def test_bulk_matches_single(self, tiny_dataset):
         specs = standard_specs()
         bulk = compute_tables(tiny_dataset, specs)
         for spec, table in zip(specs, bulk):
-            assert table.values == compute_table(tiny_dataset, spec).values
+            assert values_of(table) == values_of(compute_table(tiny_dataset, spec))
 
     @staticmethod
     def assert_matches_oracle(ds):
@@ -188,8 +195,8 @@ class TestComputeTable:
             expected = indicator_by_scan(journal_ids, list(ds.publication_counts.rows()),
                                          list(ds.citation_events.rows()), ds.census_year,
                                          spec.kind, spec.window, spec.counting)
-            assert list(table.values) == journal_ids, spec.indicator_id
-            assert table.values == expected, spec.indicator_id
+            assert list(values_of(table)) == journal_ids, spec.indicator_id
+            assert values_of(table) == expected, spec.indicator_id
 
     def test_matches_oracle_on_tiny_dataset(self, tiny_dataset):
         self.assert_matches_oracle(tiny_dataset)
@@ -203,8 +210,8 @@ class TestComputeTable:
     def test_fractional_at_most_integer(self, tiny_dataset):
         ti = compute_table(tiny_dataset, IndicatorSpec("numerator_only", 2, "integer"))
         tf = compute_table(tiny_dataset, IndicatorSpec("numerator_only", 2, "fractional"))
-        for jid in ti.values:
-            assert tf.values[jid] <= ti.values[jid]
+        assert ti.journal_ids == tf.journal_ids
+        assert (tf.column <= ti.column).all()
 
     def test_paper_fraction_sums_to_one_iff_all_refs_inside(self, tiny_dataset):
         # p1 has 4 refs but only 3 recorded events: its weights sum below 1
@@ -239,7 +246,7 @@ class TestWindowCounts:
     def test_zero_denominators(self, tiny_dataset, tmp_path):
         ds = with_zero_denominators(tiny_dataset)
         self.assert_bundle_round_trip(ds, tmp_path)
-        assert compute_table(ds, IndicatorSpec("cp_ratio")).values["jD"] is None
+        assert values_of(compute_table(ds, IndicatorSpec("cp_ratio")))["jD"] is None
 
 
     def test_last_record_of_a_repeated_journal_year_wins(self):
@@ -261,7 +268,7 @@ class TestRescale:
     def test_simple_cluster(self):
         table = flat_table({"a": 2.0, "b": 4.0, "c": 6.0})
         out = rescale(table, {"a": "g", "b": "g", "c": "g"})
-        assert out.values == {"a": 0.5, "b": 1.0, "c": 1.5}
+        assert values_of(out) == {"a": 0.5, "b": 1.0, "c": 1.5}
         assert out.normalization == "rescaled"
         assert out.source_id == "T"
         assert out.indicator_id == "T-RS"
@@ -269,29 +276,30 @@ class TestRescale:
     def test_all_equal_values(self):
         table = flat_table({"a": 3.0, "b": 3.0})
         out = rescale(table, {"a": "g", "b": "g"})
-        assert out.values == {"a": 1.0, "b": 1.0}
+        assert values_of(out) == {"a": 1.0, "b": 1.0}
 
     def test_quotient_of_known_mean(self):
         # a 31-journal cluster with mean 0.576 holding one value of 3.843
         rest = (0.576 * 31 - 3.843) / 30
         values = {"j00": 3.843, **{f"j{i:02d}": rest for i in range(1, 31)}}
         table = flat_table(values)
-        out = rescale(table, {j: "g" for j in values})
-        assert out.values["j00"] == pytest.approx(3.843 / 0.576, abs=1e-9)
-        assert round(out.values["j00"], 3) == 6.672
+        out = values_of(rescale(table, {j: "g" for j in values}))
+        assert out["j00"] == pytest.approx(3.843 / 0.576, abs=1e-9)
+        assert round(out["j00"], 3) == 6.672
 
     def test_cluster_means_become_one(self):
         values = {"a": 1.0, "b": 3.0, "c": 10.0, "d": 30.0}
         partition = {"a": "g1", "b": "g1", "c": "g2", "d": "g2"}
-        out = rescale(flat_table(values), partition)
-        assert (out.values["a"] + out.values["b"]) / 2 == pytest.approx(1.0, abs=1e-9)
-        assert (out.values["c"] + out.values["d"]) / 2 == pytest.approx(1.0, abs=1e-9)
+        out = values_of(rescale(flat_table(values), partition))
+        assert (out["a"] + out["b"]) / 2 == pytest.approx(1.0, abs=1e-9)
+        assert (out["c"] + out["d"]) / 2 == pytest.approx(1.0, abs=1e-9)
 
     def test_undefined_stays_undefined_and_excluded(self):
         values = {"a": 2.0, "b": None, "c": 4.0}
         out = rescale(flat_table(values), {"a": "g", "b": "g", "c": "g"})
-        assert out.values["b"] is None
-        assert out.values["a"] == pytest.approx(2.0 / 3.0)
+        rescaled = values_of(out)
+        assert rescaled["b"] is None
+        assert rescaled["a"] == pytest.approx(2.0 / 3.0)
         assert out.cluster_baselines["g"] == (3.0, 2)
 
     def test_zero_mean_cluster_is_error(self):
@@ -310,22 +318,22 @@ class TestRescale:
         values = {f"j{i}": float(v) for i, v in enumerate([5.0, 1.0, 3.3, 0.7, 9.2])}
         out = rescale(flat_table(values), {j: "g" for j in values})
         order_before = sorted(values, key=values.get)
-        order_after = sorted(out.values, key=out.values.get)
+        rescaled = values_of(out)
+        order_after = sorted(rescaled, key=rescaled.get)
         assert order_before == order_after
 
 
 class TestRankTable:
+    """ranking over a table's column laid out in id order."""
+
     def test_descending_with_ranks(self):
-        table = flat_table({"a": 3.0, "b": 1.0, "c": 2.0})
-        assert rank_table(table) == [("a", 3.0, 1), ("c", 2.0, 2), ("b", 1.0, 3)]
+        assert ranked({"a": 3.0, "b": 1.0, "c": 2.0}) == [("a", 3.0), ("c", 2.0), ("b", 1.0)]
 
     def test_tie_broken_by_id(self):
-        table = flat_table({"b": 2.0, "a": 2.0})
-        assert rank_table(table) == [("a", 2.0, 1), ("b", 2.0, 2)]
+        assert ranked({"b": 2.0, "a": 2.0}) == [("a", 2.0), ("b", 2.0)]
 
-    def test_undefined_last(self):
-        table = flat_table({"a": 1.0, "b": None, "c": 2.0})
-        assert rank_table(table) == [("c", 2.0, 1), ("a", 1.0, 2), ("b", None, 3)]
+    def test_undefined_left_out(self):
+        assert ranked({"a": 1.0, "b": None, "c": 2.0}) == [("c", 2.0), ("a", 1.0)]
 
     def test_top_of_published_ranking(self):
         # 25-journal fixture with realistic rescaled impact values
@@ -344,10 +352,50 @@ class TestRankTable:
             ("NAT REV DRUG DISCOV", 7.984), ("PROG POLYM SCI", 7.947),
             ("ACCOUNTS CHEM RES", 7.590),
         ]
-        table = flat_table(dict(listed), normalization="rescaled")
-        ranked = rank_table(table)
-        assert ranked[0] == ("CA-CANCER J CLIN", 26.211, 1)
-        assert [r[1] for r in ranked] == sorted((v for _, v in listed), reverse=True)
+        order = ranked(dict(listed))
+        assert order[0] == ("CA-CANCER J CLIN", 26.211)
+        assert [v for _, v in order] == sorted((v for _, v in listed), reverse=True)
+
+
+class TestTableEquality:
+    """Tables are equal when their provenance and the value of each journal
+    are; the cluster baselines are not compared."""
+
+    def test_journal_order_does_not_matter(self):
+        assert flat_table({"a": 1.0, "b": 2.0}) == flat_table({"b": 2.0, "a": 1.0})
+        assert flat_table({"a": 1.0, "b": 2.0}) != flat_table({"b": 1.0, "a": 2.0})
+
+    def test_same_journals_required(self):
+        assert flat_table({"a": 1.0}) != flat_table({"a": 1.0, "b": 2.0})
+        assert flat_table({"a": 1.0, "b": None}) != flat_table({"a": 1.0, "c": None})
+
+    def test_negative_zero_equals_zero(self):
+        assert flat_table({"a": -0.0, "b": 1.0}) == flat_table({"b": 1.0, "a": 0.0})
+
+    def test_nan_equals_nan_only_at_the_same_journal(self):
+        assert flat_table({"a": None, "b": 1.0}) == flat_table({"b": 1.0, "a": None})
+        assert flat_table({"a": None, "b": 1.0}) != flat_table({"a": 1.0, "b": None})
+        assert flat_table({"a": None, "b": 1.0}) != flat_table({"a": 0.0, "b": 1.0})
+
+    def test_provenance_compared(self):
+        assert flat_table({"a": 1.0}) != flat_table({"a": 1.0}, indicator_id="U")
+        assert flat_table({"a": 1.0}) != flat_table({"a": 1.0}, normalization="rescaled")
+        assert flat_table({"a": 1.0}) != values_of(flat_table({"a": 1.0}))
+
+    def test_baselines_not_compared(self):
+        table = flat_table({"a": 2.0, "b": 4.0})
+        rescaled = rescale(table, {"a": "g", "b": "g"})
+        assert rescaled.cluster_baselines == {"g": (3.0, 2)}
+        assert rescaled == replace(rescaled, cluster_baselines=None)
+
+    def test_equals_its_file_round_trip(self, tmp_path):
+        # rows are written in sorted id order, so the read table's journal
+        # order differs from this one's
+        table = flat_table({"z": 0.5, "b": None, "é": -0.0, "a": 1 / 3, "c": None})
+        write_table(table, tmp_path / "t.tsv")
+        loaded = read_table(tmp_path / "t.tsv")
+        assert loaded.journal_ids == ("a", "b", "c", "z", "é")
+        assert loaded == table and table == loaded
 
 
 class TestTableIo:
@@ -356,7 +404,7 @@ class TestTableIo:
         path = tmp_path / "IF2-FC.tsv"
         write_table(table, path)
         loaded = read_table(path)
-        assert loaded.values == table.values
+        assert values_of(loaded) == values_of(table)
         assert loaded.indicator_id == table.indicator_id
         assert loaded.window == 2
         assert loaded.counting == "fractional"
@@ -368,13 +416,13 @@ class TestTableIo:
         write_table(table, path)
         text = path.read_text()
         assert "b\tNA" in text
-        assert read_table(path).values == {"a": 1.25, "b": None}
+        assert values_of(read_table(path)) == {"a": 1.25, "b": None}
 
     def test_full_precision(self, tmp_path):
         v = 1 / 3 + 1e-15
         table = flat_table({"a": v, "b": 2.0})
         write_table(table, tmp_path / "t.tsv")
-        assert read_table(tmp_path / "t.tsv").values["a"] == v
+        assert values_of(read_table(tmp_path / "t.tsv"))["a"] == v
 
     def test_rescaled_provenance_round_trip(self, tmp_path):
         out = rescale(flat_table({"a": 2.0, "b": 4.0}), {"a": "g", "b": "g"})
@@ -485,7 +533,7 @@ class TestAgainstDictOracles:
             assert str(got.value) == str(err)
             return
         out = rescale(flat_table(values), partition)
-        assert bits(out.values) == bits(expected)
+        assert bits(values_of(out)) == bits(expected)
         assert [(g, float(mean).hex(), n) for g, (mean, n) in out.cluster_baselines.items()] \
             == [(g, mean.hex(), n) for g, (mean, n) in baselines.items()]
 
@@ -513,7 +561,7 @@ class TestAgainstDictOracles:
         text = table_text_by_rows(flat_table(values), values).encode("utf-8")
         (directory / "in.tsv").write_bytes(text)
         loaded = read_table(directory / "in.tsv")
-        assert bits(loaded.values) == bits(dict(sorted(values.items())))
+        assert bits(values_of(loaded)) == bits(dict(sorted(values.items())))
         write_table(loaded, directory / "out.tsv")
         assert (directory / "out.tsv").read_bytes() == text
 
@@ -522,7 +570,7 @@ class TestAgainstDictOracles:
         write_table(flat_table(values), tmp_path / "t.tsv")
         assert (tmp_path / "t.tsv").read_text(encoding="utf-8").splitlines()[2:] == \
             ["a\t-0.0", "b\t0.0", "c\tNA", "d\t-0.0"]
-        assert bits(read_table(tmp_path / "t.tsv").values) == bits(dict(sorted(values.items())))
+        assert bits(values_of(read_table(tmp_path / "t.tsv"))) == bits(dict(sorted(values.items())))
 
     def test_ids_that_differ_by_trailing_nuls(self, tmp_path):
         values = {"a\x00": 1.0, "b": 0.5, "a": 2.0, "\x00": None, "a\x00\x00": 3.0}
@@ -534,11 +582,8 @@ class TestAgainstDictOracles:
     @settings(max_examples=200, deadline=None)
     def test_rank_table(self, case):
         values, _ = case
-        ranked = rank_by_sort(values) + [(j, None) for j in sorted(values) if values[j] is None]
-        assert [(jid, None if v is None else v.hex(), rank)
-                for jid, v, rank in rank_table(flat_table(values))] == \
-            [(jid, None if v is None else v.hex(), rank)
-             for rank, (jid, v) in enumerate(ranked, start=1)]
+        assert [(jid, v.hex()) for jid, v in ranked(values)] == \
+            [(jid, v.hex()) for jid, v in rank_by_sort(values)]
 
 
 # Lines of a table file: the rows a reader must accept and those it must

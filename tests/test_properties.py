@@ -8,22 +8,20 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from citefair.fairness import fairness_test
-from citefair.indicators import IndicatorSpec, IndicatorTable, compute_table, rescale
+from citefair.indicators import IndicatorSpec, compute_table, rescale
 from citefair.stats import (
     HypergeomParams,
+    cluster_codes,
     hypergeom_ci,
     hypergeom_pmf,
     spearman,
-    top_fraction,
+    top_rows,
     variance_decomposition,
 )
 from citefair.synth import ClusterProfile, SynthProfile, generate
 
+from conftest import columns_of, decompose, table_of, values_of
 from oracles import exact_interval_coverage
-
-
-def as_table(values):
-    return IndicatorTable.from_values("X", "total_cites", "all", "integer", "raw", 2010, values)
 
 
 params_strategy = st.integers(1, 60).flatmap(
@@ -64,7 +62,7 @@ def test_variance_identity(raw_values, salt):
     rng = np.random.default_rng(salt)
     values = {f"j{i}": float(v) for i, v in enumerate(raw_values)}
     partition = {j: f"g{rng.integers(0, 3)}" for j in values}
-    vd = variance_decomposition(values, partition)
+    vd = decompose(values, partition)
     assert vd.ss_total == pytest.approx(vd.ss_between + vd.ss_within, rel=1e-9, abs=1e-9)
     assert vd.ss_between >= -1e-12
     assert vd.ss_within >= 0.0
@@ -93,10 +91,8 @@ def test_spearman_invariant_under_increasing_transform(pairs):
 @settings(max_examples=60, deadline=None)
 def test_top_fraction_scale_invariant(values, z, scale):
     assume(math.floor(z * len(values) / 100.0) >= 1)
-    selected, n_z = top_fraction(values, z)
-    scaled_sel, scaled_n = top_fraction({k: scale * v for k, v in values.items()}, z)
-    assert n_z == scaled_n
-    assert selected == scaled_sel
+    _, (column, scaled) = columns_of(values, {k: scale * v for k, v in values.items()})
+    assert top_rows(column, z).tolist() == top_rows(scaled, z).tolist()
 
 
 @given(st.integers(2, 6), st.integers(0, 2**31))
@@ -110,7 +106,7 @@ def test_selected_counts_partition_to_n_z(n_groups, seed):
             jid = f"g{g}-{i}"
             values[jid] = float(rng.random())
             partition[jid] = f"g{g}"
-    report = fairness_test(values, partition, z=30)
+    report = fairness_test(table_of(values), partition, z=30)
     assert sum(r.m_g for r in report.per_cluster) == report.n_z
 
 
@@ -125,13 +121,13 @@ def test_rescale_cluster_and_grand_means(seed):
             jid = f"g{g}-{i}"
             values[jid] = float(rng.random() * 10 ** rng.integers(0, 3) + 0.01)
             partition[jid] = f"g{g}"
-    out = rescale(as_table(values), partition)
+    out = rescale(table_of(values), partition)
     by_cluster: dict[str, list] = {}
-    for jid, v in out.values.items():
+    for jid, v in values_of(out).items():
         by_cluster.setdefault(partition[jid], []).append(v)
     for vals in by_cluster.values():
         assert sum(vals) / len(vals) == pytest.approx(1.0, abs=1e-9)
-    everything = list(out.values.values())
+    everything = out.column.tolist()
     assert sum(everything) / len(everything) == pytest.approx(1.0, abs=1e-9)
 
 
@@ -147,8 +143,9 @@ def test_rescale_kills_between_group_variance(seed):
             jid = f"g{g}-{i}"
             values[jid] = float(rng.random() * scale + 0.001)
             partition[jid] = f"g{g}"
-    out = rescale(as_table(values), partition)
-    vd = variance_decomposition(out.values, partition)
+    out = rescale(table_of(values), partition)
+    clusters, codes = cluster_codes(out.journal_ids, partition)
+    vd = variance_decomposition(out.column, codes, clusters)
     if vd.ss_total > 0:
         assert vd.ss_between / vd.ss_total < 1e-12
 
@@ -163,7 +160,8 @@ def test_fractional_never_exceeds_integer_numerator():
         for window in (2, 5):
             ti = compute_table(ds, IndicatorSpec("numerator_only", window, "integer"))
             tf = compute_table(ds, IndicatorSpec("numerator_only", window, "fractional"))
-            assert all(tf.values[j] <= ti.values[j] + 1e-12 for j in ti.values)
+            assert ti.journal_ids == tf.journal_ids
+            assert (tf.column <= ti.column + 1e-12).all()
 
 
 def test_within_cluster_rank_preservation_exact():
@@ -171,9 +169,9 @@ def test_within_cluster_rank_preservation_exact():
     for _ in range(5):
         values = {f"j{i:03d}": float(v) for i, v in enumerate(rng.random(60) * 100)}
         partition = {j: f"g{i % 4}" for i, j in enumerate(values)}
-        out = rescale(as_table(values), partition)
+        out = values_of(rescale(table_of(values), partition))
         for g in set(partition.values()):
             ids = [j for j in values if partition[j] == g]
             raw = [values[j] for j in ids]
-            scaled = [out.values[j] for j in ids]
+            scaled = [out[j] for j in ids]
             assert spearman(raw, scaled) == 1.0

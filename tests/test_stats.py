@@ -11,19 +11,18 @@ from citefair.stats import (
     bin_sizes,
     cluster_codes,
     cluster_sort,
-    decile_correlations,
-    ecdf_by_group,
+    decile_rhos,
+    ecdf_steps,
     hypergeom_cdf,
     hypergeom_ci,
     hypergeom_pmf,
     ks_matrix,
-    ks_two_sample,
     pearson,
     spearman,
-    top_fraction,
-    variance_decomposition,
+    top_rows,
 )
 
+from conftest import columns_of, decompose
 from oracles import (
     decile_bins_by_sort,
     ecdf_by_dicts,
@@ -37,6 +36,36 @@ from oracles import (
     top_set_by_sort,
     variance_parts_by_definition,
 )
+
+
+def top_ids(values, z):
+    """The ids of top_rows of a journal -> value dict's column, and n_z."""
+    ids, (column,) = columns_of(values)
+    top = top_rows(column, z)
+    return frozenset(ids[i] for i in top.tolist()), len(top)
+
+
+def decile_rhos_of(baseline, other, k):
+    """decile_rhos of two journal -> value dicts laid out as columns."""
+    _, (x, y) = columns_of(baseline, other)
+    return decile_rhos(x, y, k)
+
+
+def ecdf_of(values, partition):
+    """ecdf_steps of a journal -> value dict's column per cluster of the
+    partition, as (value, fraction) pairs."""
+    ids, (column,) = columns_of(values)
+    clusters, codes = cluster_codes(ids, partition)
+    steps = ecdf_steps(*cluster_sort(column, codes, clusters))
+    return {g: list(zip(xs.tolist(), fractions.tolist()))
+            for g, (xs, fractions) in zip(clusters, steps)}
+
+
+def ks_of(a, b):
+    """The ks_matrix entry of two samples laid out as two clusters."""
+    column = np.array([*a, *b], dtype=np.float64)
+    codes = np.repeat([0, 1], [len(a), len(b)])
+    return float(ks_matrix(*cluster_sort(column, codes, ("a", "b")))[0, 1])
 
 
 class TestHypergeomPmf:
@@ -119,51 +148,51 @@ class TestHypergeomCi:
 class TestTopFraction:
     def test_floor_rule_large(self):
         values = {f"j{i:04d}": float(i) for i in range(3695)}
-        _, n_z = top_fraction(values, 10)
+        _, n_z = top_ids(values, 10)
         assert n_z == 369  # floor(369.5)
 
     def test_small_set(self):
         values = {f"j{i}": float(i) for i in range(10)}
-        selected, n_z = top_fraction(values, 10)
+        selected, n_z = top_ids(values, 10)
         assert n_z == 1
         assert selected == {"j9"}
 
     def test_threshold_tie_broken_by_id(self):
         # four journals, n_z = 2, tie at the threshold value
         values = {"a": 5.0, "c": 3.0, "b": 3.0, "d": 1.0}
-        selected, n_z = top_fraction(values, 50)
+        selected, n_z = top_ids(values, 50)
         assert n_z == 2
         # exhaustive rule: sort by (value desc, id asc) -> a, b, c, d
         assert selected == {"a", "b"}
 
     def test_undefined_excluded_from_n(self):
         values = {"a": 3.0, "b": 2.0, "c": 1.0, "d": None, "e": None}
-        selected, n_z = top_fraction(values, 34)
+        selected, n_z = top_ids(values, 34)
         assert n_z == 1  # floor(0.34 * 3)
         assert selected == {"a"}
 
     def test_zero_selection_is_error(self):
         with pytest.raises(StatsError):
-            top_fraction({"a": 1.0, "b": 2.0}, 10)
+            top_ids({"a": 1.0, "b": 2.0}, 10)
 
     def test_bad_z(self):
         with pytest.raises(StatsError):
-            top_fraction({"a": 1.0}, 0)
+            top_ids({"a": 1.0}, 0)
         with pytest.raises(StatsError):
-            top_fraction({"a": 1.0}, 101)
+            top_ids({"a": 1.0}, 101)
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(7)
         values = {f"j{i}": float(v) for i, v in enumerate(rng.random(40))}
         scaled = {k: 3.7 * v for k, v in values.items()}
-        assert top_fraction(values, 25)[0] == top_fraction(scaled, 25)[0]
+        assert top_ids(values, 25)[0] == top_ids(scaled, 25)[0]
 
 
 class TestVarianceDecomposition:
     def test_two_flat_groups(self):
         values = {"a": 1.0, "b": 1.0, "c": 3.0, "d": 3.0}
         partition = {"a": "g1", "b": "g1", "c": "g2", "d": "g2"}
-        vd = variance_decomposition(values, partition)
+        vd = decompose(values, partition)
         assert vd.grand_mean == 2.0
         assert vd.ss_between == 4.0
         assert vd.ss_within == 0.0
@@ -172,7 +201,7 @@ class TestVarianceDecomposition:
     def test_all_equal(self):
         values = {"a": 2.0, "b": 2.0, "c": 2.0}
         partition = {"a": "g1", "b": "g1", "c": "g2"}
-        vd = variance_decomposition(values, partition)
+        vd = decompose(values, partition)
         assert vd.ss_total == vd.ss_between == vd.ss_within == 0.0
         assert vd.eta_squared is None
 
@@ -185,7 +214,7 @@ class TestVarianceDecomposition:
             for i, v in enumerate(vs):
                 values[f"{g}-{i}"] = float(v)
                 partition[f"{g}-{i}"] = g
-        vd = variance_decomposition(values, partition)
+        vd = decompose(values, partition)
         ss_tot, ss_b, ss_w = variance_parts_by_definition(groups)
         assert vd.ss_total == pytest.approx(ss_tot, rel=1e-12)
         assert vd.ss_between == pytest.approx(ss_b, rel=1e-10)
@@ -195,18 +224,43 @@ class TestVarianceDecomposition:
         rng = np.random.default_rng(3)
         values = {f"j{i}": float(v) for i, v in enumerate(rng.random(50) * 10)}
         partition = {f"j{i}": f"g{i % 5}" for i in range(50)}
-        vd = variance_decomposition(values, partition)
+        vd = decompose(values, partition)
         assert vd.ss_total == pytest.approx(vd.ss_between + vd.ss_within, rel=1e-9)
 
     def test_undefined_excluded(self):
         values = {"a": 1.0, "b": None, "c": 3.0}
         partition = {"a": "g1", "b": "g1", "c": "g2"}
-        vd = variance_decomposition(values, partition)
+        vd = decompose(values, partition)
         assert vd.group_means == {"g1": 1.0, "g2": 3.0}
 
     def test_too_few_values(self):
         with pytest.raises(StatsError):
-            variance_decomposition({"a": 1.0, "b": None}, {"a": "g", "b": "g"})
+            decompose({"a": 1.0, "b": None}, {"a": "g", "b": "g"})
+
+    def test_all_undefined_cluster_absent_from_group_means(self):
+        values = {"a": 1.0, "b": None, "c": 3.0, "d": 5.0}
+        partition = {"b": "g0", "a": "g1", "c": "g2", "d": "g2"}
+        vd = decompose(values, partition)
+        assert list(vd.group_means) == ["g1", "g2"]
+        assert vd.group_means == {"g1": 1.0, "g2": 4.0}
+
+    def test_journal_missing_from_partition(self):
+        with pytest.raises(StatsError, match="journal 'b' missing from the partition"):
+            decompose({"a": 1.0, "b": 2.0, "c": 3.0}, {"a": "g", "c": "g"})
+
+
+class TestClusterCodes:
+    def test_clusters_in_order_of_first_journal(self):
+        partition = {"c": "g2", "a": "g1", "b": "g2"}
+        clusters, codes = cluster_codes(["a", "b", "c"], partition)
+        assert clusters == ["g2", "g1"]
+        assert codes.tolist() == [1, 0, 0]
+
+    def test_journal_missing_from_partition(self):
+        with pytest.raises(StatsError, match="^journal 'x' missing from the partition$"):
+            cluster_codes(["x"], {"y": "g"})
+        with pytest.raises(StatsError, match="^journal 'b' missing from the partition$"):
+            cluster_codes(["a", "b", "c"], {"a": "g"})
 
 
 class TestPearson:
@@ -270,13 +324,13 @@ class TestSpearman:
 class TestDecileCorrelations:
     def test_identity(self):
         values = {f"j{i}": float(i) for i in range(40)}
-        rhos = decile_correlations(values, values, 10)
+        rhos = decile_rhos_of(values, values, 10)
         assert rhos == [1.0] * 10
 
     def test_constant_other(self):
         values = {f"j{i}": float(i) for i in range(40)}
         flat = {k: 2.0 for k in values}
-        assert decile_correlations(values, flat, 10) == [None] * 10
+        assert decile_rhos_of(values, flat, 10) == [None] * 10
 
     def test_bin_sizes_remainder_to_top(self):
         assert bin_sizes(25, 10) == [3, 3, 3, 3, 3, 2, 2, 2, 2, 2]
@@ -287,36 +341,36 @@ class TestDecileCorrelations:
         rng = np.random.default_rng(1)
         baseline = {f"j{i:02d}": float(v) for i, v in enumerate(rng.random(25))}
         other = {k: float(v) for k, v in zip(baseline, rng.random(25))}
-        rhos = decile_correlations(baseline, other, 10)
+        rhos = decile_rhos_of(baseline, other, 10)
         assert len(rhos) == 10
 
     def test_support_too_small(self):
         with pytest.raises(StatsError):
-            decile_correlations({"a": 1.0, "b": 2.0}, {"a": 1.0, "b": 2.0}, 3)
+            decile_rhos_of({"a": 1.0, "b": 2.0}, {"a": 1.0, "b": 2.0}, 3)
 
 
 class TestEcdf:
     def test_simple_steps(self):
         values = {"a": 1.0, "b": 2.0, "c": 3.0}
         partition = {"a": "g", "b": "g", "c": "g"}
-        assert ecdf_by_group(values, partition) == {
+        assert ecdf_of(values, partition) == {
             "g": [(1.0, 1 / 3), (2.0, 2 / 3), (3.0, 1.0)]
         }
 
     def test_duplicates_collapse(self):
         values = {"a": 2.0, "b": 2.0}
-        assert ecdf_by_group(values, {"a": "g", "b": "g"}) == {"g": [(2.0, 1.0)]}
+        assert ecdf_of(values, {"a": "g", "b": "g"}) == {"g": [(2.0, 1.0)]}
 
     def test_last_fraction_exactly_one(self):
         rng = np.random.default_rng(9)
         values = {f"j{i}": float(v) for i, v in enumerate(rng.integers(0, 10, 31))}
-        points = ecdf_by_group(values, {k: "g" for k in values})["g"]
+        points = ecdf_of(values, {k: "g" for k in values})["g"]
         assert points[-1][1] == 1.0
         assert len(points) <= 31
 
     def test_empty_cluster_is_error(self):
         with pytest.raises(StatsError):
-            ecdf_by_group({"a": 1.0, "b": None}, {"a": "g1", "b": "g2"})
+            ecdf_of({"a": 1.0, "b": None}, {"a": "g1", "b": "g2"})
 
     def test_groups_follow_partition_order(self):
         # 40 clusters listed out of sorted order: the keys keep the listed
@@ -325,34 +379,34 @@ class TestEcdf:
         clusters = [f"g{(7 * k) % 40}" for k in range(40)]
         partition = {f"j{k}": g for k, g in enumerate(clusters)}
         values = {jid: float(k) for k, jid in enumerate(partition)}
-        assert list(ecdf_by_group(values, partition)) == clusters
+        assert list(ecdf_of(values, partition)) == clusters
         values = {jid: (None if k % 2 else 1.0) for k, jid in enumerate(partition)}
         with pytest.raises(StatsError, match=f"cluster '{clusters[1]}' "):
-            ecdf_by_group(values, partition)
+            ecdf_of(values, partition)
 
 
 class TestKs:
     def test_identical(self):
-        assert ks_two_sample([1.0, 2.0, 3.0], [1.0, 2.0, 3.0]) == 0.0
+        assert ks_of([1.0, 2.0, 3.0], [1.0, 2.0, 3.0]) == 0.0
 
     def test_disjoint(self):
-        assert ks_two_sample([1.0, 2.0], [10.0, 11.0]) == 1.0
+        assert ks_of([1.0, 2.0], [10.0, 11.0]) == 1.0
 
     def test_half_overlap(self):
         # derived by enumerating the step differences
         assert ks_by_enumeration([1, 2], [1, 3]) == 0.5
-        assert ks_two_sample([1.0, 2.0], [1.0, 3.0]) == 0.5
+        assert ks_of([1.0, 2.0], [1.0, 3.0]) == 0.5
 
     def test_matches_enumeration_random(self):
         rng = np.random.default_rng(13)
         for _ in range(10):
             a = rng.choice(np.arange(8), size=7).astype(float).tolist()
             b = rng.choice(np.arange(8), size=5).astype(float).tolist()
-            assert ks_two_sample(a, b) == pytest.approx(ks_by_enumeration(a, b), abs=1e-12)
+            assert ks_of(a, b) == pytest.approx(ks_by_enumeration(a, b), abs=1e-12)
 
     def test_empty_is_error(self):
         with pytest.raises(StatsError):
-            ks_two_sample([], [1.0])
+            ks_of([], [1.0])
 
 
 # Ids with non-ASCII letters and trailing NULs; values with ties, -0.0
@@ -365,11 +419,11 @@ CLUSTERS = st.sampled_from(("g1", "g2", "10", "é"))
 
 
 @st.composite
-def valued_partitions(draw):
+def valued_partitions(draw, values=TIED):
     """(values, partition): a journal -> value dict in an order unlike
     sorted order, and a partition of its journals over up to four clusters."""
     ids = draw(st.permutations(draw(st.lists(IDS, min_size=1, max_size=40, unique=True))))
-    return {jid: draw(TIED) for jid in ids}, {jid: draw(CLUSTERS) for jid in ids}
+    return {jid: draw(values) for jid in ids}, {jid: draw(CLUSTERS) for jid in ids}
 
 
 def hexed(rhos):
@@ -386,9 +440,9 @@ class TestAgainstDictOracles:
         expected = top_set_by_sort(values, z)
         if expected[1] == 0:
             with pytest.raises(StatsError):
-                top_fraction(values, z)
+                top_ids(values, z)
         else:
-            assert top_fraction(values, z) == expected
+            assert top_ids(values, z) == expected
 
     @given(valued_partitions(), st.data(), st.integers(2, 5))
     @settings(max_examples=300, deadline=None)
@@ -399,11 +453,11 @@ class TestAgainstDictOracles:
         bins = decile_bins_by_sort(baseline, other, k)
         if sum(map(len, bins)) < k:
             with pytest.raises(StatsError, match="smaller than k"):
-                decile_correlations(baseline, other, k)
+                decile_rhos_of(baseline, other, k)
             return
         # each bin's rho is the package's Spearman of the oracle's bin
         expected = [None if len(pairs) < 2 else spearman(*zip(*pairs)) for pairs in bins]
-        assert hexed(decile_correlations(baseline, other, k)) == hexed(expected)
+        assert hexed(decile_rhos_of(baseline, other, k)) == hexed(expected)
 
     @given(valued_partitions())
     @settings(max_examples=300, deadline=None)
@@ -413,9 +467,9 @@ class TestAgainstDictOracles:
         empty = [g for g, steps in expected.items() if not steps]
         if empty:
             with pytest.raises(StatsError, match=f"cluster '{empty[0]}' "):
-                ecdf_by_group(values, partition)
+                ecdf_of(values, partition)
             return
-        got = ecdf_by_group(values, partition)
+        got = ecdf_of(values, partition)
         assert list(got) == list(expected)
         assert {g: [(v.hex(), f.hex()) for v, f in steps] for g, steps in got.items()} == \
             {g: [(v.hex(), f.hex()) for v, f in steps] for g, steps in expected.items()}
@@ -423,7 +477,7 @@ class TestAgainstDictOracles:
     @given(st.lists(DEFINED, min_size=1, max_size=30), st.lists(DEFINED, min_size=1, max_size=30))
     @settings(max_examples=300, deadline=None)
     def test_ks_two_sample(self, a, b):
-        assert ks_two_sample(a, b).hex() == ks_by_counts(a, b).hex()
+        assert ks_of(a, b).hex() == ks_by_counts(a, b).hex()
 
     @given(valued_partitions())
     @settings(max_examples=300, deadline=None)
@@ -443,10 +497,41 @@ class TestAgainstDictOracles:
         assert [[v.hex() for v in row] for row in ks] == \
             [[ks_by_counts(samples[g], samples[h]).hex() for h in clusters] for g in clusters]
 
+    @given(valued_partitions(st.one_of(st.none(), st.sampled_from([0.0, -0.0, 1.0, 2.5, 5e-324]),
+                                       st.floats(0.0, 4.0, allow_nan=False))))
+    @settings(max_examples=300, deadline=None)
+    def test_variance_decomposition(self, case):
+        # 1e308 is left out: its square overflows the oracle's float **
+        values, partition = case
+        groups = {g: [] for g in dict.fromkeys(partition.values())}
+        for jid, v in values.items():
+            if v is not None:
+                groups[partition[jid]].append(v)
+        groups = {g: vs for g, vs in groups.items() if vs}
+        if sum(map(len, groups.values())) < 2:
+            with pytest.raises(StatsError, match="at least 2 defined values"):
+                decompose(values, partition)
+            return
+        vd = decompose(values, partition)
+        ss_tot, ss_b, ss_w = variance_parts_by_definition(groups)
+        # numpy sums in another order than fsum: a few ulps of the largest
+        # sum, at most 40 * 4.0**2
+        tol = {"rel": 1e-9, "abs": 1e-12}
+        assert vd.ss_total == pytest.approx(ss_tot, **tol)
+        assert vd.ss_between == pytest.approx(ss_b, **tol)
+        assert vd.ss_within == pytest.approx(ss_w, **tol)
+        assert vd.grand_mean == pytest.approx(
+            math.fsum(v for vs in groups.values() for v in vs) / sum(map(len, groups.values())),
+            **tol)
+        assert list(vd.group_means) == list(groups)
+        assert vd.group_means == pytest.approx(
+            {g: math.fsum(vs) / len(vs) for g, vs in groups.items()}, **tol)
+        assert vd.eta_squared == (vd.ss_between / vd.ss_total if vd.ss_total > 0 else None)
+
     def test_negative_zero_ties_with_zero(self):
         values = {"b": 0.0, "a": -0.0, "c": 0.0, "d": 1.0, "e": None}
-        assert top_fraction(values, 50) == (frozenset({"d", "a"}), 2)
+        assert top_ids(values, 50) == (frozenset({"d", "a"}), 2)
         partition = dict.fromkeys(values, "g")
-        assert [(v.hex(), f) for v, f in ecdf_by_group(values, partition)["g"]] == \
+        assert [(v.hex(), f) for v, f in ecdf_of(values, partition)["g"]] == \
             [((-0.0).hex(), 0.75), ((1.0).hex(), 1.0)]
-        assert ks_two_sample([-0.0, 1.0], [0.0, 1.0]) == 0.0
+        assert ks_of([-0.0, 1.0], [0.0, 1.0]) == 0.0

@@ -15,6 +15,8 @@ from citefair.synth import (
     profile_to_json,
 )
 
+from conftest import values_of
+
 
 def small_profile(seed=0, **kwargs):
     defaults = dict(
@@ -165,7 +167,7 @@ class TestGenerate:
             table = compute_table(ds, IndicatorSpec("impact_factor", 2, "integer"))
             means = {}
             for cid in ("lo", "hi"):
-                vals = [v for j, v in table.values.items()
+                vals = [v for j, v in values_of(table).items()
                         if ds.partition[j] == cid and v is not None]
                 means[cid] = float(np.mean(vals))
             ratio = means["hi"] / means["lo"]
