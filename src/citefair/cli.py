@@ -28,8 +28,12 @@ from .errors import CiteFairError, ValidationError
 __all__ = ["main", "run", "build_parser"]
 
 
+def _out_path(args) -> Path:
+    return Path(args.out_dir or os.environ.get("CITEFAIR_OUT", "."))
+
+
 def _out_dir(args) -> Path:
-    out = Path(args.out_dir or os.environ.get("CITEFAIR_OUT", "."))
+    out = _out_path(args)
     out.mkdir(parents=True, exist_ok=True)
     return out
 
@@ -74,11 +78,9 @@ def cmd_ingest(args) -> int:
     )
     journals, clusters = ing.parse_journals(args.journals, config)
     counts = ing.parse_publications(args.publications, config)
-    events = ing.parse_citations(args.citations, config)
-    dataset, summary = ing.assemble(journals, clusters, counts, events,
-                                    census_year=args.census_year, config=config)
-    out = _out_dir(args)
-    ing.save_bundle(dataset, out, summary=summary)
+    out = _out_path(args)
+    summary = ing.ingest_bundle(journals, clusters, counts, args.citations, out,
+                                census_year=args.census_year, config=config)
     print(f"dataset: {summary.retained_journals} journals in "
           f"{summary.retained_clusters} clusters, {summary.retained_events} events, "
           f"census year {summary.census_year}")
@@ -92,6 +94,8 @@ def cmd_ingest(args) -> int:
         print("excluded clusters: none")
     if summary.events_dropped_unknown_cited:
         print(f"events dropped (unknown cited journal): {summary.events_dropped_unknown_cited}")
+    if summary.events_dropped_zero_refs:
+        print(f"events dropped (n_refs = 0): {summary.events_dropped_zero_refs}")
     print(f"bundle written to {out}")
     return 0
 

@@ -14,15 +14,25 @@ Citing journals may lie outside the indexed set; only cited journals must
 resolve.  Clusters smaller than ``min_cluster_size`` are removed together
 with their journals and any event touching them.
 
-The publications and citations files are read as columns of codes over
-each column's distinct fields (_read_columns), and each rule is checked
+Files are read a chunk of whole lines at a time (_batches), as columns
+of codes over each column's distinct fields, and each rule is checked
 once per distinct field or as one mask over the rows; the earliest row
 that breaks a rule is reported, in the words of the first rule it breaks.
 Integer fields are ASCII numerals, ``[+-]?[0-9]+``.
 
-A bundle (save_bundle) holds the three files, tab-separated, plus
-``counts.tsv`` (the census's WindowCounts) and ``dataset.json``, whose
-manifest records each of the four files' sha256 and row count.
+The journals and publications files are read whole.  The citations file
+is read once, batch by batch (_CitationReader): each citing paper's first
+event is carried from batch to batch, so the rules need no earlier batch.
+parse_citations concatenates the checked batches.  ingest_bundle passes
+each batch on through the exclusion policy (_Assembly, which assemble
+applies to one batch), the Validator and the WindowCounter of the model,
+and writes its kept rows to the bundle; what stays in memory is one batch
+and the per-paper and per-journal state, however long the file.
+
+A bundle (save_bundle, ingest_bundle) holds the three files,
+tab-separated, plus ``counts.tsv`` (the census's WindowCounts) and
+``dataset.json``, whose manifest records each of the four files' sha256
+and row count, hashed as the files are written (_Writer).
 """
 
 from __future__ import annotations
@@ -30,16 +40,18 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
 import re
 import warnings
 from bisect import bisect_right
 from collections import Counter, deque
+from contextlib import suppress
 from dataclasses import dataclass, asdict
 from functools import cached_property
-from itertools import repeat
+from itertools import count, takewhile
 from operator import not_
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -55,8 +67,9 @@ except ImportError:
 
 from .errors import CiteFairError, IngestWarning, ParseError, ValidationError
 from .model import (EVENT_COLUMNS, PUBLICATION_COLUMNS, Cluster, Dataset, Events, Ids,
-                    JournalRecord, PublicationCounts, WindowCounts, encode, paper_conflicts,
-                    repeats, validate, vocabulary, window_counts)
+                    JournalRecord, Leads, PerId, PublicationCounts, Validator, Violation,
+                    WindowCounter, WindowCounts, encode, repeats, validate,
+                    vocabulary, window_counts)
 
 __all__ = [
     "IngestConfig",
@@ -70,6 +83,7 @@ __all__ = [
     "write_citations",
     "write_dataset",
     "save_bundle",
+    "ingest_bundle",
     "load_bundle",
     "load_counts",
     "load_partition",
@@ -102,8 +116,11 @@ _NUMERAL = re.compile(r"[+-]?[0-9]+").fullmatch
 # return, which csv.writer leaves bare under lineterminator="\n".
 _QUOTED = re.compile('[\t\n\r"]').search
 # Characters of text read per chunk, and rows written per block: small, so
-# that a chunk's or a block's field strings never take much memory.
-_CHUNK_CHARS = 1 << 18
+# that a chunk's or a block's field strings never take much memory.  A
+# chunk is also a batch of the one-pass ingest (ingest_bundle): at 1 << 18
+# its fields set the peak memory of the bench census, at 1 << 16 the work
+# done once per batch shows in the time (BENCH_12.json).
+_CHUNK_CHARS = 1 << 17
 _BLOCK_ROWS = 1 << 14
 
 
@@ -134,6 +151,7 @@ class IngestSummary:
     excluded_journals: int
     events_dropped_excluded_clusters: int
     events_dropped_unknown_cited: int
+    events_dropped_zero_refs: int  # while reading citations.tsv, before assemble
     counts_dropped: int
     census_year: int
     census_year_inferred: bool
@@ -173,18 +191,21 @@ def _split_plain(text: str, delimiter: str, width: int) -> list[str] | None:
     """The fields of ``text``, row after row, if csv.reader would read it as
     plain rows: no quote, carriage return or NUL, no blank line, no line
     longer than the csv field limit, and ``width`` fields on every line.
-    None for any other text."""
-    if delimiter in '"\r\n\0' or '"' in text or "\r" in text or "\0" in text:
+    None for any other text.  The lines are checked as one array of the
+    UTF-8 bytes, in which the newline and an ASCII delimiter are single
+    bytes; a line longer than the limit in bytes counts as too long."""
+    if (delimiter in '"\r\n\0' or not delimiter.isascii()
+            or '"' in text or "\r" in text or "\0" in text):
         return None
-    lines = text.split("\n")
-    if not lines[-1]:
-        lines.pop()
-    fields = delimiter.join(lines).split(delimiter)
-    if (len(fields) != len(lines) * width
-            or min(map(str.count, lines, repeat(delimiter))) != width - 1
-            or max(map(len, lines)) > csv.field_size_limit()):
+    data = np.frombuffer(text.encode("utf-8"), np.uint8)
+    ends = np.flatnonzero(data == 10)  # the end of each line
+    if not text.endswith("\n"):
+        ends = np.append(ends, len(data))
+    per_line = np.diff(np.searchsorted(np.flatnonzero(data == ord(delimiter)), ends), prepend=0)
+    if (not len(ends) or (per_line != width - 1).any()
+            or np.diff(ends, prepend=-1).max() > csv.field_size_limit() + 1):
         return None
-    return fields
+    return text.removesuffix("\n").replace("\n", delimiter).split(delimiter)
 
 
 def _feed(pending: deque, chunks: Iterator[str]) -> Iterator[str]:
@@ -196,19 +217,23 @@ def _feed(pending: deque, chunks: Iterator[str]) -> Iterator[str]:
             pending.extend(io.StringIO(next(chunks, ""), newline=""))
 
 
-def _pick(path: Path, header: list[str], columns: Sequence[str]) -> list[int]:
-    """The header positions of ``columns``."""
-    missing = [c for c in columns if c not in header]
+def _pick(path: Path, header: list[str], columns: Sequence[str],
+          required: Sequence[str]) -> list[int]:
+    """The header positions of ``columns``, once the header has every name in ``required``."""
+    missing = [c for c in required if c not in header]
     if missing:
         raise ParseError(path, 1, f"missing required column(s): {', '.join(missing)}")
     return [header.index(c) for c in columns]
 
 
-def _batches(path: Path, delimiter: str,
-             columns: Sequence[str]) -> Iterator[tuple[Sequence[int], list[list[str]]]]:
+def _batches(path: Path, delimiter: str, columns: Sequence[str], required: Sequence[str] = ()
+             ) -> Iterator[tuple[Sequence[int], list[list[str]], str | None]]:
     """Yield, a chunk of the file at a time, the physical line numbers of its
-    non-blank data rows and one list of raw fields per name in ``columns``,
-    after checking the header and each row's width.
+    non-blank data rows, one list of raw fields per name in ``columns`` and,
+    for a plain chunk of a file whose columns are ``columns`` in order, the
+    chunk's text, after checking that the header names every column of
+    ``required`` (default ``columns``) and that each row has the header's
+    width.
 
     A plain chunk (_split_plain) is split in bulk.  Any other is read by
     csv.reader, which reads on into the next chunks only to finish a quoted
@@ -216,6 +241,7 @@ def _batches(path: Path, delimiter: str,
     malformed row ends the batches with a ParseError once the rows before
     it are yielded.
     """
+    required = required or columns
     try:
         with path.open(encoding="utf-8", newline="") as fh:
             chunks = _chunks(fh)
@@ -225,13 +251,15 @@ def _batches(path: Path, delimiter: str,
                     head, _, rest = text.partition("\n")
                     header = _split_plain(head, delimiter, head.count(delimiter) + 1) if head else None
                     if header is not None:
-                        pick, width, line, text = _pick(path, header, columns), len(header), 1, rest
+                        pick, width = _pick(path, header, columns, required), len(header)
+                        line, text = 1, rest
                         if not text:
                             continue
                 fields = _split_plain(text, delimiter, width) if header is not None else None
                 if fields is not None:
                     n = len(fields) // width
-                    yield range(line + 1, line + n + 1), [fields[k::width] for k in pick]
+                    yield (range(line + 1, line + n + 1), [fields[k::width] for k in pick],
+                           text if pick == list(range(width)) else None)
                     line += n
                     continue
 
@@ -242,7 +270,7 @@ def _batches(path: Path, delimiter: str,
                     for row in reader:
                         if header is None:
                             header = row
-                            pick, width = _pick(path, header, columns), len(header)
+                            pick, width = _pick(path, header, columns, required), len(header)
                         elif len(row) >= width:
                             rows.append(row)
                             lines.append(line + reader.line_num)
@@ -255,7 +283,7 @@ def _batches(path: Path, delimiter: str,
                 except csv.Error as exc:
                     error = ParseError(path, line + reader.line_num, f"malformed row ({exc})")
                 if rows:
-                    yield lines, [[row[k] for row in rows] for k in pick]
+                    yield lines, [[row[k] for row in rows] for k in pick], None
                 if error:
                     raise error
                 line += reader.line_num
@@ -305,7 +333,32 @@ class _Column(Ids):
         return np.array([v if _fits(v) else 0 for v in self.numbers], np.int64)[self.codes]
 
 
-def _read_columns(path: Path, config: IngestConfig, columns: Sequence[str]
+def _column(fields: list[str]) -> _Column:
+    """A batch's raw fields as a _Column over its own distinct fields."""
+    index = vocabulary()
+    return _Column(encode(fields, index), tuple(index))
+
+
+class _Vocabulary:
+    """The distinct fields of one column over every batch so far, starting
+    with ``seed``, and their tuple, made again only when a batch brings new
+    ones."""
+
+    def __init__(self, seed: Sequence[str] = ()):
+        self.index = vocabulary()
+        encode(seed, self.index)
+        self.values = tuple(self.index)
+
+    def column(self, fields: list[str]) -> _Column:
+        """A batch's raw fields as a _Column over the fields of every batch so far."""
+        codes = encode(fields, self.index)
+        if len(self.index) > len(self.values):
+            self.values = tuple(self.index)
+        return _Column(codes, self.values)
+
+
+def _read_columns(path: Path, config: IngestConfig, columns: Sequence[str],
+                  required: Sequence[str] = ()
                   ) -> tuple[list[_Column], Callable[[int], int], ParseError | None]:
     """The named columns of the data rows, a function from row index to
     physical line number, and the ParseError that ended the reading early,
@@ -316,7 +369,7 @@ def _read_columns(path: Path, config: IngestConfig, columns: Sequence[str]
     codes = [[np.empty(0, np.int32)] for _ in columns]
     starts, lines, stop = [0], [], None
     try:
-        for batch_lines, fields in _batches(path, config.delimiter, columns):
+        for batch_lines, fields, _ in _batches(path, config.delimiter, columns, required):
             starts.append(starts[-1] + len(batch_lines))
             lines.append(batch_lines)
             for index, parts, column in zip(indexes, codes, fields):
@@ -343,18 +396,17 @@ def _first_error(line_of: Callable[[int], int], rules) -> CiteFairError | None:
     return rules[k][1](line_of(row), row)
 
 
-def parse_journals(path: str | Path,
-                   config: IngestConfig = IngestConfig()) -> tuple[list[JournalRecord], list[Cluster]]:
-    """Read the journals file; clusters are declared by first appearance.
-
-    Raises ParseError with a line number for malformed rows, and
-    ValidationError for duplicate journal ids or conflicting cluster names.
-    """
-    path = Path(path)
-    (jids, titles, cids, names), line_of, stop = _read_columns(path, config, JOURNAL_COLUMNS)
+def _journal_columns(path: Path, config: IngestConfig, columns: Sequence[str]
+                     ) -> tuple[list[_Column], np.ndarray]:
+    """The named columns of a journals file whose rows pass its rules,
+    ``columns`` starting with journal_id, cluster_id and cluster_name, and
+    the row of each cluster's first journal.  Every column of the format
+    must be present, read or not."""
+    (jids, cids, names, *rest), line_of, stop = _read_columns(path, config, columns,
+                                                              JOURNAL_COLUMNS)
     first = np.unique(cids.codes, return_index=True)[1]
     renamed = np.zeros(len(cids), bool)
-    renamed[paper_conflicts(cids.codes, names.codes)] = True
+    renamed[Leads().conflicts(cids.codes, names.codes)] = True
     error = _first_error(line_of, [
         (jids.empty(), lambda line, i: ParseError(path, line, "empty journal_id")),
         (cids.empty(), lambda line, i: ParseError(path, line, "empty cluster_id")),
@@ -366,6 +418,18 @@ def parse_journals(path: str | Path,
     ]) or stop
     if error:
         raise error
+    return [jids, cids, names, *rest], first
+
+
+def parse_journals(path: str | Path,
+                   config: IngestConfig = IngestConfig()) -> tuple[list[JournalRecord], list[Cluster]]:
+    """Read the journals file; clusters are declared by first appearance.
+
+    Raises ParseError with a line number for malformed rows, and
+    ValidationError for duplicate journal ids or conflicting cluster names.
+    """
+    (jids, cids, names, titles), first = _journal_columns(
+        Path(path), config, ("journal_id", "cluster_id", "cluster_name", "title"))
     journals = list(map(JournalRecord, *(c.strings().tolist() for c in (jids, titles, cids))))
     sizes = np.bincount(cids.codes, minlength=len(cids.values)).tolist()
     return journals, list(map(Cluster, cids.values, [names[i] for i in first.tolist()], sizes))
@@ -396,51 +460,183 @@ def parse_publications(path: str | Path,
     return PublicationCounts(Ids(jids.codes, jids.values), year_values, item_values)
 
 
+class _CitationReader:
+    """The events of a citations file, read and checked a batch at a time.
+
+    Iterating yields one Events per chunk (_batches) whose rows pass the
+    rules of parse_citations, without the rows whose n_refs is 0, which are
+    counted in ``zero_refs``.  The rules are checked per batch in file
+    order, so the earliest row that breaks one is reported.  Each citing
+    paper's first event is carried from batch to batch (Leads), the papers
+    numbered by ``papers``.  The two journal columns are numbered over the
+    whole file, starting with ``journal_ids`` (_Vocabulary), so work done
+    per journal id (PerId) is done once, not once per batch.  After each
+    batch, ``text`` holds its text when that is also how the bundle writes
+    its rows: a plain chunk of tab-separated rows in the bundle's column
+    order, none dropped, every integer written as str writes it; else None.
+    """
+
+    def __init__(self, path: str | Path, config: IngestConfig, journal_ids: Sequence[str] = ()):
+        self.path, self.config = Path(path), config
+        self.papers = vocabulary()
+        self.paper_code = PerId(self.papers.__getitem__, np.int32)
+        self.citing, self.cited = _Vocabulary(journal_ids), _Vocabulary(journal_ids)
+        self.cited_empty = PerId(not_)
+        self.leads = Leads()
+        self.zero_refs = 0
+        self.text: str | None = None
+
+    def __iter__(self) -> Iterator[Events]:
+        for lines, (pids, citing, citing_years, cited, cited_years, n_refs), text in _batches(
+                self.path, self.config.delimiter, CITATION_COLUMNS):
+            numbers = list(map(_column, (citing_years, cited_years, n_refs)))
+            batch = self._checked(lines, [_column(pids), self.citing.column(citing), numbers[0],
+                                          self.cited.column(cited), *numbers[1:]])
+            self.text = None
+            if (text is not None and self.config.delimiter == "\t" and len(batch) == len(lines)
+                    and all(str(v) == raw for c in numbers for v, raw in zip(c.numbers, c.values))):
+                self.text = text if text.endswith("\n") else text + "\n"
+            yield batch
+        if self.zero_refs:
+            warnings.warn(f"{self.path}: dropped {self.zero_refs} citation row(s) with n_refs=0",
+                          IngestWarning, stacklevel=2)
+
+    def _checked(self, lines: Sequence[int], columns: list[_Column]) -> Events:
+        path = self.path
+        pids, citing_jids, citing_years, cited_jids, cited_years, n_refs = columns
+        numbers = (citing_years, cited_years, n_refs)
+        citing_year, cited_year, n_refs_value = (c.int64() for c in numbers)
+        zero = n_refs.expand(v == 0 for v in n_refs.numbers)
+        keep = np.flatnonzero(~zero) if zero.any() else slice(None)
+        conflict = np.zeros(len(zero), bool)
+        conflict[np.arange(len(zero))[keep][self.leads.conflicts(
+            self.paper_code(pids)[keep], citing_jids.codes[keep],
+            citing_year[keep], n_refs_value[keep])]] = True
+
+        def raws(i: int) -> str:
+            return ", ".join(repr(c[i]) for c in numbers)
+
+        error = _first_error(lines.__getitem__, [
+            (pids.empty(), lambda line, i: ParseError(path, line, "empty citing_paper_id")),
+            (self.cited_empty(cited_jids),
+             lambda line, i: ParseError(path, line, "empty cited_journal_id")),
+            (np.logical_or.reduce([c.expand(v is None for v in c.numbers) for c in numbers]),
+             lambda line, i: ParseError(path, line,
+                                        f"years and n_refs must be integers: {raws(i)}")),
+            (zero & (self.config.zero_refs_policy == POLICY_ERROR),
+             lambda line, i: ParseError(path, line, "n_refs is 0")),
+            (n_refs.expand(v is not None and v < 0 for v in n_refs.numbers),
+             lambda line, i: ParseError(
+                 path, line, f"n_refs must be positive, got {_integer(n_refs[i])}")),
+            (~zero & np.logical_or.reduce([c.expand(not _fits(v) for v in c.numbers)
+                                           for c in numbers]),
+             lambda line, i: ParseError(path, line,
+                                        f"years and n_refs must fit in 64 bits: {raws(i)}")),
+            (conflict, lambda line, i: ValidationError(
+                f"{path}:{line}: citing paper '{pids[i]}' conflicts with an earlier "
+                f"row on (citing_journal_id, citing_year, n_refs)")),
+        ])
+        if error:
+            raise error
+        self.zero_refs += int(zero.sum())
+        return Events(pids[keep], citing_jids[keep], citing_year[keep],
+                      cited_jids[keep], cited_year[keep], n_refs_value[keep])
+
+
 def parse_citations(path: str | Path, config: IngestConfig = IngestConfig()) -> Events:
-    """Read citation events in file order.
+    """Read citation events in file order: the checked batches of a
+    _CitationReader, one after the other.
 
     n_refs must parse as a positive integer; zero is handled per
     ``config.zero_refs_policy``.  Years and n_refs must fit in 64 bits.
     Events of one citing paper must agree on citing journal, citing year
     and n_refs.
     """
-    path = Path(path)
-    columns, line_of, stop = _read_columns(path, config, CITATION_COLUMNS)
-    pids, citing_jids, citing_years, cited_jids, cited_years, n_refs = columns
-    numbers = (citing_years, cited_years, n_refs)
-    citing_year, cited_year, n_refs_value = (c.int64() for c in numbers)
-    zero = n_refs.expand(v == 0 for v in n_refs.numbers)
-    keep = np.flatnonzero(~zero) if zero.any() else slice(None)
-    conflict, kept_conflict = np.zeros(len(zero), bool), np.zeros(len(zero) - zero.sum(), bool)
-    kept_conflict[paper_conflicts(pids.codes[keep], citing_jids.codes[keep],
-                                  citing_year[keep], n_refs_value[keep])] = True
-    conflict[keep] = kept_conflict
+    return Events.concat(list(_CitationReader(path, config)))
 
-    def raws(i: int) -> str:
-        return ", ".join(repr(c[i]) for c in numbers)
 
-    error = _first_error(line_of, [
-        (pids.empty(), lambda line, i: ParseError(path, line, "empty citing_paper_id")),
-        (cited_jids.empty(), lambda line, i: ParseError(path, line, "empty cited_journal_id")),
-        (np.logical_or.reduce([c.expand(v is None for v in c.numbers) for c in numbers]),
-         lambda line, i: ParseError(path, line, f"years and n_refs must be integers: {raws(i)}")),
-        (zero & (config.zero_refs_policy == POLICY_ERROR),
-         lambda line, i: ParseError(path, line, "n_refs is 0")),
-        (n_refs.expand(v is not None and v < 0 for v in n_refs.numbers), lambda line, i: ParseError(
-            path, line, f"n_refs must be positive, got {_integer(n_refs[i])}")),
-        (~zero & np.logical_or.reduce([c.expand(not _fits(v) for v in c.numbers) for c in numbers]),
-         lambda line, i: ParseError(path, line, f"years and n_refs must fit in 64 bits: {raws(i)}")),
-        (conflict, lambda line, i: ValidationError(
-            f"{path}:{line}: citing paper '{pids[i]}' conflicts with an earlier "
-            f"row on (citing_journal_id, citing_year, n_refs)")),
-    ]) or stop
-    if error:
-        raise error
-    if zero.any():
-        warnings.warn(f"{path}: dropped {zero.sum()} citation row(s) with n_refs=0",
-                      IngestWarning, stacklevel=2)
-    return Events(pids[keep], citing_jids[keep], citing_year[keep],
-                  cited_jids[keep], cited_year[keep], n_refs_value[keep])
+class _Assembly:
+    """assemble's exclusion policy, applied to the events a batch at a time.
+
+    Clusters below ``min_cluster_size`` are removed with their journals and
+    their publication counts at once; ``keep`` drops the events citing or
+    cited by their journals, and the events citing unknown journals, and
+    counts both; ``finish`` raises the errors of the whole census.
+    """
+
+    def __init__(self, journals: Sequence[JournalRecord], clusters: Sequence[Cluster],
+                 publication_counts: PublicationCounts, config: IngestConfig):
+        self.config = config
+        membership = Counter(j.cluster_id for j in journals)
+        self.clusters: list[Cluster] = []
+        self.excluded: list[tuple[str, str, int]] = []
+        for c in clusters:
+            size = membership[c.cluster_id]
+            if size < config.min_cluster_size:
+                self.excluded.append((c.cluster_id, c.name, size))
+            else:
+                self.clusters.append(Cluster(c.cluster_id, c.name, size))
+        excluded_ids = {cid for cid, _, _ in self.excluded}
+        self.journals = [j for j in journals if j.cluster_id not in excluded_ids]
+        self.dropped_ids = {j.journal_id for j in journals if j.cluster_id in excluded_ids}
+        self.kept_ids = {j.journal_id for j in self.journals}
+        kept = publication_counts.journal_id.isin(self.kept_ids)
+        self.counts = publication_counts if kept.all() else publication_counts[kept]
+        self.counts_dropped = len(publication_counts) - len(self.counts)
+        self.citing_dropped = PerId(self.dropped_ids.__contains__)
+        self.cited_dropped = PerId(self.dropped_ids.__contains__)
+        self.cited_kept = PerId(self.kept_ids.__contains__)
+        self.dropped = self.unknown = self.kept = 0
+        self.first_unknown: str | None = None
+        self.latest: int | None = None  # the latest citing year of a kept event
+
+    def keep(self, events: Events) -> Events:
+        """The events of a batch that the policy keeps."""
+        cited = events.cited_journal_id
+        dropped = self.cited_dropped(cited) | self.citing_dropped(events.citing_journal_id)
+        unknown = ~dropped & ~self.cited_kept(cited)
+        if unknown.any() and self.first_unknown is None:
+            i = int(unknown.argmax())
+            self.first_unknown = (f"citation event of paper '{events.citing_paper_id[i]}' "
+                                  f"cites unknown journal '{cited[i]}'")
+        keep = ~(dropped | unknown)
+        events = events if keep.all() else events[keep]
+        self.dropped += int(dropped.sum())
+        self.unknown += int(unknown.sum())
+        self.kept += len(events)
+        if len(events):
+            latest = int(events.citing_year.max())
+            self.latest = latest if self.latest is None else max(self.latest, latest)
+        return events
+
+    def finish(self, census_year: int | None) -> int:
+        """The census year, ``census_year`` or else the latest citing year
+        kept, once the kept journals and events are known to make a census."""
+        if not self.journals:
+            raise ValidationError("assembly produced an empty dataset (no journals retained)")
+        if self.first_unknown and self.config.unknown_cited_policy == POLICY_ERROR:
+            raise ValidationError(self.first_unknown)
+        if census_year is None:
+            if self.latest is None:
+                raise ValidationError(
+                    "census_year not given and no citation events to infer it from")
+            census_year = self.latest
+        return census_year
+
+    def summary(self, census_year: int, inferred: bool, zero_refs: int = 0) -> IngestSummary:
+        return IngestSummary(
+            excluded_clusters=tuple(self.excluded),
+            excluded_journals=len(self.dropped_ids),
+            events_dropped_excluded_clusters=self.dropped,
+            events_dropped_unknown_cited=self.unknown,
+            events_dropped_zero_refs=zero_refs,
+            counts_dropped=self.counts_dropped,
+            census_year=census_year,
+            census_year_inferred=inferred,
+            retained_journals=len(self.journals),
+            retained_clusters=len(self.clusters),
+            retained_events=self.kept,
+        )
 
 
 def assemble(journals: Sequence[JournalRecord],
@@ -454,85 +650,40 @@ def assemble(journals: Sequence[JournalRecord],
     Clusters below ``min_cluster_size`` are removed entirely, together
     with their journals and every event citing or cited by those journals.
     ``census_year`` defaults to the latest citing year seen.  The returned
-    summary records everything that was excluded.
+    summary records everything that was excluded.  The events go through
+    the policy as one batch, as ingest_bundle's go batch by batch.
     """
-    membership = Counter(j.cluster_id for j in journals)
-
-    kept_clusters: list[Cluster] = []
-    excluded: list[tuple[str, str, int]] = []
-    for c in clusters:
-        size = membership[c.cluster_id]
-        if size < config.min_cluster_size:
-            excluded.append((c.cluster_id, c.name, size))
-        else:
-            kept_clusters.append(Cluster(c.cluster_id, c.name, size))
-    excluded_ids = {cid for cid, _, _ in excluded}
-
-    kept_journals = [j for j in journals if j.cluster_id not in excluded_ids]
-    if not kept_journals:
-        raise ValidationError("assembly produced an empty dataset (no journals retained)")
-    dropped_journal_ids = {j.journal_id for j in journals if j.cluster_id in excluded_ids}
-    kept_journal_ids = {j.journal_id for j in kept_journals}
-
-    cited = citation_events.cited_journal_id
-    dropped = cited.isin(dropped_journal_ids) | citation_events.citing_journal_id.isin(
-        dropped_journal_ids)
-    unknown = ~dropped & ~cited.isin(kept_journal_ids)
-    if unknown.any() and config.unknown_cited_policy == POLICY_ERROR:
-        i = int(unknown.argmax())
-        raise ValidationError(f"citation event of paper '{citation_events.citing_paper_id[i]}' "
-                              f"cites unknown journal '{cited[i]}'")
-    keep = ~(dropped | unknown)
-    events = citation_events if keep.all() else citation_events[keep]
-    kept = publication_counts.journal_id.isin(kept_journal_ids)
-    counts = publication_counts if kept.all() else publication_counts[kept]
-
-    inferred = census_year is None
-    if inferred:
-        if not len(events):
-            raise ValidationError(
-                "census_year not given and no citation events to infer it from")
-        census_year = int(events.citing_year.max())
-
+    assembly = _Assembly(journals, clusters, publication_counts, config)
+    events = assembly.keep(citation_events)
+    year = assembly.finish(census_year)
     dataset = Dataset(
-        journals=tuple(kept_journals),
-        clusters=tuple(kept_clusters),
-        publication_counts=counts,
+        journals=tuple(assembly.journals),
+        clusters=tuple(assembly.clusters),
+        publication_counts=assembly.counts,
         citation_events=events,
-        census_year=census_year,
+        census_year=year,
     )
     _require_valid(dataset, "assembled dataset")
+    return dataset, assembly.summary(year, census_year is None)
 
-    summary = IngestSummary(
-        excluded_clusters=tuple(excluded),
-        excluded_journals=len(dropped_journal_ids),
-        events_dropped_excluded_clusters=int(dropped.sum()),
-        events_dropped_unknown_cited=int(unknown.sum()),
-        counts_dropped=len(publication_counts) - len(counts),
-        census_year=census_year,
-        census_year_inferred=inferred,
-        retained_journals=len(kept_journals),
-        retained_clusters=len(kept_clusters),
-        retained_events=len(events),
-    )
-    return dataset, summary
+
+def _raise_invalid(violations: Sequence[Violation], total: int, what: str) -> None:
+    """Raise ValidationError naming the first five of ``total`` violations, if any."""
+    if total:
+        shown = "; ".join(str(v) for v in violations[:5])
+        more = f" (+{total - 5} more)" if total > 5 else ""
+        raise ValidationError(f"{what} fails validation: {shown}{more}")
 
 
 def _require_valid(dataset: Dataset, what: str) -> None:
-    """Raise ValidationError naming the first five violations, if any."""
     violations = validate(dataset)
-    if violations:
-        shown = "; ".join(str(v) for v in violations[:5])
-        more = f" (+{len(violations) - 5} more)" if len(violations) > 5 else ""
-        raise ValidationError(f"{what} fails validation: {shown}{more}")
+    _raise_invalid(violations, len(violations), what)
 
 
 def _coded(column) -> tuple[np.ndarray, np.ndarray]:
     """A column as its distinct fields (an ``object`` array of ``str``) and
-    a code per row into them; Ids and integer columns format each distinct
-    value once."""
-    if isinstance(column, Ids):
-        return np.array(column.values, object), column.codes
+    a code per row into them; integer columns format each distinct value
+    once."""
     if isinstance(column, np.ndarray) and column.dtype.kind == "i":
         low, high = (int(column.min()), int(column.max())) if len(column) else (0, 0)
         if high - low < len(column):  # a narrow range: code by offset, without a sort
@@ -550,31 +701,83 @@ def _quote(field: str) -> str:
     return '"' + field.replace('"', '""') + '"' if _QUOTED(field) else field
 
 
-def _write_columns(path: Path, header: Sequence[str], columns: Sequence) -> None:
-    """Write equal-length columns (Ids, numpy arrays or lists) as a
-    tab-separated file, one join per block of _BLOCK_ROWS rows.  A field
-    holding a tab, newline, carriage return or quote is quoted as
-    csv.writer quotes it (_QUOTED), so every field reads back."""
-    coded = [_coded(column) for column in columns]
-    with path.open("w", encoding="utf-8", newline="") as fh:
-        fh.write("\t".join(header) + "\n")
+class _Writer:
+    """A tab-separated file written from columns, batch after batch, that
+    keeps its data row count and, when ``hashed``, the sha256 of the bytes
+    written (a bundle file's manifest entry)."""
+
+    def __init__(self, path: Path, header: Sequence[str], hashed: bool = False):
+        self.width, self.rows, self.digest = len(header), 0, sha256() if hashed else None
+        # per column, the last Ids vocabulary met and its ids as an object
+        # array, made again only for another vocabulary
+        self.ids = [((), np.zeros(0, object))] * self.width
+        self.fh = path.open("wb")
+        self._put("\t".join(header) + "\n")
+
+    def __enter__(self) -> _Writer:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.fh.close()
+
+    def _put(self, text: str) -> None:
+        data = text.encode("utf-8")
+        self.fh.write(data)
+        if self.digest is not None:
+            self.digest.update(data)
+
+    def write(self, columns: Sequence) -> None:
+        """Write equal-length columns (Ids, numpy arrays or lists), one join
+        per block of _BLOCK_ROWS rows.  A field holding a tab, newline,
+        carriage return or quote is quoted as csv.writer quotes it
+        (_QUOTED), so every field reads back."""
+        coded = [self._coded(k, column) for k, column in enumerate(columns)]
         for start in range(0, len(coded[0][1]), _BLOCK_ROWS):
             block = [values[codes[start:start + _BLOCK_ROWS]].tolist() for values, codes in coded]
             n = len(block[0])
             text = "\n".join(map("\t".join, zip(*block))) + "\n"
             if ('"' in text or "\r" in text or text.count("\n") != n
-                    or text.count("\t") != n * (len(header) - 1)):
+                    or text.count("\t") != n * (self.width - 1)):
                 text = "".join("\t".join(map(_quote, row)) + "\n" for row in zip(*block))
-            fh.write(text)
+            self._put(text)
+            self.rows += n
+
+    def _coded(self, k: int, column) -> tuple[np.ndarray, np.ndarray]:
+        """The k-th column as its distinct fields and a code per row (_coded)."""
+        if not isinstance(column, Ids):
+            return _coded(column)
+        if self.ids[k][0] is not column.values:
+            self.ids[k] = column.values, np.array(column.values, object)
+        return self.ids[k][1], column.codes
+
+    def put_rows(self, text: str, rows: int) -> None:
+        """Write ``rows`` rows that ``text`` already holds in this file's format."""
+        self._put(text)
+        self.rows += rows
+
+    def entry(self) -> dict:
+        """The file's manifest entry: its data rows and sha256."""
+        return {"rows": self.rows, "sha256": self.digest.hexdigest()}
+
+
+def _write_columns(path: Path, header: Sequence[str], columns: Sequence,
+                   hashed: bool = False) -> _Writer:
+    """Write equal-length columns as a tab-separated file."""
+    with _Writer(path, header, hashed) as out:
+        out.write(columns)
+    return out
+
+
+def _journal_fields(journals: Sequence[JournalRecord], clusters: Sequence[Cluster]) -> tuple:
+    names = {c.cluster_id: c.name for c in clusters}
+    return ([j.journal_id for j in journals], [j.title for j in journals],
+            [j.cluster_id for j in journals],
+            [names.get(j.cluster_id, j.cluster_id) for j in journals])
 
 
 def write_journals(journals: Sequence[JournalRecord], clusters: Sequence[Cluster],
                    path: str | Path) -> None:
-    names = {c.cluster_id: c.name for c in clusters}
-    _write_columns(Path(path), JOURNAL_COLUMNS, (
-        [j.journal_id for j in journals], [j.title for j in journals],
-        [j.cluster_id for j in journals],
-        [names.get(j.cluster_id, j.cluster_id) for j in journals]))
+    _write_columns(Path(path), JOURNAL_COLUMNS, _journal_fields(journals, clusters))
 
 
 def write_publications(counts: PublicationCounts, path: str | Path) -> None:
@@ -599,12 +802,6 @@ def write_dataset(dataset: Dataset, directory: str | Path) -> dict[str, Path]:
     write_publications(dataset.publication_counts, paths["publications"])
     write_citations(dataset.citation_events, paths["citations"])
     return paths
-
-
-def _write_counts(counts: WindowCounts, path: Path) -> None:
-    # Floats are written with repr, so they read back bit for bit.
-    _write_columns(path, COUNTS_COLUMNS, (counts.journal_ids, *counts.cites.T,
-                                          *counts.fractional.T, *counts.items.T))
 
 
 def _float(raw: str) -> float | None:
@@ -647,23 +844,26 @@ def _file_sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
-def save_bundle(dataset: Dataset, directory: str | Path,
-                summary: IngestSummary | None = None) -> Path:
-    """Persist a validated dataset as the three files, its window counts and
-    a metadata file whose manifest lists each file's sha256 and row count."""
-    directory = Path(directory)
-    write_dataset(dataset, directory)
-    _write_counts(window_counts(dataset), directory / COUNTS_FILE)
-    rows = {JOURNALS_FILE: len(dataset.journals), COUNTS_FILE: len(dataset.journals),
-            PUBLICATIONS_FILE: len(dataset.publication_counts),
-            CITATIONS_FILE: len(dataset.citation_events)}
+def _write_bundle(directory: Path, journals: Sequence[JournalRecord],
+                  clusters: Sequence[Cluster], publication_counts: PublicationCounts,
+                  counts: WindowCounts, citations: dict,
+                  summary: IngestSummary | None) -> Path:
+    """Write a bundle's files but citations.tsv, whose manifest entry is
+    given, and then dataset.json with the manifest of all four."""
+    tables = {JOURNALS_FILE: (JOURNAL_COLUMNS, _journal_fields(journals, clusters)),
+              PUBLICATIONS_FILE: (PUBLICATION_COLUMNS, publication_counts.columns()),
+              # floats are written with repr, so they read back bit for bit
+              COUNTS_FILE: (COUNTS_COLUMNS, (counts.journal_ids, *counts.cites.T,
+                                             *counts.fractional.T, *counts.items.T))}
+    files = {name: _write_columns(directory / name, header, columns, hashed=True).entry()
+             for name, (header, columns) in tables.items()}
+    files[CITATIONS_FILE] = citations
     meta = {
         "format": BUNDLE_FORMAT,
-        "census_year": dataset.census_year,
+        "census_year": counts.census_year,
         "clusters": [{"cluster_id": c.cluster_id, "name": c.name, "size": c.size}
-                     for c in dataset.clusters],
-        "files": {name: {"rows": rows[name], "sha256": _file_sha256(directory / name)}
-                  for name in BUNDLE_FILES},
+                     for c in clusters],
+        "files": files,
         "validated": True,
     }
     if summary is not None:
@@ -672,6 +872,108 @@ def save_bundle(dataset: Dataset, directory: str | Path,
     meta_path = directory / META_FILE
     meta_path.write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     return meta_path
+
+
+def save_bundle(dataset: Dataset, directory: str | Path,
+                summary: IngestSummary | None = None) -> Path:
+    """Persist a validated dataset as the three files, its window counts and
+    a metadata file whose manifest lists each file's sha256 and row count,
+    hashed as the files are written."""
+    directory = Path(directory)
+    directory.mkdir(parents=True, exist_ok=True)
+    citations = _write_columns(directory / CITATIONS_FILE, CITATION_COLUMNS,
+                               dataset.citation_events.columns(), hashed=True).entry()
+    return _write_bundle(directory, dataset.journals, dataset.clusters,
+                         dataset.publication_counts, window_counts(dataset), citations, summary)
+
+
+def _staging(directory: Path) -> tuple[Path, list[Path]]:
+    """A new empty directory inside ``directory``, and the directories made
+    for it that did not exist before, innermost first."""
+    made = list(takewhile(lambda d: not d.exists(), (directory, *directory.parents)))
+    directory.mkdir(parents=True, exist_ok=True)
+    for k in count():
+        staging = directory / f".ingest-{os.getpid()}-{k}"
+        try:
+            staging.mkdir()
+            return staging, made
+        except FileExistsError:
+            pass
+
+
+def _stream(citations: str | Path, config: IngestConfig, journals: Sequence[JournalRecord],
+            assembly: _Assembly, census_year: int | None, out: _Writer
+            ) -> tuple[WindowCounter | None, tuple[list[Violation], int], int]:
+    """Pass each checked batch of the citations file (_CitationReader)
+    through ``assembly``, a Validator and a WindowCounter, and write its
+    kept rows to ``out``, copying the batch's text where it is already in
+    the bundle's format (_CitationReader.text); return the counter, the
+    Validator's violations and the number of rows dropped for n_refs = 0.
+    When the census year is inferred, the counter starts again whenever a
+    later citing year is kept.  The per-paper state is freed on return."""
+    reader = _CitationReader(citations, config, [j.journal_id for j in journals])
+    validator = Validator(assembly.journals, assembly.clusters, assembly.counts,
+                          reader.papers, reader.citing.index, keep=5)
+    journal_ids = tuple(j.journal_id for j in assembly.journals)
+    counter = None if census_year is None else WindowCounter(journal_ids, census_year)
+    for batch in reader:
+        kept = assembly.keep(batch)
+        validator.add(kept)
+        if census_year is None and assembly.latest is not None and (
+                counter is None or assembly.latest > counter.census_year):
+            counter = WindowCounter(journal_ids, assembly.latest)
+        if counter is not None:
+            counter.add(kept)
+        if kept is batch and reader.text is not None:
+            out.put_rows(reader.text, len(kept))  # the rows as they would be written
+        else:
+            out.write(kept.columns())
+    return counter, validator.violations(), reader.zero_refs
+
+
+def ingest_bundle(journals: Sequence[JournalRecord], clusters: Sequence[Cluster],
+                  publication_counts: PublicationCounts, citations: str | Path,
+                  directory: str | Path, census_year: int | None = None,
+                  config: IngestConfig = IngestConfig()) -> IngestSummary:
+    """Read the citations file once, a batch at a time, and write the
+    bundle that save_bundle(assemble(...)) writes, byte for byte.
+
+    Each checked batch goes through the exclusion policy, the Validator
+    and the WindowCounter, and its kept rows are written to citations.tsv
+    and hashed (_stream).  Only one batch, the per-paper and the
+    per-journal state stay in memory.  Errors come in the order the
+    whole-file functions raise them: the citations file's, then those of
+    the census (_Assembly.finish), then the Validator's, the last two once
+    the whole file is read.
+
+    The files are written into a new directory inside ``directory`` and
+    moved into place only once all are written, so a failed ingest leaves
+    ``directory`` as it was, and does not leave it behind if it did not
+    exist; ``directory`` may hold the input files.
+    """
+    directory = Path(directory)
+    assembly = _Assembly(journals, clusters, publication_counts, config)
+    staging, made = _staging(directory)
+    try:
+        with _Writer(staging / CITATIONS_FILE, CITATION_COLUMNS, hashed=True) as out:
+            counter, violations, zero_refs = _stream(citations, config, journals, assembly,
+                                                     census_year, out)
+        year = assembly.finish(census_year)
+        _raise_invalid(*violations, "assembled dataset")
+        summary = assembly.summary(year, census_year is None, zero_refs)
+        _write_bundle(staging, assembly.journals, assembly.clusters, assembly.counts,
+                      counter.counts(assembly.counts), out.entry(), summary)
+        for name in (*BUNDLE_FILES, META_FILE):
+            os.replace(staging / name, directory / name)
+    except BaseException:
+        for path in staging.iterdir():
+            path.unlink()
+        for path in (staging, *made):
+            with suppress(OSError):
+                path.rmdir()
+        raise
+    staging.rmdir()
+    return summary
 
 
 def _meta_sha256(meta: dict) -> str:
@@ -728,14 +1030,24 @@ def _changed_error(directory: Path, name: str) -> ValidationError:
                            f"ingest' to write the bundle again)")
 
 
-def _load_journals(directory: Path) -> tuple[dict, list[JournalRecord], list[Cluster]]:
-    """A bundle's metadata, journals and clusters, the clusters in the order
-    the metadata lists them."""
-    meta = _read_meta(directory)
-    journals, clusters = parse_journals(directory / JOURNALS_FILE)
+def _cluster_rank(meta: dict) -> Callable[[str], int]:
+    """A cluster id's position in the metadata's cluster list; unlisted ids go last."""
     order = {c["cluster_id"]: i for i, c in enumerate(meta["clusters"])}
-    clusters.sort(key=lambda c: order.get(c.cluster_id, len(order)))
-    return meta, journals, clusters
+    return lambda cluster_id: order.get(cluster_id, len(order))
+
+
+def _partition(directory: Path) -> tuple[dict, list[str], dict[str, str], dict[str, str]]:
+    """A bundle's metadata, and from its journals.tsv, read without the
+    titles, the journal ids in file order, the partition and the cluster
+    names in the metadata's cluster order."""
+    meta = _read_meta(directory)
+    (jids, cids, names), first = _journal_columns(
+        directory / JOURNALS_FILE, IngestConfig(), ("journal_id", "cluster_id", "cluster_name"))
+    ids = jids.strings().tolist()
+    rank = _cluster_rank(meta)
+    clusters = sorted(zip(cids.values, [names[i] for i in first.tolist()]),
+                      key=lambda cluster: rank(cluster[0]))
+    return meta, ids, dict(zip(ids, cids.strings().tolist())), dict(clusters)
 
 
 def load_partition(directory: str | Path) -> tuple[dict[str, str], dict[str, str], int]:
@@ -743,11 +1055,10 @@ def load_partition(directory: str | Path) -> tuple[dict[str, str], dict[str, str
     census year, from journals.tsv, which must still match the manifest,
     and dataset.json."""
     directory = Path(directory)
-    meta, journals, clusters = _load_journals(directory)
+    meta, _, partition, cluster_names = _partition(directory)
     if _changed(directory, meta, (JOURNALS_FILE,)):
         raise _changed_error(directory, JOURNALS_FILE)
-    return ({j.journal_id: j.cluster_id for j in journals},
-            {c.cluster_id: c.name for c in clusters}, meta["census_year"])
+    return partition, cluster_names, meta["census_year"]
 
 
 def load_counts(directory: str | Path) -> tuple[WindowCounts, dict[str, str]]:
@@ -759,22 +1070,25 @@ def load_counts(directory: str | Path) -> tuple[WindowCounts, dict[str, str]]:
     rule is reported by that rule, and any other edit names the file.
     """
     directory = Path(directory)
-    meta, journals, _ = _load_journals(directory)
+    meta, journal_ids, partition, _ = _partition(directory)
     changed = _changed(directory, meta, BUNDLE_FILES)
     if changed:
         load_bundle(directory)
         raise _changed_error(directory, changed[0])
     counts = _read_counts(directory / COUNTS_FILE, meta["census_year"])
-    if counts.journal_ids != tuple(j.journal_id for j in journals):
+    if counts.journal_ids != tuple(journal_ids):
         raise ValidationError(f"{directory / COUNTS_FILE}: journals differ from {JOURNALS_FILE}")
-    return counts, {j.journal_id: j.cluster_id for j in journals}
+    return counts, partition
 
 
 def load_bundle(directory: str | Path) -> Dataset:
     """Load a bundle written by save_bundle and validate it again, so that a
     bundle edited after it was saved fails like any other bad input."""
     directory = Path(directory)
-    meta, journals, clusters = _load_journals(directory)
+    meta = _read_meta(directory)
+    journals, clusters = parse_journals(directory / JOURNALS_FILE)
+    rank = _cluster_rank(meta)
+    clusters.sort(key=lambda c: rank(c.cluster_id))
     dataset = Dataset(
         journals=tuple(journals),
         clusters=tuple(clusters),

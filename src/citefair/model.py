@@ -14,7 +14,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import count
-from typing import ClassVar, Collection, Iterable, Iterator, Sequence
+from typing import Callable, ClassVar, Collection, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -24,13 +24,16 @@ __all__ = [
     "JournalRecord",
     "Cluster",
     "Ids",
+    "PerId",
     "PublicationCounts",
     "Events",
     "Dataset",
     "WindowCounts",
+    "WindowCounter",
     "window_counts",
     "WINDOWS",
     "Violation",
+    "Validator",
     "validate",
     "cluster_order_key",
 ]
@@ -122,6 +125,29 @@ class Ids:
                                    other.codes))
 
 
+class PerId:
+    """Per row of an Ids column, ``f`` of its id, computed once per distinct
+    id.  The results are kept for the next column: when its ids begin with
+    those of the last, as a reader's vocabulary grows batch after batch,
+    only the ids after them are computed."""
+
+    def __init__(self, f: Callable[[str], object], dtype=bool):
+        self.f, self.dtype = f, dtype
+        self.values: tuple[str, ...] = ()
+        self.results = np.zeros(0, dtype)
+
+    def __call__(self, ids: Ids) -> np.ndarray:
+        if ids.values is not self.values:
+            known = len(self.values)
+            if ids.values[:known] != self.values:
+                known = 0
+            new = ids.values[known:]
+            self.results = np.concatenate([self.results[:known],
+                                           np.fromiter(map(self.f, new), self.dtype, len(new))])
+            self.values = ids.values
+        return self.results[ids.codes]
+
+
 class _Record:
     """Equal-length read-only columns in row order, one per name in
     ``COLUMNS``: Ids for the ``*_id`` columns, ``int64`` for the others.
@@ -146,6 +172,22 @@ class _Record:
     def from_rows(cls, rows: Iterable[tuple]):
         """A record from tuples in ``COLUMNS`` order."""
         return cls(*(list(zip(*rows)) or [()] * len(cls.COLUMNS)))
+
+    @classmethod
+    def concat(cls, parts: Sequence):
+        """The rows of ``parts``, one after the other, each Ids column
+        numbered over one vocabulary in order of the parts'."""
+        columns = []
+        for name in cls.COLUMNS:
+            pieces = [getattr(part, name) for part in parts]
+            if name.endswith("_id"):
+                index = vocabulary()
+                code = PerId(index.__getitem__, np.int32)
+                codes = [code(ids) for ids in pieces]
+                columns.append(Ids(np.concatenate([np.empty(0, np.int32), *codes]), index))
+            else:
+                columns.append(np.concatenate([np.empty(0, np.int64), *pieces]))
+        return cls(*columns)
 
     def columns(self) -> list:
         return [getattr(self, name) for name in self.COLUMNS]
@@ -199,22 +241,41 @@ class Events(_Record):
     n_refs: np.ndarray
 
 
-def _first_rows(codes: np.ndarray) -> np.ndarray:
-    """The index of each code's first row (len(codes) for an unused code)."""
-    first = np.full(int(codes.max(initial=-1)) + 1, len(codes), np.intp)
-    np.minimum.at(first, codes, np.arange(len(codes)))
-    return first
+def _grown(array: np.ndarray, size: int, fill) -> np.ndarray:
+    return np.concatenate([array, np.full(size - len(array), fill, array.dtype)])
 
 
-def paper_conflicts(paper: np.ndarray, *fields: np.ndarray) -> np.ndarray:
-    """The ascending indices of the events that differ in any of ``fields``
-    from the first event of their citing paper; ``paper`` holds one
-    non-negative integer code per citing paper."""
-    lead = _first_rows(paper)[paper]
-    differs = np.zeros(len(paper), bool)
-    for field in fields:
-        differs |= field[lead] != field
-    return np.flatnonzero(differs)
+class Leads:
+    """The first row of each code and that row's fields, carried from one
+    batch of rows to the next; rows are numbered over all batches.  Codes
+    are non-negative integers."""
+
+    def __init__(self):
+        self.rows = 0
+        self.first = np.zeros(0, np.int64)  # -1 for a code not met yet
+        self.fields: list[np.ndarray] = []
+
+    def conflicts(self, codes: np.ndarray, *fields: np.ndarray) -> np.ndarray:
+        """The ascending indices of the rows of this batch that differ in any
+        of ``fields`` from the first row of their code."""
+        if not self.fields:
+            self.fields = [np.zeros(0, field.dtype) for field in fields]
+        size = int(codes.max(initial=-1)) + 1
+        if size > len(self.first):
+            size = max(size, 2 * len(self.first))
+            self.first = _grown(self.first, size, -1)
+            self.fields = [_grown(store, size, 0) for store in self.fields]
+        new = np.flatnonzero(self.first[codes] < 0)
+        if len(new):
+            met, at = np.unique(codes[new], return_index=True)
+            self.first[met] = self.rows + new[at]
+            for store, field in zip(self.fields, fields):
+                store[met] = field[new[at]]
+        self.rows += len(codes)
+        differs = np.zeros(len(codes), bool)
+        for store, field in zip(self.fields, fields):
+            differs |= store[codes] != field
+        return np.flatnonzero(differs)
 
 
 def repeats(first: np.ndarray, second: np.ndarray | None = None) -> np.ndarray:
@@ -288,72 +349,162 @@ class WindowCounts:
     items: np.ndarray
 
 
+class WindowCounter:
+    """window_counts as an accumulator: the events are added a batch at a
+    time, in event order, and the citable items last (counts).
+
+    Each batch becomes columns: the cited journal's index, the weight
+    1/n_refs and the citation age t - cited_year, kept only as one row mask
+    per window.  The cites and the weights go into running sums with
+    np.add.at, one addition per event in event order, so the float64 sums
+    are those of one bincount over all events, bit for bit, however the
+    events are batched, and a batch costs no work per journal; adding up
+    per-batch or per-age sums instead would reorder the float additions and
+    change their last bits.  A census-year event citing a journal outside
+    the dataset raises ValidationError naming the event.unknown_cited_journal
+    rule.
+    """
+
+    def __init__(self, journal_ids: tuple[str, ...], census_year: int):
+        self.journal_ids, self.census_year = journal_ids, census_year
+        index = {jid: i for i, jid in enumerate(journal_ids)}
+        # per row, the index of its journal, or -1 for a journal not in the dataset
+        self.journal_index = PerId(lambda jid: index.get(jid, -1), np.intp)
+        self.cites = [np.zeros(len(journal_ids), np.int64) for _ in WINDOWS]
+        self.fractional = [np.zeros(len(journal_ids), np.float64) for _ in WINDOWS]
+
+    def add(self, events: Events) -> None:
+        now = events.citing_year == self.census_year
+        if not now.any():
+            return
+        age = self.census_year - events.cited_year[now]
+        cited = self.journal_index(events.cited_journal_id)[now]
+        if cited.min() < 0:
+            i = int(np.flatnonzero(now)[np.argmax(cited < 0)])
+            raise ValidationError(str(Violation(
+                "event.unknown_cited_journal", events.citing_paper_id[i],
+                f"cited journal '{events.cited_journal_id[i]}' not in dataset")))
+        weight = 1.0 / events.n_refs[now]
+        windows = ((age >= 1) & (age <= 2), (age >= 1) & (age <= 5), slice(None))
+        for cites, fractional, w in zip(self.cites, self.fractional, windows):
+            np.add.at(cites, cited[w], 1)
+            np.add.at(fractional, cited[w], weight[w])
+
+    def counts(self, publication_counts: PublicationCounts) -> WindowCounts:
+        """The window counts of the events added so far and of the citable
+        items of ``publication_counts``."""
+        # items[i, a]: citable items of journal i in year t - a, for a = 0..5.
+        # Fancy assignment leaves the winner among repeated cells unspecified,
+        # so the last record of a repeated journal-year is picked explicitly.
+        t = self.census_year
+        journal, year = self.journal_index(publication_counts.journal_id), publication_counts.year
+        rows = np.flatnonzero((journal >= 0) & (year <= t) & (year >= t - 5))
+        journal, ago = journal[rows], t - year[rows]
+        last = ~repeats(journal[::-1], ago[::-1])[::-1]
+        items = np.zeros((len(self.journal_ids), 6), dtype=np.int64)
+        items[journal[last], ago[last]] = publication_counts.citable_items[rows][last]
+        # Without census-year events the fractional sums are integer zeros,
+        # as a bincount of no events gives, and counts.tsv writes them as 0.
+        return WindowCounts(
+            journal_ids=self.journal_ids,
+            census_year=t,
+            cites=np.column_stack(self.cites),
+            fractional=np.column_stack(self.fractional if self.cites[2].any() else self.cites),
+            items=np.column_stack([items[:, 1:3].sum(axis=1), items[:, 1:6].sum(axis=1),
+                                   items[:, 0]]),
+        )
+
+
 def window_counts(dataset: Dataset) -> WindowCounts:
-    """Sum the census-year events and the citable items per journal and window.
+    """Sum the census-year events and the citable items per journal and
+    window: a WindowCounter fed the dataset's events as one batch."""
+    counter = WindowCounter(tuple(j.journal_id for j in dataset.journals), dataset.census_year)
+    counter.add(dataset.citation_events)
+    return counter.counts(dataset.publication_counts)
 
-    The events become columns in event order: the cited journal's index,
-    the weight 1/n_refs and the citation age t - cited_year, kept only as
-    one row mask per window.  Each sum is one bincount over the rows of
-    its window, in event order: adding up per-age sums instead would
-    reorder the float additions and change the fractional sums' last bits.
-    The items come from one journal x age matrix.  A census-year event
-    citing a journal outside the dataset raises ValidationError naming the
-    event.unknown_cited_journal rule.
+
+class Validator:
+    """validate's rules, with the events added a batch at a time in event
+    (file) order; ``violations`` gives what was found.
+
+    The journal, cluster and publication rules are checked at once.  Each
+    event rule is checked per batch, a citing paper's first event carried
+    from batch to batch (Leads); the excess_references rule is decided at
+    the end from per-paper event counts.  ``papers`` and ``citing`` are the
+    vocabularies that number the citing paper and citing journal ids, and
+    may be shared with a reader that numbers them too.  With ``keep``, at
+    most ``keep`` violations per event rule are kept, though all are
+    counted.
     """
-    t = dataset.census_year
-    journal_ids = tuple(j.journal_id for j in dataset.journals)
-    n = len(journal_ids)
-    index = {jid: i for i, jid in enumerate(journal_ids)}
 
-    def journal_index(ids: Ids) -> np.ndarray:
-        """Per row, the index of its journal, or -1 for a journal not in the dataset."""
-        return ids.expand((index.get(v, -1) for v in ids.values), np.intp)
+    EVENT_RULES = ("event.nonpositive_refs", "event.causality", "event.paper_inconsistent",
+                   "event.unknown_cited_journal")
 
-    events = dataset.citation_events
-    now = events.citing_year == t
-    age = events.citing_year[now] - events.cited_year[now]
-    cited = journal_index(events.cited_journal_id)[now]
-    if cited.min(initial=0) < 0:
-        i = int(np.flatnonzero(now)[np.argmax(cited < 0)])
-        raise ValidationError(str(Violation(
-            "event.unknown_cited_journal", events.citing_paper_id[i],
-            f"cited journal '{events.cited_journal_id[i]}' not in dataset")))
-    weight = 1.0 / events.n_refs[now]
-    windows = ((age >= 1) & (age <= 2), (age >= 1) & (age <= 5), slice(None))
+    def __init__(self, journals: Sequence[JournalRecord], clusters: Sequence[Cluster],
+                 publication_counts: PublicationCounts, papers: defaultdict | None = None,
+                 citing: defaultdict | None = None, keep: int | None = None):
+        self.records = _record_violations(journals, clusters, publication_counts)
+        self.known = PerId({j.journal_id for j in journals}.__contains__)
+        self.papers = vocabulary() if papers is None else papers
+        self.paper_code = PerId(self.papers.__getitem__, np.int32)
+        self.citing_code = PerId((vocabulary() if citing is None else citing).__getitem__, np.int32)
+        self.keep = keep
+        self.leads = Leads()
+        self.n_events = np.zeros(0, np.int64)
+        self.found: dict[str, list[Violation]] = {rule: [] for rule in self.EVENT_RULES}
+        self.total = len(self.records)
 
-    # items[i, a]: citable items of journal i in year t - a, for a = 0..5.
-    # Fancy assignment leaves the winner among repeated cells unspecified,
-    # so the last record of a repeated journal-year is picked explicitly.
-    counts = dataset.publication_counts
-    journal, year = journal_index(counts.journal_id), counts.year
-    rows = np.flatnonzero((journal >= 0) & (year <= t) & (year >= t - 5))
-    journal, ago = journal[rows], t - year[rows]
-    last = ~repeats(journal[::-1], ago[::-1])[::-1]
-    items = np.zeros((n, 6), dtype=np.int64)
-    items[journal[last], ago[last]] = counts.citable_items[rows][last]
+    def _report(self, rule: str, rows: np.ndarray, pids: Ids, message) -> None:
+        """Record the violations of ``rule`` at ``rows``; ``message`` takes a row."""
+        self.total += len(rows)
+        found = self.found[rule]
+        room = len(rows) if self.keep is None else max(0, self.keep - len(found))
+        found += [Violation(rule, pids[i], message(i)) for i in rows[:room].tolist()]
 
-    return WindowCounts(
-        journal_ids=journal_ids,
-        census_year=t,
-        cites=np.column_stack([np.bincount(cited[w], minlength=n) for w in windows]),
-        fractional=np.column_stack([np.bincount(cited[w], weight[w], n) for w in windows]),
-        items=np.column_stack([items[:, 1:3].sum(axis=1), items[:, 1:6].sum(axis=1),
-                               items[:, 0]]),
-    )
+    def add(self, events: Events) -> None:
+        pids, cited, n_refs = events.citing_paper_id, events.cited_journal_id, events.n_refs
+        citing_year, cited_year = events.citing_year, events.cited_year
+        self._report("event.nonpositive_refs", np.flatnonzero(n_refs < 1), pids,
+                     lambda i: f"n_refs {n_refs[i]} < 1")
+        self._report("event.causality", np.flatnonzero(cited_year > citing_year), pids,
+                     lambda i: f"cited_year {cited_year[i]} > citing_year {citing_year[i]}")
+        paper = self.paper_code(pids)
+        self._report("event.paper_inconsistent", self.leads.conflicts(
+            paper, self.citing_code(events.citing_journal_id), citing_year, n_refs), pids,
+                     lambda i: "events of one citing paper disagree on journal, year or n_refs")
+        self._report("event.unknown_cited_journal", np.flatnonzero(~self.known(cited)), pids,
+                     lambda i: f"cited journal '{cited[i]}' not in dataset")
+        if len(self.leads.first) > len(self.n_events):
+            self.n_events = _grown(self.n_events, len(self.leads.first), 0)
+        np.add.at(self.n_events, paper, 1)
+
+    def violations(self) -> tuple[list[Violation], int]:
+        """The violations kept and the number found.  The record rules' come
+        first, then the event rules' rule by rule, each in event order; the
+        excess_references rule gives one entry per citing paper that has
+        events, listed by its first event."""
+        excess, n_refs = np.zeros(0, np.intp), None
+        if self.leads.fields:
+            n_refs = self.leads.fields[2]
+            excess = np.flatnonzero((self.n_events > n_refs) & (n_refs >= 1))
+            excess = excess[np.argsort(self.leads.first[excess], kind="stable")]
+        total = self.total + len(excess)
+        excess = excess[:self.keep]
+        names = list(self.papers) if len(excess) else []
+        return [*self.records, *(v for rule in self.EVENT_RULES for v in self.found[rule]),
+                *(Violation("event.excess_references", names[p],
+                            f"{n} recorded references exceed n_refs={n_refs[p]}")
+                  for p, n in zip(excess.tolist(), self.n_events[excess].tolist()))], total
 
 
-def validate(dataset: Dataset) -> list[Violation]:
-    """Check every structural invariant; return one Violation per breach.
-
-    Violations are data, not failures: a clean dataset yields an empty
-    list, and identical input always yields the identical list.  Event
-    violations come rule by rule, each rule's in event (file) order.
-    """
+def _record_violations(journals: Sequence[JournalRecord], clusters: Sequence[Cluster],
+                       counts: PublicationCounts) -> list[Violation]:
+    """The violations of the cluster, journal and publication rules."""
     violations: list[Violation] = []
     add = violations.append
 
     declared = {}
-    for c in dataset.clusters:
+    for c in clusters:
         if c.cluster_id in declared:
             add(Violation("cluster.duplicate_id", c.cluster_id, "cluster declared twice"))
         declared[c.cluster_id] = c
@@ -362,7 +513,7 @@ def validate(dataset: Dataset) -> list[Violation]:
 
     seen_journals: set[str] = set()
     membership: Counter[str] = Counter()
-    for j in dataset.journals:
+    for j in journals:
         if j.journal_id in seen_journals:
             add(Violation("journal.duplicate_id", j.journal_id, "journal_id occurs more than once"))
         seen_journals.add(j.journal_id)
@@ -371,16 +522,15 @@ def validate(dataset: Dataset) -> list[Violation]:
                           f"refers to undeclared cluster '{j.cluster_id}'"))
         membership[j.cluster_id] += 1
 
-    for c in dataset.clusters:
+    for c in clusters:
         actual = membership.get(c.cluster_id, 0)
         if actual != c.size:
             add(Violation("cluster.size_mismatch", c.cluster_id,
                           f"declared size {c.size}, membership count {actual}"))
-    if sum(c.size for c in dataset.clusters) != len(dataset.journals):
+    if sum(c.size for c in clusters) != len(journals):
         add(Violation("cluster.size_sum", "<dataset>",
                       "declared cluster sizes do not sum to the journal count"))
 
-    counts = dataset.publication_counts
     jids, years, items = counts.journal_id, counts.year, counts.citable_items
     repeat = repeats(jids.codes, np.unique(years, return_inverse=True)[1])
     negative = items < 0
@@ -392,29 +542,17 @@ def validate(dataset: Dataset) -> list[Violation]:
         if negative[i]:
             add(Violation("publication.negative_items", record,
                           f"citable_items {items[i]} < 0"))
-
-    events = dataset.citation_events
-    pids, cited, n_refs = events.citing_paper_id, events.cited_journal_id, events.n_refs
-    for i in np.flatnonzero(n_refs < 1).tolist():
-        add(Violation("event.nonpositive_refs", pids[i], f"n_refs {n_refs[i]} < 1"))
-    for i in np.flatnonzero(events.cited_year > events.citing_year).tolist():
-        add(Violation("event.causality", pids[i], f"cited_year {events.cited_year[i]} "
-                      f"> citing_year {events.citing_year[i]}"))
-    paper = pids.codes
-    for i in paper_conflicts(paper, events.citing_journal_id.codes, events.citing_year,
-                             n_refs).tolist():
-        add(Violation("event.paper_inconsistent", pids[i],
-                      "events of one citing paper disagree on journal, year or n_refs"))
-    for i in np.flatnonzero(~cited.isin(seen_journals)).tolist():
-        add(Violation("event.unknown_cited_journal", pids[i],
-                      f"cited journal '{cited[i]}' not in dataset"))
-    # One entry per citing paper that has events, listed by its first event.
-    first = _first_rows(paper)
-    n_events = np.bincount(paper, minlength=len(first))
-    first, n_events = first[n_events > 0], n_events[n_events > 0]
-    excess = (n_events > n_refs[first]) & (n_refs[first] >= 1)
-    for i, n in sorted(zip(first[excess].tolist(), n_events[excess].tolist())):
-        add(Violation("event.excess_references", pids[i],
-                      f"{n} recorded references exceed n_refs={n_refs[i]}"))
-
     return violations
+
+
+def validate(dataset: Dataset) -> list[Violation]:
+    """Check every structural invariant; return one Violation per breach.
+
+    Violations are data, not failures: a clean dataset yields an empty
+    list, and identical input always yields the identical list.  Event
+    violations come rule by rule, each rule's in event (file) order.  The
+    rules are those of a Validator fed the events as one batch.
+    """
+    validator = Validator(dataset.journals, dataset.clusters, dataset.publication_counts)
+    validator.add(dataset.citation_events)
+    return validator.violations()[0]
