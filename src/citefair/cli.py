@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from contextlib import suppress
 from dataclasses import replace
 from itertools import compress
 from pathlib import Path
@@ -70,12 +71,17 @@ def cmd_synth(args) -> int:
 
 
 def cmd_ingest(args) -> int:
-    config = ing.IngestConfig(
-        min_cluster_size=args.min_cluster_size,
-        unknown_cited_policy=args.unknown_cited,
-        zero_refs_policy=args.zero_refs,
-        delimiter=args.delimiter,
-    )
+    try:
+        config = ing.IngestConfig(
+            min_cluster_size=args.min_cluster_size,
+            unknown_cited_policy=args.unknown_cited,
+            zero_refs_policy=args.zero_refs,
+            delimiter=args.delimiter,
+        )
+    except ValueError as exc:
+        raise CiteFairError(str(exc)) from None
+    if args.census_year is not None and args.census_year not in ing.INT64:
+        raise CiteFairError(f"census year {args.census_year} does not fit in 64 bits")
     journals, clusters = ing.parse_journals(args.journals, config)
     counts = ing.parse_publications(args.publications, config)
     out = _out_path(args)
@@ -101,9 +107,10 @@ def cmd_ingest(args) -> int:
 
 
 def _spec_from_args(args) -> ind.IndicatorSpec:
-    window: int | str | None = None
-    if args.window is not None:
-        window = args.window if args.window == ind.WINDOW_ALL else int(args.window)
+    window: int | str | None = args.window
+    if window not in (None, ind.WINDOW_ALL):
+        with suppress(ValueError):  # not an integer: the spec rejects it by its text
+            window = int(window)
     try:
         return ind.IndicatorSpec(kind=args.kind, window=window, counting=args.counting)
     except ValueError as exc:

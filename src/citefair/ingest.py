@@ -25,7 +25,8 @@ is read once, batch by batch (_CitationReader): each citing paper's first
 event is carried from batch to batch, so the rules need no earlier batch.
 parse_citations concatenates the checked batches.  ingest_bundle passes
 each batch on through the exclusion policy (_Assembly, which assemble
-applies to one batch), the Validator and the WindowCounter of the model,
+applies to one batch) and the WindowCounter of the model, checks the
+rules of validate that the reader and the policy leave open (_stream),
 and writes its kept rows to the bundle; what stays in memory is one batch
 and the per-paper and per-journal state, however long the file.
 
@@ -67,9 +68,9 @@ except ImportError:
 
 from .errors import CiteFairError, IngestWarning, ParseError, ValidationError
 from .model import (EVENT_COLUMNS, PUBLICATION_COLUMNS, Cluster, Dataset, Events, Ids,
-                    JournalRecord, Leads, PerId, PublicationCounts, Validator, Violation,
-                    WindowCounter, WindowCounts, encode, repeats, validate,
-                    vocabulary, window_counts)
+                    JournalRecord, Leads, PerId, PublicationCounts, Violation, WindowCounter,
+                    WindowCounts, _causality, _excess_references, _record_violations, encode,
+                    repeats, validate, vocabulary, window_counts)
 
 __all__ = [
     "IngestConfig",
@@ -122,6 +123,8 @@ _QUOTED = re.compile('[\t\n\r"]').search
 # done once per batch shows in the time (BENCH_12.json).
 _CHUNK_CHARS = 1 << 17
 _BLOCK_ROWS = 1 << 14
+# Violations named in a validation error; the rest are only counted.
+_SHOWN = 5
 
 
 @dataclass(frozen=True)
@@ -668,10 +671,10 @@ def assemble(journals: Sequence[JournalRecord],
 
 
 def _raise_invalid(violations: Sequence[Violation], total: int, what: str) -> None:
-    """Raise ValidationError naming the first five of ``total`` violations, if any."""
+    """Raise ValidationError naming the first _SHOWN of ``total`` violations, if any."""
     if total:
-        shown = "; ".join(str(v) for v in violations[:5])
-        more = f" (+{total - 5} more)" if total > 5 else ""
+        shown = "; ".join(str(v) for v in violations[:_SHOWN])
+        more = f" (+{total - _SHOWN} more)" if total > _SHOWN else ""
         raise ValidationError(f"{what} fails validation: {shown}{more}")
 
 
@@ -905,20 +908,37 @@ def _stream(citations: str | Path, config: IngestConfig, journals: Sequence[Jour
             assembly: _Assembly, census_year: int | None, out: _Writer
             ) -> tuple[WindowCounter | None, tuple[list[Violation], int], int]:
     """Pass each checked batch of the citations file (_CitationReader)
-    through ``assembly``, a Validator and a WindowCounter, and write its
-    kept rows to ``out``, copying the batch's text where it is already in
-    the bundle's format (_CitationReader.text); return the counter, the
-    Validator's violations and the number of rows dropped for n_refs = 0.
-    When the census year is inferred, the counter starts again whenever a
-    later citing year is kept.  The per-paper state is freed on return."""
+    through ``assembly`` and a WindowCounter, and write its kept rows to
+    ``out``, copying the batch's text where it is already in the bundle's
+    format (_CitationReader.text); return the counter, the first
+    violations of validate's rules with their number, and the number of
+    rows dropped for n_refs = 0.  When the census year is inferred, the
+    counter starts again whenever a later citing year is kept.
+
+    The reader and the policy already enforce every event rule but two:
+    causality, checked per kept batch, and excess_references, decided at
+    the end from each paper's kept events and the n_refs the reader holds
+    for it.  The record rules are checked once, since ingest_bundle may be
+    given journals and counts not read from files.  The per-paper state is
+    freed on return."""
     reader = _CitationReader(citations, config, [j.journal_id for j in journals])
-    validator = Validator(assembly.journals, assembly.clusters, assembly.counts,
-                          reader.papers, reader.citing.index, keep=5)
+    violations = _record_violations(assembly.journals, assembly.clusters, assembly.counts)
+    total = len(violations)
+    late: list[Violation] = []
+    first = Leads()  # each paper's first kept event
+    n_kept = np.zeros(0, np.int64)  # kept events per paper
     journal_ids = tuple(j.journal_id for j in assembly.journals)
     counter = None if census_year is None else WindowCounter(journal_ids, census_year)
     for batch in reader:
         kept = assembly.keep(batch)
-        validator.add(kept)
+        found, n = _causality(kept, _SHOWN - len(late))
+        late += found
+        total += n
+        paper = reader.paper_code(kept.citing_paper_id)
+        first.conflicts(paper)
+        if len(first.first) > len(n_kept):
+            n_kept = np.pad(n_kept, (0, len(first.first) - len(n_kept)))
+        np.add.at(n_kept, paper, 1)
         if census_year is None and assembly.latest is not None and (
                 counter is None or assembly.latest > counter.census_year):
             counter = WindowCounter(journal_ids, assembly.latest)
@@ -928,7 +948,9 @@ def _stream(citations: str | Path, config: IngestConfig, journals: Sequence[Jour
             out.put_rows(reader.text, len(kept))  # the rows as they would be written
         else:
             out.write(kept.columns())
-    return counter, validator.violations(), reader.zero_refs
+    excess, n = (_excess_references(n_kept, first.first, reader.leads.fields[2], reader.papers,
+                                    _SHOWN) if len(n_kept) else ([], 0))
+    return counter, ([*violations, *late, *excess], total + n), reader.zero_refs
 
 
 def ingest_bundle(journals: Sequence[JournalRecord], clusters: Sequence[Cluster],
@@ -938,13 +960,14 @@ def ingest_bundle(journals: Sequence[JournalRecord], clusters: Sequence[Cluster]
     """Read the citations file once, a batch at a time, and write the
     bundle that save_bundle(assemble(...)) writes, byte for byte.
 
-    Each checked batch goes through the exclusion policy, the Validator
-    and the WindowCounter, and its kept rows are written to citations.tsv
-    and hashed (_stream).  Only one batch, the per-paper and the
-    per-journal state stay in memory.  Errors come in the order the
-    whole-file functions raise them: the citations file's, then those of
-    the census (_Assembly.finish), then the Validator's, the last two once
-    the whole file is read.
+    Each checked batch goes through the exclusion policy and the
+    WindowCounter, is checked for the rules of validate that it can still
+    break, and its kept rows are written to citations.tsv and hashed
+    (_stream).  Only one batch, the per-paper and the per-journal state
+    stay in memory.  Errors come in the order the whole-file functions
+    raise them: the citations file's, then those of the census
+    (_Assembly.finish), then validate's, the last two once the whole file
+    is read.
 
     The files are written into a new directory inside ``directory`` and
     moved into place only once all are written, so a failed ingest leaves

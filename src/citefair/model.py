@@ -33,7 +33,6 @@ __all__ = [
     "window_counts",
     "WINDOWS",
     "Violation",
-    "Validator",
     "validate",
     "cluster_order_key",
 ]
@@ -403,13 +402,11 @@ class WindowCounter:
         last = ~repeats(journal[::-1], ago[::-1])[::-1]
         items = np.zeros((len(self.journal_ids), 6), dtype=np.int64)
         items[journal[last], ago[last]] = publication_counts.citable_items[rows][last]
-        # Without census-year events the fractional sums are integer zeros,
-        # as a bincount of no events gives, and counts.tsv writes them as 0.
         return WindowCounts(
             journal_ids=self.journal_ids,
             census_year=t,
             cites=np.column_stack(self.cites),
-            fractional=np.column_stack(self.fractional if self.cites[2].any() else self.cites),
+            fractional=np.column_stack(self.fractional),
             items=np.column_stack([items[:, 1:3].sum(axis=1), items[:, 1:6].sum(axis=1),
                                    items[:, 0]]),
         )
@@ -421,80 +418,6 @@ def window_counts(dataset: Dataset) -> WindowCounts:
     counter = WindowCounter(tuple(j.journal_id for j in dataset.journals), dataset.census_year)
     counter.add(dataset.citation_events)
     return counter.counts(dataset.publication_counts)
-
-
-class Validator:
-    """validate's rules, with the events added a batch at a time in event
-    (file) order; ``violations`` gives what was found.
-
-    The journal, cluster and publication rules are checked at once.  Each
-    event rule is checked per batch, a citing paper's first event carried
-    from batch to batch (Leads); the excess_references rule is decided at
-    the end from per-paper event counts.  ``papers`` and ``citing`` are the
-    vocabularies that number the citing paper and citing journal ids, and
-    may be shared with a reader that numbers them too.  With ``keep``, at
-    most ``keep`` violations per event rule are kept, though all are
-    counted.
-    """
-
-    EVENT_RULES = ("event.nonpositive_refs", "event.causality", "event.paper_inconsistent",
-                   "event.unknown_cited_journal")
-
-    def __init__(self, journals: Sequence[JournalRecord], clusters: Sequence[Cluster],
-                 publication_counts: PublicationCounts, papers: defaultdict | None = None,
-                 citing: defaultdict | None = None, keep: int | None = None):
-        self.records = _record_violations(journals, clusters, publication_counts)
-        self.known = PerId({j.journal_id for j in journals}.__contains__)
-        self.papers = vocabulary() if papers is None else papers
-        self.paper_code = PerId(self.papers.__getitem__, np.int32)
-        self.citing_code = PerId((vocabulary() if citing is None else citing).__getitem__, np.int32)
-        self.keep = keep
-        self.leads = Leads()
-        self.n_events = np.zeros(0, np.int64)
-        self.found: dict[str, list[Violation]] = {rule: [] for rule in self.EVENT_RULES}
-        self.total = len(self.records)
-
-    def _report(self, rule: str, rows: np.ndarray, pids: Ids, message) -> None:
-        """Record the violations of ``rule`` at ``rows``; ``message`` takes a row."""
-        self.total += len(rows)
-        found = self.found[rule]
-        room = len(rows) if self.keep is None else max(0, self.keep - len(found))
-        found += [Violation(rule, pids[i], message(i)) for i in rows[:room].tolist()]
-
-    def add(self, events: Events) -> None:
-        pids, cited, n_refs = events.citing_paper_id, events.cited_journal_id, events.n_refs
-        citing_year, cited_year = events.citing_year, events.cited_year
-        self._report("event.nonpositive_refs", np.flatnonzero(n_refs < 1), pids,
-                     lambda i: f"n_refs {n_refs[i]} < 1")
-        self._report("event.causality", np.flatnonzero(cited_year > citing_year), pids,
-                     lambda i: f"cited_year {cited_year[i]} > citing_year {citing_year[i]}")
-        paper = self.paper_code(pids)
-        self._report("event.paper_inconsistent", self.leads.conflicts(
-            paper, self.citing_code(events.citing_journal_id), citing_year, n_refs), pids,
-                     lambda i: "events of one citing paper disagree on journal, year or n_refs")
-        self._report("event.unknown_cited_journal", np.flatnonzero(~self.known(cited)), pids,
-                     lambda i: f"cited journal '{cited[i]}' not in dataset")
-        if len(self.leads.first) > len(self.n_events):
-            self.n_events = _grown(self.n_events, len(self.leads.first), 0)
-        np.add.at(self.n_events, paper, 1)
-
-    def violations(self) -> tuple[list[Violation], int]:
-        """The violations kept and the number found.  The record rules' come
-        first, then the event rules' rule by rule, each in event order; the
-        excess_references rule gives one entry per citing paper that has
-        events, listed by its first event."""
-        excess, n_refs = np.zeros(0, np.intp), None
-        if self.leads.fields:
-            n_refs = self.leads.fields[2]
-            excess = np.flatnonzero((self.n_events > n_refs) & (n_refs >= 1))
-            excess = excess[np.argsort(self.leads.first[excess], kind="stable")]
-        total = self.total + len(excess)
-        excess = excess[:self.keep]
-        names = list(self.papers) if len(excess) else []
-        return [*self.records, *(v for rule in self.EVENT_RULES for v in self.found[rule]),
-                *(Violation("event.excess_references", names[p],
-                            f"{n} recorded references exceed n_refs={n_refs[p]}")
-                  for p, n in zip(excess.tolist(), self.n_events[excess].tolist()))], total
 
 
 def _record_violations(journals: Sequence[JournalRecord], clusters: Sequence[Cluster],
@@ -545,14 +468,57 @@ def _record_violations(journals: Sequence[JournalRecord], clusters: Sequence[Clu
     return violations
 
 
+def _causality(events: Events, limit: int | None = None) -> tuple[list[Violation], int]:
+    """The first ``limit`` (default all) violations of the causality rule
+    among ``events``, in event order, and the number found."""
+    rows = np.flatnonzero(events.cited_year > events.citing_year)
+    return [Violation("event.causality", events.citing_paper_id[i],
+                      f"cited_year {events.cited_year[i]} > citing_year {events.citing_year[i]}")
+            for i in rows[:limit].tolist()], len(rows)
+
+
+def _excess_references(n_events: np.ndarray, first: np.ndarray, n_refs: np.ndarray,
+                       ids: Iterable[str], limit: int | None = None
+                       ) -> tuple[list[Violation], int]:
+    """The first ``limit`` (default all) violations of the excess_references
+    rule, one per citing paper with more events than its n_refs >= 1, listed
+    by its first event, and the number found.  The arrays are indexed by
+    paper code; ``ids`` gives the paper ids in code order."""
+    papers = np.flatnonzero(n_events)
+    papers = papers[(n_events[papers] > n_refs[papers]) & (n_refs[papers] >= 1)]
+    shown = papers[np.argsort(first[papers], kind="stable")][:limit].tolist()
+    ids = tuple(ids) if shown else ()
+    return [Violation("event.excess_references", ids[p],
+                      f"{n_events[p]} recorded references exceed n_refs={n_refs[p]}")
+            for p in shown], len(papers)
+
+
 def validate(dataset: Dataset) -> list[Violation]:
     """Check every structural invariant; return one Violation per breach.
 
     Violations are data, not failures: a clean dataset yields an empty
     list, and identical input always yields the identical list.  Event
-    violations come rule by rule, each rule's in event (file) order.  The
-    rules are those of a Validator fed the events as one batch.
+    violations come rule by rule, each rule's in event (file) order; the
+    excess_references rule gives one entry per citing paper, listed by its
+    first event.
     """
-    validator = Validator(dataset.journals, dataset.clusters, dataset.publication_counts)
-    validator.add(dataset.citation_events)
-    return validator.violations()[0]
+    events = dataset.citation_events
+    pids, cited, n_refs = events.citing_paper_id, events.cited_journal_id, events.n_refs
+    leads = Leads()  # each citing paper's first event
+    inconsistent = leads.conflicts(pids.codes, events.citing_journal_id.codes,
+                                   events.citing_year, n_refs)
+    known = {j.journal_id for j in dataset.journals}
+    return [
+        *_record_violations(dataset.journals, dataset.clusters, dataset.publication_counts),
+        *(Violation("event.nonpositive_refs", pids[i], f"n_refs {n_refs[i]} < 1")
+          for i in np.flatnonzero(n_refs < 1).tolist()),
+        *_causality(events)[0],
+        *(Violation("event.paper_inconsistent", pids[i],
+                    "events of one citing paper disagree on journal, year or n_refs")
+          for i in inconsistent.tolist()),
+        *(Violation("event.unknown_cited_journal", pids[i],
+                    f"cited journal '{cited[i]}' not in dataset")
+          for i in np.flatnonzero(~cited.isin(known)).tolist()),
+        *_excess_references(np.bincount(pids.codes, minlength=len(leads.first)), leads.first,
+                            leads.fields[2], pids.values)[0],
+    ]

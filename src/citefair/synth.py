@@ -272,8 +272,8 @@ def profile_from_json(path: str | Path) -> SynthProfile:
         )
         return SynthProfile(
             clusters=clusters,
-            items_per_journal=tuple(payload.get("items_per_journal", (10, 24))),
-            years=tuple(payload.get("years", (2005, 2010))),
+            items_per_journal=tuple(map(int, payload.get("items_per_journal", (10, 24)))),
+            years=tuple(map(int, payload.get("years", (2005, 2010)))),
             seed=int(payload.get("seed", 0)),
             journal_spread=float(payload.get("journal_spread", 1.0)),
             recency_weights=tuple(payload.get("recency_weights", DEFAULT_RECENCY_WEIGHTS)),

@@ -80,6 +80,14 @@ class TestSynthCommand:
         text = (out / "journals.tsv").read_text()
         assert text.count("\nJ") == 24 or len(text.splitlines()) == 25
 
+    def test_profile_years_not_integers_exit_two(self, tmp_path, profile_file, capsys):
+        profile = json.loads(profile_file.read_text(encoding="utf-8"))
+        profile["years"] = ["a", "b"]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(profile), encoding="utf-8")
+        assert main(["synth", "--profile-file", str(path), "--out-dir", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}: malformed profile (")
+
 
 class TestIngestCommand:
     def test_valid_fixture_exit_zero(self, tmp_path, profile_file, capsys):
@@ -127,6 +135,21 @@ class TestIngestCommand:
                      "--out-dir", str(tmp_path / "b")]) == 2
         err = capsys.readouterr().err
         assert "j.tsv:2" in err
+
+    @pytest.mark.parametrize("option, value, message", [
+        ("--min-cluster-size", "0", "min_cluster_size must be >= 1"),
+        ("--census-year", "9" * 20, f"census year {'9' * 20} does not fit in 64 bits"),
+    ])
+    def test_option_out_of_range_exit_two(self, tmp_path, profile_file, capsys, option, value,
+                                          message):
+        raw, _, _ = run_pipeline(tmp_path, profile_file)
+        capsys.readouterr()
+        assert main(["ingest", "--journals", str(raw / "journals.tsv"),
+                     "--publications", str(raw / "publications.tsv"),
+                     "--citations", str(raw / "citations.tsv"),
+                     option, value, "--out-dir", str(tmp_path / "b")]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "b").exists()
 
     def test_delimiter_must_be_one_character(self, tmp_path, capsys):
         assert main(["ingest", "--delimiter", ",,", "--journals", "j.tsv",
@@ -415,6 +438,16 @@ class TestIndicatorsCommand:
                      "--kind", "impact_factor", "--window", "7",
                      "--out-dir", str(tmp_path / "x")]) == 2
         assert "window" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("window", ["abc", "2.5"])
+    def test_window_not_an_integer_exit_two(self, tmp_path, profile_file, capsys, window):
+        _, bundle, _ = run_pipeline(tmp_path, profile_file)
+        capsys.readouterr()
+        assert main(["indicators", "--dataset", str(bundle),
+                     "--kind", "impact_factor", "--window", window,
+                     "--out-dir", str(tmp_path / "x")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: impact_factor requires window 2 or 5, got {window!r}\n")
 
 
 class TestFairnessCommand:

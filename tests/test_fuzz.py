@@ -1,7 +1,8 @@
 """Arbitrary rows fed to the file readers: each either parses or raises a
 CiteFairError (which the CLI reports with exit 2), never anything else; the
 bulk split of plain chunks reads every file as csv.reader does; and mutated
-table files given to the commands that read them exit 0 or 2, never 1."""
+table files given to the commands that read them, and arbitrary values of
+their numeric options, exit 0 or 2, never 1."""
 
 import warnings
 
@@ -193,3 +194,30 @@ def test_commands_exit_zero_or_two_on_mutated_tables(pipeline, tmp_path_factory,
     assert main([command, "--dataset", str(bundle), "--table", str(table),
                  "--table", str(tables / "IF5-IC.tsv"), *options,
                  "--out-dir", str(directory / "out")]) in (0, 2)
+
+
+# The command each fuzzed option is given to, as --option=value so that a
+# value starting with '-' stays a value.
+OPTIONS = {"--min-cluster-size": "ingest", "--census-year": "ingest", "--window": "indicators",
+           "--z": "fairness", "--ci-level": "fairness", "--deciles": "correlate"}
+NUMERIC = st.sampled_from(["0", "1", "2", "5", "-1", "2009", "2010", "2011", "all", "2.5", "0.5",
+                           "100", "1e308", "1e-320", "nan", "inf", "-inf", " 2", "+5", "2_0",
+                           "9" * 20, "-" + "9" * 20])
+
+
+@pytest.mark.parametrize("option", sorted(OPTIONS))
+@SETTINGS
+@given(value=st.one_of(FIELDS, NUMERIC))
+def test_options_exit_zero_or_two(pipeline, tmp_path_factory, option, value):
+    bundle, tables = pipeline
+    command = OPTIONS[option]
+    inputs = {
+        "ingest": [f"--{name}={bundle / name}.tsv" for name in
+                   ("journals", "publications", "citations")],
+        "indicators": ["--dataset", str(bundle), "--kind", "impact_factor"],
+        "fairness": ["--dataset", str(bundle), "--table", str(tables / "IF2-IC.tsv")],
+        "correlate": ["--dataset", str(bundle), "--table", str(tables / "IF2-IC.tsv"),
+                      "--table", str(tables / "IF5-IC.tsv")],
+    }[command]
+    out = tmp_path_factory.mktemp("options")
+    assert main([command, *inputs, f"{option}={value}", "--out-dir", str(out)]) in (0, 2)

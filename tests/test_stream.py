@@ -158,6 +158,35 @@ class TestBatchBoundaries:
         assert ingest(inputs, tmp_path / "bundle") == 2
         assert capsys.readouterr().err == f"error: {err.value}\n"
 
+    @pytest.mark.parametrize("chunk_chars", CHUNKS)
+    def test_excess_references_as_assemble_gives_them(self, tmp_path, monkeypatch, capsys,
+                                                       chunk_chars):
+        # pA's first row cites no indexed journal and is dropped, so pB's
+        # first kept event comes before pA's, though pA is read first
+        inputs = write_inputs(tmp_path / "inputs")
+        path = inputs / "citations.tsv"
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        extra = [f"{pid}\t{citing}\t2010\t{cited}\t2009\t1\n" for pid, citing, cited in (
+            ("pA", "j0", "ghost"), ("pB", "j1", "j2"), ("pA", "j0", "j3"), ("pA", "j0", "j4"),
+            ("pB", "j1", "j5"))]
+        path.write_text("".join(lines[:13] + extra + lines[13:]), encoding="utf-8")
+        journals, clusters = parse_journals(inputs / "journals.tsv")
+        with pytest.raises(ValidationError, match=r"\[event\.excess_references\] pB: 2 .*"
+                                                  r"\[event\.excess_references\] pA: 2 ") as err:
+            assemble(journals, clusters, parse_publications(inputs / "publications.tsv"),
+                     parse_citations(path))
+        monkeypatch.setattr(citefair.ingest, "_CHUNK_CHARS", chunk_chars)
+        assert ingest(inputs, tmp_path / "bundle") == 2
+        assert capsys.readouterr().err == f"error: {err.value}\n"
+
+
+def test_census_year_without_events_writes_float_zeros(tmp_path, capsys):
+    assert ingest(write_inputs(tmp_path / "inputs"), tmp_path / "bundle",
+                  "--census-year", "2011") == 0
+    header, *rows = (tmp_path / "bundle" / "counts.tsv").read_text(encoding="utf-8").splitlines()
+    assert header.split("\t")[4:7] == ["fractional_2", "fractional_5", "fractional_all"]
+    assert rows and {tuple(row.split("\t")[1:7]) for row in rows} == {("0",) * 3 + ("0.0",) * 3}
+
 
 class TestZeroRefsCount:
     def test_summary_and_report(self, tmp_path, capsys):
