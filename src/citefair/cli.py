@@ -80,12 +80,8 @@ def cmd_ingest(args) -> int:
         )
     except ValueError as exc:
         raise CiteFairError(str(exc)) from None
-    if args.census_year is not None and args.census_year not in ing.INT64:
-        raise CiteFairError(f"census year {args.census_year} does not fit in 64 bits")
-    journals, clusters = ing.parse_journals(args.journals, config)
-    counts = ing.parse_publications(args.publications, config)
     out = _out_path(args)
-    summary = ing.ingest_bundle(journals, clusters, counts, args.citations, out,
+    summary = ing.ingest_bundle(args.journals, args.publications, args.citations, out,
                                 census_year=args.census_year, config=config)
     print(f"dataset: {summary.retained_journals} journals in "
           f"{summary.retained_clusters} clusters, {summary.retained_events} events, "

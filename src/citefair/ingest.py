@@ -23,12 +23,13 @@ Integer fields are ASCII numerals, ``[+-]?[0-9]+``.
 The journals and publications files are read whole.  The citations file
 is read once, batch by batch (_CitationReader): each citing paper's first
 event is carried from batch to batch, so the rules need no earlier batch.
-parse_citations concatenates the checked batches.  ingest_bundle passes
-each batch on through the exclusion policy (_Assembly, which assemble
-applies to one batch) and the WindowCounter of the model, checks the
-rules of validate that the reader and the policy leave open (_stream),
-and writes its kept rows to the bundle; what stays in memory is one batch
-and the per-paper and per-journal state, however long the file.
+parse_citations concatenates the checked batches.  ingest_bundle parses
+the journals and publications files, passes each batch on through the
+exclusion policy (_Assembly, which assemble applies to one batch) and the
+WindowCounter of the model, checks the two event rules of validate that
+the parsers and the policy leave open (_stream), and writes its kept rows
+to the bundle; what stays in memory is one batch and the per-paper and
+per-journal state, however long the file.
 
 A bundle (save_bundle, ingest_bundle) holds the three files,
 tab-separated, plus ``counts.tsv`` (the census's WindowCounts) and
@@ -69,8 +70,8 @@ except ImportError:
 from .errors import CiteFairError, IngestWarning, ParseError, ValidationError
 from .model import (EVENT_COLUMNS, PUBLICATION_COLUMNS, Cluster, Dataset, Events, Ids,
                     JournalRecord, Leads, PerId, PublicationCounts, Violation, WindowCounter,
-                    WindowCounts, _causality, _excess_references, _record_violations, encode,
-                    repeats, validate, vocabulary, window_counts)
+                    WindowCounts, _causality, _excess_references, encode, repeats, validate,
+                    vocabulary, window_counts)
 
 __all__ = [
     "IngestConfig",
@@ -342,24 +343,6 @@ def _column(fields: list[str]) -> _Column:
     return _Column(encode(fields, index), tuple(index))
 
 
-class _Vocabulary:
-    """The distinct fields of one column over every batch so far, starting
-    with ``seed``, and their tuple, made again only when a batch brings new
-    ones."""
-
-    def __init__(self, seed: Sequence[str] = ()):
-        self.index = vocabulary()
-        encode(seed, self.index)
-        self.values = tuple(self.index)
-
-    def column(self, fields: list[str]) -> _Column:
-        """A batch's raw fields as a _Column over the fields of every batch so far."""
-        codes = encode(fields, self.index)
-        if len(self.index) > len(self.values):
-            self.values = tuple(self.index)
-        return _Column(codes, self.values)
-
-
 def _read_columns(path: Path, config: IngestConfig, columns: Sequence[str],
                   required: Sequence[str] = ()
                   ) -> tuple[list[_Column], Callable[[int], int], ParseError | None]:
@@ -471,20 +454,22 @@ class _CitationReader:
     counted in ``zero_refs``.  The rules are checked per batch in file
     order, so the earliest row that breaks one is reported.  Each citing
     paper's first event is carried from batch to batch (Leads), the papers
-    numbered by ``papers``.  The two journal columns are numbered over the
-    whole file, starting with ``journal_ids`` (_Vocabulary), so work done
-    per journal id (PerId) is done once, not once per batch.  After each
-    batch, ``text`` holds its text when that is also how the bundle writes
-    its rows: a plain chunk of tab-separated rows in the bundle's column
-    order, none dropped, every integer written as str writes it; else None.
+    numbered by ``papers``.  Both journal columns are coded over one
+    vocabulary, ``journals``, seeded with ``journal_ids``, and share one
+    tuple of its ids, remade only when a batch adds ids, so work done per
+    journal id (PerId) is done once.  After each batch, ``text`` holds its
+    text when that is also how the bundle writes its rows: a plain chunk of
+    tab-separated rows in the bundle's column order, none dropped, every
+    integer written as str writes it; else None.
     """
 
     def __init__(self, path: str | Path, config: IngestConfig, journal_ids: Sequence[str] = ()):
         self.path, self.config = Path(path), config
         self.papers = vocabulary()
         self.paper_code = PerId(self.papers.__getitem__, np.int32)
-        self.citing, self.cited = _Vocabulary(journal_ids), _Vocabulary(journal_ids)
-        self.cited_empty = PerId(not_)
+        self.journals = vocabulary()
+        encode(journal_ids, self.journals)
+        self.journal_ids = tuple(self.journals)
         self.leads = Leads()
         self.zero_refs = 0
         self.text: str | None = None
@@ -493,8 +478,12 @@ class _CitationReader:
         for lines, (pids, citing, citing_years, cited, cited_years, n_refs), text in _batches(
                 self.path, self.config.delimiter, CITATION_COLUMNS):
             numbers = list(map(_column, (citing_years, cited_years, n_refs)))
-            batch = self._checked(lines, [_column(pids), self.citing.column(citing), numbers[0],
-                                          self.cited.column(cited), *numbers[1:]])
+            citing, cited = encode(citing, self.journals), encode(cited, self.journals)
+            if len(self.journals) > len(self.journal_ids):
+                self.journal_ids = tuple(self.journals)
+            batch = self._checked(lines, [_column(pids), _Column(citing, self.journal_ids),
+                                          numbers[0], _Column(cited, self.journal_ids),
+                                          *numbers[1:]])
             self.text = None
             if (text is not None and self.config.delimiter == "\t" and len(batch) == len(lines)
                     and all(str(v) == raw for c in numbers for v, raw in zip(c.numbers, c.values))):
@@ -521,7 +510,7 @@ class _CitationReader:
 
         error = _first_error(lines.__getitem__, [
             (pids.empty(), lambda line, i: ParseError(path, line, "empty citing_paper_id")),
-            (self.cited_empty(cited_jids),
+            (cited_jids.codes == self.journals.get("", -1),
              lambda line, i: ParseError(path, line, "empty cited_journal_id")),
             (np.logical_or.reduce([c.expand(v is None for v in c.numbers) for c in numbers]),
              lambda line, i: ParseError(path, line,
@@ -586,9 +575,9 @@ class _Assembly:
         kept = publication_counts.journal_id.isin(self.kept_ids)
         self.counts = publication_counts if kept.all() else publication_counts[kept]
         self.counts_dropped = len(publication_counts) - len(self.counts)
-        self.citing_dropped = PerId(self.dropped_ids.__contains__)
-        self.cited_dropped = PerId(self.dropped_ids.__contains__)
-        self.cited_kept = PerId(self.kept_ids.__contains__)
+        # per journal id: 1 kept, -1 dropped with its cluster, 0 outside the census
+        status = {**dict.fromkeys(self.kept_ids, 1), **dict.fromkeys(self.dropped_ids, -1)}
+        self.status = PerId(lambda jid: status.get(jid, 0), np.int8)
         self.dropped = self.unknown = self.kept = 0
         self.first_unknown: str | None = None
         self.latest: int | None = None  # the latest citing year of a kept event
@@ -596,8 +585,9 @@ class _Assembly:
     def keep(self, events: Events) -> Events:
         """The events of a batch that the policy keeps."""
         cited = events.cited_journal_id
-        dropped = self.cited_dropped(cited) | self.citing_dropped(events.citing_journal_id)
-        unknown = ~dropped & ~self.cited_kept(cited)
+        cited_status = self.status(cited)
+        dropped = (cited_status < 0) | (self.status(events.citing_journal_id) < 0)
+        unknown = ~dropped & (cited_status == 0)
         if unknown.any() and self.first_unknown is None:
             i = int(unknown.argmax())
             self.first_unknown = (f"citation event of paper '{events.citing_paper_id[i]}' "
@@ -915,15 +905,13 @@ def _stream(citations: str | Path, config: IngestConfig, journals: Sequence[Jour
     rows dropped for n_refs = 0.  When the census year is inferred, the
     counter starts again whenever a later citing year is kept.
 
-    The reader and the policy already enforce every event rule but two:
-    causality, checked per kept batch, and excess_references, decided at
-    the end from each paper's kept events and the n_refs the reader holds
-    for it.  The record rules are checked once, since ingest_bundle may be
-    given journals and counts not read from files.  The per-paper state is
-    freed on return."""
+    The parsers and the policy already enforce every rule of validate but
+    two event rules: causality, checked per kept batch, and
+    excess_references, decided at the end from each paper's kept events and
+    the n_refs the reader holds for it.  The per-paper state is freed on
+    return."""
     reader = _CitationReader(citations, config, [j.journal_id for j in journals])
-    violations = _record_violations(assembly.journals, assembly.clusters, assembly.counts)
-    total = len(violations)
+    total = 0
     late: list[Violation] = []
     first = Leads()  # each paper's first kept event
     n_kept = np.zeros(0, np.int64)  # kept events per paper
@@ -950,22 +938,23 @@ def _stream(citations: str | Path, config: IngestConfig, journals: Sequence[Jour
             out.write(kept.columns())
     excess, n = (_excess_references(n_kept, first.first, reader.leads.fields[2], reader.papers,
                                     _SHOWN) if len(n_kept) else ([], 0))
-    return counter, ([*violations, *late, *excess], total + n), reader.zero_refs
+    return counter, ([*late, *excess], total + n), reader.zero_refs
 
 
-def ingest_bundle(journals: Sequence[JournalRecord], clusters: Sequence[Cluster],
-                  publication_counts: PublicationCounts, citations: str | Path,
+def ingest_bundle(journals: str | Path, publications: str | Path, citations: str | Path,
                   directory: str | Path, census_year: int | None = None,
                   config: IngestConfig = IngestConfig()) -> IngestSummary:
-    """Read the citations file once, a batch at a time, and write the
-    bundle that save_bundle(assemble(...)) writes, byte for byte.
+    """Read the journals and publications files whole and the citations
+    file once, a batch at a time, and write the bundle that
+    save_bundle(assemble(...)) writes of them, byte for byte.
 
-    Each checked batch goes through the exclusion policy and the
-    WindowCounter, is checked for the rules of validate that it can still
-    break, and its kept rows are written to citations.tsv and hashed
+    Each checked batch of citations goes through the exclusion policy and
+    the WindowCounter, is checked for the rules of validate that it can
+    still break, and its kept rows are written to citations.tsv and hashed
     (_stream).  Only one batch, the per-paper and the per-journal state
     stay in memory.  Errors come in the order the whole-file functions
-    raise them: the citations file's, then those of the census
+    raise them, after a census year that does not fit in 64 bits: the
+    journals, publications and citations files', then those of the census
     (_Assembly.finish), then validate's, the last two once the whole file
     is read.
 
@@ -974,12 +963,15 @@ def ingest_bundle(journals: Sequence[JournalRecord], clusters: Sequence[Cluster]
     ``directory`` as it was, and does not leave it behind if it did not
     exist; ``directory`` may hold the input files.
     """
+    if census_year is not None and not INT64.start <= census_year < INT64.stop:
+        raise CiteFairError(f"census year {census_year} does not fit in 64 bits")
+    records, clusters = parse_journals(journals, config)
+    assembly = _Assembly(records, clusters, parse_publications(publications, config), config)
     directory = Path(directory)
-    assembly = _Assembly(journals, clusters, publication_counts, config)
     staging, made = _staging(directory)
     try:
         with _Writer(staging / CITATIONS_FILE, CITATION_COLUMNS, hashed=True) as out:
-            counter, violations, zero_refs = _stream(citations, config, journals, assembly,
+            counter, violations, zero_refs = _stream(citations, config, records, assembly,
                                                      census_year, out)
         year = assembly.finish(census_year)
         _raise_invalid(*violations, "assembled dataset")

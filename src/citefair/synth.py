@@ -13,6 +13,7 @@ year.  Generation is a pure function of the profile, seed included.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -49,8 +50,9 @@ class ClusterProfile:
     def __post_init__(self):
         if self.size < 1:
             raise ProfileError(f"cluster '{self.name}': size must be >= 1")
-        if self.mean_cites_per_item <= 0 or self.mean_refs <= 0 or self.ref_dispersion <= 0:
-            raise ProfileError(f"cluster '{self.name}': all rates must be positive")
+        if not all(0 < rate < math.inf for rate in (self.mean_cites_per_item, self.mean_refs,
+                                                    self.ref_dispersion)):
+            raise ProfileError(f"cluster '{self.name}': all rates must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -74,15 +76,18 @@ class SynthProfile:
         if not self.clusters:
             raise ProfileError("profile has no clusters")
         lo, hi = self.items_per_journal
-        if not (0 <= lo <= hi) or hi < 1:
+        if not (0 <= lo <= hi < 2 ** 63 - 1) or hi < 1:  # generate draws below hi + 1, an int64
             raise ProfileError(f"bad items_per_journal range ({lo}, {hi})")
         first, census = self.years
         if census < first:
             raise ProfileError(f"bad year span ({first}, {census})")
-        if self.journal_spread < 0:
-            raise ProfileError("journal_spread must be >= 0")
-        if not self.recency_weights or min(self.recency_weights) < 0 or sum(self.recency_weights) == 0:
-            raise ProfileError("recency_weights must be non-negative and not all zero")
+        if self.seed < 0:
+            raise ProfileError(f"seed must be >= 0, got {self.seed}")
+        if not 0 <= self.journal_spread < math.inf:
+            raise ProfileError("journal_spread must be finite and >= 0")
+        weights = self.recency_weights
+        if not weights or not all(0 <= w < math.inf for w in weights) or not any(weights):
+            raise ProfileError("recency_weights must be finite, non-negative and not all zero")
         seen = set()
         for c in self.clusters:
             if c.cluster_id in seen:
@@ -197,6 +202,9 @@ def generate(profile: SynthProfile) -> Dataset:
         weights = base_rate * np.exp(rng.normal(-0.5 * s * s, s, size=total))
     else:
         weights = base_rate.astype(float)
+    if not 0 < weights.sum() < np.inf:  # every multiplier under- or overflowed
+        raise ProfileError("journal weights (cluster rates times the journal_spread "
+                           "multipliers) do not sum to a finite positive number")
     weights = weights / weights.sum()
 
     papers_per_journal = items[:, n_years - 1]
@@ -215,6 +223,8 @@ def generate(profile: SynthProfile) -> Dataset:
     w = list(profile.recency_weights[:n_years])
     w += [profile.recency_weights[-1]] * (n_years - len(w))
     recency = np.asarray(w, dtype=float)
+    if not 0 < recency.sum() < np.inf:
+        raise ProfileError(f"recency_weights give no finite weight to ages 0 to {n_years - 1}")
     recency /= recency.sum()
     cited_year = census - rng.choice(n_years, size=total_refs, p=recency)
 
@@ -253,17 +263,43 @@ def profile_to_json(profile: SynthProfile, path: str | Path) -> None:
     Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
 
 
+def _integer(value, field: str) -> int:
+    """A JSON integer; a float (2005.0 included) or a bool is an error naming ``field``."""
+    if type(value) is not int:
+        raise TypeError(f"{field} must be an integer, got {value!r}")
+    return value
+
+
+def _pair(value, field: str) -> tuple[int, int]:
+    """A JSON list of two integers (_integer)."""
+    if not (isinstance(value, list) and len(value) == 2):
+        raise TypeError(f"{field} must be a list of two integers, got {value!r}")
+    return tuple(_integer(v, f"{field}[{k}]") for k, v in enumerate(value))
+
+
 def profile_from_json(path: str | Path) -> SynthProfile:
+    """The profile of a JSON file, as profile_to_json writes it.  Sizes,
+    years, the seed and the item bounds must be JSON integers; any other
+    value that is not valid raises a ProfileError."""
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except UnicodeDecodeError as exc:
+        raise ProfileError(f"{path}: not valid UTF-8 (byte {exc.object[exc.start]:#04x} at "
+                           f"position {exc.start + 1}: {exc.reason})") from None
+    except (ValueError, RecursionError) as exc:  # digits past int's limit are a ValueError
         raise ProfileError(f"{path}: not valid JSON ({exc})") from None
     try:
+        if not (isinstance(payload, dict) and isinstance(payload["clusters"], list)
+                and all(isinstance(c, dict) for c in payload["clusters"])):
+            raise TypeError("a profile is an object whose clusters are a list of objects")
+        weights = payload.get("recency_weights", list(DEFAULT_RECENCY_WEIGHTS))
+        if not isinstance(weights, list):
+            raise TypeError(f"recency_weights must be a list of numbers, got {weights!r}")
         clusters = tuple(
             ClusterProfile(
                 cluster_id=str(c.get("cluster_id", i + 1)),
                 name=c["name"],
-                size=int(c["size"]),
+                size=_integer(c["size"], f"clusters[{i}].size"),
                 mean_cites_per_item=float(c["mean_cites_per_item"]),
                 mean_refs=float(c["mean_refs"]),
                 ref_dispersion=float(c["ref_dispersion"]),
@@ -272,11 +308,12 @@ def profile_from_json(path: str | Path) -> SynthProfile:
         )
         return SynthProfile(
             clusters=clusters,
-            items_per_journal=tuple(map(int, payload.get("items_per_journal", (10, 24)))),
-            years=tuple(map(int, payload.get("years", (2005, 2010)))),
-            seed=int(payload.get("seed", 0)),
+            items_per_journal=_pair(payload.get("items_per_journal", [10, 24]),
+                                    "items_per_journal"),
+            years=_pair(payload.get("years", [2005, 2010]), "years"),
+            seed=_integer(payload.get("seed", 0), "seed"),
             journal_spread=float(payload.get("journal_spread", 1.0)),
-            recency_weights=tuple(payload.get("recency_weights", DEFAULT_RECENCY_WEIGHTS)),
+            recency_weights=tuple(map(float, weights)),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ProfileError(f"{path}: malformed profile ({exc})") from None

@@ -88,6 +88,69 @@ class TestSynthCommand:
         assert main(["synth", "--profile-file", str(path), "--out-dir", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err.startswith(f"error: {path}: malformed profile (")
 
+    # Per case: the profile field, the JSON text given for it, and the part
+    # of the error that names the field.
+    BAD_VALUES = {
+        "negative-seed": ("seed", "-3", "seed must be >= 0, got -3"),
+        "float-seed": ("seed", "1.9", "seed must be an integer, got 1.9"),
+        "bool-seed": ("seed", "true", "seed must be an integer, got True"),
+        "size-past-float": ("size", "1e400", "clusters[0].size must be an integer, got inf"),
+        "inf-cites": ("mean_cites_per_item", '"inf"', "all rates must be finite and positive"),
+        "nan-refs": ("mean_refs", '"nan"', "all rates must be finite and positive"),
+        "inf-refs": ("mean_refs", '"inf"', "all rates must be finite and positive"),
+        "nan-dispersion": ("ref_dispersion", '"nan"', "all rates must be finite and positive"),
+        "float-year": ("years", "[2005.7, 2010]", "years[0] must be an integer, got 2005.7"),
+        "whole-float-year": ("years", "[2005.0, 2010]", "years[0] must be an integer, got 2005.0"),
+        "float-items": ("items_per_journal", "[1, 2.5]",
+                        "items_per_journal[1] must be an integer, got 2.5"),
+        "nan-spread": ("journal_spread", '"nan"', "journal_spread must be finite and >= 0"),
+        "inf-weight": ("recency_weights", '[1, "inf"]',
+                       "recency_weights must be finite, non-negative and not all zero"),
+        "string-weights": ("recency_weights", '"123"', "recency_weights must be a list of numbers"),
+        # the profile file's years span ages 0 to 4
+        "no-weight-in-span": ("recency_weights", "[0, 0, 0, 0, 0, 1]",
+                              "recency_weights give no finite weight to ages 0 to 4"),
+        # every journal multiplier underflows to 0
+        "huge-spread": ("journal_spread", "2005.7", "journal weights (cluster rates times the "
+                        "journal_spread multipliers) do not sum to a finite positive number"),
+        "rate-past-float": ("mean_refs", "1" + "0" * 400, "int too large to convert to float"),
+        "clusters-not-a-list": ("clusters", '"a"',
+                                "a profile is an object whose clusters are a list of objects"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(BAD_VALUES))
+    def test_bad_profile_value_exit_two(self, tmp_path, profile_file, capsys, case):
+        field, text, message = self.BAD_VALUES[case]
+        profile = json.loads(profile_file.read_text(encoding="utf-8"))
+        (profile["clusters"][0] if field in profile["clusters"][0] else profile)[field] = "@"
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(profile).replace('"@"', text), encoding="utf-8")
+        assert main(["synth", "--profile-file", str(path), "--out-dir", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("options, message", [
+        (["--seed", "-1"], "seed must be >= 0, got -1"),
+        (["--items", "5", "9" * 20], f"bad items_per_journal range (5, {'9' * 20})"),
+    ], ids=["negative-seed", "items-past-int64"])
+    def test_bad_option_exit_two(self, tmp_path, profile_file, capsys, options, message):
+        assert main(["synth", "--profile-file", str(profile_file), *options,
+                     "--out-dir", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("data, message", [
+        (b'{"seed": "\xe9"}', "not valid UTF-8 (byte 0xe9 at position 11: invalid continuation "
+                               "byte)"),
+        (b"[" * 100_000, "not valid JSON ("),
+    ], ids=["not-utf8", "nested-too-deeply"])
+    def test_profile_file_not_json_exit_two(self, tmp_path, capsys, data, message):
+        path = tmp_path / "bad.json"
+        path.write_bytes(data)
+        assert main(["synth", "--profile-file", str(path), "--out-dir", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}: {message}")
+
 
 class TestIngestCommand:
     def test_valid_fixture_exit_zero(self, tmp_path, profile_file, capsys):

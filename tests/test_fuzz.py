@@ -1,9 +1,12 @@
 """Arbitrary rows fed to the file readers: each either parses or raises a
 CiteFairError (which the CLI reports with exit 2), never anything else; the
 bulk split of plain chunks reads every file as csv.reader does; and mutated
-table files given to the commands that read them, and arbitrary values of
-their numeric options, exit 0 or 2, never 1."""
+table files given to the commands that read them, arbitrary values of
+their numeric options, and profile files with any value in any field
+given to synth, exit 0 or 2, never 1."""
 
+import json
+import math
 import warnings
 
 import pytest
@@ -221,3 +224,48 @@ def test_options_exit_zero_or_two(pipeline, tmp_path_factory, option, value):
     }[command]
     out = tmp_path_factory.mktemp("options")
     assert main([command, *inputs, f"{option}={value}", "--out-dir", str(out)]) in (0, 2)
+
+
+# A two-cluster profile as synth reads it, and per field the integers that
+# may replace a value: ranges small enough that no example asks for a large
+# census.
+FUZZ_PROFILE = {
+    "clusters": [{"cluster_id": "1", "name": "A", "size": 6, "mean_cites_per_item": 1.0,
+                  "mean_refs": 4.0, "ref_dispersion": 0.4},
+                 {"cluster_id": "2", "name": "B", "size": 6, "mean_cites_per_item": 2.0,
+                  "mean_refs": 8.0, "ref_dispersion": 0.5}],
+    "items_per_journal": [1, 3], "years": [2008, 2010], "seed": 3, "journal_spread": 1.0,
+    "recency_weights": [0.4, 1.0, 1.0, 0.8, 0.6, 0.4],
+}
+SMALL_INTEGERS = {"size": st.integers(-1, 40), "items_per_journal": st.integers(-1, 3),
+                  "years": st.integers(2000, 2012), "seed": st.integers(-2, 5)}
+NOT_UTF8 = "<not UTF-8>"  # written as a string holding the byte 0xe9
+OTHER_VALUES = st.sampled_from([2005.7, math.inf, -math.inf, math.nan, True, False, "nan",
+                                "inf", "a", None, NOT_UTF8])
+
+
+def field_values(field):
+    """Values for ``field``: small integers, floats, bools, strings, null or lists."""
+    scalars = st.one_of(SMALL_INTEGERS.get(field, st.integers(-1, 40)), OTHER_VALUES)
+    return st.one_of(scalars, st.lists(scalars, max_size=3))
+
+
+@st.composite
+def profile_files(draw) -> bytes:
+    """The bytes of FUZZ_PROFILE with one to three fields replaced."""
+    profile = json.loads(json.dumps(FUZZ_PROFILE))
+    places = [profile, *profile["clusters"]]
+    for _ in range(draw(st.integers(1, 3))):
+        where = draw(st.sampled_from(places))
+        field = draw(st.sampled_from(sorted(where)))
+        where[field] = draw(field_values(field))
+    return json.dumps(profile).encode("utf-8").replace(f'"{NOT_UTF8}"'.encode(), b'"\xe9"')
+
+
+@settings(SETTINGS, max_examples=100)
+@given(data=profile_files())
+def test_synth_profile_file_exits_zero_or_two(tmp_path_factory, data):
+    directory = tmp_path_factory.mktemp("profile")
+    (directory / "profile.json").write_bytes(data)
+    assert main(["synth", "--profile-file", str(directory / "profile.json"),
+                 "--out-dir", str(directory / "out")]) in (0, 2)

@@ -14,9 +14,9 @@ import pytest
 
 import citefair.ingest
 from citefair.cli import main
-from citefair.errors import IngestWarning, ValidationError
-from citefair.ingest import (assemble, parse_citations, parse_journals, parse_publications,
-                             save_bundle)
+from citefair.errors import CiteFairError, IngestWarning, ValidationError
+from citefair.ingest import (assemble, ingest_bundle, parse_citations, parse_journals,
+                             parse_publications, save_bundle)
 from citefair.synth import ClusterProfile, SynthProfile, generate, profile_to_json
 
 from test_golden import PROFILE
@@ -237,6 +237,34 @@ class TestOutputDirectory:
         assert ingest(inputs, tmp_path / "bundle", *options) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "bundle").exists()
+
+    def test_errors_keep_their_order_across_files(self, tmp_path, capsys):
+        """With several input files broken, the journals file's error is
+        reported, else the publications file's, and a census year that does
+        not fit in 64 bits before either."""
+        inputs = write_inputs(tmp_path / "inputs", bad_n_refs)
+        journals, publications = inputs / "journals.tsv", inputs / "publications.tsv"
+        publications.write_text(publications.read_text(encoding="utf-8").replace(
+            "\t2004\t", "\t20x4\t", 1), encoding="utf-8")
+        good = journals.read_text(encoding="utf-8")
+        bad = good.replace("\nj1\t", "\n\t")
+        for text, options, message in [
+                (good, (), f"{publications}:2: year must be an integer, got '20x4'"),
+                (bad, (), f"{journals}:3: empty journal_id"),
+                (bad, ("--census-year", str(2 ** 63)),
+                 f"census year {2 ** 63} does not fit in 64 bits")]:
+            journals.write_text(text, encoding="utf-8")
+            assert ingest(inputs, tmp_path / "new" / "bundle", *options) == 2
+            assert capsys.readouterr().err == f"error: {message}\n"
+            assert not (tmp_path / "new").exists()
+
+    def test_library_call_checks_the_census_year(self, tmp_path):
+        inputs = write_inputs(tmp_path / "inputs")
+        before = tree(tmp_path)
+        with pytest.raises(CiteFairError, match=f"^census year {2 ** 70} does not fit in 64 "):
+            ingest_bundle(inputs / "journals.tsv", inputs / "publications.tsv",
+                          inputs / "citations.tsv", tmp_path / "bundle", census_year=2 ** 70)
+        assert tree(tmp_path) == before and not (tmp_path / "bundle").exists()
 
     def test_inputs_directory_as_output(self, tmp_path):
         profile = tmp_path / "profile.json"
