@@ -36,14 +36,11 @@ from .indicators import (
 )
 from .ingest import (
     IngestConfig,
-    assemble,
-    load_bundle,
+    ingest_bundle,
     load_counts,
     load_partition,
-    parse_citations,
     parse_journals,
     parse_publications,
-    save_bundle,
     write_dataset,
 )
 from .model import (

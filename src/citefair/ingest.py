@@ -1,6 +1,6 @@
 """Reading and writing the three tabular input files (journals,
-publication counts, citation events) and assembling them into a validated
-Dataset with the exclusion policy applied.
+publication counts, citation events), and the bundle that ingest makes of
+them with the exclusion policy applied.
 
 File formats (delimiter-separated text, UTF-8, mandatory header row,
 columns matched by name; the files of a bundle are always tab-separated):
@@ -23,18 +23,18 @@ Integer fields are ASCII numerals, ``[+-]?[0-9]+``.
 The journals and publications files are read whole.  The citations file
 is read once, batch by batch (_CitationReader): each citing paper's first
 event is carried from batch to batch, so the rules need no earlier batch.
-parse_citations concatenates the checked batches.  ingest_bundle parses
-the journals and publications files, passes each batch on through the
-exclusion policy (_Assembly, which assemble applies to one batch) and the
-WindowCounter of the model, checks the two event rules of validate that
-the parsers and the policy leave open (_stream), and writes its kept rows
-to the bundle; what stays in memory is one batch and the per-paper and
-per-journal state, however long the file.
+_census parses the journals and publications files, passes each batch on
+through the exclusion policy (_Assembly) and the WindowCounter of the
+model, checks the two event rules of validate that the parsers and the
+policy leave open, and writes its kept rows; what stays in memory is one
+batch and the per-paper and per-journal state, however long the file.
+ingest_bundle writes a bundle so, and load_counts reads the files of a
+bundle that changed after ingest again so, writing nothing.
 
-A bundle (save_bundle, ingest_bundle) holds the three files,
-tab-separated, plus ``counts.tsv`` (the census's WindowCounts) and
-``dataset.json``, whose manifest records each of the four files' sha256
-and row count, hashed as the files are written (_Writer).
+A bundle (ingest_bundle) holds the three files, tab-separated, plus
+``counts.tsv`` (the census's WindowCounts) and ``dataset.json``, whose
+manifest records each of the four files' sha256 and row count, hashed as
+the files are written (_Writer).
 """
 
 from __future__ import annotations
@@ -42,6 +42,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import operator
 import os
 import re
 import warnings
@@ -70,23 +71,18 @@ except ImportError:
 from .errors import CiteFairError, IngestWarning, ParseError, ValidationError
 from .model import (EVENT_COLUMNS, PUBLICATION_COLUMNS, Cluster, Dataset, Events, Ids,
                     JournalRecord, Leads, PerId, PublicationCounts, Violation, WindowCounter,
-                    WindowCounts, _causality, _excess_references, encode, repeats, validate,
-                    vocabulary, window_counts)
+                    WindowCounts, _causality, _excess_references, encode, repeats, vocabulary)
 
 __all__ = [
     "IngestConfig",
     "IngestSummary",
     "parse_journals",
     "parse_publications",
-    "parse_citations",
-    "assemble",
     "write_journals",
     "write_publications",
     "write_citations",
     "write_dataset",
-    "save_bundle",
     "ingest_bundle",
-    "load_bundle",
     "load_counts",
     "load_partition",
     "JOURNALS_FILE",
@@ -124,6 +120,8 @@ _QUOTED = re.compile('[\t\n\r"]').search
 # done once per batch shows in the time (BENCH_12.json).
 _CHUNK_CHARS = 1 << 17
 _BLOCK_ROWS = 1 << 14
+# Bytes read per block when a bundle file is hashed.
+_HASH_BYTES = 1 << 20
 # Violations named in a validation error; the rest are only counted.
 _SHOWN = 5
 
@@ -147,15 +145,22 @@ class IngestConfig:
                 f"zero_refs_policy must be '{POLICY_DROP_WARN}' or '{POLICY_ERROR}'")
 
 
+# The policy under which load_counts reads a changed bundle again: a bundle
+# as ingest wrote it has nothing left for the policy to drop, so every
+# cluster is kept and an event that ingest would drop is an error.
+_RECHECK = IngestConfig(min_cluster_size=1, unknown_cited_policy=POLICY_ERROR,
+                        zero_refs_policy=POLICY_ERROR)
+
+
 @dataclass(frozen=True)
 class IngestSummary:
-    """What assemble excluded, for auditability."""
+    """What the exclusion policy excluded, for auditability."""
 
     excluded_clusters: tuple[tuple[str, str, int], ...]  # (id, name, size)
     excluded_journals: int
     events_dropped_excluded_clusters: int
     events_dropped_unknown_cited: int
-    events_dropped_zero_refs: int  # while reading citations.tsv, before assemble
+    events_dropped_zero_refs: int  # while reading citations.tsv, before the policy
     counts_dropped: int
     census_year: int
     census_year_inferred: bool
@@ -450,9 +455,12 @@ class _CitationReader:
     """The events of a citations file, read and checked a batch at a time.
 
     Iterating yields one Events per chunk (_batches) whose rows pass the
-    rules of parse_citations, without the rows whose n_refs is 0, which are
-    counted in ``zero_refs``.  The rules are checked per batch in file
-    order, so the earliest row that breaks one is reported.  Each citing
+    rules of the file, without the rows whose n_refs is 0, which are
+    counted in ``zero_refs`` (or, under zero_refs_policy "error", are an
+    error).  n_refs must be a positive integer and years and n_refs must
+    fit in 64 bits; the events of one citing paper must agree on citing
+    journal, citing year and n_refs.  The rules are checked per batch in
+    file order, so the earliest row that breaks one is reported.  Each citing
     paper's first event is carried from batch to batch (Leads), the papers
     numbered by ``papers``.  Both journal columns are coded over one
     vocabulary, ``journals``, seeded with ``journal_ids``, and share one
@@ -535,20 +543,8 @@ class _CitationReader:
                       cited_jids[keep], cited_year[keep], n_refs_value[keep])
 
 
-def parse_citations(path: str | Path, config: IngestConfig = IngestConfig()) -> Events:
-    """Read citation events in file order: the checked batches of a
-    _CitationReader, one after the other.
-
-    n_refs must parse as a positive integer; zero is handled per
-    ``config.zero_refs_policy``.  Years and n_refs must fit in 64 bits.
-    Events of one citing paper must agree on citing journal, citing year
-    and n_refs.
-    """
-    return Events.concat(list(_CitationReader(path, config)))
-
-
 class _Assembly:
-    """assemble's exclusion policy, applied to the events a batch at a time.
+    """The exclusion policy, applied to the events a batch at a time.
 
     Clusters below ``min_cluster_size`` are removed with their journals and
     their publication counts at once; ``keep`` drops the events citing or
@@ -579,7 +575,7 @@ class _Assembly:
         status = {**dict.fromkeys(self.kept_ids, 1), **dict.fromkeys(self.dropped_ids, -1)}
         self.status = PerId(lambda jid: status.get(jid, 0), np.int8)
         self.dropped = self.unknown = self.kept = 0
-        self.first_unknown: str | None = None
+        self.first_unknown: Violation | None = None
         self.latest: int | None = None  # the latest citing year of a kept event
 
     def keep(self, events: Events) -> Events:
@@ -590,8 +586,9 @@ class _Assembly:
         unknown = ~dropped & (cited_status == 0)
         if unknown.any() and self.first_unknown is None:
             i = int(unknown.argmax())
-            self.first_unknown = (f"citation event of paper '{events.citing_paper_id[i]}' "
-                                  f"cites unknown journal '{cited[i]}'")
+            self.first_unknown = Violation("event.unknown_cited_journal",
+                                           events.citing_paper_id[i],
+                                           f"cited journal '{cited[i]}' not in dataset")
         keep = ~(dropped | unknown)
         events = events if keep.all() else events[keep]
         self.dropped += int(dropped.sum())
@@ -602,13 +599,15 @@ class _Assembly:
             self.latest = latest if self.latest is None else max(self.latest, latest)
         return events
 
-    def finish(self, census_year: int | None) -> int:
+    def finish(self, census_year: int | None, what: str) -> int:
         """The census year, ``census_year`` or else the latest citing year
-        kept, once the kept journals and events are known to make a census."""
+        kept, once the kept journals and events are known to make a census;
+        under unknown_cited_policy "error", the first event citing an
+        unknown journal is a violation of ``what``."""
         if not self.journals:
             raise ValidationError("assembly produced an empty dataset (no journals retained)")
         if self.first_unknown and self.config.unknown_cited_policy == POLICY_ERROR:
-            raise ValidationError(self.first_unknown)
+            _raise_invalid([self.first_unknown], 1, what)
         if census_year is None:
             if self.latest is None:
                 raise ValidationError(
@@ -632,45 +631,12 @@ class _Assembly:
         )
 
 
-def assemble(journals: Sequence[JournalRecord],
-             clusters: Sequence[Cluster],
-             publication_counts: PublicationCounts,
-             citation_events: Events,
-             census_year: int | None = None,
-             config: IngestConfig = IngestConfig()) -> tuple[Dataset, IngestSummary]:
-    """Join the parsed inputs into a validated Dataset.
-
-    Clusters below ``min_cluster_size`` are removed entirely, together
-    with their journals and every event citing or cited by those journals.
-    ``census_year`` defaults to the latest citing year seen.  The returned
-    summary records everything that was excluded.  The events go through
-    the policy as one batch, as ingest_bundle's go batch by batch.
-    """
-    assembly = _Assembly(journals, clusters, publication_counts, config)
-    events = assembly.keep(citation_events)
-    year = assembly.finish(census_year)
-    dataset = Dataset(
-        journals=tuple(assembly.journals),
-        clusters=tuple(assembly.clusters),
-        publication_counts=assembly.counts,
-        citation_events=events,
-        census_year=year,
-    )
-    _require_valid(dataset, "assembled dataset")
-    return dataset, assembly.summary(year, census_year is None)
-
-
 def _raise_invalid(violations: Sequence[Violation], total: int, what: str) -> None:
     """Raise ValidationError naming the first _SHOWN of ``total`` violations, if any."""
     if total:
         shown = "; ".join(str(v) for v in violations[:_SHOWN])
         more = f" (+{total - _SHOWN} more)" if total > _SHOWN else ""
         raise ValidationError(f"{what} fails validation: {shown}{more}")
-
-
-def _require_valid(dataset: Dataset, what: str) -> None:
-    violations = validate(dataset)
-    _raise_invalid(violations, len(violations), what)
 
 
 def _coded(column) -> tuple[np.ndarray, np.ndarray]:
@@ -832,15 +798,14 @@ def _read_counts(path: Path, census_year: int) -> WindowCounts:
 def _file_sha256(path: Path) -> str:
     digest = sha256()
     with path.open("rb") as fh:
-        for block in iter(lambda: fh.read(1 << 20), b""):
+        for block in iter(lambda: fh.read(_HASH_BYTES), b""):
             digest.update(block)
     return digest.hexdigest()
 
 
 def _write_bundle(directory: Path, journals: Sequence[JournalRecord],
                   clusters: Sequence[Cluster], publication_counts: PublicationCounts,
-                  counts: WindowCounts, citations: dict,
-                  summary: IngestSummary | None) -> Path:
+                  counts: WindowCounts, citations: dict, summary: IngestSummary) -> Path:
     """Write a bundle's files but citations.tsv, whose manifest entry is
     given, and then dataset.json with the manifest of all four."""
     tables = {JOURNALS_FILE: (JOURNAL_COLUMNS, _journal_fields(journals, clusters)),
@@ -858,26 +823,12 @@ def _write_bundle(directory: Path, journals: Sequence[JournalRecord],
                      for c in clusters],
         "files": files,
         "validated": True,
+        "ingest_summary": asdict(summary),
     }
-    if summary is not None:
-        meta["ingest_summary"] = asdict(summary)
     meta["sha256"] = _meta_sha256(meta)
     meta_path = directory / META_FILE
     meta_path.write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     return meta_path
-
-
-def save_bundle(dataset: Dataset, directory: str | Path,
-                summary: IngestSummary | None = None) -> Path:
-    """Persist a validated dataset as the three files, its window counts and
-    a metadata file whose manifest lists each file's sha256 and row count,
-    hashed as the files are written."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    citations = _write_columns(directory / CITATIONS_FILE, CITATION_COLUMNS,
-                               dataset.citation_events.columns(), hashed=True).entry()
-    return _write_bundle(directory, dataset.journals, dataset.clusters,
-                         dataset.publication_counts, window_counts(dataset), citations, summary)
 
 
 def _staging(directory: Path) -> tuple[Path, list[Path]]:
@@ -894,23 +845,28 @@ def _staging(directory: Path) -> tuple[Path, list[Path]]:
             pass
 
 
-def _stream(citations: str | Path, config: IngestConfig, journals: Sequence[JournalRecord],
-            assembly: _Assembly, census_year: int | None, out: _Writer
-            ) -> tuple[WindowCounter | None, tuple[list[Violation], int], int]:
-    """Pass each checked batch of the citations file (_CitationReader)
-    through ``assembly`` and a WindowCounter, and write its kept rows to
-    ``out``, copying the batch's text where it is already in the bundle's
-    format (_CitationReader.text); return the counter, the first
-    violations of validate's rules with their number, and the number of
-    rows dropped for n_refs = 0.  When the census year is inferred, the
+def _census(journals: str | Path, publications: str | Path, citations: str | Path,
+            census_year: int | None, config: IngestConfig, out: _Writer, what: str
+            ) -> tuple[_Assembly, WindowCounter, IngestSummary]:
+    """Parse the journals and publications files whole, and pass each
+    checked batch of the citations file (_CitationReader) through the
+    exclusion policy (_Assembly) and a WindowCounter and write its kept
+    rows to ``out``, copying the batch's text where it is already in the
+    bundle's format (_CitationReader.text); return the policy's outcome,
+    the counter and the summary.  When the census year is inferred, the
     counter starts again whenever a later citing year is kept.
 
     The parsers and the policy already enforce every rule of validate but
     two event rules: causality, checked per kept batch, and
     excess_references, decided at the end from each paper's kept events and
-    the n_refs the reader holds for it.  The per-paper state is freed on
-    return."""
-    reader = _CitationReader(citations, config, [j.journal_id for j in journals])
+    the n_refs the reader holds for it.  Errors come in the order of the
+    files: the journals, publications and citations files', then those of
+    the census (_Assembly.finish), then validate's as violations of
+    ``what``, the last two once the whole file is read.  The per-paper
+    state is freed on return."""
+    records, clusters = parse_journals(journals, config)
+    assembly = _Assembly(records, clusters, parse_publications(publications, config), config)
+    reader = _CitationReader(citations, config, [j.journal_id for j in records])
     total = 0
     late: list[Violation] = []
     first = Leads()  # each paper's first kept event
@@ -938,44 +894,43 @@ def _stream(citations: str | Path, config: IngestConfig, journals: Sequence[Jour
             out.write(kept.columns())
     excess, n = (_excess_references(n_kept, first.first, reader.leads.fields[2], reader.papers,
                                     _SHOWN) if len(n_kept) else ([], 0))
-    return counter, ([*late, *excess], total + n), reader.zero_refs
+    year = assembly.finish(census_year, what)
+    _raise_invalid([*late, *excess], total + n, what)
+    return assembly, counter, assembly.summary(year, census_year is None, reader.zero_refs)
 
 
 def ingest_bundle(journals: str | Path, publications: str | Path, citations: str | Path,
                   directory: str | Path, census_year: int | None = None,
                   config: IngestConfig = IngestConfig()) -> IngestSummary:
     """Read the journals and publications files whole and the citations
-    file once, a batch at a time, and write the bundle that
-    save_bundle(assemble(...)) writes of them, byte for byte.
+    file once, a batch at a time, and write the bundle of the census they
+    hold (_census), with its summary.
 
     Each checked batch of citations goes through the exclusion policy and
     the WindowCounter, is checked for the rules of validate that it can
     still break, and its kept rows are written to citations.tsv and hashed
-    (_stream).  Only one batch, the per-paper and the per-journal state
-    stay in memory.  Errors come in the order the whole-file functions
-    raise them, after a census year that does not fit in 64 bits: the
-    journals, publications and citations files', then those of the census
-    (_Assembly.finish), then validate's, the last two once the whole file
-    is read.
+    (_census).  Only one batch, the per-paper and the per-journal state
+    stay in memory.  A census year that is not an integer fitting in 64
+    bits is an error before any file is read.
 
     The files are written into a new directory inside ``directory`` and
     moved into place only once all are written, so a failed ingest leaves
     ``directory`` as it was, and does not leave it behind if it did not
     exist; ``directory`` may hold the input files.
     """
-    if census_year is not None and not INT64.start <= census_year < INT64.stop:
-        raise CiteFairError(f"census year {census_year} does not fit in 64 bits")
-    records, clusters = parse_journals(journals, config)
-    assembly = _Assembly(records, clusters, parse_publications(publications, config), config)
+    if census_year is not None:
+        try:
+            census_year = operator.index(census_year)
+        except TypeError:
+            raise CiteFairError(f"census year must be an integer, got {census_year!r}") from None
+        if census_year not in INT64:
+            raise CiteFairError(f"census year {census_year} does not fit in 64 bits")
     directory = Path(directory)
     staging, made = _staging(directory)
     try:
         with _Writer(staging / CITATIONS_FILE, CITATION_COLUMNS, hashed=True) as out:
-            counter, violations, zero_refs = _stream(citations, config, records, assembly,
-                                                     census_year, out)
-        year = assembly.finish(census_year)
-        _raise_invalid(*violations, "assembled dataset")
-        summary = assembly.summary(year, census_year is None, zero_refs)
+            assembly, counter, summary = _census(journals, publications, citations, census_year,
+                                                 config, out, "assembled dataset")
         _write_bundle(staging, assembly.journals, assembly.clusters, assembly.counts,
                       counter.counts(assembly.counts), out.entry(), summary)
         for name in (*BUNDLE_FILES, META_FILE):
@@ -1045,12 +1000,6 @@ def _changed_error(directory: Path, name: str) -> ValidationError:
                            f"ingest' to write the bundle again)")
 
 
-def _cluster_rank(meta: dict) -> Callable[[str], int]:
-    """A cluster id's position in the metadata's cluster list; unlisted ids go last."""
-    order = {c["cluster_id"]: i for i, c in enumerate(meta["clusters"])}
-    return lambda cluster_id: order.get(cluster_id, len(order))
-
-
 def _partition(directory: Path) -> tuple[dict, list[str], dict[str, str], dict[str, str]]:
     """A bundle's metadata, and from its journals.tsv, read without the
     titles, the journal ids in file order, the partition and the cluster
@@ -1059,9 +1008,9 @@ def _partition(directory: Path) -> tuple[dict, list[str], dict[str, str], dict[s
     (jids, cids, names), first = _journal_columns(
         directory / JOURNALS_FILE, IngestConfig(), ("journal_id", "cluster_id", "cluster_name"))
     ids = jids.strings().tolist()
-    rank = _cluster_rank(meta)
+    order = {c["cluster_id"]: i for i, c in enumerate(meta["clusters"])}  # unlisted ids go last
     clusters = sorted(zip(cids.values, [names[i] for i in first.tolist()]),
-                      key=lambda cluster: rank(cluster[0]))
+                      key=lambda cluster: order.get(cluster[0], len(order)))
     return meta, ids, dict(zip(ids, cids.strings().tolist())), dict(clusters)
 
 
@@ -1080,36 +1029,22 @@ def load_counts(directory: str | Path) -> tuple[WindowCounts, dict[str, str]]:
     """A bundle's window counts and partition, read from counts.tsv and
     journals.tsv once every bundle file matches the manifest.
 
-    A file that changed after ingest is an error: the bundle is then
-    loaded and validated in full (load_bundle), so an edit that breaks a
-    rule is reported by that rule, and any other edit names the file.
+    A file that changed after ingest is an error: the bundle's three input
+    files are then read again as ingest reads them (_census), writing
+    nothing, so an edit that breaks a rule is reported by that rule, and
+    any other edit names the file.  The policy is _RECHECK, and the
+    memory stays that of an ingest.
     """
     directory = Path(directory)
     meta, journal_ids, partition, _ = _partition(directory)
     changed = _changed(directory, meta, BUNDLE_FILES)
     if changed:
-        load_bundle(directory)
+        with _Writer(Path(os.devnull), CITATION_COLUMNS) as out:
+            _census(directory / JOURNALS_FILE, directory / PUBLICATIONS_FILE,
+                    directory / CITATIONS_FILE, meta["census_year"], _RECHECK, out,
+                    f"bundle {directory}")
         raise _changed_error(directory, changed[0])
     counts = _read_counts(directory / COUNTS_FILE, meta["census_year"])
     if counts.journal_ids != tuple(journal_ids):
         raise ValidationError(f"{directory / COUNTS_FILE}: journals differ from {JOURNALS_FILE}")
     return counts, partition
-
-
-def load_bundle(directory: str | Path) -> Dataset:
-    """Load a bundle written by save_bundle and validate it again, so that a
-    bundle edited after it was saved fails like any other bad input."""
-    directory = Path(directory)
-    meta = _read_meta(directory)
-    journals, clusters = parse_journals(directory / JOURNALS_FILE)
-    rank = _cluster_rank(meta)
-    clusters.sort(key=lambda c: rank(c.cluster_id))
-    dataset = Dataset(
-        journals=tuple(journals),
-        clusters=tuple(clusters),
-        publication_counts=parse_publications(directory / PUBLICATIONS_FILE),
-        citation_events=parse_citations(directory / CITATIONS_FILE),
-        census_year=meta["census_year"],
-    )
-    _require_valid(dataset, f"bundle {directory}")
-    return dataset

@@ -172,22 +172,6 @@ class _Record:
         """A record from tuples in ``COLUMNS`` order."""
         return cls(*(list(zip(*rows)) or [()] * len(cls.COLUMNS)))
 
-    @classmethod
-    def concat(cls, parts: Sequence):
-        """The rows of ``parts``, one after the other, each Ids column
-        numbered over one vocabulary in order of the parts'."""
-        columns = []
-        for name in cls.COLUMNS:
-            pieces = [getattr(part, name) for part in parts]
-            if name.endswith("_id"):
-                index = vocabulary()
-                code = PerId(index.__getitem__, np.int32)
-                codes = [code(ids) for ids in pieces]
-                columns.append(Ids(np.concatenate([np.empty(0, np.int32), *codes]), index))
-            else:
-                columns.append(np.concatenate([np.empty(0, np.int64), *pieces]))
-        return cls(*columns)
-
     def columns(self) -> list:
         return [getattr(self, name) for name in self.COLUMNS]
 

@@ -216,7 +216,12 @@ def generate(profile: SynthProfile) -> Dataset:
     sigma = np.asarray([c.ref_dispersion for c in profile.clusters])
     mu = np.log(np.asarray([c.mean_refs for c in profile.clusters])) - 0.5 * sigma ** 2
     codes = cluster_of[paper_journal]
-    n_refs = np.maximum(1, np.rint(np.exp(rng.normal(mu[codes], sigma[codes])))).astype(np.int64)
+    with np.errstate(over="ignore"):
+        lengths = np.maximum(1, np.rint(np.exp(rng.normal(mu[codes], sigma[codes]))))
+    if not lengths.sum() < 2.0 ** 63:  # also false for an infinite or NaN length
+        raise ProfileError("mean_refs and ref_dispersion give reference-list lengths whose "
+                           "sum does not fit in 64 bits")
+    n_refs = lengths.astype(np.int64)
 
     total_refs = int(n_refs.sum())
     cited_journal = rng.choice(total, size=total_refs, p=weights)

@@ -13,6 +13,7 @@ from citefair.cli import main
 from citefair.synth import ClusterProfile, SynthProfile, profile_to_json
 
 from conftest import values_of
+from reference_ingest import parse_citations
 
 
 @pytest.fixture
@@ -114,6 +115,9 @@ class TestSynthCommand:
         "huge-spread": ("journal_spread", "2005.7", "journal weights (cluster rates times the "
                         "journal_spread multipliers) do not sum to a finite positive number"),
         "rate-past-float": ("mean_refs", "1" + "0" * 400, "int too large to convert to float"),
+        # every reference-list length drawn is about 1e300
+        "huge-refs": ("mean_refs", "1e300", "mean_refs and ref_dispersion give reference-list "
+                      "lengths whose sum does not fit in 64 bits"),
         "clusters-not-a-list": ("clusters", '"a"',
                                 "a profile is an object whose clusters are a list of objects"),
     }
@@ -250,8 +254,8 @@ class TestCarriageReturns:
                      "--min-cluster-size", "1", "--out-dir", str(bundle)]) == 0
         assert main(["indicators", "--dataset", str(bundle),
                      "--out-dir", str(tmp_path / "tables")]) == 0
-        from citefair.ingest import load_bundle
-        assert list(load_bundle(bundle).citation_events.rows()) == [(pid, "j1", 2010, jid, 2009, 1)]
+        assert list(parse_citations(bundle / "citations.tsv").rows()) == [
+            (pid, "j1", 2010, jid, 2009, 1)]
 
 
 class TestTamperedBundle:
@@ -266,6 +270,37 @@ class TestTamperedBundle:
         err = capsys.readouterr().err
         assert "event.unknown_cited_journal" in err
         assert "NOPE" in err
+
+    # rows appended to citations.tsv, and the error that names the rule they
+    # break: {path} is the file, {line} and {next} the lines of the first
+    # and second appended rows
+    EDITS = {
+        "causality": (["P-LATE\tJ0001\t2009\tJ0002\t2010\t3"],
+                      "bundle {bundle} fails validation: [event.causality] P-LATE: "
+                      "cited_year 2010 > citing_year 2009"),
+        "zero-refs": (["P-ZERO\tJ0001\t2010\tJ0002\t2009\t0"], "{path}:{line}: n_refs is 0"),
+        "paper-conflict": (["P-TWICE\tJ0001\t2010\tJ0002\t2009\t3",
+                            "P-TWICE\tJ0001\t2010\tJ0003\t2009\t4"],
+                           "{path}:{next}: citing paper 'P-TWICE' conflicts with an earlier row "
+                           "on (citing_journal_id, citing_year, n_refs)"),
+        "excess-references": (["P-MANY\tJ0001\t2010\tJ0002\t2009\t1"] * 2,
+                              "bundle {bundle} fails validation: [event.excess_references] "
+                              "P-MANY: 2 recorded references exceed n_refs=1"),
+    }
+
+    @pytest.mark.parametrize("edit", sorted(EDITS))
+    def test_edited_citations_exit_two(self, tmp_path, profile_file, capsys, edit):
+        rows, message = self.EDITS[edit]
+        _, bundle, _ = run_pipeline(tmp_path, profile_file)
+        path = bundle / "citations.tsv"
+        line = path.read_bytes().count(b"\n") + 1
+        with path.open("a", encoding="utf-8") as fh:
+            fh.write("".join(row + "\n" for row in rows))
+        capsys.readouterr()
+        assert main(["indicators", "--dataset", str(bundle),
+                     "--out-dir", str(tmp_path / "again")]) == 2
+        assert capsys.readouterr().err == "error: " + message.format(
+            bundle=bundle, path=path, line=line, next=line + 1) + "\n"
 
 
 def rewrite_json(edit):
@@ -421,9 +456,9 @@ class TestVerifiedBundle:
         def boom(*_):
             raise RuntimeError("events read")
 
-        for module, name in ((citefair.ingest, "parse_citations"),
+        for module, name in ((citefair.ingest, "_CitationReader"),
                              (citefair.ingest, "parse_publications"),
-                             (citefair.ingest, "validate"), (citefair.model, "validate")):
+                             (citefair.model, "validate")):
             monkeypatch.setattr(module, name, boom)
         out = tmp_path / "again"
         assert self.indicators(bundle, out) == 0
@@ -431,12 +466,11 @@ class TestVerifiedBundle:
                 == {p.name: p.read_bytes() for p in tables.iterdir()})
 
     def test_truncated_citations_exit_two(self, tmp_path, profile_file, capsys):
-        from citefair.ingest import load_bundle
         _, bundle, _ = run_pipeline(tmp_path, profile_file)
         citations = bundle / "citations.tsv"
         lines = citations.read_text(encoding="utf-8").splitlines(keepends=True)
         citations.write_text("".join(lines[:-1]), encoding="utf-8")
-        assert len(load_bundle(bundle).citation_events) == len(lines) - 2  # still valid
+        assert len(parse_citations(citations)) == len(lines) - 2
         capsys.readouterr()
         assert self.indicators(bundle, tmp_path / "again") == 2
         assert "citations.tsv: sha256 differs from the manifest" in capsys.readouterr().err
@@ -484,14 +518,14 @@ class TestIndicatorsCommand:
 
     def test_rescaled_cluster_means_are_one(self, tmp_path, profile_file):
         from citefair.indicators import read_table
-        from citefair.ingest import load_bundle
+        from citefair.ingest import load_partition
         _, bundle, tables = run_pipeline(tmp_path, profile_file)
-        dataset = load_bundle(bundle)
+        partition = load_partition(bundle)[0]
         table = read_table(tables / "IF5-IC-RS.tsv")
         sums: dict[str, list] = {}
         for jid, v in values_of(table).items():
             if v is not None:
-                sums.setdefault(dataset.partition[jid], []).append(v)
+                sums.setdefault(partition[jid], []).append(v)
         for vals in sums.values():
             assert sum(vals) / len(vals) == pytest.approx(1.0, abs=1e-9)
 
@@ -606,12 +640,11 @@ class TestExternalTables:
     def test_externally_supplied_values_file(self, tmp_path, profile_file, capsys):
         # vendor-style table: own indicator id, extra journals outside the set
         _, bundle, _ = run_pipeline(tmp_path, profile_file)
-        from citefair.ingest import load_bundle
-        dataset = load_bundle(bundle)
+        from citefair.ingest import load_partition
         rows = ["# indicator_id=ISI-IF2 kind=impact_factor window=2 "
                 "counting=integer normalization=raw census_year=2010",
                 "journal_id\tvalue"]
-        for i, jid in enumerate(sorted(dataset.partition)):
+        for i, jid in enumerate(sorted(load_partition(bundle)[0])):
             rows.append(f"{jid}\t{(i % 7) + 0.25}")
         rows.append("OUTSIDER\t3.5")
         external = tmp_path / "isi-if2.tsv"

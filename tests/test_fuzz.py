@@ -1,9 +1,10 @@
 """Arbitrary rows fed to the file readers: each either parses or raises a
 CiteFairError (which the CLI reports with exit 2), never anything else; the
 bulk split of plain chunks reads every file as csv.reader does; and mutated
-table files given to the commands that read them, arbitrary values of
-their numeric options, and profile files with any value in any field
-given to synth, exit 0 or 2, never 1."""
+table files given to the commands that read them, bundles with one field
+edited after ingest given to indicators, arbitrary values of their
+numeric options, and profile files with any value in any field given to
+synth, exit 0 or 2, never 1."""
 
 import json
 import math
@@ -16,18 +17,12 @@ import citefair.ingest
 from citefair.cli import main
 from citefair.errors import CiteFairError
 from citefair.indicators import read_table
-from citefair.ingest import (
-    CITATION_COLUMNS,
-    JOURNAL_COLUMNS,
-    PUBLICATION_COLUMNS,
-    parse_citations,
-    parse_journals,
-    parse_publications,
-    save_bundle,
-)
+from citefair.ingest import (CITATION_COLUMNS, JOURNAL_COLUMNS, PUBLICATION_COLUMNS,
+                             parse_journals, parse_publications)
 from citefair.synth import generate
 
 from conftest import small_profile
+from reference_ingest import bundle, parse_citations
 
 # Text fields may hold tabs, quotes, newlines and NULs; integer-like fields
 # reach the numeric checks, up to and past the 64-bit range.
@@ -156,7 +151,7 @@ def test_read_table_raises_only_citefair_errors(tmp_path, meta, dropped, columns
 def pipeline(tmp_path_factory):
     """A bundle and its indicator tables."""
     directory = tmp_path_factory.mktemp("pipeline")
-    save_bundle(generate(small_profile(5)), directory / "bundle")
+    bundle(generate(small_profile(5)), directory / "bundle")
     assert main(["indicators", "--dataset", str(directory / "bundle"),
                  "--out-dir", str(directory / "tables")]) == 0
     return directory / "bundle", directory / "tables"
@@ -226,6 +221,32 @@ def test_options_exit_zero_or_two(pipeline, tmp_path_factory, option, value):
     assert main([command, *inputs, f"{option}={value}", "--out-dir", str(out)]) in (0, 2)
 
 
+# Values that may replace a bundle field: any field, numbers, and ids the
+# bundle does or does not hold.
+BUNDLE_VALUES = st.one_of(FIELDS, NUMERIC, st.sampled_from(["J0001", "J0075", "NOPE", "P000001"]))
+
+
+@settings(SETTINGS, max_examples=100)
+@given(data=st.data())
+def test_indicators_exits_zero_or_two_on_an_edited_bundle(pipeline, tmp_path_factory, data):
+    """One field of citations.tsv, publications.tsv or counts.tsv replaced
+    after ingest: indicators reads the edited bundle again and names the
+    rule or the file."""
+    source, _ = pipeline
+    edited = tmp_path_factory.mktemp("edited")
+    for path in source.iterdir():
+        (edited / path.name).write_bytes(path.read_bytes())
+    name = data.draw(st.sampled_from(["citations.tsv", "publications.tsv", "counts.tsv"]))
+    lines = (source / name).read_text(encoding="utf-8").split("\n")
+    row = data.draw(st.integers(0, len(lines) - 2))
+    fields = lines[row].split("\t")
+    fields[data.draw(st.integers(0, len(fields) - 1))] = data.draw(BUNDLE_VALUES)
+    lines[row] = "\t".join(fields)
+    (edited / name).write_text("\n".join(lines), encoding="utf-8")
+    assert main(["indicators", "--dataset", str(edited),
+                 "--out-dir", str(edited / "out")]) in (0, 2)
+
+
 # A two-cluster profile as synth reads it, and per field the integers that
 # may replace a value: ranges small enough that no example asks for a large
 # census.
@@ -240,8 +261,8 @@ FUZZ_PROFILE = {
 SMALL_INTEGERS = {"size": st.integers(-1, 40), "items_per_journal": st.integers(-1, 3),
                   "years": st.integers(2000, 2012), "seed": st.integers(-2, 5)}
 NOT_UTF8 = "<not UTF-8>"  # written as a string holding the byte 0xe9
-OTHER_VALUES = st.sampled_from([2005.7, math.inf, -math.inf, math.nan, True, False, "nan",
-                                "inf", "a", None, NOT_UTF8])
+OTHER_VALUES = st.sampled_from([2005.7, 1e300, math.inf, -math.inf, math.nan, True, False,
+                                "nan", "inf", "a", None, NOT_UTF8])
 
 
 def field_values(field):

@@ -16,7 +16,7 @@ from citefair.indicators import (
     window_counts,
     write_table,
 )
-from citefair.ingest import load_counts, save_bundle
+from citefair.ingest import load_counts
 from citefair.model import Cluster, JournalRecord
 from citefair.stats import ranking
 from citefair.synth import generate
@@ -25,6 +25,7 @@ from conftest import ALL_KIND_SPECS, columns_of, make_dataset, small_profile, ta
 from oracles import (PublicationCount, if_denominator_by_scan, if_numerator_by_scan,
                      indicator_by_scan, items_last_record_wins, rank_by_sort,
                      read_table_by_lines, rescale_by_dicts, table_text_by_rows)
+from reference_ingest import bundle
 
 
 def flat_table(values, indicator_id="T", normalization="raw"):
@@ -224,12 +225,12 @@ class TestComputeTable:
 
 
 class TestWindowCounts:
-    """Tables from the counts.tsv of a saved bundle equal those computed
+    """Tables from the counts.tsv of an ingested bundle equal those computed
     from the dataset's events."""
 
     @staticmethod
     def assert_bundle_round_trip(ds, directory):
-        save_bundle(ds, directory)
+        bundle(ds, directory)
         counts, partition = load_counts(directory)
         made = window_counts(ds)
         assert counts.journal_ids == made.journal_ids

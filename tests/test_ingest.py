@@ -12,12 +12,9 @@ from citefair.errors import IngestWarning, ParseError, ValidationError
 from citefair.indicators import read_table
 from citefair.ingest import (
     IngestConfig,
-    assemble,
-    load_bundle,
-    parse_citations,
+    load_counts,
     parse_journals,
     parse_publications,
-    save_bundle,
     write_citations,
     write_dataset,
 )
@@ -26,6 +23,7 @@ from citefair.model import (Cluster, Dataset, Events, Ids, JournalRecord, Public
 from citefair.synth import ClusterProfile, SynthProfile, generate
 
 from oracles import PublicationCount, assemble_by_rows, record_violations_by_rows
+from reference_ingest import assemble, bundle, parse_citations
 
 
 def write(path, rows):
@@ -328,7 +326,7 @@ class TestIntegerSyntax:
 
     @pytest.mark.parametrize("raw", FORMS.values(), ids=FORMS.keys())
     def test_counts(self, tmp_path, raw):
-        save_bundle(TestRoundTrip().small_synth(), tmp_path)
+        bundle(TestRoundTrip().small_synth(), tmp_path)
         path = tmp_path / "counts.tsv"
         lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
         fields = lines[2].split("\t")
@@ -590,13 +588,17 @@ class TestRoundTrip:
 
     def test_bundle_round_trip(self, tmp_path):
         ds = self.small_synth()
-        save_bundle(ds, tmp_path)
-        loaded = load_bundle(tmp_path)
+        bundle(ds, tmp_path)
+        journals, clusters = parse_journals(tmp_path / "journals.tsv")
+        meta = json.loads((tmp_path / "dataset.json").read_text(encoding="utf-8"))
+        loaded = Dataset(tuple(journals), tuple(clusters),
+                         parse_publications(tmp_path / "publications.tsv"),
+                         parse_citations(tmp_path / "citations.tsv"), meta["census_year"])
         assert loaded == ds
         assert loaded.census_year == 2010
 
     def test_bundle_manifest(self, tmp_path):
-        save_bundle(self.small_synth(), tmp_path)
+        bundle(self.small_synth(), tmp_path)
         files = json.loads((tmp_path / "dataset.json").read_text(encoding="utf-8"))["files"]
         assert sorted(files) == ["citations.tsv", "counts.tsv", "journals.tsv",
                                  "publications.tsv"]
@@ -640,8 +642,8 @@ def record_violations(ds):
 
 
 class TestCodedColumns:
-    """assemble and validate work on id codes; a brute-force scan of the
-    rows (tests/oracles.py) must keep, drop and report the same."""
+    """The exclusion policy and validate work on id codes; a brute-force
+    scan of the rows (tests/oracles.py) must keep, drop and report the same."""
 
     JOURNALS, CLUSTERS = journals_fixture({"big": 10, "mid": 5, "tiny": 2})
     IDS = [j.journal_id for j in JOURNALS] + ["ghost", "outside"]
@@ -694,8 +696,9 @@ class TestCodedColumns:
             pid, _, _, cited, _, _ = unknown[0]
             with pytest.raises(ValidationError) as err:
                 assemble(self.JOURNALS, self.CLUSTERS, counts, events, 2010, strict)
-            assert str(err.value) == (f"citation event of paper '{pid}' "
-                                      f"cites unknown journal '{cited}'")
+            assert str(err.value) == (f"assembled dataset fails validation: "
+                                      f"[event.unknown_cited_journal] {pid}: "
+                                      f"cited journal '{cited}' not in dataset")
         else:
             assert assemble(self.JOURNALS, self.CLUSTERS, counts, events, 2010, strict)[0] == ds
 
@@ -715,7 +718,7 @@ class TestCodedColumns:
 
     def test_tampered_bundle(self, tmp_path):
         ds = TestRoundTrip().small_synth()
-        save_bundle(ds, tmp_path)
+        bundle(ds, tmp_path)
         journal = ds.journals[0].journal_id
         with (tmp_path / "citations.tsv").open("a", encoding="utf-8") as fh:
             fh.write(f"Pz1\t{journal}\t2010\tNOPE\t2009\t3\n"   # unknown cited journal
@@ -729,5 +732,7 @@ class TestCodedColumns:
         assert [rule for rule, _, _ in expected] == [
             "event.causality", "event.unknown_cited_journal", "event.excess_references"]
         assert record_violations(tampered) == expected
-        with pytest.raises(ValidationError, match="event.causality"):
-            load_bundle(tmp_path)
+        # the unknown journal is an error of the census, raised before validate's rules
+        with pytest.raises(ValidationError, match=r"^bundle .* fails validation: "
+                                                  r"\[event\.unknown_cited_journal\] Pz1: "):
+            load_counts(tmp_path)

@@ -6,19 +6,22 @@ read journals.tsv without its titles report its errors as before."""
 
 import hashlib
 import json
+import re
 import tracemalloc
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import citefair.ingest
 from citefair.cli import main
 from citefair.errors import CiteFairError, IngestWarning, ValidationError
-from citefair.ingest import (assemble, ingest_bundle, parse_citations, parse_journals,
-                             parse_publications, save_bundle)
+from citefair.ingest import (ingest_bundle, load_counts, parse_journals, parse_publications,
+                             write_dataset)
 from citefair.synth import ClusterProfile, SynthProfile, generate, profile_to_json
 
+from reference_ingest import assemble, parse_citations, save_bundle
 from test_golden import PROFILE
 
 TSV_FILES = ("journals.tsv", "publications.tsv", "citations.tsv", "counts.tsv")
@@ -105,10 +108,10 @@ class TestBatchBoundaries:
         journals, clusters = parse_journals(inputs / "journals.tsv")
         with pytest.warns(IngestWarning, match="dropped 21 citation row"):
             events = parse_citations(inputs / "citations.tsv")
-        dataset, _ = assemble(journals, clusters, parse_publications(inputs / "publications.tsv"),
-                              events)
+        dataset, summary = assemble(journals, clusters,
+                                    parse_publications(inputs / "publications.tsv"), events)
         out = tmp_path_factory.mktemp("reference")
-        save_bundle(dataset, out)
+        save_bundle(dataset, summary, out)
         return inputs, out
 
     def test_inputs_hold_every_case(self, reference):
@@ -222,7 +225,8 @@ class TestOutputDirectory:
     # the errors raised once the whole file is read
     LATE_ERRORS = {
         "unknown-cited": (None, ("--unknown-cited", "error"),
-                          "citation event of paper 'p0' cites unknown journal 'ghost'"),
+                          "assembled dataset fails validation: [event.unknown_cited_journal] "
+                          "p0: cited journal 'ghost' not in dataset"),
         "empty-dataset": (None, ("--min-cluster-size", "100"),
                           "assembly produced an empty dataset (no journals retained)"),
         "causality": ((lambda fields: fields.__setitem__(4, "2011")), (),
@@ -260,11 +264,17 @@ class TestOutputDirectory:
 
     def test_library_call_checks_the_census_year(self, tmp_path):
         inputs = write_inputs(tmp_path / "inputs")
+        paths = [inputs / name for name in ("journals.tsv", "publications.tsv", "citations.tsv")]
         before = tree(tmp_path)
-        with pytest.raises(CiteFairError, match=f"^census year {2 ** 70} does not fit in 64 "):
-            ingest_bundle(inputs / "journals.tsv", inputs / "publications.tsv",
-                          inputs / "citations.tsv", tmp_path / "bundle", census_year=2 ** 70)
-        assert tree(tmp_path) == before and not (tmp_path / "bundle").exists()
+        for year, message in [(2 ** 70, f"census year {2 ** 70} does not fit in 64 bits"),
+                              (2010.0, "census year must be an integer, got 2010.0"),
+                              ("2010", "census year must be an integer, got '2010'")]:
+            with pytest.raises(CiteFairError, match=f"^{re.escape(message)}"):
+                ingest_bundle(*paths, tmp_path / "bundle", census_year=year)
+            assert tree(tmp_path) == before and not (tmp_path / "bundle").exists()
+        ingest_bundle(*paths, tmp_path / "bundle", census_year=np.int64(2010))
+        meta = json.loads((tmp_path / "bundle" / "dataset.json").read_text(encoding="utf-8"))
+        assert meta["census_year"] == 2010 and meta["ingest_summary"]["census_year"] == 2010
 
     def test_inputs_directory_as_output(self, tmp_path):
         profile = tmp_path / "profile.json"
@@ -281,8 +291,9 @@ class TestOutputDirectory:
 
 
 class TestBoundedMemory:
-    """The traced peak of an ingest does not grow with the citation rows:
-    the same papers with four times the rows each peak within 1.25x."""
+    """The traced peak of an ingest, and of reading an edited bundle again,
+    does not grow with the citation rows: the same papers with four times
+    the rows each peak within 1.25x."""
 
     PROFILE = SynthProfile(
         clusters=(ClusterProfile("1", "Alpha", 30, 1.0, 30.0, 0.4),
@@ -299,18 +310,22 @@ class TestBoundedMemory:
             encoding="utf-8")
 
     @staticmethod
-    def peak(inputs, out):
+    def peak(run, *args):
+        """The traced peak of run(*args)."""
         tracemalloc.start()
         try:
-            assert ingest(inputs, out) == 0
+            run(*args)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
-    def test_peak_does_not_grow_with_rows(self, tmp_path, monkeypatch, capsys):
+    @pytest.fixture
+    def inputs(self, tmp_path, monkeypatch):
+        """The input files of PROFILE, and the same with times_four's citations."""
         monkeypatch.setattr(citefair.ingest, "_CHUNK_CHARS", 1 << 13)
+        monkeypatch.setattr(citefair.ingest, "_HASH_BYTES", 1 << 13)
         one = tmp_path / "one"
-        save_bundle(generate(self.PROFILE), one)
+        write_dataset(generate(self.PROFILE), one)
         four = tmp_path / "four"
         four.mkdir()
         for name in ("journals.tsv", "publications.tsv"):
@@ -318,7 +333,31 @@ class TestBoundedMemory:
         self.times_four(one / "citations.tsv", four / "citations.tsv")
         rows = (one / "citations.tsv").read_bytes().count(b"\n") - 1
         assert rows > 20 * 250  # many batches of 8K characters
-        peaks = [self.peak(one, tmp_path / "b1"), self.peak(four, tmp_path / "b4")]
+        return one, four
+
+    def test_peak_does_not_grow_with_rows(self, tmp_path, inputs, capsys):
+        def run(source, out):
+            assert ingest(source, out) == 0
+
+        peaks = [self.peak(run, source, tmp_path / f"b{k}") for k, source in enumerate(inputs)]
+        assert max(peaks) < 1.25 * min(peaks), peaks
+
+    def test_recheck_peak_does_not_grow_with_rows(self, tmp_path, inputs, capsys):
+        """A bundle edited after ingest is read again in the memory of an
+        ingest: the edit, a last row citing no journal of the bundle, is
+        found once every row is read."""
+        def recheck(bundle):
+            with pytest.raises(ValidationError,
+                               match=r"fails validation: \[event\.unknown_cited_journal\] "
+                                     r"P-TAMPERED: "):
+                load_counts(bundle)
+
+        bundles = [tmp_path / f"b{k}" for k in range(len(inputs))]
+        for source, bundle in zip(inputs, bundles):
+            assert ingest(source, bundle) == 0
+            with (bundle / "citations.tsv").open("a", encoding="utf-8") as fh:
+                fh.write("P-TAMPERED\tJ0001\t2010\tNOPE\t2009\t3\n")
+        peaks = [self.peak(recheck, bundle) for bundle in bundles]
         assert max(peaks) < 1.25 * min(peaks), peaks
 
 
