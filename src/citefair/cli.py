@@ -25,6 +25,7 @@ from . import ingest as ing
 from . import stats
 from . import synth
 from .errors import CiteFairError, ValidationError
+from .model import cluster_order_key
 
 __all__ = ["main", "run", "build_parser"]
 
@@ -236,7 +237,7 @@ def cmd_correlate(args) -> int:
 
     # per-cluster ECDF points and pairwise KS distances for each table
     clusters, codes = stats.cluster_codes(journals, partition)
-    groups = sorted(range(len(clusters)), key=lambda g: (len(clusters[g]), clusters[g]))
+    groups = sorted(range(len(clusters)), key=lambda g: cluster_order_key(clusters[g]))
     for indicator_id, column in by_id.items():
         values, bounds = stats.cluster_sort(column, codes, clusters)
         steps = stats.ecdf_steps(values, bounds)

@@ -113,6 +113,9 @@ _NUMERAL = re.compile(r"[+-]?[0-9]+").fullmatch
 # Fields that are written quoted: csv.writer's choice, plus the carriage
 # return, which csv.writer leaves bare under lineterminator="\n".
 _QUOTED = re.compile('[\t\n\r"]').search
+# Characters that would end a field or a row of the tables and reports
+# that journal ids, cluster ids and cluster names are written to.
+_BREAK = re.compile("[\t\n\r]").search
 # Characters of text read per chunk, and rows written per block: small, so
 # that a chunk's or a block's field strings never take much memory.  A
 # chunk is also a batch of the one-pass ingest (ingest_bundle): at 1 << 18
@@ -401,6 +404,11 @@ def _journal_columns(path: Path, config: IngestConfig, columns: Sequence[str]
     error = _first_error(line_of, [
         (jids.empty(), lambda line, i: ParseError(path, line, "empty journal_id")),
         (cids.empty(), lambda line, i: ParseError(path, line, "empty cluster_id")),
+        *((column.expand(map(bool, map(_BREAK, column.values))),
+           lambda line, i, name=name, column=column: ParseError(
+               path, line, f"{name} {column[i]!r} holds a tab or a line break"))
+          for name, column in (("journal_id", jids), ("cluster_id", cids),
+                               ("cluster_name", names))),
         (repeats(jids.codes), lambda line, i: ValidationError(
             f"{path}:{line}: duplicate journal_id '{jids[i]}'")),
         (renamed, lambda line, i: ValidationError(
@@ -1029,20 +1037,21 @@ def load_counts(directory: str | Path) -> tuple[WindowCounts, dict[str, str]]:
     """A bundle's window counts and partition, read from counts.tsv and
     journals.tsv once every bundle file matches the manifest.
 
-    A file that changed after ingest is an error: the bundle's three input
-    files are then read again as ingest reads them (_census), writing
-    nothing, so an edit that breaks a rule is reported by that rule, and
-    any other edit names the file.  The policy is _RECHECK, and the
-    memory stays that of an ingest.
+    A file that changed after ingest is an error.  When one of the
+    bundle's three input files changed, they are read again as ingest
+    reads them (_census), writing nothing, so an edit that breaks a rule
+    is reported by that rule; any other edit names the file.  The policy
+    is _RECHECK, and the memory stays that of an ingest.
     """
     directory = Path(directory)
     meta, journal_ids, partition, _ = _partition(directory)
     changed = _changed(directory, meta, BUNDLE_FILES)
-    if changed:
+    if set(changed) - {COUNTS_FILE}:
         with _Writer(Path(os.devnull), CITATION_COLUMNS) as out:
             _census(directory / JOURNALS_FILE, directory / PUBLICATIONS_FILE,
                     directory / CITATIONS_FILE, meta["census_year"], _RECHECK, out,
                     f"bundle {directory}")
+    if changed:
         raise _changed_error(directory, changed[0])
     counts = _read_counts(directory / COUNTS_FILE, meta["census_year"])
     if counts.journal_ids != tuple(journal_ids):

@@ -285,8 +285,13 @@ class Violation:
 
 
 def cluster_order_key(cluster_id: str):
-    """Sort key that orders numeric cluster ids numerically ('2' < '10')."""
-    return (0, int(cluster_id), "") if cluster_id.isdigit() else (1, 0, cluster_id)
+    """Sort key that puts ids of ASCII digits first, in numeric order
+    ('2' < '10'), then the others as strings.  Digits are compared as text,
+    so no id is too long to order."""
+    if cluster_id.isascii() and cluster_id.isdigit():
+        digits = cluster_id.lstrip("0")
+        return (0, len(digits), digits)
+    return (1, 0, cluster_id)
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
@@ -69,19 +70,33 @@ class HypergeomParams:
         return range(lo, hi + 1)
 
 
-def _log_choose(a: int, b: int) -> float:
-    # log-gamma form: naive factorials overflow long before N ~ 1e4
-    return math.lgamma(a + 1) - math.lgamma(b + 1) - math.lgamma(a - b + 1)
+def _ratio(params: HypergeomParams, m):
+    """p(m+1)/p(m) as (numerator, denominator); at least 1 just below the mode."""
+    n_pop, k, n = params.population, params.successes, params.draws
+    return (k - m) * (n - m), (m + 1) * (n_pop - k - n + m + 1)
+
+
+@lru_cache(maxsize=16)
+def _distribution(params: HypergeomParams) -> tuple[np.ndarray, np.ndarray]:
+    """The pmf over the support and its running sum, the CDF, as read-only
+    float64 vectors: the ratio recurrence taken outward from the mode, so
+    that no factor exceeds 1, and normalised so that the CDF ends at 1."""
+    num, den = _ratio(params, np.arange(params.support.start, params.support.stop - 1,
+                                        dtype=np.float64))
+    mode = np.count_nonzero(num >= den)  # its offset in the support
+    weights = np.concatenate((np.cumprod((den[:mode] / num[:mode])[::-1])[::-1], [1.0],
+                              np.cumprod(num[mode:] / den[mode:])))
+    running = np.cumsum(weights)
+    pmf, cdf = weights / running[-1], running / running[-1]
+    pmf.flags.writeable = cdf.flags.writeable = False
+    return pmf, cdf
 
 
 def hypergeom_pmf(m: int, params: HypergeomParams) -> float:
-    """P(X = m): C(K,m) C(N-K,n-m) / C(N,n), exponentiated once from log space."""
+    """P(X = m): C(K,m) C(N-K,n-m) / C(N,n), read from the urn's pmf vector."""
     if m not in params.support:
         return 0.0
-    n_pop, k, n = params.population, params.successes, params.draws
-    return math.exp(
-        _log_choose(k, m) + _log_choose(n_pop - k, n - m) - _log_choose(n_pop, n)
-    )
+    return float(_distribution(params)[0][m - params.support.start])
 
 
 def hypergeom_cdf(m: int, params: HypergeomParams) -> float:
@@ -89,9 +104,55 @@ def hypergeom_cdf(m: int, params: HypergeomParams) -> float:
     support = params.support
     if m < support.start:
         return 0.0
-    if m >= support.stop - 1:
-        return 1.0
-    return math.fsum(hypergeom_pmf(i, params) for i in range(support.start, m + 1))
+    return float(_distribution(params)[1][min(m, support.stop - 1) - support.start])
+
+
+def _exceeds(params: HypergeomParams, m: int, bound: Fraction) -> bool:
+    """Whether CDF(m) exceeds ``bound``, decided in integers.  The terms
+    p(i)/p(a) are summed exactly over a window [a, b] around m.  Once the
+    ratios fall on both sides away from the window, each tail beyond it is
+    at most a geometric series.  The window widens until these bounds
+    decide, at the latest when it spans the support."""
+    lo, hi = params.support.start, params.support.stop - 1
+    width = 16
+    while True:
+        a, b = max(lo, m - width), min(hi, m + width)
+        width *= 2
+        (num_a, den_a), (num_b, den_b) = _ratio(params, a - 1), _ratio(params, b)
+        if (a > lo and num_a <= den_a) or (b < hi and num_b >= den_b):
+            continue  # a tail still rises away from the window
+        term = scale = total = 1  # p(i)/p(a) is term/scale; their sum up to i, total/scale
+        for i in range(a, b):
+            if i == m:
+                below = Fraction(total, scale)
+            num, den = _ratio(params, i)
+            term, scale = term * num, scale * den
+            total = total * den + term
+        whole = Fraction(total, scale)
+        if m == b:
+            below = whole
+        left = Fraction(den_a, num_a - den_a) if a > lo else 0
+        right = Fraction(term * num_b, scale * (den_b - num_b)) if b < hi else 0
+        if (below + left) / (whole + left) <= bound:
+            return False
+        if below / (whole + right) > bound:
+            return True
+
+
+def _crossing(params: HypergeomParams, alpha: Fraction) -> int:
+    """The smallest m whose CDF exceeds ``alpha``.  The float CDF settles
+    every m but those within its rounding error of ``alpha``; _exceeds
+    settles those.  That error is relative: each CDF value sums terms of
+    relative error under eps times the support's size."""
+    cdf = _distribution(params)[1]
+    slack = 8 * np.finfo(np.float64).eps * len(cdf) * float(alpha)
+    first, last = np.searchsorted(cdf, [float(alpha) - slack, float(alpha) + slack],
+                                  side="right").tolist()
+    lo = params.support.start
+    for m in range(lo + first, lo + last):
+        if _exceeds(params, m, alpha):
+            return m
+    return lo + last
 
 
 def hypergeom_ci(params: HypergeomParams, level: float) -> tuple[int, int]:
@@ -100,23 +161,18 @@ def hypergeom_ci(params: HypergeomParams, level: float) -> tuple[int, int]:
     ``m_lo`` is the smallest m whose CDF exceeds (1-level)/2 (equivalently,
     the largest m whose lower tail is still within the left allowance);
     ``m_hi`` is the smallest m whose CDF reaches 1-(1-level)/2.  By
-    construction CDF(m_hi) - CDF(m_lo - 1) >= level.
+    construction CDF(m_hi) - CDF(m_lo - 1) >= level.  ``level`` is read as
+    the decimal it is written as (0.9 is 9/10), and a CDF within rounding
+    of an allowance is compared with it exactly.  ``m_hi`` is taken as
+    n - m_lo of the mirrored urn (N, N-K, n), whose count is n - X, so that
+    each tail is compared with its allowance at the precision of a tail.
     """
     if not 0.0 < level < 1.0:
         raise StatsError(f"confidence level must lie in (0, 1), got {level}")
-    alpha = (1.0 - level) / 2.0
-    support = params.support
-    m_lo = m_hi = support.stop - 1
-    cdf = 0.0
-    found_lo = found_hi = False
-    for m in support:
-        cdf += hypergeom_pmf(m, params)
-        if not found_lo and cdf > alpha:
-            m_lo, found_lo = m, True
-        if not found_hi and cdf >= 1.0 - alpha:
-            m_hi, found_hi = m, True
-            break
-    return m_lo, m_hi
+    alpha = (1 - Fraction(str(level))) / 2
+    mirror = HypergeomParams(params.population, params.population - params.successes,
+                             params.draws)
+    return _crossing(params, alpha), params.draws - _crossing(mirror, alpha)
 
 
 def ranking(column: np.ndarray) -> np.ndarray:

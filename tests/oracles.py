@@ -56,12 +56,22 @@ def exact_equal_tail_ci(n_population: int, k_successes: int, n_draws: int,
                         level: str) -> tuple[int, int]:
     """Equal-tail interval from the exact CDF; ``level`` as a string keeps
     the tail allowance rational (e.g. '0.90')."""
-    alpha = (1 - Fraction(level)) / 2
+    return exact_equal_tail_cis(n_population, k_successes, n_draws, [level])[0]
+
+
+def exact_equal_tail_cis(n_population: int, k_successes: int, n_draws: int,
+                         levels) -> list[tuple[int, int]]:
+    """exact_equal_tail_ci at each of ``levels``, from one exact CDF: the
+    smallest m whose CDF exceeds the tail allowance, and the smallest m
+    whose CDF reaches one minus it, compared as rationals."""
     cdf = exact_cdf(n_population, k_successes, n_draws)
     ms = sorted(cdf)
-    m_lo = next(m for m in ms if cdf[m] > alpha)
-    m_hi = next(m for m in ms if cdf[m] >= 1 - alpha)
-    return m_lo, m_hi
+    bands = []
+    for level in levels:
+        alpha = (1 - Fraction(level)) / 2
+        bands.append((next(m for m in ms if cdf[m] > alpha),
+                      next(m for m in ms if cdf[m] >= 1 - alpha)))
+    return bands
 
 
 def exact_interval_coverage(n_population: int, k_successes: int, n_draws: int,

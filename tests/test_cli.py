@@ -218,6 +218,19 @@ class TestIngestCommand:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "b").exists()
 
+    def test_no_events_and_no_census_year_exit_two(self, tmp_path, profile_file, capsys):
+        raw, _, _ = run_pipeline(tmp_path, profile_file)
+        citations = raw / "citations.tsv"
+        citations.write_text(citations.read_text(encoding="utf-8").splitlines(keepends=True)[0],
+                             encoding="utf-8")
+        capsys.readouterr()
+        assert main(["ingest", "--journals", str(raw / "journals.tsv"),
+                     "--publications", str(raw / "publications.tsv"),
+                     "--citations", str(citations), "--out-dir", str(tmp_path / "b")]) == 2
+        assert capsys.readouterr().err == (
+            "error: census_year not given and no citation events to infer it from\n")
+        assert not (tmp_path / "b").exists()
+
     def test_delimiter_must_be_one_character(self, tmp_path, capsys):
         assert main(["ingest", "--delimiter", ",,", "--journals", "j.tsv",
                      "--publications", "p.tsv", "--citations", "c.tsv",
@@ -231,16 +244,14 @@ class TestCarriageReturns:
     exiting 2 would mean ingest wrote a bundle it cannot read."""
 
     # the field that holds the carriage return: (journal id, title, cluster name, paper id)
-    FIELDS = {"title": ("j2", "T\r0", "G", "p1"), "title-crlf": ("j2", "a\r\nb", "G", "p1"),
-              "journal-id": ("j\r2", "Two", "G", "p1"), "cluster-name": ("j2", "Two", "G\rX", "p1"),
-              "paper-id": ("j2", "Two", "G", "p\r1")}
+    FIELDS = {"title": ("j2", "T\r0", "g", "G", "p1"), "title-crlf": ("j2", "a\r\nb", "g", "G", "p1"),
+              "paper-id": ("j2", "Two", "g", "G", "p\r1")}
 
-    @pytest.mark.parametrize("field", sorted(FIELDS))
-    def test_ingest_then_indicators(self, tmp_path, field):
-        jid, title, cluster_name, pid = self.FIELDS[field]
+    def write_inputs(self, tmp_path, jid, title, cluster_id, cluster_name, pid):
         files = {
             "journals": [("journal_id", "title", "cluster_id", "cluster_name"),
-                         ("j1", "One", "g", cluster_name), (jid, title, "g", cluster_name)],
+                         ("j1", "One", cluster_id, cluster_name),
+                         (jid, title, cluster_id, cluster_name)],
             "publications": [("journal_id", "year", "citable_items"), ("j1", 2009, 5),
                              (jid, 2009, 4), ("j1", 2010, 3), (jid, 2010, 2)],
             "citations": [("citing_paper_id", "citing_journal_id", "citing_year",
@@ -249,13 +260,37 @@ class TestCarriageReturns:
         for name, rows in files.items():
             with (tmp_path / f"{name}.tsv").open("w", encoding="utf-8", newline="") as fh:
                 csv.writer(fh, delimiter="\t", quoting=csv.QUOTE_ALL).writerows(rows)
+        return [f"--{name}={tmp_path / name}.tsv" for name in files]
+
+    @pytest.mark.parametrize("field", sorted(FIELDS))
+    def test_ingest_then_indicators(self, tmp_path, field):
+        jid, title, _, _, pid = self.FIELDS[field]
+        inputs = self.write_inputs(tmp_path, *self.FIELDS[field])
         bundle = tmp_path / "bundle"
-        assert main(["ingest", *(f"--{name}={tmp_path / name}.tsv" for name in files),
-                     "--min-cluster-size", "1", "--out-dir", str(bundle)]) == 0
+        assert main(["ingest", *inputs, "--min-cluster-size", "1", "--out-dir", str(bundle)]) == 0
         assert main(["indicators", "--dataset", str(bundle),
                      "--out-dir", str(tmp_path / "tables")]) == 0
         assert list(parse_citations(bundle / "citations.tsv").rows()) == [
             (pid, "j1", 2010, jid, 2009, 1)]
+
+    # An id or a cluster name is written to tables and reports as one
+    # tab-separated field of one line, so none may hold a tab, CR or LF.
+    # field -> the inputs, and the error's line (where the row ends), column and value
+    BREAKS = {"journal-id-cr": (("j\r2", "Two", "g", "G", "p1"), 4, "journal_id", "j\r2"),
+              "journal-id-tab": (("j\t2", "Two", "g", "G", "p1"), 3, "journal_id", "j\t2"),
+              "journal-id-lf": (("j\n2", "Two", "g", "G", "p1"), 4, "journal_id", "j\n2"),
+              "cluster-id-tab": (("j2", "Two", "g\t1", "G", "p1"), 2, "cluster_id", "g\t1"),
+              "cluster-name-cr": (("j2", "Two", "g", "G\rX", "p1"), 3, "cluster_name", "G\rX")}
+
+    @pytest.mark.parametrize("field", sorted(BREAKS))
+    def test_id_holding_a_line_break_exits_two(self, tmp_path, capsys, field):
+        fields, line, column, value = self.BREAKS[field]
+        inputs = self.write_inputs(tmp_path, *fields)
+        assert main(["ingest", *inputs, "--min-cluster-size", "1",
+                     "--out-dir", str(tmp_path / "bundle")]) == 2
+        assert capsys.readouterr().err == (f"error: {tmp_path / 'journals.tsv'}:{line}: "
+                                           f"{column} {value!r} holds a tab or a line break\n")
+        assert not (tmp_path / "bundle").exists()
 
 
 class TestTamperedBundle:
@@ -370,6 +405,8 @@ class TestBundleReads:
                          "manifest entry files.counts.tsv"),
         "format-1": (rewrite_json(lambda m: m.update(format="citefair-dataset/1")),
                      "re-run 'citefair ingest'"),
+        "clusters-not-a-list": (rewrite_json(lambda m: m.update(clusters={"1": "Alpha"})),
+                                "clusters must be a list of objects with a cluster_id"),
     }
 
     @pytest.mark.parametrize("edit", sorted(METADATA_EDITS))
@@ -402,6 +439,16 @@ class TestBundleReads:
         assert self.run(command, bundle, tables, tmp_path / "out") == 2
         assert (f"{meta}: sha256 differs from that of its other fields"
                 in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_metadata_not_utf8_exits_two(self, tmp_path, profile_file, capsys, command):
+        _, bundle, tables = run_pipeline(tmp_path, profile_file)
+        meta = bundle / "dataset.json"
+        meta.write_bytes(b"\xff" + meta.read_bytes())
+        capsys.readouterr()
+        assert self.run(command, bundle, tables, tmp_path / "out") == 2
+        assert capsys.readouterr().err == (f"error: {meta}:1: not valid UTF-8 "
+                                           f"(byte 0xff at position 1: invalid start byte)\n")
 
     def test_metadata_layout_is_not_hashed(self, tmp_path, profile_file):
         _, bundle, tables = run_pipeline(tmp_path, profile_file)
@@ -485,6 +532,23 @@ class TestVerifiedBundle:
         capsys.readouterr()
         assert self.indicators(bundle, tmp_path / "again") == 2
         assert "counts.tsv: sha256 differs from the manifest" in capsys.readouterr().err
+
+    def test_counts_edit_alone_reads_no_input_again(self, tmp_path, profile_file, capsys,
+                                                     monkeypatch):
+        import citefair.ingest
+        _, bundle, _ = run_pipeline(tmp_path, profile_file)
+        counts = bundle / "counts.tsv"
+        counts.write_text(counts.read_text(encoding="utf-8") + "\n", encoding="utf-8")
+
+        def boom(*_):
+            raise RuntimeError("census read again")
+
+        monkeypatch.setattr(citefair.ingest, "_census", boom)
+        capsys.readouterr()
+        assert self.indicators(bundle, tmp_path / "again") == 2
+        assert capsys.readouterr().err == (
+            f"error: {counts}: sha256 differs from the manifest in dataset.json; the file "
+            f"changed after ingest (re-run 'citefair ingest' to write the bundle again)\n")
 
 
 class TestIndicatorsCommand:
@@ -599,6 +663,28 @@ class TestCorrelateCommand:
         assert (out / "deciles-IF2-IC-vs-IF2-FC.tsv").exists()
         assert (out / "ecdf-IF2-IC.tsv").exists()
         assert (out / "ks-IF2-IC.tsv").exists()
+
+    def test_clusters_in_the_order_fairness_lists_them(self, tmp_path):
+        # ASCII-digit ids first, in numeric order, then the rest as strings
+        clusters = [ClusterProfile(cid, f"Field {cid}", 12, 1.0, 6.0, 0.4)
+                    for cid in ("A", "²", "10", "9")]
+        profile = tmp_path / "p.json"
+        profile_to_json(SynthProfile(clusters=tuple(clusters), items_per_journal=(2, 4),
+                                     years=(2006, 2010), seed=5), profile)
+        _, bundle, tables = run_pipeline(tmp_path, profile)
+        assert main(["fairness", "--dataset", str(bundle), "--table", str(tables / "IF2-IC.tsv"),
+                     "--out-dir", str(tmp_path / "fair")]) == 0
+        payload = json.loads((tmp_path / "fair" / "IF2-IC-fairness.json").read_text())
+        order = [row["cluster_id"] for row in payload["per_cluster"]]
+        assert order == ["9", "10", "A", "²"]
+        out = tmp_path / "corr"
+        assert main(["correlate", "--dataset", str(bundle),
+                     "--table", str(tables / "IF2-IC.tsv"), "--table", str(tables / "IF2-FC.tsv"),
+                     "--deciles", "4", "--out-dir", str(out)]) == 0
+        ecdf = (out / "ecdf-IF2-IC.tsv").read_text(encoding="utf-8").splitlines()[1:]
+        assert list(dict.fromkeys(line.split("\t")[0] for line in ecdf)) == order
+        ks = (out / "ks-IF2-IC.tsv").read_text(encoding="utf-8").splitlines()
+        assert ks[0].split("\t")[1:] == [line.split("\t")[0] for line in ks[1:]] == order
 
     def test_table_against_itself(self, tmp_path, profile_file):
         _, bundle, tables = run_pipeline(tmp_path, profile_file)

@@ -4,8 +4,10 @@ bulk split of plain chunks reads every file as csv.reader does; and mutated
 table files given to the commands that read them, bundles with one field
 edited after ingest given to indicators, arbitrary values of their
 numeric options, and profile files with any value in any field given to
-synth, exit 0 or 2, never 1."""
+synth, exit 0 or 2, never 1.  Every journal id the journals reader
+accepts reads back from a table written with it."""
 
+import csv
 import json
 import math
 import warnings
@@ -16,12 +18,12 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import citefair.ingest
 from citefair.cli import main
 from citefair.errors import CiteFairError
-from citefair.indicators import read_table
+from citefair.indicators import read_table, write_table
 from citefair.ingest import (CITATION_COLUMNS, JOURNAL_COLUMNS, PUBLICATION_COLUMNS,
                              parse_journals, parse_publications)
 from citefair.synth import generate
 
-from conftest import small_profile
+from conftest import small_profile, table_of
 from reference_ingest import bundle, parse_citations
 
 # Text fields may hold tabs, quotes, newlines and NULs; integer-like fields
@@ -70,6 +72,23 @@ def test_parsers_raise_only_citefair_errors(tmp_path, reader, columns, check, da
         return
     if check:
         check(parsed)
+
+
+@SETTINGS
+@given(ids=st.lists(st.one_of(FIELDS, st.text('j2\t\r\n" #', min_size=1, max_size=4)),
+                    min_size=1, max_size=6))
+def test_accepted_journal_ids_round_trip_through_a_table(tmp_path, ids):
+    path = tmp_path / "journals.tsv"
+    with path.open("w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh, delimiter="\t").writerows(
+            [JOURNAL_COLUMNS, *((jid, "T", "g", "G") for jid in ids)])
+    try:
+        journals, _ = parse_journals(path)
+    except CiteFairError:
+        return
+    accepted = [journal.journal_id for journal in journals]
+    write_table(table_of(dict.fromkeys(accepted, 1.0)), tmp_path / "t.tsv")
+    assert sorted(read_table(tmp_path / "t.tsv").journal_ids) == sorted(accepted)
 
 
 # Rows that mostly pass the checks, so that differential runs also compare

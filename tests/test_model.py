@@ -248,3 +248,11 @@ class TestDatasetHelpers:
 def test_cluster_order_key_sorts_numerically():
     ids = ["10", "2", "1", "13", "alpha", "9"]
     assert sorted(ids, key=cluster_order_key) == ["1", "2", "9", "10", "13", "alpha"]
+
+
+def test_cluster_order_key_orders_every_id():
+    # '²' is a digit to str.isdigit but not to int(); digits are compared as
+    # text, so an id longer than int()'s digit limit still sorts
+    long = "9" * 5_000
+    ids = ["²", long, "A", "010", "9", "10"]
+    assert sorted(ids, key=cluster_order_key) == ["9", "010", "10", long, "A", "²"]

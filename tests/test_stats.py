@@ -1,9 +1,13 @@
 import math
+import re
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from citefair import stats
 from citefair.errors import StatsError
 from citefair.stats import (
     HypergeomParams,
@@ -26,7 +30,9 @@ from conftest import columns_of, decompose
 from oracles import (
     decile_bins_by_sort,
     ecdf_by_dicts,
+    exact_cdf,
     exact_equal_tail_ci,
+    exact_equal_tail_cis,
     exact_interval_coverage,
     ks_by_counts,
     ks_by_enumeration,
@@ -143,6 +149,73 @@ class TestHypergeomCi:
         params = HypergeomParams(20, 10, 10)
         assert hypergeom_cdf(params.support.start - 1, params) == 0.0
         assert hypergeom_cdf(params.support.stop - 1, params) == 1.0
+
+    def test_cdf_inside_the_support_matches_exact(self):
+        for n_pop, k, n in [(20, 10, 10), (30, 7, 12), (97, 60, 41), (400, 37, 250)]:
+            params = HypergeomParams(n_pop, k, n)
+            for m, exact in exact_cdf(n_pop, k, n).items():
+                assert hypergeom_cdf(m, params) == pytest.approx(float(exact), rel=1e-14, abs=1e-300)
+
+    def test_exact_for_every_small_urn(self):
+        levels = ("0.8", "0.9", "0.95")
+        for n_pop in range(1, 41):
+            for k in range(n_pop + 1):
+                for n in range(n_pop + 1):
+                    params = HypergeomParams(n_pop, k, n)
+                    assert ([hypergeom_ci(params, float(level)) for level in levels]
+                            == exact_equal_tail_cis(n_pop, k, n, levels)), params
+
+    @pytest.mark.parametrize("n_pop, k, n, band", [
+        # CDF(0) = C(14,12)/C(16,12) = 91/1820 = 1/20: the lower allowance at level 0.9
+        (16, 2, 12, (1, 2)),
+        # one failure among N: P(X = n-1) = n/N = 1/20 whenever n = N/20
+        (73_900, 73_899, 3_695, (3_695, 3_695)),
+        (1_000_000, 999_999, 50_000, (50_000, 50_000)),
+        # one success: CDF(0) = 1 - n/N = 19/20, the upper allowance
+        (1_000_000, 1, 50_000, (0, 0)),
+    ])
+    def test_ties_with_an_allowance_are_exact(self, n_pop, k, n, band):
+        assert hypergeom_ci(HypergeomParams(n_pop, k, n), 0.9) == band
+
+    @pytest.mark.parametrize("n_pop, k, n", [(400, 37, 250), (1_500, 700, 300), (2_000, 60, 900)])
+    def test_near_ties_are_decided_exactly(self, n_pop, k, n):
+        # bounds at and 1e-40 either side of exact CDF values, far out in the
+        # tails and near the mode, so that the integer check must bound the
+        # tails beyond its window
+        params = HypergeomParams(n_pop, k, n)
+        cdf = exact_cdf(n_pop, k, n)
+        ms = sorted(cdf)
+        tiny = Fraction(1, 10 ** 40)
+        for m in ms[1:-1:max(1, len(ms) // 7)]:
+            for bound in (cdf[m] - tiny, cdf[m], cdf[m] + tiny):
+                assert stats._exceeds(params, m, bound) == (cdf[m] > bound)
+
+    def test_level_is_read_as_its_decimal(self):
+        # 1 - 0.9 is 0.09999999999999998 in binary; read as 9/10, CDF(0) = 1/20 ties
+        params = HypergeomParams(16, 2, 12)
+        assert hypergeom_ci(params, 0.9) == exact_equal_tail_ci(16, 2, 12, "0.9") == (1, 2)
+
+
+class TestHypergeomAgainstScipy:
+    """The pmf against scipy's, at census sizes; scipy is a test-time oracle only."""
+
+    @pytest.mark.parametrize("n_pop, tolerance", [(3_695, 1e-13), (200_000, 1e-9),
+                                                  (1_000_000, 1e-9)])
+    def test_pmf_relative_error(self, n_pop, tolerance):
+        hypergeom = pytest.importorskip("scipy.stats").hypergeom
+        k = n = n_pop // 10
+        params = HypergeomParams(n_pop, k, n)
+        ms = np.arange(params.support.start, params.support.stop)
+        expected = hypergeom.pmf(ms, n_pop, k, n)
+        ms, expected = ms[expected > 1e-300], expected[expected > 1e-300]
+        got = np.array([hypergeom_pmf(m, params) for m in ms.tolist()])
+        assert np.max(np.abs(got - expected) / expected) <= tolerance
+
+    def test_src_does_not_import_scipy(self):
+        src = Path(__file__).resolve().parents[1] / "src" / "citefair"
+        imports = re.compile(r"^\s*(from|import)\s+scipy\b", re.MULTILINE)
+        for path in src.glob("*.py"):
+            assert not imports.search(path.read_text(encoding="utf-8")), path.name
 
 
 class TestTopFraction:
