@@ -18,16 +18,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from itertools import repeat
 from pathlib import Path
 from typing import Mapping, Optional
 
 import numpy as np
 
 from .errors import ParseError, RescaleError
-from .ingest import _first_error, _float, _not_utf8
-from .model import (WINDOW_ALL, WINDOWS, Dataset, WindowCounts, encode, repeats, vocabulary,
-                    window_counts)
+from .ingest import _not_utf8
+from .model import WINDOW_ALL, WINDOWS, Dataset, WindowCounts, encode, vocabulary, window_counts
 
 __all__ = [
     "WINDOW_ALL",
@@ -270,10 +268,9 @@ def read_table(path: str | Path) -> IndicatorTable:
 
     Values must be finite and non-negative, or "NA" for UNDEFINED, and the
     header's kind, window, counting and normalization must be ones
-    write_table writes.  The rows are read in bulk: each distinct value is
-    parsed once and each rule is a row mask.  Errors are reported in this
-    order: the header line, the column line, the earliest row that breaks
-    a rule, then the header's window, census year and the rest.
+    write_table writes.  Errors are reported in this order: the header
+    line, the column line, the earliest row that breaks a rule, then the
+    header's window, census year and the rest.
     """
     path = Path(path)
     try:
@@ -294,36 +291,22 @@ def read_table(path: str | Path) -> IndicatorTable:
     if (lines[1] if len(lines) > 1 else "").split("\t")[:2] != ["journal_id", "value"]:
         raise ParseError(path, 2, "expected columns journal_id, value")
 
-    rows = list(filter(None, lines[2:]))
-
-    def line_of(row: int) -> int:
-        return int(np.flatnonzero(list(map(bool, lines[2:])))[row]) + 3
-
-    ragged = np.fromiter(map(str.count, rows, repeat("\t")), np.intp, len(rows)) != 1
-    cut = int(ragged.argmax()) if ragged.any() else len(rows)
-    stop = (ParseError(path, line_of(cut), f"malformed row: {rows[cut]!r}")
-            if cut < len(rows) else None)
-    fields = "\t".join(rows[:cut]).split("\t") if cut else []
-    ids, raws = fields[0::2], fields[1::2]
-    names = vocabulary()
-    id_codes = encode(ids, names)
-    texts = vocabulary()
-    codes = encode(raws, texts)
-    values = [math.nan if raw == NA else _float(raw) for raw in texts]
-    unparsed = np.array([v is None for v in values], dtype=bool)[codes]
-    negative_or_infinite = np.array([raw != NA and v is not None and not 0.0 <= v < math.inf
-                                     for raw, v in zip(texts, values)], dtype=bool)[codes]
-    error = _first_error(line_of, [
-        (id_codes == names.get("", -1),
-         lambda line, i: ParseError(path, line, f"malformed row: {rows[i]!r}")),
-        (repeats(id_codes),
-         lambda line, i: ParseError(path, line, f"duplicate journal_id '{ids[i]}'")),
-        (unparsed, lambda line, i: ParseError(path, line, f"bad value {raws[i]!r}")),
-        (negative_or_infinite, lambda line, i: ParseError(
-            path, line, f"value must be finite and non-negative, got {raws[i]!r}")),
-    ]) or stop
-    if error:
-        raise error
+    values: dict[str, float] = {}  # journal_id -> value, in row order
+    for line_no, row in enumerate(lines[2:], start=3):
+        if not row:
+            continue
+        jid, tab, raw = row.partition("\t")
+        if not jid or not tab or "\t" in raw:
+            raise ParseError(path, line_no, f"malformed row: {row!r}")
+        if jid in values:
+            raise ParseError(path, line_no, f"duplicate journal_id '{jid}'")
+        try:
+            value = math.nan if raw == NA else float(raw)
+        except ValueError:
+            raise ParseError(path, line_no, f"bad value {raw!r}") from None
+        if not 0.0 <= value < math.inf and raw != NA:
+            raise ParseError(path, line_no, f"value must be finite and non-negative, got {raw!r}")
+        values[jid] = value
 
     try:
         window = meta["window"] if meta["window"] == WINDOW_ALL else int(meta["window"])
@@ -344,7 +327,7 @@ def read_table(path: str | Path) -> IndicatorTable:
         counting=meta["counting"],
         normalization=meta["normalization"],
         census_year=census_year,
-        journal_ids=tuple(ids),
-        column=np.array(values, dtype=np.float64)[codes],
+        journal_ids=tuple(values),
+        column=np.fromiter(values.values(), np.float64, len(values)),
         source_id=meta.get("source_id"),
     )

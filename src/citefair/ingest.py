@@ -399,8 +399,7 @@ def _journal_columns(path: Path, config: IngestConfig, columns: Sequence[str]
     (jids, cids, names, *rest), line_of, stop = _read_columns(path, config, columns,
                                                               JOURNAL_COLUMNS)
     first = np.unique(cids.codes, return_index=True)[1]
-    renamed = np.zeros(len(cids), bool)
-    renamed[Leads().conflicts(cids.codes, names.codes)] = True
+    renamed = Leads().conflicts(cids.codes, names.codes)
     error = _first_error(line_of, [
         (jids.empty(), lambda line, i: ParseError(path, line, "empty journal_id")),
         (cids.empty(), lambda line, i: ParseError(path, line, "empty cluster_id")),
@@ -517,9 +516,8 @@ class _CitationReader:
         zero = n_refs.expand(v == 0 for v in n_refs.numbers)
         keep = np.flatnonzero(~zero) if zero.any() else slice(None)
         conflict = np.zeros(len(zero), bool)
-        conflict[np.arange(len(zero))[keep][self.leads.conflicts(
-            self.paper_code(pids)[keep], citing_jids.codes[keep],
-            citing_year[keep], n_refs_value[keep])]] = True
+        conflict[keep] = self.leads.conflicts(self.paper_code(pids)[keep], citing_jids.codes[keep],
+                                              citing_year[keep], n_refs_value[keep])
 
         def raws(i: int) -> str:
             return ", ".join(repr(c[i]) for c in numbers)
@@ -1011,15 +1009,13 @@ def _changed_error(directory: Path, name: str) -> ValidationError:
 def _partition(directory: Path) -> tuple[dict, list[str], dict[str, str], dict[str, str]]:
     """A bundle's metadata, and from its journals.tsv, read without the
     titles, the journal ids in file order, the partition and the cluster
-    names in the metadata's cluster order."""
+    names in order of first appearance."""
     meta = _read_meta(directory)
     (jids, cids, names), first = _journal_columns(
         directory / JOURNALS_FILE, IngestConfig(), ("journal_id", "cluster_id", "cluster_name"))
     ids = jids.strings().tolist()
-    order = {c["cluster_id"]: i for i, c in enumerate(meta["clusters"])}  # unlisted ids go last
-    clusters = sorted(zip(cids.values, [names[i] for i in first.tolist()]),
-                      key=lambda cluster: order.get(cluster[0], len(order)))
-    return meta, ids, dict(zip(ids, cids.strings().tolist())), dict(clusters)
+    clusters = dict(zip(cids.values, [names[i] for i in first.tolist()]))
+    return meta, ids, dict(zip(ids, cids.strings().tolist())), clusters
 
 
 def load_partition(directory: str | Path) -> tuple[dict[str, str], dict[str, str], int]:

@@ -239,8 +239,8 @@ class Leads:
         self.fields: list[np.ndarray] = []
 
     def conflicts(self, codes: np.ndarray, *fields: np.ndarray) -> np.ndarray:
-        """The ascending indices of the rows of this batch that differ in any
-        of ``fields`` from the first row of their code."""
+        """Which rows of this batch differ in any of ``fields`` from the
+        first row of their code."""
         if not self.fields:
             self.fields = [np.zeros(0, field.dtype) for field in fields]
         size = int(codes.max(initial=-1)) + 1
@@ -258,7 +258,7 @@ class Leads:
         differs = np.zeros(len(codes), bool)
         for store, field in zip(self.fields, fields):
             differs |= store[codes] != field
-        return np.flatnonzero(differs)
+        return differs
 
 
 def repeats(first: np.ndarray, second: np.ndarray | None = None) -> np.ndarray:
@@ -504,7 +504,7 @@ def validate(dataset: Dataset) -> list[Violation]:
         *_causality(events)[0],
         *(Violation("event.paper_inconsistent", pids[i],
                     "events of one citing paper disagree on journal, year or n_refs")
-          for i in inconsistent.tolist()),
+          for i in np.flatnonzero(inconsistent).tolist()),
         *(Violation("event.unknown_cited_journal", pids[i],
                     f"cited journal '{cited[i]}' not in dataset")
           for i in np.flatnonzero(~cited.isin(known)).tolist()),

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import os
 import subprocess
@@ -10,6 +11,7 @@ import pytest
 
 import citefair
 from citefair.cli import main
+from citefair.ingest import _meta_sha256
 from citefair.synth import ClusterProfile, SynthProfile, profile_to_json
 
 from conftest import values_of
@@ -169,6 +171,21 @@ class TestIngestCommand:
                      "--citations", str(tmp_path / "absent3.tsv"),
                      "--out-dir", str(tmp_path)]) == 2
         assert "absent.tsv" in capsys.readouterr().err
+
+    def test_staging_name_taken(self, tmp_path, profile_file):
+        # a staging directory left behind under this process id is passed over
+        raw, bundle, _ = run_pipeline(tmp_path, profile_file)
+        out = tmp_path / "again"
+        left = out / f".ingest-{os.getpid()}-0"
+        left.mkdir(parents=True)
+        assert main(["ingest", "--journals", str(raw / "journals.tsv"),
+                     "--publications", str(raw / "publications.tsv"),
+                     "--citations", str(raw / "citations.tsv"), "--out-dir", str(out)]) == 0
+        assert left.is_dir() and not any(left.iterdir())
+        assert sorted(p.name for p in out.iterdir()) == sorted(
+            [left.name, *(p.name for p in bundle.iterdir())])
+        for p in bundle.iterdir():
+            assert (out / p.name).read_bytes() == p.read_bytes(), p.name
 
     def test_cluster_exclusion_reported(self, tmp_path, capsys):
         prof = SynthProfile(
@@ -533,6 +550,22 @@ class TestVerifiedBundle:
         assert self.indicators(bundle, tmp_path / "again") == 2
         assert "counts.tsv: sha256 differs from the manifest" in capsys.readouterr().err
 
+    def test_counts_rows_swapped_with_the_manifest_updated(self, tmp_path, profile_file,
+                                                          capsys):
+        _, bundle, _ = run_pipeline(tmp_path, profile_file)
+        counts, meta_path = bundle / "counts.tsv", bundle / "dataset.json"
+        lines = counts.read_text(encoding="utf-8").splitlines(keepends=True)
+        lines[1], lines[2] = lines[2], lines[1]
+        counts.write_text("".join(lines), encoding="utf-8")
+        meta = json.loads(meta_path.read_text(encoding="utf-8"))
+        meta["files"]["counts.tsv"]["sha256"] = hashlib.sha256(counts.read_bytes()).hexdigest()
+        meta["sha256"] = _meta_sha256(meta)
+        meta_path.write_text(json.dumps(meta), encoding="utf-8")
+        capsys.readouterr()
+        assert self.indicators(bundle, tmp_path / "again") == 2
+        assert capsys.readouterr().err == (
+            f"error: {counts}: journals differ from journals.tsv\n")
+
     def test_counts_edit_alone_reads_no_input_again(self, tmp_path, profile_file, capsys,
                                                      monkeypatch):
         import citefair.ingest
@@ -593,6 +626,18 @@ class TestIndicatorsCommand:
         for vals in sums.values():
             assert sum(vals) / len(vals) == pytest.approx(1.0, abs=1e-9)
 
+    def test_stdout_prints_each_table(self, tmp_path, profile_file, capsys):
+        _, bundle, _ = run_pipeline(tmp_path, profile_file)
+        tables = tmp_path / "again"
+        capsys.readouterr()
+        assert main(["indicators", "--dataset", str(bundle), "--out-dir", str(tables),
+                     "--stdout"]) == 0
+        out = capsys.readouterr().out
+        written = [Path(line[len("wrote "):]) for line in out.splitlines()
+                   if line.startswith("wrote ")]
+        assert sorted(written) == sorted(tables.iterdir())
+        assert out == "".join(f"wrote {p}\n" + p.read_text(encoding="utf-8") for p in written)
+
     def test_unknown_flag_combination_exit_two(self, tmp_path, profile_file, capsys):
         _, bundle, _ = run_pipeline(tmp_path, profile_file)
         assert main(["indicators", "--dataset", str(bundle),
@@ -644,6 +689,16 @@ class TestFairnessCommand:
         out = capsys.readouterr().out
         assert "Mean (± st.dev.)" in out
 
+    def test_stdout_structured_prints_the_json(self, tmp_path, profile_file, capsys):
+        _, bundle, tables = run_pipeline(tmp_path, profile_file)
+        out = tmp_path / "f"
+        capsys.readouterr()
+        assert main(["fairness", "--dataset", str(bundle), "--table", str(tables / "IF2-IC.tsv"),
+                     "--z", "25", "--out-dir", str(out), "--stdout",
+                     "--format", "structured"]) == 0
+        assert capsys.readouterr().out == (f"wrote {out / 'IF2-IC-fairness.tsv'} (and .json)\n"
+                                           + (out / "IF2-IC-fairness.json").read_text())
+
 
 class TestCorrelateCommand:
     def test_outputs(self, tmp_path, profile_file):
@@ -663,6 +718,16 @@ class TestCorrelateCommand:
         assert (out / "deciles-IF2-IC-vs-IF2-FC.tsv").exists()
         assert (out / "ecdf-IF2-IC.tsv").exists()
         assert (out / "ks-IF2-IC.tsv").exists()
+
+    def test_stdout_prints_the_matrix(self, tmp_path, profile_file, capsys):
+        _, bundle, tables = run_pipeline(tmp_path, profile_file)
+        out = tmp_path / "corr"
+        capsys.readouterr()
+        assert main(["correlate", "--dataset", str(bundle),
+                     "--table", str(tables / "IF2-IC.tsv"), "--table", str(tables / "IF2-FC.tsv"),
+                     "--deciles", "4", "--out-dir", str(out), "--stdout"]) == 0
+        matrix = out / "correlation-matrix.tsv"
+        assert capsys.readouterr().out.startswith(f"wrote {matrix}\n" + matrix.read_text())
 
     def test_clusters_in_the_order_fairness_lists_them(self, tmp_path):
         # ASCII-digit ids first, in numeric order, then the rest as strings

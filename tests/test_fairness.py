@@ -260,6 +260,14 @@ class TestCalibration:
         with pytest.raises(FairnessError):
             calibration({"a": 10}, trials=0)
 
+    @pytest.mark.parametrize("sizes, z, message", [
+        ({"a": 0}, 10.0, "all group sizes must be >= 1"),
+        ({"a": 5}, 1.0, r"top-1.0% of 5 journals selects nothing"),
+    ])
+    def test_bad_sizes_or_share(self, sizes, z, message):
+        with pytest.raises(FairnessError, match=message):
+            calibration(sizes, trials=10, z=z)
+
 
 class TestReportIo:
     def make_report(self):

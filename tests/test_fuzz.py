@@ -2,12 +2,15 @@
 CiteFairError (which the CLI reports with exit 2), never anything else; the
 bulk split of plain chunks reads every file as csv.reader does; and mutated
 table files given to the commands that read them, bundles with one field
-edited after ingest given to indicators, arbitrary values of their
-numeric options, and profile files with any value in any field given to
-synth, exit 0 or 2, never 1.  Every journal id the journals reader
-accepts reads back from a table written with it."""
+edited after ingest given to indicators, bundles with one field of
+journals.tsv or one value of dataset.json edited given to every command
+that reads a bundle, arbitrary values of the commands' numeric options,
+and profile files with any value in any field given to synth, exit 0 or
+2, never 1.  Every journal id the journals reader accepts reads back from
+a table written with it."""
 
 import csv
+import hashlib
 import json
 import math
 import warnings
@@ -263,6 +266,56 @@ def test_indicators_exits_zero_or_two_on_an_edited_bundle(pipeline, tmp_path_fac
     lines[row] = "\t".join(fields)
     (edited / name).write_text("\n".join(lines), encoding="utf-8")
     assert main(["indicators", "--dataset", str(edited),
+                 "--out-dir", str(edited / "out")]) in (0, 2)
+
+
+# The tables each --dataset command reads, and values that may replace one
+# value of dataset.json: bundle values and JSON values of every type.
+DATASET_COMMANDS = {
+    "indicators": ((), []),
+    "fairness": (("IF2-IC", "IF5-FC"), ["--z", "25"]),
+    "correlate": (("IF2-IC", "IF2-FC"), ["--deciles", "4"]),
+}
+JSON_VALUES = st.one_of(
+    BUNDLE_VALUES, st.integers(-2 ** 70, 2 ** 70),
+    st.sampled_from([2009, 2010, 2011, 2 ** 63, None, True, False, 2010.0, math.nan, math.inf]),
+    st.lists(FIELDS, max_size=2), st.dictionaries(FIELDS, FIELDS, max_size=2))
+
+
+@pytest.mark.parametrize("command", sorted(DATASET_COMMANDS))
+@SETTINGS
+@given(data=st.data())
+def test_dataset_commands_exit_zero_or_two_on_edited_journals_or_metadata(
+        pipeline, tmp_path_factory, command, data):
+    """One field of journals.tsv, or one value of dataset.json (at the top
+    level, in a files entry or in a clusters entry), replaced after ingest.
+    For about half the examples the manifest and the metadata's own sha256
+    are brought up to date, so that the edit reaches the readers."""
+    source, tables = pipeline
+    edited = tmp_path_factory.mktemp("edited")
+    for path in source.iterdir():
+        (edited / path.name).write_bytes(path.read_bytes())
+    meta = json.loads((source / "dataset.json").read_text(encoding="utf-8"))
+    rehash = data.draw(st.booleans())
+    if data.draw(st.booleans()):
+        lines = (source / "journals.tsv").read_text(encoding="utf-8").split("\n")
+        row = data.draw(st.integers(0, len(lines) - 2))
+        fields = lines[row].split("\t")
+        fields[data.draw(st.integers(0, len(fields) - 1))] = data.draw(BUNDLE_VALUES)
+        lines[row] = "\t".join(fields)
+        text = "\n".join(lines).encode("utf-8")
+        (edited / "journals.tsv").write_bytes(text)
+        if rehash:
+            meta["files"]["journals.tsv"]["sha256"] = hashlib.sha256(text).hexdigest()
+    else:
+        where = data.draw(st.sampled_from([meta, *meta["files"].values(), *meta["clusters"]]))
+        where[data.draw(st.sampled_from(sorted(where)))] = data.draw(JSON_VALUES)
+    if rehash:
+        meta["sha256"] = citefair.ingest._meta_sha256(meta)
+    (edited / "dataset.json").write_text(json.dumps(meta), encoding="utf-8")
+    names, options = DATASET_COMMANDS[command]
+    args = [arg for name in names for arg in ("--table", str(tables / f"{name}.tsv"))]
+    assert main([command, "--dataset", str(edited), *args, *options,
                  "--out-dir", str(edited / "out")]) in (0, 2)
 
 

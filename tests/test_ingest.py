@@ -465,6 +465,11 @@ def journals_fixture(sizes):
 
 
 class TestAssemble:
+    @pytest.mark.parametrize("policy", ["unknown_cited_policy", "zero_refs_policy"])
+    def test_unknown_policy(self, policy):
+        with pytest.raises(ValueError, match=policy):
+            IngestConfig(**{policy: "ignore"})
+
     def test_small_clusters_excluded(self):
         journals, clusters = journals_fixture(
             {str(c): 12 for c in range(1, 12)} | {"hum": 2, "prof": 8})

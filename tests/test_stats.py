@@ -190,6 +190,20 @@ class TestHypergeomCi:
             for bound in (cdf[m] - tiny, cdf[m], cdf[m] + tiny):
                 assert stats._exceeds(params, m, bound) == (cdf[m] > bound)
 
+    def test_integer_check_decides_a_crossing(self, monkeypatch):
+        # the smallest urn whose band is settled by _exceeds inside _crossing's loop
+        real, settled = stats._exceeds, []
+
+        def exceeds(*args):
+            settled.append(real(*args))
+            return settled[-1]
+
+        monkeypatch.setattr(stats, "_exceeds", exceeds)
+        level = 0.9285714285714286
+        assert (hypergeom_ci(HypergeomParams(8, 2, 6), level)
+                == exact_equal_tail_ci(8, 2, 6, str(level)) == (0, 2))
+        assert True in settled
+
     def test_level_is_read_as_its_decimal(self):
         # 1 - 0.9 is 0.09999999999999998 in binary; read as 9/10, CDF(0) = 1/20 ties
         params = HypergeomParams(16, 2, 12)

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -172,6 +174,27 @@ class TestGenerate:
                 means[cid] = float(np.mean(vals))
             ratio = means["hi"] / means["lo"]
             assert 5.0 <= ratio <= 20.0, (seed, ratio)
+
+    def test_no_journal_spread_gives_a_cluster_one_rate(self):
+        # with equal items, a cluster's cites per journal are then multinomial
+        # with equal shares: a variance-to-mean ratio near 1, not the skew of
+        # the lognormal multipliers
+        def dispersions(spread, seed):
+            ds = generate(small_profile(seed=seed, journal_spread=spread,
+                                        items_per_journal=(4, 4)))
+            cites = Counter(row[3] for row in ds.citation_events.rows())
+            for cid in ("1", "2"):
+                c = np.array([cites[j] for j, g in ds.partition.items() if g == cid], float)
+                yield c.var(ddof=1) / c.mean()
+
+        for seed in (0, 1, 2):
+            assert max(dispersions(0, seed)) < 2 < 4 < min(dispersions(1.0, seed))
+
+    def test_no_citing_papers(self):
+        profile = SynthProfile(clusters=(ClusterProfile("1", "A", 3, 1.0, 6.0, 0.4),),
+                               items_per_journal=(0, 1), years=(2009, 2010), seed=20)
+        with pytest.raises(ProfileError, match="profile generates no citing papers"):
+            generate(profile)
 
     def test_infeasible_profiles(self):
         with pytest.raises(ProfileError):
