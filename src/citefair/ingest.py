@@ -14,11 +14,12 @@ Citing journals may lie outside the indexed set; only cited journals must
 resolve.  Clusters smaller than ``min_cluster_size`` are removed together
 with their journals and any event touching them.
 
-Files are read a chunk of whole lines at a time (_batches), as columns
-of codes over each column's distinct fields, and each rule is checked
-once per distinct field or as one mask over the rows; the earliest row
-that breaks a rule is reported, in the words of the first rule it breaks.
-Integer fields are ASCII numerals, ``[+-]?[0-9]+``.
+Files are read a chunk of whole lines at a time (_batches), the header
+row by csv.reader and a plain chunk's rows in bulk, as columns of codes
+over each column's distinct fields, and each rule is checked once per
+distinct field or as one mask over the rows; the earliest row that breaks
+a rule is reported, in the words of the first rule it breaks.  Integer
+fields are ASCII numerals, ``[+-]?[0-9]+``.
 
 The journals and publications files are read whole.  The citations file
 is read once, batch by batch (_CitationReader): each citing paper's first
@@ -47,11 +48,11 @@ import os
 import re
 import warnings
 from bisect import bisect_right
-from collections import Counter, deque
+from collections import deque
 from contextlib import suppress
 from dataclasses import dataclass, asdict
 from functools import cached_property
-from itertools import count, takewhile
+from itertools import chain, count, takewhile
 from operator import not_
 from pathlib import Path
 from typing import Callable, Iterator, Sequence
@@ -229,15 +230,6 @@ def _feed(pending: deque, chunks: Iterator[str]) -> Iterator[str]:
             pending.extend(io.StringIO(next(chunks, ""), newline=""))
 
 
-def _pick(path: Path, header: list[str], columns: Sequence[str],
-          required: Sequence[str]) -> list[int]:
-    """The header positions of ``columns``, once the header has every name in ``required``."""
-    missing = [c for c in required if c not in header]
-    if missing:
-        raise ParseError(path, 1, f"missing required column(s): {', '.join(missing)}")
-    return [header.index(c) for c in columns]
-
-
 def _batches(path: Path, delimiter: str, columns: Sequence[str], required: Sequence[str] = ()
              ) -> Iterator[tuple[Sequence[int], list[list[str]], str | None]]:
     """Yield, a chunk of the file at a time, the physical line numbers of its
@@ -247,27 +239,32 @@ def _batches(path: Path, delimiter: str, columns: Sequence[str], required: Seque
     ``required`` (default ``columns``) and that each row has the header's
     width.
 
-    A plain chunk (_split_plain) is split in bulk.  Any other is read by
+    The header row is read by csv.reader from the first chunk, which is
+    decoded whole before any of its rows, the header too, is checked.  A
+    plain chunk (_split_plain) is split in bulk.  Any other is read by
     csv.reader, which reads on into the next chunks only to finish a quoted
     field that spans lines.  Both give the rows csv.reader gives.  A
     malformed row ends the batches with a ParseError once the rows before
     it are yielded.
     """
-    required = required or columns
     try:
         with path.open(encoding="utf-8", newline="") as fh:
             chunks = _chunks(fh)
-            header, line = None, 0
-            for text in chunks:
-                if header is None:
-                    head, _, rest = text.partition("\n")
-                    header = _split_plain(head, delimiter, head.count(delimiter) + 1) if head else None
-                    if header is not None:
-                        pick, width = _pick(path, header, columns, required), len(header)
-                        line, text = 1, rest
-                        if not text:
-                            continue
-                fields = _split_plain(text, delimiter, width) if header is not None else None
+            pending = deque(io.StringIO(next(chunks, ""), newline=""))
+            head = csv.reader(_feed(pending, chunks), delimiter=delimiter)
+            try:
+                header = next(head)
+            except StopIteration:
+                raise ParseError(path, 1, "empty file; header row required") from None
+            except csv.Error as exc:
+                raise ParseError(path, head.line_num, f"malformed row ({exc})") from None
+            missing = [c for c in required or columns if c not in header]
+            if missing:
+                raise ParseError(path, 1, f"missing required column(s): {', '.join(missing)}")
+            pick, width = [header.index(c) for c in columns], len(header)
+            line = head.line_num
+            for text in chain(["".join(pending)] if pending else [], chunks):
+                fields = _split_plain(text, delimiter, width)
                 if fields is not None:
                     n = len(fields) // width
                     yield (range(line + 1, line + n + 1), [fields[k::width] for k in pick],
@@ -280,10 +277,7 @@ def _batches(path: Path, delimiter: str, columns: Sequence[str], required: Seque
                 rows, lines, error = [], [], None
                 try:
                     for row in reader:
-                        if header is None:
-                            header = row
-                            pick, width = _pick(path, header, columns, required), len(header)
-                        elif len(row) >= width:
+                        if len(row) >= width:
                             rows.append(row)
                             lines.append(line + reader.line_num)
                         elif row:
@@ -299,8 +293,6 @@ def _batches(path: Path, delimiter: str, columns: Sequence[str], required: Seque
                 if error:
                     raise error
                 line += reader.line_num
-            if header is None:
-                raise ParseError(path, 1, "empty file; header row required")
     except UnicodeDecodeError:
         raise _not_utf8(path) from None
 
@@ -399,7 +391,7 @@ def _journal_columns(path: Path, config: IngestConfig, columns: Sequence[str]
     (jids, cids, names, *rest), line_of, stop = _read_columns(path, config, columns,
                                                               JOURNAL_COLUMNS)
     first = np.unique(cids.codes, return_index=True)[1]
-    renamed = Leads().conflicts(cids.codes, names.codes)
+    renamed = names.codes != names.codes[first[cids.codes]]
     error = _first_error(line_of, [
         (jids.empty(), lambda line, i: ParseError(path, line, "empty journal_id")),
         (cids.empty(), lambda line, i: ParseError(path, line, "empty cluster_id")),
@@ -552,8 +544,9 @@ class _CitationReader:
 class _Assembly:
     """The exclusion policy, applied to the events a batch at a time.
 
-    Clusters below ``min_cluster_size`` are removed with their journals and
-    their publication counts at once; ``keep`` drops the events citing or
+    Clusters whose size (Cluster.size, as parse_journals counts it) is below
+    ``min_cluster_size`` are removed with their journals and their
+    publication counts at once; ``keep`` drops the events citing or
     cited by their journals, and the events citing unknown journals, and
     counts both; ``finish`` raises the errors of the whole census.
     """
@@ -561,25 +554,18 @@ class _Assembly:
     def __init__(self, journals: Sequence[JournalRecord], clusters: Sequence[Cluster],
                  publication_counts: PublicationCounts, config: IngestConfig):
         self.config = config
-        membership = Counter(j.cluster_id for j in journals)
-        self.clusters: list[Cluster] = []
-        self.excluded: list[tuple[str, str, int]] = []
-        for c in clusters:
-            size = membership[c.cluster_id]
-            if size < config.min_cluster_size:
-                self.excluded.append((c.cluster_id, c.name, size))
-            else:
-                self.clusters.append(Cluster(c.cluster_id, c.name, size))
+        self.clusters = [c for c in clusters if c.size >= config.min_cluster_size]
+        self.excluded = [(c.cluster_id, c.name, c.size) for c in clusters
+                         if c.size < config.min_cluster_size]
         excluded_ids = {cid for cid, _, _ in self.excluded}
         self.journals = [j for j in journals if j.cluster_id not in excluded_ids]
-        self.dropped_ids = {j.journal_id for j in journals if j.cluster_id in excluded_ids}
-        self.kept_ids = {j.journal_id for j in self.journals}
-        kept = publication_counts.journal_id.isin(self.kept_ids)
+        self.excluded_journals = len(journals) - len(self.journals)
+        # per journal id: 1 kept, -1 dropped with its cluster, 0 outside the census
+        status = {j.journal_id: -1 if j.cluster_id in excluded_ids else 1 for j in journals}
+        self.status = PerId(lambda jid: status.get(jid, 0), np.int8)
+        kept = self.status(publication_counts.journal_id) > 0
         self.counts = publication_counts if kept.all() else publication_counts[kept]
         self.counts_dropped = len(publication_counts) - len(self.counts)
-        # per journal id: 1 kept, -1 dropped with its cluster, 0 outside the census
-        status = {**dict.fromkeys(self.kept_ids, 1), **dict.fromkeys(self.dropped_ids, -1)}
-        self.status = PerId(lambda jid: status.get(jid, 0), np.int8)
         self.dropped = self.unknown = self.kept = 0
         self.first_unknown: Violation | None = None
         self.latest: int | None = None  # the latest citing year of a kept event
@@ -624,7 +610,7 @@ class _Assembly:
     def summary(self, census_year: int, inferred: bool, zero_refs: int = 0) -> IngestSummary:
         return IngestSummary(
             excluded_clusters=tuple(self.excluded),
-            excluded_journals=len(self.dropped_ids),
+            excluded_journals=self.excluded_journals,
             events_dropped_excluded_clusters=self.dropped,
             events_dropped_unknown_cited=self.unknown,
             events_dropped_zero_refs=zero_refs,

@@ -112,7 +112,8 @@ def _exceeds(params: HypergeomParams, m: int, bound: Fraction) -> bool:
     p(i)/p(a) are summed exactly over a window [a, b] around m.  Once the
     ratios fall on both sides away from the window, each tail beyond it is
     at most a geometric series.  The window widens until these bounds
-    decide, at the latest when it spans the support."""
+    decide, at the latest when it spans the support.  ``m`` is below the
+    support's top, whose CDF, exactly 1, exceeds any bound (_crossing)."""
     lo, hi = params.support.start, params.support.stop - 1
     width = 16
     while True:
@@ -129,8 +130,6 @@ def _exceeds(params: HypergeomParams, m: int, bound: Fraction) -> bool:
             term, scale = term * num, scale * den
             total = total * den + term
         whole = Fraction(total, scale)
-        if m == b:
-            below = whole
         left = Fraction(den_a, num_a - den_a) if a > lo else 0
         right = Fraction(term * num_b, scale * (den_b - num_b)) if b < hi else 0
         if (below + left) / (whole + left) <= bound:

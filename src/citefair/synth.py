@@ -148,17 +148,17 @@ def paper2010_profile(include_dropped_clusters: bool = False,
 
 BUILTIN_PROFILES = {
     "paper2010": paper2010_profile,
-    "paper2010-full": lambda **kw: paper2010_profile(include_dropped_clusters=True, **kw),
+    "paper2010-full": lambda: paper2010_profile(include_dropped_clusters=True),
 }
 
 
-def builtin_profile(name: str, **kwargs) -> SynthProfile:
+def builtin_profile(name: str) -> SynthProfile:
     try:
         factory = BUILTIN_PROFILES[name]
     except KeyError:
         known = ", ".join(sorted(BUILTIN_PROFILES))
         raise ProfileError(f"unknown profile '{name}' (known: {known})") from None
-    return factory(**kwargs)
+    return factory()
 
 
 def generate(profile: SynthProfile) -> Dataset:
@@ -208,37 +208,44 @@ def generate(profile: SynthProfile) -> Dataset:
     weights = weights / weights.sum()
 
     papers_per_journal = items[:, n_years - 1]
-    n_papers = int(papers_per_journal.sum())
+    n_papers = sum(papers_per_journal.tolist())  # a Python int: the int64 sum may wrap
     if n_papers == 0:
         raise ProfileError("profile generates no citing papers (census-year items all zero)")
+    if n_papers > 2 ** 31 - 1:  # the int32 range of Ids codes, which would wrap
+        raise ProfileError(f"profile generates {n_papers} citing papers, more than 2**31 - 1")
     paper_journal = np.repeat(np.arange(total), papers_per_journal)
 
     sigma = np.asarray([c.ref_dispersion for c in profile.clusters])
-    mu = np.log(np.asarray([c.mean_refs for c in profile.clusters])) - 0.5 * sigma ** 2
     codes = cluster_of[paper_journal]
     with np.errstate(over="ignore"):
+        mu = np.log(np.asarray([c.mean_refs for c in profile.clusters])) - 0.5 * sigma ** 2
         lengths = np.maximum(1, np.rint(np.exp(rng.normal(mu[codes], sigma[codes]))))
     if not lengths.sum() < 2.0 ** 63:  # also false for an infinite or NaN length
         raise ProfileError("mean_refs and ref_dispersion give reference-list lengths whose "
                            "sum does not fit in 64 bits")
     n_refs = lengths.astype(np.int64)
 
-    total_refs = int(n_refs.sum())
-    cited_journal = rng.choice(total, size=total_refs, p=weights)
     w = list(profile.recency_weights[:n_years])
     w += [profile.recency_weights[-1]] * (n_years - len(w))
     recency = np.asarray(w, dtype=float)
     if not 0 < recency.sum() < np.inf:
         raise ProfileError(f"recency_weights give no finite weight to ages 0 to {n_years - 1}")
     recency /= recency.sum()
-    cited_year = census - rng.choice(n_years, size=total_refs, p=recency)
 
-    pw = max(6, len(str(n_papers)))
-    paper_ids = [f"P{i + 1:0{pw}d}" for i in range(n_papers)]
-    paper = np.repeat(np.arange(n_papers), n_refs)
-    events = Events(Ids(paper, paper_ids), Ids(paper_journal[paper], journal_ids),
-                    np.full(total_refs, census), Ids(cited_journal, journal_ids), cited_year,
-                    n_refs[paper])
+    total_refs = int(n_refs.sum())
+    try:
+        cited_journal = rng.choice(total, size=total_refs, p=weights)
+        cited_year = census - rng.choice(n_years, size=total_refs, p=recency)
+
+        pw = max(6, len(str(n_papers)))
+        paper_ids = [f"P{i + 1:0{pw}d}" for i in range(n_papers)]
+        paper = np.repeat(np.arange(n_papers), n_refs)
+        events = Events(Ids(paper, paper_ids), Ids(paper_journal[paper], journal_ids),
+                        np.full(total_refs, census), Ids(cited_journal, journal_ids), cited_year,
+                        n_refs[paper])
+    except MemoryError:
+        raise ProfileError(f"profile generates {total_refs} citation events, too many to "
+                           f"hold in memory") from None
 
     return Dataset(
         journals=tuple(journals),

@@ -122,12 +122,26 @@ class TestSynthCommand:
                       "lengths whose sum does not fit in 64 bits"),
         "clusters-not-a-list": ("clusters", '"a"',
                                 "a profile is an object whose clusters are a list of objects"),
+        # the first cluster takes the second's id
+        "duplicate-cluster-id": ("cluster_id", '"2"', "duplicate cluster_id '2'"),
+        # SMALL_CENSUS cases: refused before any allocation, or asking for
+        # more than the address space holds, so each fails at once
+        "events-past-memory": ("mean_refs", "1e15",
+                               "citation events, too many to hold in memory"),
+        "papers-past-int64": ("items_per_journal", "[4611686018427387904, 4611686018427387904]",
+                              "profile generates 9223372036854775808 citing papers"),
+        "papers-past-int32": ("items_per_journal", "[1000000000000000, 1000000000000000]",
+                              "profile generates 2000000000000000 citing papers"),
     }
+    # Cases run on the first cluster alone, cut to 2 journals, in one year.
+    SMALL_CENSUS = {"events-past-memory", "papers-past-int64", "papers-past-int32"}
 
     @pytest.mark.parametrize("case", sorted(BAD_VALUES))
     def test_bad_profile_value_exit_two(self, tmp_path, profile_file, capsys, case):
         field, text, message = self.BAD_VALUES[case]
         profile = json.loads(profile_file.read_text(encoding="utf-8"))
+        if case in self.SMALL_CENSUS:
+            profile.update(clusters=[{**profile["clusters"][0], "size": 2}], years=[2010, 2010])
         (profile["clusters"][0] if field in profile["clusters"][0] else profile)[field] = "@"
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(profile).replace('"@"', text), encoding="utf-8")
@@ -135,6 +149,15 @@ class TestSynthCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.filterwarnings("error")
+    def test_huge_dispersion_exits_zero_without_warning(self, tmp_path, profile_file):
+        # sigma ** 2 overflows; every reference list of the cluster has length 1
+        profile = json.loads(profile_file.read_text(encoding="utf-8"))
+        profile["clusters"][0]["ref_dispersion"] = 1e200
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(profile), encoding="utf-8")
+        assert main(["synth", "--profile-file", str(path), "--out-dir", str(tmp_path / "o")]) == 0
 
     @pytest.mark.parametrize("options, message", [
         (["--seed", "-1"], "seed must be >= 0, got -1"),
@@ -565,6 +588,24 @@ class TestVerifiedBundle:
         assert self.indicators(bundle, tmp_path / "again") == 2
         assert capsys.readouterr().err == (
             f"error: {counts}: journals differ from journals.tsv\n")
+
+    def test_counts_fraction_not_a_number_with_the_manifest_updated(
+            self, tmp_path, profile_file, capsys):
+        _, bundle, _ = run_pipeline(tmp_path, profile_file)
+        counts, meta_path = bundle / "counts.tsv", bundle / "dataset.json"
+        lines = counts.read_text(encoding="utf-8").splitlines(keepends=True)
+        fields = lines[1].split("\t")
+        fields[4] = "x"  # fractional_2
+        lines[1] = "\t".join(fields)
+        counts.write_text("".join(lines), encoding="utf-8")
+        meta = json.loads(meta_path.read_text(encoding="utf-8"))
+        meta["files"]["counts.tsv"]["sha256"] = hashlib.sha256(counts.read_bytes()).hexdigest()
+        meta["sha256"] = _meta_sha256(meta)
+        meta_path.write_text(json.dumps(meta), encoding="utf-8")
+        capsys.readouterr()
+        assert self.indicators(bundle, tmp_path / "again") == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: {counts}:2: fractional counts must be numbers: 'x', ")
 
     def test_counts_edit_alone_reads_no_input_again(self, tmp_path, profile_file, capsys,
                                                      monkeypatch):

@@ -178,6 +178,14 @@ class TestCompareReports:
         assert cmp.criteria["sum_abs_dev"] == "a"
         assert cmp.overall in ("a", "mixed")
 
+    def test_one_cluster_reports_tie_on_sd(self):
+        # one cluster has no sd of percentages, so neither report wins on it
+        partition = {f"j{i:02d}": "only" for i in range(30)}
+        a, b = (fairness_test(table_of({j: float(sign * i) for i, j in enumerate(partition)}),
+                              partition, z=10) for sign in (1, -1))
+        assert a.summary.sd_pct is b.summary.sd_pct is None
+        assert compare_reports(a, b).criteria["sd_pct"] == "tie"
+
     def test_mixed_verdict(self):
         a, b = self.reports()
         # hand-build summaries that disagree across criteria
@@ -286,6 +294,13 @@ class TestReportIo:
         assert lines[-2].startswith("Mean (± st.dev.)")
         assert lines[-1].startswith("Σ|x−10|")
         assert "g1. Group One" in lines[1]
+
+    def test_tsv_without_names_writes_bare_ids(self, tmp_path):
+        report, _ = self.make_report()
+        path = tmp_path / "r.tsv"
+        write_report_tsv(report, path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        assert [line.split("\t")[0] for line in lines[1:3]] == ["g1", "g2"]
 
     def test_json_full_fields(self, tmp_path):
         report, names = self.make_report()

@@ -355,6 +355,7 @@ def profile_files(draw) -> bytes:
     return json.dumps(profile).encode("utf-8").replace(f'"{NOT_UTF8}"'.encode(), b'"\xe9"')
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # a leaked numpy warning is a fault
 @settings(SETTINGS, max_examples=100)
 @given(data=profile_files())
 def test_synth_profile_file_exits_zero_or_two(tmp_path_factory, data):

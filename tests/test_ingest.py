@@ -123,6 +123,14 @@ class TestParsePublications:
         with pytest.raises(ValidationError):
             parse_publications(path)
 
+    def test_year_past_int_digit_limit(self, tmp_path):
+        # more digits than int() converts by default
+        path = tmp_path / "p.tsv"
+        write(path, [PHEADER, ("j1", "9" * 5000, 1)])
+        with pytest.raises(ParseError, match="year must be an integer") as err:
+            parse_publications(path)
+        assert err.value.line == 2
+
 
 class TestParseCitations:
     def test_event_row(self, tmp_path):
@@ -407,6 +415,41 @@ class TestChunkedReader:
             parse_publications(path)
 
 
+class TestHeaderRow:
+    """The header row is read by csv.reader, whole files and chunks of a
+    few characters alike."""
+
+    HEADER = "\t".join(JHEADER)
+    CASES = {
+        "empty-file": ("", "1: empty file; header row required"),
+        "blank-first-line": ("\n" + HEADER + "\n",
+                             "1: missing required column(s): " + ", ".join(JHEADER)),
+        # the header's last field runs onto line 2; the bad row is on line 4
+        "multiline-header": (HEADER + '\t"note\nmore"\nj1\tOne\tg1\tG\tx\n\tTwo\tg1\tG\tx\n',
+                             "4: empty journal_id"),
+        "oversized-header": (HEADER + "\t" + "x" * 200_000 + "\n",
+                             "1: malformed row (field larger than field limit (131072))"),
+        "crlf": (HEADER + "\r\nj1\tOne\tg1\tG\r\n\tTwo\tg1\tG\r\n", "3: empty journal_id"),
+    }
+
+    @pytest.mark.parametrize("chunk_chars", [3, 1 << 17])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_error(self, tmp_path, monkeypatch, case, chunk_chars):
+        text, message = self.CASES[case]
+        path = tmp_path / "journals.tsv"
+        path.write_bytes(text.encode("utf-8"))
+        monkeypatch.setattr(citefair.ingest, "_CHUNK_CHARS", chunk_chars)
+        with pytest.raises(ParseError) as err:
+            parse_journals(path)
+        assert str(err.value) == f"{path}:{message}"
+
+    @pytest.mark.parametrize("end", ["\n", ""])
+    def test_header_only(self, tmp_path, end):
+        path = tmp_path / "journals.tsv"
+        path.write_text(self.HEADER + end, encoding="utf-8")
+        assert parse_journals(path) == ([], [])
+
+
 class TestColumnWriter:
     """write_citations writes blocks with one join each; a block holding a
     tab, quote or newline in an id goes through csv.writer."""
@@ -520,6 +563,14 @@ class TestAssemble:
         ds, summary = assemble(journals, clusters, NO_COUNTS, events, census_year=2010)
         assert len(ds.citation_events) == 1
         assert summary.events_dropped_excluded_clusters == 2
+
+    def test_declared_size_kept_for_validate(self):
+        # the policy decides by the declared size; validate finds it wrong
+        journals, clusters = journals_fixture({"a": 10})
+        clusters[0] = Cluster("a", "Cluster a", 12)
+        with pytest.raises(ValidationError, match="cluster.size_mismatch"):
+            assemble(journals, clusters, NO_COUNTS,
+                     Events.from_rows([("p1", "x", 2010, "j001", 2009, 2)]), census_year=2010)
 
     def test_empty_dataset_is_error(self):
         journals, clusters = journals_fixture({"a": 3})

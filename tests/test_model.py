@@ -58,6 +58,13 @@ class TestValidate:
         assert "cluster.size_mismatch" in found
         assert "cluster.size_sum" in found
 
+    def test_cluster_declared_twice(self):
+        ds = make_dataset(
+            [JournalRecord("j1", "One", "g")],
+            [Cluster("g", "G", 1), Cluster("g", "G", 1)], [], [])
+        violations = [v for v in validate(ds) if v.rule == "cluster.duplicate_id"]
+        assert [v.record for v in violations] == ["g"]
+
     def test_duplicate_publication_year(self):
         ds = make_dataset(
             [JournalRecord("j1", "One", "g")],
