@@ -17,6 +17,9 @@ from dataclasses import replace
 from itertools import compress
 from pathlib import Path
 
+# One BLAS thread: a second costs half of numpy's import and makes dot-product bits host-dependent.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import numpy as np
 
 from . import fairness as fair

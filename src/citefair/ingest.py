@@ -215,7 +215,7 @@ def _split_plain(text: str, delimiter: str, width: int) -> list[str] | None:
     if not text.endswith("\n"):
         ends = np.append(ends, len(data))
     per_line = np.diff(np.searchsorted(np.flatnonzero(data == ord(delimiter)), ends), prepend=0)
-    if (not len(ends) or (per_line != width - 1).any()
+    if ((per_line != width - 1).any()
             or np.diff(ends, prepend=-1).max() > csv.field_size_limit() + 1):
         return None
     return text.removesuffix("\n").replace("\n", delimiter).split(delimiter)

@@ -890,11 +890,58 @@ class TestExitCodes:
         assert main(["synth", "--profile-file", str(profile_file)]) == 0
         assert (tmp_path / "envout" / "journals.tsv").exists()
 
-    def test_module_entry_point(self):
-        env = dict(os.environ)
-        src = str(Path(citefair.__file__).resolve().parents[1])
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
-        done = subprocess.run([sys.executable, "-m", "citefair.cli", "ingest"],
-                              capture_output=True, text=True, env=env, timeout=60)
+    def test_module_entry_point(self, tmp_path):
+        # A sitecustomize on the child's path reports, at exit, what
+        # `-m citefair.cli` left of the BLAS setting and its threads.
+        (tmp_path / "sitecustomize.py").write_text(
+            "import atexit, os, sys\n"
+            "atexit.register(lambda: print('blas', os.environ.get('OPENBLAS_NUM_THREADS'),"
+            " len(os.listdir('/proc/self/task')) if sys.platform == 'linux' else 1,"
+            " file=sys.stderr))\n", encoding="utf-8")
+        done = subprocess.run([sys.executable, "-m", "citefair.cli", "ingest"], capture_output=True,
+                              text=True, env=fresh_env(str(tmp_path)), timeout=60)
         assert done.returncode == 2
         assert "--journals" in done.stderr
+        assert done.stderr.splitlines()[-1] == "blas 1 1"
+
+
+def fresh_env(*path: str, **env: str) -> dict:
+    """os.environ without OPENBLAS_NUM_THREADS (the test process has already
+    imported citefair.cli), with ``path`` and src ahead of PYTHONPATH."""
+    fresh = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    src = str(Path(citefair.__file__).resolve().parents[1])
+    fresh["PYTHONPATH"] = os.pathsep.join(filter(None, (*path, src, fresh.get("PYTHONPATH"))))
+    return {**fresh, **env}
+
+
+def run_fresh(code: str, **env: str) -> str:
+    """The stdout of ``code`` run in a fresh interpreter."""
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=fresh_env(**env), timeout=60)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.strip()
+
+
+class TestStartup:
+    """The CLI loads OpenBLAS with one thread; the library leaves it alone."""
+
+    def test_package_import_loads_no_numpy(self):
+        assert run_fresh("import sys, citefair; print('numpy' in sys.modules)") == "False"
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="counts threads in /proc/self/task")
+    def test_cli_pins_one_blas_thread(self):
+        code = ("import os, citefair.cli; print(os.environ['OPENBLAS_NUM_THREADS'],"
+                " len(os.listdir('/proc/self/task')))")
+        assert run_fresh(code) == "1 1"
+
+    def test_preset_blas_threads_are_kept(self):
+        code = "import os, citefair.cli; print(os.environ['OPENBLAS_NUM_THREADS'])"
+        assert run_fresh(code, OPENBLAS_NUM_THREADS="2") == "2"
+
+    def test_pearson_bits_do_not_depend_on_blas_threads(self):
+        # Above 10,000 elements OpenBLAS splits a dot product across its
+        # threads, which changes the rounding.
+        code = ("import citefair.cli, numpy as np; from citefair import stats;"
+                " x, y = np.random.default_rng(0).standard_normal((2, 18485));"
+                " print(stats.pearson(x, y).hex())")
+        assert run_fresh(code) == run_fresh(code, OPENBLAS_NUM_THREADS="1")
