@@ -29,13 +29,13 @@ through the exclusion policy (_Assembly) and the WindowCounter of the
 model, checks the two event rules of validate that the parsers and the
 policy leave open, and writes its kept rows; what stays in memory is one
 batch and the per-paper and per-journal state, however long the file.
-ingest_bundle writes a bundle so, and load_counts reads the files of a
-bundle that changed after ingest again so, writing nothing.
 
 A bundle (ingest_bundle) holds the three files, tab-separated, plus
 ``counts.tsv`` (the census's WindowCounts) and ``dataset.json``, whose
 manifest records each of the four files' sha256 and row count, hashed as
-the files are written (_Writer).
+the files are written (_Writer).  A command that reads a bundle checks
+against the manifest exactly the files it parses: load_partition
+journals.tsv, load_counts journals.tsv and counts.tsv.
 """
 
 from __future__ import annotations
@@ -147,13 +147,6 @@ class IngestConfig:
         if self.zero_refs_policy not in (POLICY_DROP_WARN, POLICY_ERROR):
             raise ValueError(
                 f"zero_refs_policy must be '{POLICY_DROP_WARN}' or '{POLICY_ERROR}'")
-
-
-# The policy under which load_counts reads a changed bundle again: a bundle
-# as ingest wrote it has nothing left for the policy to drop, so every
-# cluster is kept and an event that ingest would drop is an error.
-_RECHECK = IngestConfig(min_cluster_size=1, unknown_cited_policy=POLICY_ERROR,
-                        zero_refs_policy=POLICY_ERROR)
 
 
 @dataclass(frozen=True)
@@ -763,27 +756,36 @@ def _float(raw: str) -> float | None:
 
 
 def _read_counts(path: Path, census_year: int) -> WindowCounts:
+    """The WindowCounts of a counts.tsv whose integer counts fit in 64 bits
+    and whose fractional counts are numbers, every count finite and >= 0."""
     (jids, *columns), line_of, stop = _read_columns(path, IngestConfig(), COUNTS_COLUMNS)
     cites, fractional, items = columns[0:3], columns[3:6], columns[6:9]
     floats = [list(map(_float, c.values)) for c in fractional]
+    fraction = np.column_stack([np.array(f, np.float64)[c.codes]  # None reads as NaN
+                                for c, f in zip(fractional, floats)])
+
+    def raws(i: int) -> str:
+        return ", ".join(repr(c[i]) for c in fractional)
 
     def integers(column: _Column, what: str):
-        return (column.expand(not _fits(v) for v in column.numbers),
-                lambda line, i: _int_error(path, line, column[i], what))
+        yield (column.expand(not _fits(v) for v in column.numbers),
+               lambda line, i: _int_error(path, line, column[i], what))
+        yield (column.expand(v is not None and v < 0 for v in column.numbers),
+               lambda line, i: ParseError(path, line, f"{what} must be >= 0, got {column[i]}"))
 
     error = _first_error(line_of, [
-        *(integers(c, "cites") for c in cites),
+        *chain.from_iterable(integers(c, "cites") for c in cites),
         (np.logical_or.reduce([c.expand(v is None for v in f) for c, f in zip(fractional, floats)]),
-         lambda line, i: ParseError(path, line, "fractional counts must be numbers: "
-                                    + ", ".join(repr(c[i]) for c in fractional))),
-        *(integers(c, "items") for c in items),
+         lambda line, i: ParseError(path, line, f"fractional counts must be numbers: {raws(i)}")),
+        (~(np.isfinite(fraction) & (fraction >= 0)).all(axis=1),
+         lambda line, i: ParseError(path, line,
+                                    f"fractional counts must be finite and >= 0: {raws(i)}")),
+        *chain.from_iterable(integers(c, "items") for c in items),
     ]) or stop
     if error:
         raise error
     return WindowCounts(tuple(jids.strings().tolist()), census_year,
-                        np.column_stack([c.int64() for c in cites]),
-                        np.column_stack([np.array(f, np.float64)[c.codes]
-                                         for c, f in zip(fractional, floats)]),
+                        np.column_stack([c.int64() for c in cites]), fraction,
                         np.column_stack([c.int64() for c in items]))
 
 
@@ -838,7 +840,7 @@ def _staging(directory: Path) -> tuple[Path, list[Path]]:
 
 
 def _census(journals: str | Path, publications: str | Path, citations: str | Path,
-            census_year: int | None, config: IngestConfig, out: _Writer, what: str
+            census_year: int | None, config: IngestConfig, out: _Writer
             ) -> tuple[_Assembly, WindowCounter, IngestSummary]:
     """Parse the journals and publications files whole, and pass each
     checked batch of the citations file (_CitationReader) through the
@@ -853,9 +855,9 @@ def _census(journals: str | Path, publications: str | Path, citations: str | Pat
     excess_references, decided at the end from each paper's kept events and
     the n_refs the reader holds for it.  Errors come in the order of the
     files: the journals, publications and citations files', then those of
-    the census (_Assembly.finish), then validate's as violations of
-    ``what``, the last two once the whole file is read.  The per-paper
-    state is freed on return."""
+    the census (_Assembly.finish), then validate's as violations of the
+    assembled dataset, the last two once the whole file is read.  The
+    per-paper state is freed on return."""
     records, clusters = parse_journals(journals, config)
     assembly = _Assembly(records, clusters, parse_publications(publications, config), config)
     reader = _CitationReader(citations, config, [j.journal_id for j in records])
@@ -886,8 +888,8 @@ def _census(journals: str | Path, publications: str | Path, citations: str | Pat
             out.write(kept.columns())
     excess, n = (_excess_references(n_kept, first.first, reader.leads.fields[2], reader.papers,
                                     _SHOWN) if len(n_kept) else ([], 0))
-    year = assembly.finish(census_year, what)
-    _raise_invalid([*late, *excess], total + n, what)
+    year = assembly.finish(census_year, "assembled dataset")
+    _raise_invalid([*late, *excess], total + n, "assembled dataset")
     return assembly, counter, assembly.summary(year, census_year is None, reader.zero_refs)
 
 
@@ -922,7 +924,7 @@ def ingest_bundle(journals: str | Path, publications: str | Path, citations: str
     try:
         with _Writer(staging / CITATIONS_FILE, CITATION_COLUMNS, hashed=True) as out:
             assembly, counter, summary = _census(journals, publications, citations, census_year,
-                                                 config, out, "assembled dataset")
+                                                 config, out)
         _write_bundle(staging, assembly.journals, assembly.clusters, assembly.counts,
                       counter.counts(assembly.counts), out.entry(), summary)
         for name in (*BUNDLE_FILES, META_FILE):
@@ -980,16 +982,14 @@ def _read_meta(directory: Path) -> dict:
     return meta
 
 
-def _changed(directory: Path, meta: dict, names: Sequence[str]) -> list[str]:
-    """The files among ``names`` whose sha256 differs from the manifest's."""
-    return [name for name in names
-            if _file_sha256(directory / name) != meta["files"][name]["sha256"]]
-
-
-def _changed_error(directory: Path, name: str) -> ValidationError:
-    return ValidationError(f"{directory / name}: sha256 differs from the manifest in "
-                           f"{META_FILE}; the file changed after ingest (re-run 'citefair "
-                           f"ingest' to write the bundle again)")
+def _check_unchanged(directory: Path, meta: dict, names: Sequence[str]) -> None:
+    """Raise ValidationError for the first file among ``names`` whose sha256
+    differs from the manifest's."""
+    for name in names:
+        if _file_sha256(directory / name) != meta["files"][name]["sha256"]:
+            raise ValidationError(f"{directory / name}: sha256 differs from the manifest in "
+                                  f"{META_FILE}; the file changed after ingest (re-run "
+                                  f"'citefair ingest' to write the bundle again)")
 
 
 def _partition(directory: Path) -> tuple[dict, list[str], dict[str, str], dict[str, str]]:
@@ -1010,31 +1010,18 @@ def load_partition(directory: str | Path) -> tuple[dict[str, str], dict[str, str
     and dataset.json."""
     directory = Path(directory)
     meta, _, partition, cluster_names = _partition(directory)
-    if _changed(directory, meta, (JOURNALS_FILE,)):
-        raise _changed_error(directory, JOURNALS_FILE)
+    _check_unchanged(directory, meta, (JOURNALS_FILE,))
     return partition, cluster_names, meta["census_year"]
 
 
 def load_counts(directory: str | Path) -> tuple[WindowCounts, dict[str, str]]:
     """A bundle's window counts and partition, read from counts.tsv and
-    journals.tsv once every bundle file matches the manifest.
-
-    A file that changed after ingest is an error.  When one of the
-    bundle's three input files changed, they are read again as ingest
-    reads them (_census), writing nothing, so an edit that breaks a rule
-    is reported by that rule; any other edit names the file.  The policy
-    is _RECHECK, and the memory stays that of an ingest.
-    """
+    journals.tsv, which must still match the manifest, and dataset.json.
+    The bundle's copies of publications.tsv and citations.tsv are neither
+    read nor checked."""
     directory = Path(directory)
     meta, journal_ids, partition, _ = _partition(directory)
-    changed = _changed(directory, meta, BUNDLE_FILES)
-    if set(changed) - {COUNTS_FILE}:
-        with _Writer(Path(os.devnull), CITATION_COLUMNS) as out:
-            _census(directory / JOURNALS_FILE, directory / PUBLICATIONS_FILE,
-                    directory / CITATIONS_FILE, meta["census_year"], _RECHECK, out,
-                    f"bundle {directory}")
-    if changed:
-        raise _changed_error(directory, changed[0])
+    _check_unchanged(directory, meta, (JOURNALS_FILE, COUNTS_FILE))
     counts = _read_counts(directory / COUNTS_FILE, meta["census_year"])
     if counts.journal_ids != tuple(journal_ids):
         raise ValidationError(f"{directory / COUNTS_FILE}: journals differ from {JOURNALS_FILE}")

@@ -334,24 +334,17 @@ class TestCarriageReturns:
 
 
 class TestTamperedBundle:
-    def test_unknown_cited_journal_exits_two(self, tmp_path, profile_file, capsys):
-        # a census-year row citing a journal that journals.tsv lacks
-        _, bundle, _ = run_pipeline(tmp_path, profile_file)
-        with (bundle / "citations.tsv").open("a", encoding="utf-8") as fh:
-            fh.write("P-TAMPERED\tJ0001\t2010\tNOPE\t2009\t3\n")
-        capsys.readouterr()
-        assert main(["indicators", "--dataset", str(bundle),
-                     "--out-dir", str(tmp_path / "again")]) == 2
-        err = capsys.readouterr().err
-        assert "event.unknown_cited_journal" in err
-        assert "NOPE" in err
+    """No --dataset command reads a bundle's citations.tsv.  An edited copy
+    is checked rule by rule by ingest, given the bundle's own three files,
+    its census year, and a policy that keeps every cluster and makes an
+    error of every event it would drop; it exits 2 and writes nothing."""
 
     # rows appended to citations.tsv, and the error that names the rule they
     # break: {path} is the file, {line} and {next} the lines of the first
     # and second appended rows
     EDITS = {
         "causality": (["P-LATE\tJ0001\t2009\tJ0002\t2010\t3"],
-                      "bundle {bundle} fails validation: [event.causality] P-LATE: "
+                      "assembled dataset fails validation: [event.causality] P-LATE: "
                       "cited_year 2010 > citing_year 2009"),
         "zero-refs": (["P-ZERO\tJ0001\t2010\tJ0002\t2009\t0"], "{path}:{line}: n_refs is 0"),
         "paper-conflict": (["P-TWICE\tJ0001\t2010\tJ0002\t2009\t3",
@@ -359,8 +352,11 @@ class TestTamperedBundle:
                            "{path}:{next}: citing paper 'P-TWICE' conflicts with an earlier row "
                            "on (citing_journal_id, citing_year, n_refs)"),
         "excess-references": (["P-MANY\tJ0001\t2010\tJ0002\t2009\t1"] * 2,
-                              "bundle {bundle} fails validation: [event.excess_references] "
+                              "assembled dataset fails validation: [event.excess_references] "
                               "P-MANY: 2 recorded references exceed n_refs=1"),
+        "unknown-cited": (["P-TAMPERED\tJ0001\t2010\tNOPE\t2009\t3"],
+                          "assembled dataset fails validation: [event.unknown_cited_journal] "
+                          "P-TAMPERED: cited journal 'NOPE' not in dataset"),
     }
 
     @pytest.mark.parametrize("edit", sorted(EDITS))
@@ -371,11 +367,17 @@ class TestTamperedBundle:
         line = path.read_bytes().count(b"\n") + 1
         with path.open("a", encoding="utf-8") as fh:
             fh.write("".join(row + "\n" for row in rows))
+        before = {p.name: p.read_bytes() for p in bundle.iterdir()}
+        meta = json.loads((bundle / "dataset.json").read_text(encoding="utf-8"))
         capsys.readouterr()
-        assert main(["indicators", "--dataset", str(bundle),
-                     "--out-dir", str(tmp_path / "again")]) == 2
+        assert main(["ingest", *(f"--{name}={bundle / name}.tsv"
+                                 for name in ("journals", "publications", "citations")),
+                     "--census-year", str(meta["census_year"]),
+                     "--min-cluster-size", "1", "--unknown-cited", "error",
+                     "--zero-refs", "error", "--out-dir", str(bundle)]) == 2
         assert capsys.readouterr().err == "error: " + message.format(
-            bundle=bundle, path=path, line=line, next=line + 1) + "\n"
+            path=path, line=line, next=line + 1) + "\n"
+        assert {p.name: p.read_bytes() for p in bundle.iterdir()} == before
 
 
 def rewrite_json(edit):
@@ -387,9 +389,9 @@ def rewrite_json(edit):
 
 
 class TestBundleReads:
-    """indicators reads dataset.json, journals.tsv and counts.tsv, after
-    checking every bundle file against the manifest; fairness and correlate
-    read only dataset.json and journals.tsv, and check journals.tsv."""
+    """Every --dataset command checks against the manifest exactly the
+    bundle files it parses: indicators reads dataset.json, journals.tsv and
+    counts.tsv; fairness and correlate read dataset.json and journals.tsv."""
 
     COMMANDS = {
         "indicators": [],
@@ -402,11 +404,11 @@ class TestBundleReads:
         args = [str(tables / a) if a.endswith(".tsv") else a for a in self.COMMANDS[command]]
         return main([command, "--dataset", str(bundle), *args, "--out-dir", str(out)])
 
-    def test_partition_commands_ignore_event_files(self, tmp_path, profile_file):
+    def test_dataset_commands_ignore_event_files(self, tmp_path, profile_file):
         _, bundle, tables = run_pipeline(tmp_path, profile_file)
 
         def outputs(out):
-            for command in ("fairness", "correlate"):
+            for command in sorted(self.COMMANDS):
                 assert self.run(command, bundle, tables, out / command) == 0
             return {p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()}
 
@@ -414,9 +416,10 @@ class TestBundleReads:
         (bundle / "citations.tsv").unlink()
         (bundle / "publications.tsv").unlink()
         assert outputs(tmp_path / "after") == before
+        # indicators: the tables run_pipeline wrote;
         # fairness: 2 reports (.tsv, .json) and a comparison;
         # correlate: the matrix, 2 decile files, and ecdf + ks per table
-        assert len(before) == 2 * 2 + 1 + 1 + 2 + 3 * 2
+        assert len(before) == len(list(tables.iterdir())) + 2 * 2 + 1 + 1 + 2 + 3 * 2
 
     def test_duplicate_journal_names_line(self, tmp_path, profile_file, capsys):
         _, bundle, tables = run_pipeline(tmp_path, profile_file)
@@ -496,7 +499,7 @@ class TestBundleReads:
         meta.write_text(json.dumps(json.loads(meta.read_text(encoding="utf-8"))), encoding="utf-8")
         assert self.run("indicators", bundle, tables, tmp_path / "out") == 0
 
-    @pytest.mark.parametrize("command", ["fairness", "correlate"])
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
     def test_partition_edited_after_ingest_exits_two(self, tmp_path, profile_file, capsys,
                                                      command):
         _, bundle, tables = run_pipeline(tmp_path, profile_file)
@@ -528,9 +531,20 @@ class TestBundleReads:
             assert (again / name).read_bytes() == (bundle / name).read_bytes(), name
 
 
+def rehash_counts(bundle):
+    """Bring the manifest entry of counts.tsv and the metadata's own sha256
+    up to date, so that an edit of counts.tsv reaches its reader."""
+    meta_path = bundle / "dataset.json"
+    meta = json.loads(meta_path.read_text(encoding="utf-8"))
+    meta["files"]["counts.tsv"]["sha256"] = hashlib.sha256(
+        (bundle / "counts.tsv").read_bytes()).hexdigest()
+    meta["sha256"] = _meta_sha256(meta)
+    meta_path.write_text(json.dumps(meta), encoding="utf-8")
+
+
 class TestVerifiedBundle:
-    """indicators computes its tables from counts.tsv once every bundle file
-    matches the manifest, and rejects a bundle edited after ingest."""
+    """indicators computes its tables from counts.tsv once journals.tsv and
+    counts.tsv match the manifest, and rejects them edited after ingest."""
 
     def indicators(self, bundle, out):
         return main(["indicators", "--dataset", str(bundle), "--out-dir", str(out)])
@@ -552,16 +566,6 @@ class TestVerifiedBundle:
         assert ({p.name: p.read_bytes() for p in out.iterdir()}
                 == {p.name: p.read_bytes() for p in tables.iterdir()})
 
-    def test_truncated_citations_exit_two(self, tmp_path, profile_file, capsys):
-        _, bundle, _ = run_pipeline(tmp_path, profile_file)
-        citations = bundle / "citations.tsv"
-        lines = citations.read_text(encoding="utf-8").splitlines(keepends=True)
-        citations.write_text("".join(lines[:-1]), encoding="utf-8")
-        assert len(parse_citations(citations)) == len(lines) - 2
-        capsys.readouterr()
-        assert self.indicators(bundle, tmp_path / "again") == 2
-        assert "citations.tsv: sha256 differs from the manifest" in capsys.readouterr().err
-
     def test_flipped_count_digit_exits_two(self, tmp_path, profile_file, capsys):
         _, bundle, _ = run_pipeline(tmp_path, profile_file)
         counts = bundle / "counts.tsv"
@@ -576,14 +580,11 @@ class TestVerifiedBundle:
     def test_counts_rows_swapped_with_the_manifest_updated(self, tmp_path, profile_file,
                                                           capsys):
         _, bundle, _ = run_pipeline(tmp_path, profile_file)
-        counts, meta_path = bundle / "counts.tsv", bundle / "dataset.json"
+        counts = bundle / "counts.tsv"
         lines = counts.read_text(encoding="utf-8").splitlines(keepends=True)
         lines[1], lines[2] = lines[2], lines[1]
         counts.write_text("".join(lines), encoding="utf-8")
-        meta = json.loads(meta_path.read_text(encoding="utf-8"))
-        meta["files"]["counts.tsv"]["sha256"] = hashlib.sha256(counts.read_bytes()).hexdigest()
-        meta["sha256"] = _meta_sha256(meta)
-        meta_path.write_text(json.dumps(meta), encoding="utf-8")
+        rehash_counts(bundle)
         capsys.readouterr()
         assert self.indicators(bundle, tmp_path / "again") == 2
         assert capsys.readouterr().err == (
@@ -592,20 +593,43 @@ class TestVerifiedBundle:
     def test_counts_fraction_not_a_number_with_the_manifest_updated(
             self, tmp_path, profile_file, capsys):
         _, bundle, _ = run_pipeline(tmp_path, profile_file)
-        counts, meta_path = bundle / "counts.tsv", bundle / "dataset.json"
+        counts = bundle / "counts.tsv"
         lines = counts.read_text(encoding="utf-8").splitlines(keepends=True)
         fields = lines[1].split("\t")
         fields[4] = "x"  # fractional_2
         lines[1] = "\t".join(fields)
         counts.write_text("".join(lines), encoding="utf-8")
-        meta = json.loads(meta_path.read_text(encoding="utf-8"))
-        meta["files"]["counts.tsv"]["sha256"] = hashlib.sha256(counts.read_bytes()).hexdigest()
-        meta["sha256"] = _meta_sha256(meta)
-        meta_path.write_text(json.dumps(meta), encoding="utf-8")
+        rehash_counts(bundle)
         capsys.readouterr()
         assert self.indicators(bundle, tmp_path / "again") == 2
         assert capsys.readouterr().err.startswith(
             f"error: {counts}:2: fractional counts must be numbers: 'x', ")
+
+    # counts.tsv column edited on the first data row -> its value and the error
+    BAD_COUNTS = {
+        "fraction-nan": (4, "nan", "fractional counts must be finite and >= 0: 'nan', "),
+        "fraction-infinite": (5, "inf", "fractional counts must be finite and >= 0: "),
+        "fraction-negative": (6, "-0.5", "fractional counts must be finite and >= 0: "),
+        "negative-cites": (1, "-5", "cites must be >= 0, got -5\n"),
+        "negative-items": (9, "-1", "items must be >= 0, got -1\n"),
+    }
+
+    @pytest.mark.parametrize("edit", sorted(BAD_COUNTS))
+    def test_negative_or_non_finite_count_with_the_manifest_updated(
+            self, tmp_path, profile_file, capsys, edit):
+        column, value, message = self.BAD_COUNTS[edit]
+        _, bundle, _ = run_pipeline(tmp_path, profile_file)
+        counts = bundle / "counts.tsv"
+        lines = counts.read_text(encoding="utf-8").splitlines(keepends=True)
+        fields = lines[1].rstrip("\n").split("\t")
+        fields[column] = value
+        lines[1] = "\t".join(fields) + "\n"
+        counts.write_text("".join(lines), encoding="utf-8")
+        rehash_counts(bundle)
+        capsys.readouterr()
+        assert self.indicators(bundle, tmp_path / "again") == 2
+        assert capsys.readouterr().err.startswith(f"error: {counts}:2: {message}")
+        assert not (tmp_path / "again").exists()
 
     def test_counts_edit_alone_reads_no_input_again(self, tmp_path, profile_file, capsys,
                                                      monkeypatch):
@@ -615,9 +639,10 @@ class TestVerifiedBundle:
         counts.write_text(counts.read_text(encoding="utf-8") + "\n", encoding="utf-8")
 
         def boom(*_):
-            raise RuntimeError("census read again")
+            raise RuntimeError("events read")
 
-        monkeypatch.setattr(citefair.ingest, "_census", boom)
+        for name in ("_CitationReader", "parse_publications"):
+            monkeypatch.setattr(citefair.ingest, name, boom)
         capsys.readouterr()
         assert self.indicators(bundle, tmp_path / "again") == 2
         assert capsys.readouterr().err == (

@@ -250,11 +250,16 @@ BUNDLE_VALUES = st.one_of(FIELDS, NUMERIC, st.sampled_from(["J0001", "J0075", "N
 
 @settings(SETTINGS, max_examples=100)
 @given(data=st.data())
-def test_indicators_exits_zero_or_two_on_an_edited_bundle(pipeline, tmp_path_factory, data):
+def test_indicators_exits_zero_or_two_on_an_edited_bundle(pipeline, tmp_path_factory, capsys,
+                                                          data):
     """One field of citations.tsv, publications.tsv or counts.tsv replaced
-    after ingest: indicators reads the edited bundle again and names the
-    rule or the file."""
-    source, _ = pipeline
+    after ingest.  indicators reads neither of the first two, so it writes
+    the tables of the unedited bundle.  An edit that changed the bytes of
+    counts.tsv names the file; for about half the counts.tsv examples the
+    manifest and the metadata's own sha256 are brought up to date, so that
+    the edit reaches the reader: it exits 0 or 2, and every table it writes
+    reads back."""
+    source, tables = pipeline
     edited = tmp_path_factory.mktemp("edited")
     for path in source.iterdir():
         (edited / path.name).write_bytes(path.read_bytes())
@@ -264,9 +269,30 @@ def test_indicators_exits_zero_or_two_on_an_edited_bundle(pipeline, tmp_path_fac
     fields = lines[row].split("\t")
     fields[data.draw(st.integers(0, len(fields) - 1))] = data.draw(BUNDLE_VALUES)
     lines[row] = "\t".join(fields)
-    (edited / name).write_text("\n".join(lines), encoding="utf-8")
-    assert main(["indicators", "--dataset", str(edited),
-                 "--out-dir", str(edited / "out")]) in (0, 2)
+    text = "\n".join(lines).encode("utf-8")
+    (edited / name).write_bytes(text)
+    rehash = name == "counts.tsv" and data.draw(st.booleans())
+    if rehash:
+        meta = json.loads((source / "dataset.json").read_text(encoding="utf-8"))
+        meta["files"][name]["sha256"] = hashlib.sha256(text).hexdigest()
+        meta["sha256"] = citefair.ingest._meta_sha256(meta)
+        (edited / "dataset.json").write_text(json.dumps(meta), encoding="utf-8")
+    capsys.readouterr()
+    out = edited / "out"
+    code = main(["indicators", "--dataset", str(edited), "--out-dir", str(out)])
+    err = capsys.readouterr().err
+    written = sorted(out.iterdir()) if out.exists() else []
+    if name != "counts.tsv" or text == (source / name).read_bytes():
+        assert code == 0, err
+        assert ({p.name: p.read_bytes() for p in written}
+                == {p.name: p.read_bytes() for p in tables.iterdir()})
+    elif not rehash:
+        assert code == 2
+        assert err.startswith(f"error: {edited / name}: sha256 differs from the manifest")
+    else:
+        assert code in (0, 2)
+        for path in written:
+            read_table(path)
 
 
 # The tables each --dataset command reads, and values that may replace one

@@ -12,7 +12,7 @@ from citefair.errors import IngestWarning, ParseError, ValidationError
 from citefair.indicators import read_table
 from citefair.ingest import (
     IngestConfig,
-    load_counts,
+    ingest_bundle,
     parse_journals,
     parse_publications,
     write_citations,
@@ -788,7 +788,15 @@ class TestCodedColumns:
         assert [rule for rule, _, _ in expected] == [
             "event.causality", "event.unknown_cited_journal", "event.excess_references"]
         assert record_violations(tampered) == expected
-        # the unknown journal is an error of the census, raised before validate's rules
-        with pytest.raises(ValidationError, match=r"^bundle .* fails validation: "
+        # ingest of the bundle's own files, keeping every cluster and dropping
+        # no event: the unknown journal is an error of the census, raised
+        # before validate's rules, and the bundle stays as it was
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        strict = IngestConfig(min_cluster_size=1, unknown_cited_policy="error",
+                              zero_refs_policy="error")
+        with pytest.raises(ValidationError, match=r"^assembled dataset fails validation: "
                                                   r"\[event\.unknown_cited_journal\] Pz1: "):
-            load_counts(tmp_path)
+            ingest_bundle(*(tmp_path / f"{name}.tsv"
+                            for name in ("journals", "publications", "citations")),
+                          tmp_path, ds.census_year, strict)
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
