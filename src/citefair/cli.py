@@ -37,10 +37,12 @@ def _out_path(args) -> Path:
     return Path(args.out_dir or os.environ.get("CITEFAIR_OUT", "."))
 
 
-def _out_dir(args) -> Path:
-    out = _out_path(args)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+def _say(wrote: list[tuple[str, Path | None]]) -> None:
+    """Print each line of ``wrote``, then the file it names for --stdout, if any."""
+    for line, mirror in wrote:
+        print(line)
+        if mirror is not None:
+            sys.stdout.write(mirror.read_text(encoding="utf-8"))
 
 
 def _one_char(value: str) -> str:
@@ -64,13 +66,14 @@ def cmd_synth(args) -> int:
     if args.items is not None:
         profile = replace(profile, items_per_journal=tuple(args.items))
     dataset = synth.generate(profile)
-    out = _out_dir(args)
-    paths = ing.write_dataset(dataset, out)
+    out = _out_path(args)
+    with ing._staged(out) as stage:
+        paths = ing.write_dataset(dataset, stage)
     print(f"profile: {args.profile_file or args.profile} (seed {profile.seed})")
     print(f"clusters: {len(dataset.clusters)}  journals: {len(dataset.journals)}  "
           f"events: {len(dataset.citation_events)}  census year: {dataset.census_year}")
     for name, path in paths.items():
-        print(f"wrote {name}: {path}")
+        print(f"wrote {name}: {out / path.name}")
     return 0
 
 
@@ -124,21 +127,15 @@ def cmd_indicators(args) -> int:
     else:
         specs = ind.standard_specs()
     tables = ind.tables_from_counts(counts, specs)
-    out = _out_dir(args)
-    written = []
-    for table in tables:
-        path = out / f"{table.indicator_id}.tsv"
-        ind.write_table(table, path)
-        written.append(path)
-        if args.rescale:
-            rescaled = ind.rescale(table, partition)
-            rs_path = out / f"{rescaled.indicator_id}.tsv"
-            ind.write_table(rescaled, rs_path)
-            written.append(rs_path)
-    for path in written:
-        print(f"wrote {path}")
-        if args.stdout:
-            sys.stdout.write(path.read_text(encoding="utf-8"))
+    out = _out_path(args)
+    wrote = []
+    with ing._staged(out) as stage:
+        for table in tables:
+            for version in (table, ind.rescale(table, partition)) if args.rescale else (table,):
+                name = f"{version.indicator_id}.tsv"
+                ind.write_table(version, stage / name)
+                wrote.append((f"wrote {out / name}", out / name if args.stdout else None))
+    _say(wrote)
     return 0
 
 
@@ -161,30 +158,25 @@ def _read_table(path: str, partition, census_year: int) -> ind.IndicatorTable:
 def cmd_fairness(args) -> int:
     partition, cluster_names, census_year = ing.load_partition(args.dataset)
     tables = [_read_table(p, partition, census_year) for p in args.table]
-    out = _out_dir(args)
-    reports = []
-    for table in tables:
-        report = fair.fairness_test(table, partition,
-                                    z=args.z, ci_level=args.ci_level)
-        reports.append(report)
-        tsv = out / f"{table.indicator_id}-fairness.tsv"
-        fair.write_report_tsv(report, tsv, cluster_names)
-        fair.write_report_json(report, out / f"{table.indicator_id}-fairness.json",
-                               cluster_names)
-        print(f"wrote {tsv} (and .json)")
-        if args.stdout:
-            if args.format == "structured":
-                sys.stdout.write((out / f"{table.indicator_id}-fairness.json")
-                                 .read_text(encoding="utf-8"))
-            else:
-                sys.stdout.write(tsv.read_text(encoding="utf-8"))
-    if len(tables) == 2:
-        comparison = fair.compare_reports(reports[0], reports[1])
-        cmp_path = out / (f"comparison-{tables[0].indicator_id}"
-                          f"-vs-{tables[1].indicator_id}.tsv")
-        fair.write_comparison_tsv(comparison, cmp_path,
-                                  tables[0].indicator_id, tables[1].indicator_id)
-        print(f"wrote {cmp_path} (overall: {comparison.overall})")
+    out = _out_path(args)
+    reports, wrote = [], []
+    mirrored = ".json" if args.format == "structured" else ".tsv"
+    with ing._staged(out) as stage:
+        for table in tables:
+            report = fair.fairness_test(table, partition, z=args.z, ci_level=args.ci_level)
+            reports.append(report)
+            name = f"{table.indicator_id}-fairness"
+            fair.write_report_tsv(report, stage / f"{name}.tsv", cluster_names)
+            fair.write_report_json(report, stage / f"{name}.json", cluster_names)
+            wrote.append((f"wrote {out / name}.tsv (and .json)",
+                          out / f"{name}{mirrored}" if args.stdout else None))
+        if len(tables) == 2:
+            comparison = fair.compare_reports(reports[0], reports[1])
+            name = f"comparison-{tables[0].indicator_id}-vs-{tables[1].indicator_id}.tsv"
+            fair.write_comparison_tsv(comparison, stage / name,
+                                      tables[0].indicator_id, tables[1].indicator_id)
+            wrote.append((f"wrote {out / name} (overall: {comparison.overall})", None))
+    _say(wrote)
     return 0
 
 
@@ -193,7 +185,7 @@ def cmd_correlate(args) -> int:
         raise CiteFairError("correlate needs at least two --table files")
     partition, _, census_year = ing.load_partition(args.dataset)
     tables = [_read_table(p, partition, census_year) for p in args.table]
-    out = _out_dir(args)
+    out = _out_path(args)
 
     # each table as a column over the dataset's journals in id order, NaN
     # where it has no defined value; the first table of each id is kept
@@ -207,59 +199,59 @@ def cmd_correlate(args) -> int:
         columns.append(column)
         by_id.setdefault(table.indicator_id, column)
 
-    # correlation matrix: Spearman above the diagonal, Pearson below
-    ids = list(by_id)
-    lines = ["\t".join(["indicator"] + ids)]
-    for i, rid in enumerate(ids):
-        row = [rid]
-        for j, cid in enumerate(ids):
-            if i == j:
-                row.append("")
-                continue
-            r = (stats.spearman if j > i else stats.pearson)(by_id[rid], by_id[cid])
-            row.append("n/a" if r is None else f"{r:.3f}")
-        lines.append("\t".join(row))
-    matrix_path = out / "correlation-matrix.tsv"
-    matrix_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    print(f"wrote {matrix_path}")
-    if args.stdout:
-        sys.stdout.write(matrix_path.read_text(encoding="utf-8"))
+    with ing._staged(out) as stage:
+        # correlation matrix: Spearman above the diagonal, Pearson below
+        ids = list(by_id)
+        lines = ["\t".join(["indicator"] + ids)]
+        for i, rid in enumerate(ids):
+            row = [rid]
+            for j, cid in enumerate(ids):
+                if i == j:
+                    row.append("")
+                    continue
+                r = (stats.spearman if j > i else stats.pearson)(by_id[rid], by_id[cid])
+                row.append("n/a" if r is None else f"{r:.3f}")
+            lines.append("\t".join(row))
+        matrix_path = out / "correlation-matrix.tsv"
+        (stage / matrix_path.name).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        wrote = [(f"wrote {matrix_path}", matrix_path if args.stdout else None)]
 
-    # per-decile rank correlations against the first table
-    baseline = columns[0]
-    for table, other in zip(tables[1:], columns[1:]):
-        rhos = stats.decile_rhos(baseline, other, k=args.deciles)
-        shared_n = int(np.sum(~np.isnan(baseline) & ~np.isnan(other)))
-        sizes = stats.bin_sizes(shared_n, args.deciles)
-        dec_lines = ["\t".join(("bin", "size", "spearman"))]
-        for b, (size, rho) in enumerate(zip(sizes, rhos), start=1):
-            dec_lines.append(f"{b}\t{size}\t" + ("n/a" if rho is None else f"{rho:.3f}"))
-        dec_path = out / f"deciles-{tables[0].indicator_id}-vs-{table.indicator_id}.tsv"
-        dec_path.write_text("\n".join(dec_lines) + "\n", encoding="utf-8")
-        print(f"wrote {dec_path}")
+        # per-decile rank correlations against the first table
+        baseline = columns[0]
+        for table, other in zip(tables[1:], columns[1:]):
+            rhos = stats.decile_rhos(baseline, other, k=args.deciles)
+            shared_n = int(np.sum(~np.isnan(baseline) & ~np.isnan(other)))
+            sizes = stats.bin_sizes(shared_n, args.deciles)
+            dec_lines = ["\t".join(("bin", "size", "spearman"))]
+            for b, (size, rho) in enumerate(zip(sizes, rhos), start=1):
+                dec_lines.append(f"{b}\t{size}\t" + ("n/a" if rho is None else f"{rho:.3f}"))
+            dec_path = out / f"deciles-{tables[0].indicator_id}-vs-{table.indicator_id}.tsv"
+            (stage / dec_path.name).write_text("\n".join(dec_lines) + "\n", encoding="utf-8")
+            wrote.append((f"wrote {dec_path}", None))
 
-    # per-cluster ECDF points and pairwise KS distances for each table
-    clusters, codes = stats.cluster_codes(journals, partition)
-    groups = sorted(range(len(clusters)), key=lambda g: cluster_order_key(clusters[g]))
-    for indicator_id, column in by_id.items():
-        values, bounds = stats.cluster_sort(column, codes, clusters)
-        steps = stats.ecdf_steps(values, bounds)
-        ecdf_lines = ["\t".join(("cluster", "value", "cumulative_fraction"))]
-        for g in groups:
-            xs, fractions = steps[g]
-            ecdf_lines += [f"{clusters[g]}\t{value!r}\t{frac!r}"
-                           for value, frac in zip(xs.tolist(), fractions.tolist())]
-        epath = out / f"ecdf-{indicator_id}.tsv"
-        epath.write_text("\n".join(ecdf_lines) + "\n", encoding="utf-8")
+        # per-cluster ECDF points and pairwise KS distances for each table
+        clusters, codes = stats.cluster_codes(journals, partition)
+        groups = sorted(range(len(clusters)), key=lambda g: cluster_order_key(clusters[g]))
+        for indicator_id, column in by_id.items():
+            values, bounds = stats.cluster_sort(column, codes, clusters)
+            steps = stats.ecdf_steps(values, bounds)
+            ecdf_lines = ["\t".join(("cluster", "value", "cumulative_fraction"))]
+            for g in groups:
+                xs, fractions = steps[g]
+                ecdf_lines += [f"{clusters[g]}\t{value!r}\t{frac!r}"
+                               for value, frac in zip(xs.tolist(), fractions.tolist())]
+            epath = out / f"ecdf-{indicator_id}.tsv"
+            (stage / epath.name).write_text("\n".join(ecdf_lines) + "\n", encoding="utf-8")
 
-        ks = stats.ks_matrix(values, bounds).tolist()
-        ks_lines = ["\t".join(["cluster"] + [clusters[g] for g in groups])]
-        for g in groups:
-            ks_lines.append("\t".join([clusters[g]] + ["" if g == h else f"{ks[g][h]:.4f}"
-                                                        for h in groups]))
-        kpath = out / f"ks-{indicator_id}.tsv"
-        kpath.write_text("\n".join(ks_lines) + "\n", encoding="utf-8")
-        print(f"wrote {epath} and {kpath}")
+            ks = stats.ks_matrix(values, bounds).tolist()
+            ks_lines = ["\t".join(["cluster"] + [clusters[g] for g in groups])]
+            for g in groups:
+                ks_lines.append("\t".join([clusters[g]] + ["" if g == h else f"{ks[g][h]:.4f}"
+                                                            for h in groups]))
+            kpath = out / f"ks-{indicator_id}.tsv"
+            (stage / kpath.name).write_text("\n".join(ks_lines) + "\n", encoding="utf-8")
+            wrote.append((f"wrote {epath} and {kpath}", None))
+    _say(wrote)
     return 0
 
 

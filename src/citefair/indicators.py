@@ -16,6 +16,7 @@ that journal: NaN in a table's column and "NA" in a table file.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from pathlib import Path
@@ -24,7 +25,7 @@ from typing import Mapping, Optional
 import numpy as np
 
 from .errors import ParseError, RescaleError
-from .ingest import _not_utf8
+from .ingest import _integer, _not_utf8
 from .model import WINDOW_ALL, WINDOWS, Dataset, WindowCounts, encode, vocabulary, window_counts
 
 __all__ = [
@@ -45,6 +46,8 @@ COUNTINGS = ("integer", "fractional")
 NORMALIZATIONS = ("raw", "rescaled")
 
 NA = "NA"  # serialized UNDEFINED sentinel
+# fairness and correlate name output files after an indicator_id: no path in it
+_PLAIN_ID = re.compile(r"[A-Za-z0-9][A-Za-z0-9._+-]*").fullmatch
 
 
 @dataclass(frozen=True)
@@ -266,11 +269,12 @@ def read_table(path: str | Path) -> IndicatorTable:
     """Read a table written by write_table (or an externally supplied one
     in the same format, e.g. vendor-provided impact factors).
 
-    Values must be finite and non-negative, or "NA" for UNDEFINED, and the
-    header's kind, window, counting and normalization must be ones
-    write_table writes.  Errors are reported in this order: the header
-    line, the column line, the earliest row that breaks a rule, then the
-    header's window, census year and the rest.
+    Values must be finite and non-negative, or "NA" for UNDEFINED; the
+    header's indicator_id must be a plain name (_PLAIN_ID), its window and
+    census_year ASCII numerals, and its kind, window, counting and
+    normalization ones write_table writes.  Errors are reported in this
+    order: the header line, the column line, the earliest row that breaks
+    a rule, then the header's indicator_id, window, census year and the rest.
     """
     path = Path(path)
     try:
@@ -308,12 +312,14 @@ def read_table(path: str | Path) -> IndicatorTable:
             raise ParseError(path, line_no, f"value must be finite and non-negative, got {raw!r}")
         values[jid] = value
 
-    try:
-        window = meta["window"] if meta["window"] == WINDOW_ALL else int(meta["window"])
-        census_year = int(meta["census_year"])
-    except ValueError:
+    if not _PLAIN_ID(meta["indicator_id"]):
+        raise ParseError(path, 1, f"indicator_id {meta['indicator_id']!r} is not a plain "
+                                  f"name ([A-Za-z0-9][A-Za-z0-9._+-]*)")
+    window = meta["window"] if meta["window"] == WINDOW_ALL else _integer(meta["window"])
+    census_year = _integer(meta["census_year"])
+    if window is None or census_year is None:
         raise ParseError(path, 1, f"bad window {meta['window']!r} or census_year "
-                                  f"{meta['census_year']!r}") from None
+                                  f"{meta['census_year']!r}")
     try:
         IndicatorSpec(meta["kind"], window, meta["counting"])
     except ValueError as exc:

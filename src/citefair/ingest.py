@@ -35,24 +35,28 @@ A bundle (ingest_bundle) holds the three files, tab-separated, plus
 manifest records each of the four files' sha256 and row count, hashed as
 the files are written (_Writer).  A command that reads a bundle checks
 against the manifest exactly the files it parses: load_partition
-journals.tsv, load_counts journals.tsv and counts.tsv.
+journals.tsv, load_counts journals.tsv and counts.tsv.  Every command
+writes its files through one output step (_staged): all of them or none.
 """
 
 from __future__ import annotations
 
 import csv
+import errno
 import io
 import json
 import operator
 import os
 import re
+import shutil
+import tempfile
 import warnings
 from bisect import bisect_right
 from collections import deque
-from contextlib import suppress
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, asdict
 from functools import cached_property
-from itertools import chain, count, takewhile
+from itertools import chain, takewhile
 from operator import not_
 from pathlib import Path
 from typing import Callable, Iterator, Sequence
@@ -799,7 +803,7 @@ def _file_sha256(path: Path) -> str:
 
 def _write_bundle(directory: Path, journals: Sequence[JournalRecord],
                   clusters: Sequence[Cluster], publication_counts: PublicationCounts,
-                  counts: WindowCounts, citations: dict, summary: IngestSummary) -> Path:
+                  counts: WindowCounts, citations: dict, summary: IngestSummary) -> None:
     """Write a bundle's files but citations.tsv, whose manifest entry is
     given, and then dataset.json with the manifest of all four."""
     tables = {JOURNALS_FILE: (JOURNAL_COLUMNS, _journal_fields(journals, clusters)),
@@ -820,23 +824,37 @@ def _write_bundle(directory: Path, journals: Sequence[JournalRecord],
         "ingest_summary": asdict(summary),
     }
     meta["sha256"] = _meta_sha256(meta)
-    meta_path = directory / META_FILE
-    meta_path.write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    return meta_path
+    (directory / META_FILE).write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n",
+                                       encoding="utf-8")
 
 
-def _staging(directory: Path) -> tuple[Path, list[Path]]:
-    """A new empty directory inside ``directory``, and the directories made
-    for it that did not exist before, innermost first."""
+@contextmanager
+def _staged(directory: Path) -> Iterator[Path]:
+    """The one output step of every command: a new directory inside
+    ``directory``, made with its missing parents, to write the command's
+    files in.  They are moved into ``directory`` when the block ends, and
+    removed with every directory made for them when it raises, so a
+    command writes all of its files or none."""
     made = list(takewhile(lambda d: not d.exists(), (directory, *directory.parents)))
-    directory.mkdir(parents=True, exist_ok=True)
-    for k in count():
-        staging = directory / f".ingest-{os.getpid()}-{k}"
-        try:
-            staging.mkdir()
-            return staging, made
-        except FileExistsError:
-            pass
+    staging = None
+    try:
+        directory.mkdir(parents=True, exist_ok=True)
+        staging = Path(tempfile.mkdtemp(prefix=".citefair-", dir=directory))
+        yield staging
+        staged = sorted(staging.iterdir())
+        for path in staged:  # a directory in the way would stop the moves halfway
+            if (directory / path.name).is_dir():
+                raise IsADirectoryError(errno.EISDIR, "Is a directory", str(directory / path.name))
+        for path in staged:
+            os.replace(path, directory / path.name)
+        staging.rmdir()
+    except BaseException:
+        if staging:
+            shutil.rmtree(staging, ignore_errors=True)
+        for path in made:
+            with suppress(OSError):
+                path.rmdir()
+        raise
 
 
 def _census(journals: str | Path, publications: str | Path, citations: str | Path,
@@ -907,10 +925,10 @@ def ingest_bundle(journals: str | Path, publications: str | Path, citations: str
     stay in memory.  A census year that is not an integer fitting in 64
     bits is an error before any file is read.
 
-    The files are written into a new directory inside ``directory`` and
-    moved into place only once all are written, so a failed ingest leaves
-    ``directory`` as it was, and does not leave it behind if it did not
-    exist; ``directory`` may hold the input files.
+    The files go through _staged, the output step of every command, opened
+    before citations.tsv is read, as its kept rows are written as they are
+    read: a failed ingest leaves ``directory`` as it was, and not made if
+    it did not exist; ``directory`` may hold the input files.
     """
     if census_year is not None:
         try:
@@ -919,24 +937,12 @@ def ingest_bundle(journals: str | Path, publications: str | Path, citations: str
             raise CiteFairError(f"census year must be an integer, got {census_year!r}") from None
         if census_year not in INT64:
             raise CiteFairError(f"census year {census_year} does not fit in 64 bits")
-    directory = Path(directory)
-    staging, made = _staging(directory)
-    try:
+    with _staged(Path(directory)) as staging:
         with _Writer(staging / CITATIONS_FILE, CITATION_COLUMNS, hashed=True) as out:
             assembly, counter, summary = _census(journals, publications, citations, census_year,
                                                  config, out)
         _write_bundle(staging, assembly.journals, assembly.clusters, assembly.counts,
                       counter.counts(assembly.counts), out.entry(), summary)
-        for name in (*BUNDLE_FILES, META_FILE):
-            os.replace(staging / name, directory / name)
-    except BaseException:
-        for path in staging.iterdir():
-            path.unlink()
-        for path in (staging, *made):
-            with suppress(OSError):
-                path.rmdir()
-        raise
-    staging.rmdir()
     return summary
 
 

@@ -10,6 +10,7 @@ its file's column order.
 from __future__ import annotations
 
 import math
+import string
 from fractions import Fraction
 from itertools import combinations
 from typing import NamedTuple
@@ -367,7 +368,7 @@ def read_table_by_lines(path):
     journal ids, values with None for NA), or ValueError((line, message))
     for the first rule broken, the rules checked in this order: the header
     line, the column line, each data row in turn, then the header's
-    window, census year, kind, counting and normalization."""
+    indicator_id, window, census year, kind, counting and normalization."""
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n")
         if not header.startswith("#"):
@@ -406,12 +407,21 @@ def read_table_by_lines(path):
             if not 0.0 <= value < math.inf:
                 raise ValueError((lineno, f"value must be finite and non-negative, got {raw!r}"))
             values.append(value)
-    try:
-        window = meta["window"] if meta["window"] == "all" else int(meta["window"])
-        int(meta["census_year"])
-    except ValueError:
+    indicator_id = meta["indicator_id"]
+    ascii_alnum = string.ascii_letters + string.digits
+    if not (indicator_id[:1] and indicator_id[0] in ascii_alnum
+            and all(c in ascii_alnum + "._+-" for c in indicator_id)):
+        raise ValueError((1, f"indicator_id {indicator_id!r} is not a plain name "
+                             f"([A-Za-z0-9][A-Za-z0-9._+-]*)"))
+
+    def numeral(raw):
+        digits = raw[1:] if raw[:1] in ("+", "-") else raw
+        return int(raw) if digits and all(c in string.digits for c in digits) else None
+
+    window = meta["window"] if meta["window"] == "all" else numeral(meta["window"])
+    if window is None or numeral(meta["census_year"]) is None:
         raise ValueError((1, f"bad window {meta['window']!r} or census_year "
-                             f"{meta['census_year']!r}")) from None
+                             f"{meta['census_year']!r}"))
     kind = meta["kind"]
     if kind not in ("impact_factor", "total_cites", "cp_ratio", "numerator_only"):
         raise ValueError((1, f"unknown indicator kind '{kind}'"))

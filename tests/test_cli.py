@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -195,15 +196,18 @@ class TestIngestCommand:
                      "--out-dir", str(tmp_path)]) == 2
         assert "absent.tsv" in capsys.readouterr().err
 
-    def test_staging_name_taken(self, tmp_path, profile_file):
-        # a staging directory left behind under this process id is passed over
+    def test_staging_name_taken(self, tmp_path, profile_file, monkeypatch):
+        # a staging directory left behind by a killed run is passed over
         raw, bundle, _ = run_pipeline(tmp_path, profile_file)
         out = tmp_path / "again"
-        left = out / f".ingest-{os.getpid()}-0"
+        left = out / ".citefair-left"
         left.mkdir(parents=True)
+        names = iter(["left", "new"])
+        monkeypatch.setattr(tempfile, "_get_candidate_names", lambda: names)
         assert main(["ingest", "--journals", str(raw / "journals.tsv"),
                      "--publications", str(raw / "publications.tsv"),
                      "--citations", str(raw / "citations.tsv"), "--out-dir", str(out)]) == 0
+        assert next(names, None) is None  # both names were tried
         assert left.is_dir() and not any(left.iterdir())
         assert sorted(p.name for p in out.iterdir()) == sorted(
             [left.name, *(p.name for p in bundle.iterdir())])
@@ -928,6 +932,119 @@ class TestExitCodes:
         assert done.returncode == 2
         assert "--journals" in done.stderr
         assert done.stderr.splitlines()[-1] == "blas 1 1"
+
+
+def tree(directory: Path) -> dict | None:
+    """Each path under ``directory``, with the bytes of each file (None for a
+    directory); None when ``directory`` does not exist."""
+    if not directory.exists():
+        return None
+    return {str(p.relative_to(directory)): p.read_bytes() if p.is_file() else None
+            for p in directory.rglob("*")}
+
+
+@pytest.fixture
+def unrescalable(tmp_path, profile_file):
+    """A bundle whose cluster '1' journals have no citable items in 2008
+    and 2009, so that none of them has an IF2, and its --no-rescale tables."""
+    raw, bundle, tables = tmp_path / "raw", tmp_path / "bundle", tmp_path / "tables"
+    assert main(["synth", "--profile-file", str(profile_file), "--out-dir", str(raw)]) == 0
+    alpha = {row["journal_id"] for row in csv.DictReader(
+        (raw / "journals.tsv").open(encoding="utf-8"), delimiter="\t") if row["cluster_id"] == "1"}
+    lines = (raw / "publications.tsv").read_text(encoding="utf-8").splitlines()
+    for k, line in enumerate(lines):
+        jid, year, _ = line.split("\t")
+        if jid in alpha and year in ("2008", "2009"):
+            lines[k] = f"{jid}\t{year}\t0"
+    (raw / "publications.tsv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert main(["ingest", *(f"--{name}={raw / name}.tsv"
+                             for name in ("journals", "publications", "citations")),
+                 "--out-dir", str(bundle)]) == 0
+    assert main(["indicators", "--dataset", str(bundle), "--no-rescale",
+                 "--out-dir", str(tables)]) == 0
+    return bundle, tables
+
+
+class TestFailedCommandWritesNothing:
+    """A command that fails after it has made part of its files exits 2,
+    prints no 'wrote' line and leaves --out-dir as it was: not made if it
+    did not exist, and with its files untouched if it did."""
+
+    @pytest.fixture(params=["absent", "stale"])
+    def out(self, request, tmp_path):
+        """The --out-dir: absent with its parent, or holding an older file,
+        one named like a file of the command's, and an empty directory."""
+        out = tmp_path / "out" / "deep"
+        if request.param == "stale":
+            (out / "empty").mkdir(parents=True)
+            for name in ("keep.txt", "journals.tsv", "IF2-IC.tsv", "TC-IC-fairness.tsv",
+                         "correlation-matrix.tsv"):
+                (out / name).write_text(f"old {name}\n", encoding="utf-8")
+        return out
+
+    def fails(self, argv, out, capsys, message):
+        before = tree(out.parent)
+        capsys.readouterr()
+        assert main([*argv, "--out-dir", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert "wrote" not in captured.out
+        assert tree(out.parent) == before
+
+    def test_synth_write_fails(self, profile_file, out, capsys, monkeypatch):
+        import citefair.ingest
+
+        def full(*_):
+            raise OSError("no space left")
+
+        monkeypatch.setattr(citefair.ingest, "write_citations", full)
+        self.fails(["synth", "--profile-file", str(profile_file)], out, capsys, "no space left")
+
+    def test_synth_directory_in_the_way(self, profile_file, out, capsys):
+        # the last file's name is taken by a directory: the first two must not be moved in
+        (out / "citations.tsv").mkdir(parents=True)
+        self.fails(["synth", "--profile-file", str(profile_file)], out, capsys,
+                   f"error: [Errno 21] Is a directory: '{out / 'citations.tsv'}'")
+
+    def test_indicators_cluster_without_values(self, unrescalable, out, capsys):
+        bundle, _ = unrescalable
+        self.fails(["indicators", "--dataset", str(bundle)], out, capsys,
+                   "cluster '1' has no defined values to rescale")
+
+    def test_fairness_second_table_fails(self, unrescalable, out, capsys):
+        bundle, tables = unrescalable
+        self.fails(["fairness", "--dataset", str(bundle), "--table", str(tables / "TC-IC.tsv"),
+                    "--table", str(tables / "IF2-IC.tsv")], out, capsys,
+                   "cluster(s) without any defined value: 1")
+
+    @pytest.mark.parametrize("deciles, message", [
+        ("0", "need at least 2 bins, got k=0"), ("100000", "is smaller than k=100000")],
+        ids=["zero", "above-support"])
+    def test_correlate_deciles_out_of_range(self, tmp_path, profile_file, out, capsys,
+                                            deciles, message):
+        _, bundle, tables = run_pipeline(tmp_path, profile_file)
+        self.fails(["correlate", "--dataset", str(bundle), "--table", str(tables / "IF2-IC.tsv"),
+                    "--table", str(tables / "IF2-FC.tsv"), "--deciles", deciles], out, capsys,
+                   message)
+
+    @pytest.mark.parametrize("command", ["fairness", "correlate"])
+    @pytest.mark.parametrize("indicator_id", ["../x", "a/b", "/abs/x", "<tmp>/abs/x", ""])
+    def test_indicator_id_naming_a_path(self, tmp_path, profile_file, capsys, command,
+                                        indicator_id):
+        _, bundle, tables = run_pipeline(tmp_path, profile_file)
+        indicator_id = indicator_id.replace("<tmp>", str(tmp_path))
+        text = (tables / "IF2-IC.tsv").read_text(encoding="utf-8")
+        table = tmp_path / "evil.tsv"
+        table.write_text(text.replace("indicator_id=IF2-IC", f"indicator_id={indicator_id}", 1),
+                         encoding="utf-8")
+        before = tree(tmp_path)
+        assert main([command, "--dataset", str(bundle), "--table", str(table),
+                     "--table", str(tables / "IF2-FC.tsv"),
+                     "--out-dir", str(tmp_path / "out" / "deep")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {table}:1: indicator_id {indicator_id!r} is not a plain name "
+            "([A-Za-z0-9][A-Za-z0-9._+-]*)\n")
+        assert tree(tmp_path) == before
 
 
 def fresh_env(*path: str, **env: str) -> dict:

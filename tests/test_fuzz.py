@@ -1,13 +1,15 @@
 """Arbitrary rows fed to the file readers: each either parses or raises a
 CiteFairError (which the CLI reports with exit 2), never anything else; the
 bulk split of plain chunks reads every file as csv.reader does; and mutated
-table files given to the commands that read them, bundles with one field
-edited after ingest given to indicators, bundles with one field of
-journals.tsv or one value of dataset.json edited given to every command
-that reads a bundle, arbitrary values of the commands' numeric options,
-and profile files with any value in any field given to synth, exit 0 or
-2, never 1.  Every journal id the journals reader accepts reads back from
-a table written with it."""
+table files (or tables whose indicator_id names a path) given to the
+commands that read them, bundles with one field edited after ingest given
+to indicators, bundles with one field of journals.tsv or one value of
+dataset.json edited given to every command that reads a bundle, arbitrary
+values of the commands' numeric options, and profile files with any value
+in any field given to synth, exit 0 or 2, never 1; the table commands
+write nothing outside --out-dir, and nothing at all when they fail.  Every
+journal id the journals reader accepts reads back from a table written
+with it."""
 
 import csv
 import hashlib
@@ -201,19 +203,39 @@ def mutated(draw, data: bytes) -> bytes:
     return b"\n".join(lines + [lines[i] for i in rows])
 
 
+def id_edits(directory) -> st.SearchStrategy[str]:
+    """indicator_id values that name a path: with separators or '..', an
+    absolute path inside ``directory``, or empty."""
+    return st.one_of(st.sampled_from(["", ".", "..", "../x", "../../x", "a/b", "x/", "/",
+                                      f"{directory}/abs/x"]),
+                     st.text(st.sampled_from("./x"), max_size=6))
+
+
 @pytest.mark.parametrize("command", ["fairness", "correlate"])
 @SETTINGS
 @given(data=st.data())
 def test_commands_exit_zero_or_two_on_mutated_tables(pipeline, tmp_path_factory, command, data):
+    """A failed command leaves no file in its --out-dir, and no command
+    writes outside it."""
     bundle, tables = pipeline
     name = data.draw(st.sampled_from(["IF2-IC", "IF2-FC-RS", "CP-FC"]))
     directory = tmp_path_factory.mktemp("mutated")
     table = directory / f"{name}.tsv"
-    table.write_bytes(data.draw(mutated((tables / f"{name}.tsv").read_bytes())))
+    text = (tables / f"{name}.tsv").read_bytes()
+    if data.draw(st.booleans()):
+        text = data.draw(mutated(text))
+    else:
+        edit = data.draw(id_edits(directory)).encode("utf-8")
+        text = text.replace(f"indicator_id={name} ".encode(), b"indicator_id=" + edit + b" ", 1)
+    table.write_bytes(text)
     options = ["--z", "25"] if command == "fairness" else ["--deciles", "4"]
-    assert main([command, "--dataset", str(bundle), "--table", str(table),
-                 "--table", str(tables / "IF5-IC.tsv"), *options,
-                 "--out-dir", str(directory / "out")]) in (0, 2)
+    out = directory / "out"
+    code = main([command, "--dataset", str(bundle), "--table", str(table),
+                 "--table", str(tables / "IF5-IC.tsv"), *options, "--out-dir", str(out)])
+    assert code in (0, 2)
+    if code == 2:
+        assert not out.exists()
+    assert [p for p in directory.rglob("*") if p != out and out not in p.parents] == [table]
 
 
 # The command each fuzzed option is given to, as --option=value so that a

@@ -477,16 +477,37 @@ class TestTableIo:
             read_table(path)
         assert err.value.line == 1
 
-    @pytest.mark.parametrize("window, census_year", [("two", "2010"), ("2", "20x0")])
+    # int() reads the last four as 2 or 2010; the file format asks for ASCII numerals
+    @pytest.mark.parametrize("window, census_year", [
+        ("two", "2010"), ("2", "20x0"), ("2", "2_010"), ("2", "\u0662\u0660\u0661\u0660"),
+        ("0_2", "2010"), ("\u0662", "2010")])
     def test_bad_window_or_census_year_names_header(self, tmp_path, window, census_year):
         path = tmp_path / "bad.tsv"
         path.write_text(
             f"# indicator_id=X kind=impact_factor window={window} counting=integer "
             f"normalization=raw census_year={census_year}\n"
-            "journal_id\tvalue\na\t1.0\n")
+            "journal_id\tvalue\na\t1.0\n", encoding="utf-8")
         with pytest.raises(ParseError, match="bad window") as err:
             read_table(path)
         assert err.value.line == 1
+
+    # fairness and correlate name their output files after the indicator_id
+    @pytest.mark.parametrize("indicator_id", ["../x", "a/b", "/abs/x", "", ".", "..", ".x",
+                                              "a\\b", "IF2\u00e9"])
+    def test_indicator_id_not_a_plain_name_names_header(self, tmp_path, indicator_id):
+        path = tmp_path / "bad.tsv"
+        path.write_text(
+            f"# indicator_id={indicator_id} kind=total_cites window=all counting=integer "
+            "normalization=raw census_year=2010\njournal_id\tvalue\na\t1.0\n", encoding="utf-8")
+        with pytest.raises(ParseError, match="is not a plain name") as err:
+            read_table(path)
+        assert err.value.line == 1
+
+    @pytest.mark.parametrize("indicator_id", ["IF2-IC-RS", "TC-FC2", "ISI-IF2", "T", "X",
+                                              "FLIP", "a.b_c+d"])
+    def test_plain_indicator_id_reads(self, tmp_path, indicator_id):
+        write_table(flat_table({"a": 1.0}, indicator_id), tmp_path / "t.tsv")
+        assert read_table(tmp_path / "t.tsv").indicator_id == indicator_id
 
 
 # Ids that a table file can hold: any text without tab, line breaks or
@@ -610,7 +631,17 @@ HEADERS = st.sampled_from([
     "census_year=2010",
     "# indicator_id=T kind=cp_ratio window=5 counting=integer normalization=raw "
     "census_year=2010",
-    "# indicator_id=T kind=impact_factor window=2 counting=integer normalization=raw"])
+    "# indicator_id=T kind=impact_factor window=2 counting=integer normalization=raw",
+    # an indicator_id that is no plain name, or a window or census year
+    # that int() reads but that is no ASCII numeral
+    "# indicator_id=../T kind=impact_factor window=2 counting=integer normalization=raw "
+    "census_year=2010",
+    "# indicator_id=-T kind=total_cites window=all counting=integer normalization=raw "
+    "census_year=2010",
+    "# indicator_id=T kind=impact_factor window=\u0662 counting=integer normalization=raw "
+    "census_year=2010",
+    "# indicator_id=T kind=impact_factor window=+5 counting=integer normalization=raw "
+    "census_year=2_010"])
 
 
 @st.composite

@@ -87,11 +87,13 @@ def test_spearman_invariant_under_increasing_transform(pairs):
                        st.floats(0.001, 1000, allow_nan=False),
                        min_size=5, max_size=60),
        st.floats(5, 100, allow_nan=False),
-       st.floats(0.1, 50, allow_nan=False))
+       st.integers(-3, 5))
 @settings(max_examples=60, deadline=None)
-def test_top_fraction_scale_invariant(values, z, scale):
+def test_top_fraction_scale_invariant(values, z, k):
+    # a power of two scales every value exactly; another factor can round
+    # two neighbouring values to one and swap them at the cut
     assume(math.floor(z * len(values) / 100.0) >= 1)
-    _, (column, scaled) = columns_of(values, {k: scale * v for k, v in values.items()})
+    _, (column, scaled) = columns_of(values, {j: 2.0 ** k * v for j, v in values.items()})
     assert top_rows(column, z).tolist() == top_rows(scaled, z).tolist()
 
 
