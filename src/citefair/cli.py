@@ -5,11 +5,14 @@ and plotting can be done with external tools.
 Exit codes: 0 success, 2 usage or input error, 1 internal error.  The
 default output directory is $CITEFAIR_OUT, falling back to the current
 directory.  All outputs are deterministic given inputs and seed.
+Importing this module freezes the objects its imports built (gc.freeze),
+so that neither later collections nor interpreter exit walk them.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 from contextlib import suppress
@@ -17,18 +20,29 @@ from dataclasses import replace
 from itertools import compress
 from pathlib import Path
 
-# One BLAS thread: a second costs half of numpy's import and makes dot-product bits host-dependent.
-os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+_collecting = gc.isenabled()
+gc.disable()
+try:
+    # One BLAS thread: a second costs half of numpy's import and makes
+    # dot-product bits host-dependent.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-import numpy as np
+    import numpy as np
 
-from . import fairness as fair
-from . import indicators as ind
-from . import ingest as ing
-from . import stats
-from . import synth
-from .errors import CiteFairError, ValidationError
-from .model import cluster_order_key
+    from . import fairness as fair
+    from . import indicators as ind
+    from . import ingest as ing
+    from . import stats
+    from . import synth
+    from .errors import CiteFairError, ValidationError
+    from .model import cluster_order_key
+
+    # The imports above built only module-lifetime objects. Frozen, no later
+    # collection walks them and interpreter exit does not free them one by one.
+    gc.freeze()
+finally:
+    if _collecting:
+        gc.enable()
 
 __all__ = ["main", "run", "build_parser"]
 
@@ -155,9 +169,23 @@ def _read_table(path: str, partition, census_year: int) -> ind.IndicatorTable:
                    column=table.column[np.array(inside, dtype=bool)])
 
 
+def _read_tables(paths: list[str], partition, census_year: int) -> list[ind.IndicatorTable]:
+    """Read each table (_read_table); output files are named after a
+    table's indicator_id, so two tables may not share one."""
+    tables = [_read_table(path, partition, census_year) for path in paths]
+    first: dict[str, str] = {}
+    for path, table in zip(paths, tables):
+        if table.indicator_id in first:
+            raise CiteFairError(f"{first[table.indicator_id]} and {path} have the same "
+                                f"indicator_id {table.indicator_id!r}; output files are "
+                                "named after it")
+        first[table.indicator_id] = path
+    return tables
+
+
 def cmd_fairness(args) -> int:
     partition, cluster_names, census_year = ing.load_partition(args.dataset)
-    tables = [_read_table(p, partition, census_year) for p in args.table]
+    tables = _read_tables(args.table, partition, census_year)
     out = _out_path(args)
     reports, wrote = [], []
     mirrored = ".json" if args.format == "structured" else ".tsv"
@@ -184,32 +212,30 @@ def cmd_correlate(args) -> int:
     if len(args.table) < 2:
         raise CiteFairError("correlate needs at least two --table files")
     partition, _, census_year = ing.load_partition(args.dataset)
-    tables = [_read_table(p, partition, census_year) for p in args.table]
+    tables = _read_tables(args.table, partition, census_year)
     out = _out_path(args)
 
     # each table as a column over the dataset's journals in id order, NaN
-    # where it has no defined value; the first table of each id is kept
+    # where it has no defined value
     journals = sorted(partition)
     position = dict(zip(journals, range(len(journals))))
     columns = []
-    by_id: dict[str, np.ndarray] = {}
     for table in tables:
         column = np.full(len(journals), np.nan)
         column[list(map(position.__getitem__, table.journal_ids))] = table.column
         columns.append(column)
-        by_id.setdefault(table.indicator_id, column)
+    ids = [table.indicator_id for table in tables]
 
     with ing._staged(out) as stage:
         # correlation matrix: Spearman above the diagonal, Pearson below
-        ids = list(by_id)
         lines = ["\t".join(["indicator"] + ids)]
         for i, rid in enumerate(ids):
             row = [rid]
-            for j, cid in enumerate(ids):
+            for j in range(len(ids)):
                 if i == j:
                     row.append("")
                     continue
-                r = (stats.spearman if j > i else stats.pearson)(by_id[rid], by_id[cid])
+                r = (stats.spearman if j > i else stats.pearson)(columns[i], columns[j])
                 row.append("n/a" if r is None else f"{r:.3f}")
             lines.append("\t".join(row))
         matrix_path = out / "correlation-matrix.tsv"
@@ -232,7 +258,7 @@ def cmd_correlate(args) -> int:
         # per-cluster ECDF points and pairwise KS distances for each table
         clusters, codes = stats.cluster_codes(journals, partition)
         groups = sorted(range(len(clusters)), key=lambda g: cluster_order_key(clusters[g]))
-        for indicator_id, column in by_id.items():
+        for indicator_id, column in zip(ids, columns):
             values, bounds = stats.cluster_sort(column, codes, clusters)
             steps = stats.ecdf_steps(values, bounds)
             ecdf_lines = ["\t".join(("cluster", "value", "cumulative_fraction"))]

@@ -52,6 +52,8 @@ class ClusterFairness:
 
 @dataclass(frozen=True)
 class FairnessSummary:
+    """The across-cluster summary of a report's percentages."""
+
     mean_pct: float
     sd_pct: Optional[float]
     sum_abs_dev: float
@@ -60,6 +62,8 @@ class FairnessSummary:
 
 @dataclass(frozen=True)
 class FairnessReport:
+    """The top-z% fairness test of one table: per cluster and overall."""
+
     z: float
     ci_level: float
     n_z: int

@@ -316,7 +316,6 @@ def _int_error(path: Path, lineno: int, raw: str, what: str) -> ParseError:
     return ParseError(path, lineno, f"{what} {raw!r} does not fit in 64 bits")
 
 
-@dataclass(frozen=True, eq=False)
 class _Column(Ids):
     """One column of a file: an int32 code per row over the distinct raw
     fields, numbered in order of first appearance."""

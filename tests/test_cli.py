@@ -821,17 +821,17 @@ class TestCorrelateCommand:
         ks = (out / "ks-IF2-IC.tsv").read_text(encoding="utf-8").splitlines()
         assert ks[0].split("\t")[1:] == [line.split("\t")[0] for line in ks[1:]] == order
 
-    def test_table_against_itself(self, tmp_path, profile_file):
+    def test_table_against_itself(self, tmp_path, profile_file, capsys):
+        # its ECDF and KS files would be written twice under one name
         _, bundle, tables = run_pipeline(tmp_path, profile_file)
+        table = tables / "IF2-IC.tsv"
         out = tmp_path / "corr"
-        assert main(["correlate", "--dataset", str(bundle),
-                     "--table", str(tables / "IF2-IC.tsv"),
-                     "--table", str(tables / "IF2-IC.tsv"),
-                     "--deciles", "4", "--out-dir", str(out)]) == 0
-        matrix = (out / "correlation-matrix.tsv").read_text().splitlines()
-        assert len(matrix) == 2  # deduplicated: 1x1 matrix, no off-diagonal
-        deciles = (out / "deciles-IF2-IC-vs-IF2-IC.tsv").read_text().splitlines()[1:]
-        assert all(line.split("\t")[2] == "1.000" for line in deciles)
+        assert main(["correlate", "--dataset", str(bundle), "--table", str(table),
+                     "--table", str(table), "--deciles", "4", "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err == (f"error: {table} and {table} have the same "
+                                           "indicator_id 'IF2-IC'; output files are named "
+                                           "after it\n")
+        assert not out.exists()
 
     def test_fewer_than_two_tables_exit_two(self, tmp_path, profile_file, capsys):
         _, bundle, tables = run_pipeline(tmp_path, profile_file)
@@ -1028,6 +1028,23 @@ class TestFailedCommandWritesNothing:
                    message)
 
     @pytest.mark.parametrize("command", ["fairness", "correlate"])
+    def test_repeated_indicator_id(self, tmp_path, profile_file, out, capsys, command):
+        # the copy's values are tripled: its report would replace the first one's
+        _, bundle, tables = run_pipeline(tmp_path, profile_file)
+        first = tables / "IF2-FC.tsv"
+        lines = first.read_text(encoding="utf-8").splitlines()
+        for k, line in enumerate(lines[2:], start=2):
+            jid, value = line.split("\t")
+            if value != "NA":
+                lines[k] = f"{jid}\t{3 * float(value)!r}"
+        copy = tmp_path / "tripled.tsv"
+        copy.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        self.fails([command, "--dataset", str(bundle), "--table", str(first),
+                    "--table", str(copy)], out, capsys,
+                   f"error: {first} and {copy} have the same indicator_id 'IF2-FC'; "
+                   "output files are named after it\n")
+
+    @pytest.mark.parametrize("command", ["fairness", "correlate"])
     @pytest.mark.parametrize("indicator_id", ["../x", "a/b", "/abs/x", "<tmp>/abs/x", ""])
     def test_indicator_id_naming_a_path(self, tmp_path, profile_file, capsys, command,
                                         indicator_id):
@@ -1065,7 +1082,8 @@ def run_fresh(code: str, **env: str) -> str:
 
 
 class TestStartup:
-    """The CLI loads OpenBLAS with one thread; the library leaves it alone."""
+    """The CLI loads OpenBLAS with one thread and freezes its import-time
+    heap; the library leaves both alone."""
 
     def test_package_import_loads_no_numpy(self):
         assert run_fresh("import sys, citefair; print('numpy' in sys.modules)") == "False"
@@ -1087,3 +1105,54 @@ class TestStartup:
                 " x, y = np.random.default_rng(0).standard_normal((2, 18485));"
                 " print(stats.pearson(x, y).hex())")
         assert run_fresh(code) == run_fresh(code, OPENBLAS_NUM_THREADS="1")
+
+    def test_cli_import_freezes_the_heap(self):
+        code = "import gc, citefair.cli; print(gc.isenabled(), gc.get_freeze_count() > 0)"
+        assert run_fresh(code) == "True True"
+
+    def test_disabled_collector_stays_disabled(self):
+        assert run_fresh("import gc; gc.disable(); import citefair.cli;"
+                         " print(gc.isenabled())") == "False"
+
+    def test_failed_import_turns_the_collector_back_on(self):
+        code = ("import gc, sys; sys.modules['numpy'] = None\n"
+                "try:\n    import citefair.cli\nexcept ImportError:\n"
+                "    print(gc.isenabled(), gc.get_freeze_count())")
+        assert run_fresh(code) == "True 0"
+
+    def test_package_import_freezes_nothing(self):
+        code = ("import gc, citefair; from citefair import stats, fairness, ingest;"
+                " print(gc.get_freeze_count())")
+        assert run_fresh(code) == "0"
+
+    def test_heap_frozen_once_per_process(self, tmp_path, profile_file):
+        # a command may free a frozen object, but freezes none of its own
+        argv = ["synth", "--profile-file", str(profile_file), "--out-dir", str(tmp_path)]
+        code = ("import contextlib, gc, io\n"
+                "from citefair.cli import main\n"
+                "frozen = gc.get_freeze_count()\n"
+                "with contextlib.redirect_stdout(io.StringIO()):\n"
+                f"    codes = main({argv!r}), main({argv!r})\n"
+                "print(codes, 0 < gc.get_freeze_count() <= frozen)")
+        assert run_fresh(code) == "(0, 0) True"
+
+    def test_module_run_prints_the_json_it_wrote(self, tmp_path, profile_file):
+        # stdout is a pipe, so its buffer is written only at exit
+        _, bundle, tables = run_pipeline(tmp_path, profile_file)
+        out = tmp_path / "f"
+        done = subprocess.run([sys.executable, "-m", "citefair.cli", "fairness",
+                               "--dataset", str(bundle), "--table", str(tables / "IF2-IC.tsv"),
+                               "--out-dir", str(out), "--stdout", "--format", "structured"],
+                              capture_output=True, env=fresh_env(), timeout=60)
+        assert (done.returncode, done.stderr) == (0, b"")
+        assert done.stdout == (f"wrote {out / 'IF2-IC-fairness.tsv'} (and .json)\n".encode()
+                               + (out / "IF2-IC-fairness.json").read_bytes())
+
+    def test_module_run_rejects_a_missing_bundle(self, tmp_path):
+        done = subprocess.run([sys.executable, "-m", "citefair.cli", "correlate",
+                               "--dataset", str(tmp_path / "none"), "--table", "a.tsv",
+                               "--table", "b.tsv", "--out-dir", str(tmp_path / "out")],
+                              capture_output=True, text=True, env=fresh_env(), timeout=60)
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr == ("error: not a dataset bundle (missing dataset.json): "
+                               f"{tmp_path / 'none'}\n")

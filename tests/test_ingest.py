@@ -2,6 +2,7 @@ import csv
 import hashlib
 import io
 import json
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -448,6 +449,24 @@ class TestHeaderRow:
         path = tmp_path / "journals.tsv"
         path.write_text(self.HEADER + end, encoding="utf-8")
         assert parse_journals(path) == ([], [])
+
+
+class TestRawColumn:
+    """A file column (ingest._Column) is an Ids with the raw-field helpers."""
+
+    def test_behaves_as_its_ids(self):
+        column = citefair.ingest._column(["7", "x", "7", ""])
+        assert repr(column) == ("_Column(codes=array([0, 1, 0, 2], dtype=int32), "
+                                "values=('7', 'x', ''))")
+        assert column == Ids([0, 1, 0, 2], ("7", "x", "")) == column
+        assert column == citefair.ingest._Column([1, 2, 1, 0], ("", "7", "x"))
+        assert column != citefair.ingest._column(["7", "x", "x", ""])
+        for name in ("codes", "values"):
+            with pytest.raises(FrozenInstanceError):
+                setattr(column, name, getattr(column, name))
+        assert not column.codes.flags.writeable
+        assert (column.numbers, column.empty().tolist(), column.int64().tolist()) == (
+            [7, None, None], [False, False, False, True], [7, 0, 7, 0])
 
 
 class TestColumnWriter:
