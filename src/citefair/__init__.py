@@ -21,7 +21,7 @@ _MODULE_NAMES = {
     "ingest": ("IngestConfig", "ingest_bundle", "load_counts", "load_partition",
                "parse_journals", "parse_publications", "write_dataset"),
     "model": ("Cluster", "Dataset", "Events", "Ids", "JournalRecord", "PublicationCounts",
-              "Violation", "WindowCounts", "validate", "window_counts"),
+              "Violation", "WindowCounts", "window_counts"),
     "stats": ("HypergeomParams", "VarianceDecomposition", "hypergeom_ci", "hypergeom_pmf",
               "pearson", "spearman", "variance_decomposition"),
     "synth": ("SynthProfile", "generate", "paper2010_profile"),

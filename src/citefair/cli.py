@@ -129,7 +129,8 @@ def _spec_from_args(args) -> ind.IndicatorSpec:
         with suppress(ValueError):  # not an integer: the spec rejects it by its text
             window = int(window)
     try:
-        return ind.IndicatorSpec(kind=args.kind, window=window, counting=args.counting)
+        return ind.IndicatorSpec(kind=args.kind, window=window,
+                                 counting=args.counting or "integer")
     except ValueError as exc:
         raise CiteFairError(str(exc)) from None
 
@@ -139,6 +140,10 @@ def cmd_indicators(args) -> int:
     if args.kind:
         specs = [_spec_from_args(args)]
     else:
+        given = [f"--{name}" for name in ("window", "counting") if getattr(args, name) is not None]
+        if given:
+            raise CiteFairError(f"{' and '.join(given)} given without --kind; the standard "
+                                f"battery takes no window or counting")
         specs = ind.standard_specs()
     tables = ind.tables_from_counts(counts, specs)
     out = _out_path(args)
@@ -319,8 +324,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dataset", required=True, help="bundle directory from 'ingest'")
     p.add_argument("--kind", choices=ind.KINDS, default=None,
                    help="one indicator kind (default: the standard battery)")
-    p.add_argument("--window", default=None, help="2, 5 or 'all'")
-    p.add_argument("--counting", choices=ind.COUNTINGS, default="integer")
+    p.add_argument("--window", default=None, help="2, 5 or 'all'; needs --kind")
+    p.add_argument("--counting", choices=ind.COUNTINGS, default=None,
+                   help="integer (default) or fractional; needs --kind")
     p.add_argument("--rescale", dest="rescale", action="store_true", default=True,
                    help="also write per-cluster mean-rescaled variants (default)")
     p.add_argument("--no-rescale", dest="rescale", action="store_false")

@@ -26,9 +26,10 @@ is read once, batch by batch (_CitationReader): each citing paper's first
 event is carried from batch to batch, so the rules need no earlier batch.
 _census parses the journals and publications files, passes each batch on
 through the exclusion policy (_Assembly) and the WindowCounter of the
-model, checks the two event rules of validate that the parsers and the
-policy leave open, and writes its kept rows; what stays in memory is one
-batch and the per-paper and per-journal state, however long the file.
+model, checks the two event rules that the parsers and the policy leave
+open (event.causality and event.excess_references), and writes its kept
+rows; what stays in memory is one batch and the per-paper and
+per-journal state, however long the file.
 
 A bundle (ingest_bundle) holds the three files, tab-separated, plus
 ``counts.tsv`` (the census's WindowCounts) and ``dataset.json``, whose
@@ -867,14 +868,14 @@ def _census(journals: str | Path, publications: str | Path, citations: str | Pat
     the counter and the summary.  When the census year is inferred, the
     counter starts again whenever a later citing year is kept.
 
-    The parsers and the policy already enforce every rule of validate but
-    two event rules: causality, checked per kept batch, and
-    excess_references, decided at the end from each paper's kept events and
-    the n_refs the reader holds for it.  Errors come in the order of the
-    files: the journals, publications and citations files', then those of
-    the census (_Assembly.finish), then validate's as violations of the
-    assembled dataset, the last two once the whole file is read.  The
-    per-paper state is freed on return."""
+    The parsers and the policy already enforce every rule but two event
+    rules: event.causality, checked per kept batch, and
+    event.excess_references, decided at the end from each paper's kept
+    events and the n_refs the reader holds for it.  Errors come in the
+    order of the files: the journals, publications and citations files',
+    then those of the census (_Assembly.finish), then the two event rules'
+    as violations of the assembled dataset, the last two once the whole
+    file is read.  The per-paper state is freed on return."""
     records, clusters = parse_journals(journals, config)
     assembly = _Assembly(records, clusters, parse_publications(publications, config), config)
     reader = _CitationReader(citations, config, [j.journal_id for j in records])
@@ -918,11 +919,12 @@ def ingest_bundle(journals: str | Path, publications: str | Path, citations: str
     hold (_census), with its summary.
 
     Each checked batch of citations goes through the exclusion policy and
-    the WindowCounter, is checked for the rules of validate that it can
-    still break, and its kept rows are written to citations.tsv and hashed
-    (_census).  Only one batch, the per-paper and the per-journal state
-    stay in memory.  A census year that is not an integer fitting in 64
-    bits is an error before any file is read.
+    the WindowCounter, is checked for the rules that it can still break
+    (event.causality and event.excess_references), and its kept rows are
+    written to citations.tsv and hashed (_census).  Only one batch, the
+    per-paper and the per-journal state stay in memory.  A census year
+    that is not an integer fitting in 64 bits is an error before any file
+    is read.
 
     The files go through _staged, the output step of every command, opened
     before citations.tsv is read, as its kept rows are written as they are

@@ -10,11 +10,11 @@ never mutated afterwards.
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import count
-from typing import Callable, ClassVar, Collection, Iterable, Iterator, Sequence
+from typing import Callable, ClassVar, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -33,7 +33,6 @@ __all__ = [
     "window_counts",
     "WINDOWS",
     "Violation",
-    "validate",
     "cluster_order_key",
 ]
 
@@ -106,10 +105,6 @@ class Ids:
     def expand(self, per_value: Iterable, dtype=bool) -> np.ndarray:
         """Per row, the entry of ``per_value`` (one per distinct id) for its id."""
         return np.fromiter(per_value, dtype, len(self.values))[self.codes]
-
-    def isin(self, ids: Collection[str]) -> np.ndarray:
-        """Per row, whether its id is in ``ids``."""
-        return self.expand(map(ids.__contains__, self.values))
 
     def strings(self) -> np.ndarray:
         """The ids row by row, as an ``object`` array of ``str``."""
@@ -296,7 +291,9 @@ def cluster_order_key(cluster_id: str):
 
 @dataclass(frozen=True)
 class Dataset:
-    """A validated bundle of journals, clusters, counts and citation events.
+    """A bundle of journals, clusters, counts and citation events, taken as
+    given: ingest_bundle enforces the rules on the files as it reads them,
+    and no library code checks a Dataset built by hand.
 
     ``census_year`` is the evaluation year t: indicator windows are derived
     from it rather than passed per call.
@@ -409,54 +406,6 @@ def window_counts(dataset: Dataset) -> WindowCounts:
     return counter.counts(dataset.publication_counts)
 
 
-def _record_violations(journals: Sequence[JournalRecord], clusters: Sequence[Cluster],
-                       counts: PublicationCounts) -> list[Violation]:
-    """The violations of the cluster, journal and publication rules."""
-    violations: list[Violation] = []
-    add = violations.append
-
-    declared = {}
-    for c in clusters:
-        if c.cluster_id in declared:
-            add(Violation("cluster.duplicate_id", c.cluster_id, "cluster declared twice"))
-        declared[c.cluster_id] = c
-        if c.size < 1:
-            add(Violation("cluster.empty", c.cluster_id, f"declared size {c.size} < 1"))
-
-    seen_journals: set[str] = set()
-    membership: Counter[str] = Counter()
-    for j in journals:
-        if j.journal_id in seen_journals:
-            add(Violation("journal.duplicate_id", j.journal_id, "journal_id occurs more than once"))
-        seen_journals.add(j.journal_id)
-        if j.cluster_id not in declared:
-            add(Violation("journal.unknown_cluster", j.journal_id,
-                          f"refers to undeclared cluster '{j.cluster_id}'"))
-        membership[j.cluster_id] += 1
-
-    for c in clusters:
-        actual = membership.get(c.cluster_id, 0)
-        if actual != c.size:
-            add(Violation("cluster.size_mismatch", c.cluster_id,
-                          f"declared size {c.size}, membership count {actual}"))
-    if sum(c.size for c in clusters) != len(journals):
-        add(Violation("cluster.size_sum", "<dataset>",
-                      "declared cluster sizes do not sum to the journal count"))
-
-    jids, years, items = counts.journal_id, counts.year, counts.citable_items
-    repeat = repeats(jids.codes, np.unique(years, return_inverse=True)[1])
-    negative = items < 0
-    for i in np.flatnonzero(repeat | negative).tolist():
-        record = f"{jids[i]}/{years[i]}"
-        if repeat[i]:
-            add(Violation("publication.duplicate", record,
-                          "more than one record for this journal-year"))
-        if negative[i]:
-            add(Violation("publication.negative_items", record,
-                          f"citable_items {items[i]} < 0"))
-    return violations
-
-
 def _causality(events: Events, limit: int | None = None) -> tuple[list[Violation], int]:
     """The first ``limit`` (default all) violations of the causality rule
     among ``events``, in event order, and the number found."""
@@ -480,34 +429,3 @@ def _excess_references(n_events: np.ndarray, first: np.ndarray, n_refs: np.ndarr
     return [Violation("event.excess_references", ids[p],
                       f"{n_events[p]} recorded references exceed n_refs={n_refs[p]}")
             for p in shown], len(papers)
-
-
-def validate(dataset: Dataset) -> list[Violation]:
-    """Check every structural invariant; return one Violation per breach.
-
-    Violations are data, not failures: a clean dataset yields an empty
-    list, and identical input always yields the identical list.  Event
-    violations come rule by rule, each rule's in event (file) order; the
-    excess_references rule gives one entry per citing paper, listed by its
-    first event.
-    """
-    events = dataset.citation_events
-    pids, cited, n_refs = events.citing_paper_id, events.cited_journal_id, events.n_refs
-    leads = Leads()  # each citing paper's first event
-    inconsistent = leads.conflicts(pids.codes, events.citing_journal_id.codes,
-                                   events.citing_year, n_refs)
-    known = {j.journal_id for j in dataset.journals}
-    return [
-        *_record_violations(dataset.journals, dataset.clusters, dataset.publication_counts),
-        *(Violation("event.nonpositive_refs", pids[i], f"n_refs {n_refs[i]} < 1")
-          for i in np.flatnonzero(n_refs < 1).tolist()),
-        *_causality(events)[0],
-        *(Violation("event.paper_inconsistent", pids[i],
-                    "events of one citing paper disagree on journal, year or n_refs")
-          for i in np.flatnonzero(inconsistent).tolist()),
-        *(Violation("event.unknown_cited_journal", pids[i],
-                    f"cited journal '{cited[i]}' not in dataset")
-          for i in np.flatnonzero(~cited.isin(known)).tolist()),
-        *_excess_references(np.bincount(pids.codes, minlength=len(leads.first)), leads.first,
-                            leads.fields[2], pids.values)[0],
-    ]

@@ -167,8 +167,19 @@ def generate(profile: SynthProfile) -> Dataset:
     Citing papers are the census-year items of every journal; each paper
     draws its reference-list length from its cluster's discretized
     lognormal (floored at 1) and every reference lands on an in-dataset
-    journal, so a paper's fractional weights sum to exactly 1.
+    journal, so a paper's fractional weights sum to exactly 1.  A profile
+    whose arrays cannot be allocated is a ProfileError.
     """
+    try:
+        return _generate(profile)
+    except MemoryError:
+        first_year, census = profile.years
+        raise ProfileError(f"profile of {profile.total_journals} journals (clusters' size) over "
+                           f"{census - first_year + 1} years (years) does not fit in memory"
+                           ) from None
+
+
+def _generate(profile: SynthProfile) -> Dataset:
     rng = np.random.default_rng(profile.seed)
     total = profile.total_journals
     first_year, census = profile.years

@@ -3,22 +3,110 @@ compared with: every event of citations.tsv read into one Events, the
 exclusion policy applied to them as one batch, validate run over the
 whole Dataset, and the bundle written from it.
 
-It is built from the package's reader, policy and writers, so it checks
-that the stream's batching and bookkeeping change nothing; the rules
-themselves are checked against tests/oracles.py, which shares no code
-with the package.  ``bundle`` makes the bundle of a Dataset with ingest
-itself, for tests that need a bundle and no reference.
+validate is the second statement of the rules that ingest_bundle
+enforces as it reads (the parsers, _Assembly and _census): it checks
+them all over one Dataset, hand-built ones included, and lists every
+breach.  The rest is built from the package's reader, policy and
+writers, so it checks that the stream's batching and bookkeeping change
+nothing; the rules themselves are checked against tests/oracles.py,
+which shares no code with the package.  ``bundle`` makes the bundle of a
+Dataset with ingest itself, for tests that need a bundle and no
+reference.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
 import citefair.ingest as ing
 from citefair.ingest import IngestConfig, ingest_bundle, write_dataset
-from citefair.model import Dataset, Events, Ids, PerId, validate, vocabulary, window_counts
+from citefair.model import (Cluster, Dataset, Events, Ids, JournalRecord, Leads, PerId,
+                            PublicationCounts, Violation, _causality, _excess_references,
+                            repeats, vocabulary, window_counts)
+
+
+def _record_violations(journals: Sequence[JournalRecord], clusters: Sequence[Cluster],
+                       counts: PublicationCounts) -> list[Violation]:
+    """The violations of the cluster, journal and publication rules."""
+    violations: list[Violation] = []
+    add = violations.append
+
+    declared = {}
+    for c in clusters:
+        if c.cluster_id in declared:
+            add(Violation("cluster.duplicate_id", c.cluster_id, "cluster declared twice"))
+        declared[c.cluster_id] = c
+        if c.size < 1:
+            add(Violation("cluster.empty", c.cluster_id, f"declared size {c.size} < 1"))
+
+    seen_journals: set[str] = set()
+    membership: Counter[str] = Counter()
+    for j in journals:
+        if j.journal_id in seen_journals:
+            add(Violation("journal.duplicate_id", j.journal_id, "journal_id occurs more than once"))
+        seen_journals.add(j.journal_id)
+        if j.cluster_id not in declared:
+            add(Violation("journal.unknown_cluster", j.journal_id,
+                          f"refers to undeclared cluster '{j.cluster_id}'"))
+        membership[j.cluster_id] += 1
+
+    for c in clusters:
+        actual = membership.get(c.cluster_id, 0)
+        if actual != c.size:
+            add(Violation("cluster.size_mismatch", c.cluster_id,
+                          f"declared size {c.size}, membership count {actual}"))
+    if sum(c.size for c in clusters) != len(journals):
+        add(Violation("cluster.size_sum", "<dataset>",
+                      "declared cluster sizes do not sum to the journal count"))
+
+    jids, years, items = counts.journal_id, counts.year, counts.citable_items
+    repeat = repeats(jids.codes, np.unique(years, return_inverse=True)[1])
+    negative = items < 0
+    for i in np.flatnonzero(repeat | negative).tolist():
+        record = f"{jids[i]}/{years[i]}"
+        if repeat[i]:
+            add(Violation("publication.duplicate", record,
+                          "more than one record for this journal-year"))
+        if negative[i]:
+            add(Violation("publication.negative_items", record,
+                          f"citable_items {items[i]} < 0"))
+    return violations
+
+
+def validate(dataset: Dataset) -> list[Violation]:
+    """Check every structural invariant; return one Violation per breach.
+
+    Violations are data, not failures: a clean dataset yields an empty
+    list, and identical input always yields the identical list.  Event
+    violations come rule by rule, each rule's in event (file) order; the
+    excess_references rule gives one entry per citing paper, listed by its
+    first event.
+    """
+    events = dataset.citation_events
+    pids, cited, n_refs = events.citing_paper_id, events.cited_journal_id, events.n_refs
+    leads = Leads()  # each citing paper's first event
+    inconsistent = leads.conflicts(pids.codes, events.citing_journal_id.codes,
+                                   events.citing_year, n_refs)
+    known = {j.journal_id for j in dataset.journals}
+    unknown = ~cited.expand(map(known.__contains__, cited.values))
+    return [
+        *_record_violations(dataset.journals, dataset.clusters, dataset.publication_counts),
+        *(Violation("event.nonpositive_refs", pids[i], f"n_refs {n_refs[i]} < 1")
+          for i in np.flatnonzero(n_refs < 1).tolist()),
+        *_causality(events)[0],
+        *(Violation("event.paper_inconsistent", pids[i],
+                    "events of one citing paper disagree on journal, year or n_refs")
+          for i in np.flatnonzero(inconsistent).tolist()),
+        *(Violation("event.unknown_cited_journal", pids[i],
+                    f"cited journal '{cited[i]}' not in dataset")
+          for i in np.flatnonzero(unknown).tolist()),
+        *_excess_references(np.bincount(pids.codes, minlength=len(leads.first)), leads.first,
+                            leads.fields[2], pids.values)[0],
+    ]
 
 
 def concat(parts) -> Events:

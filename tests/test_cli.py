@@ -555,16 +555,13 @@ class TestVerifiedBundle:
 
     def test_reads_no_events(self, tmp_path, profile_file, monkeypatch):
         import citefair.ingest
-        import citefair.model
         _, bundle, tables = run_pipeline(tmp_path, profile_file)
 
         def boom(*_):
             raise RuntimeError("events read")
 
-        for module, name in ((citefair.ingest, "_CitationReader"),
-                             (citefair.ingest, "parse_publications"),
-                             (citefair.model, "validate")):
-            monkeypatch.setattr(module, name, boom)
+        for name in ("_CitationReader", "parse_publications"):
+            monkeypatch.setattr(citefair.ingest, name, boom)
         out = tmp_path / "again"
         assert self.indicators(bundle, out) == 0
         assert ({p.name: p.read_bytes() for p in out.iterdir()}
@@ -714,6 +711,29 @@ class TestIndicatorsCommand:
                      "--kind", "impact_factor", "--window", "7",
                      "--out-dir", str(tmp_path / "x")]) == 2
         assert "window" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [["--window", "7"], ["--counting", "fractional"],
+                                       ["--window", "2", "--counting", "integer"]],
+                             ids=["window", "counting", "both"])
+    def test_window_or_counting_without_kind_exit_two(self, tmp_path, profile_file, capsys,
+                                                      flags):
+        _, bundle, _ = run_pipeline(tmp_path, profile_file)
+        capsys.readouterr()
+        assert main(["indicators", "--dataset", str(bundle), *flags,
+                     "--out-dir", str(tmp_path / "x")]) == 2
+        named = " and ".join(flags[::2])
+        assert capsys.readouterr().err == (f"error: {named} given without --kind; the standard "
+                                           f"battery takes no window or counting\n")
+        assert not (tmp_path / "x").exists()
+
+    def test_kind_counts_integer_by_default(self, tmp_path, profile_file):
+        _, bundle, tables = run_pipeline(tmp_path, profile_file)
+        out = tmp_path / "single"
+        assert main(["indicators", "--dataset", str(bundle), "--kind", "impact_factor",
+                     "--window", "2", "--out-dir", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == ["IF2-IC-RS.tsv", "IF2-IC.tsv"]
+        for p in out.iterdir():
+            assert p.read_bytes() == (tables / p.name).read_bytes()
 
     @pytest.mark.parametrize("window", ["abc", "2.5"])
     def test_window_not_an_integer_exit_two(self, tmp_path, profile_file, capsys, window):

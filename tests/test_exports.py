@@ -1,6 +1,6 @@
 """Every exported name resolves, and the deleted mapping forms of the
-tables and statistics, the batched validator and the whole-file ingest
-stay deleted."""
+tables and statistics, the batched validator, the whole-Dataset
+validator and the whole-file ingest stay deleted."""
 
 import importlib
 import pkgutil
@@ -9,7 +9,7 @@ import pytest
 
 import citefair
 from citefair.indicators import IndicatorTable
-from citefair.model import Events, PublicationCounts
+from citefair.model import Events, Ids, PublicationCounts
 
 MODULES = sorted(f"citefair.{m.name}" for m in pkgutil.iter_modules(citefair.__path__))
 
@@ -17,14 +17,15 @@ MODULES = sorted(f"citefair.{m.name}" for m in pkgutil.iter_modules(citefair.__p
 # kernels themselves: ranking, top_rows, decile_rhos, cluster_sort with
 # ecdf_steps, ks_matrix, and fairness_test of a table; and the batched
 # validator, whose rules the one-pass ingest checks only where they can
-# still break; and the whole-file ingest, whose reference form the tests
+# still break; and the whole-file ingest and the whole-Dataset validate
+# (with Ids.isin, which only it called), whose reference forms the tests
 # keep (tests/reference_ingest.py), since the one-pass stream is the only
-# reader of citations.tsv.
+# reader of citations.tsv and the only library code that checks the rules.
 REMOVED = {
     "citefair.indicators": ("rank_table",),
     "citefair.ingest": ("parse_citations", "assemble", "save_bundle", "load_bundle",
                         "_require_valid"),
-    "citefair.model": ("Validator",),
+    "citefair.model": ("Validator", "validate", "_record_violations"),
     "citefair.stats": ("Values", "_columns", "top_fraction", "decile_correlations",
                        "ecdf_by_group", "ks_two_sample"),
 }
@@ -69,3 +70,7 @@ def test_tables_have_no_mapping_form():
 
 def test_records_have_no_concat():
     assert not hasattr(Events, "concat") and not hasattr(PublicationCounts, "concat")
+
+
+def test_ids_have_no_isin():
+    assert not hasattr(Ids, "isin")

@@ -19,12 +19,11 @@ from citefair.ingest import (
     write_citations,
     write_dataset,
 )
-from citefair.model import (Cluster, Dataset, Events, Ids, JournalRecord, PublicationCounts,
-                            validate)
+from citefair.model import Cluster, Dataset, Events, Ids, JournalRecord, PublicationCounts
 from citefair.synth import ClusterProfile, SynthProfile, generate
 
 from oracles import PublicationCount, assemble_by_rows, record_violations_by_rows
-from reference_ingest import assemble, bundle, parse_citations
+from reference_ingest import assemble, bundle, parse_citations, validate
 
 
 def write(path, rows):

@@ -9,12 +9,12 @@ from citefair.model import (
     JournalRecord,
     PublicationCounts,
     cluster_order_key,
-    validate,
     window_counts,
 )
 
 from conftest import make_dataset
 from oracles import PublicationCount
+from reference_ingest import validate
 
 
 def rules(violations):

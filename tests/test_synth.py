@@ -3,10 +3,10 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from citefair.cli import main
 from citefair.errors import ProfileError
 from citefair.indicators import IndicatorSpec, compute_table
 from citefair.ingest import write_dataset
-from citefair.model import validate
 from citefair.synth import (
     ClusterProfile,
     SynthProfile,
@@ -18,6 +18,7 @@ from citefair.synth import (
 )
 
 from conftest import values_of
+from reference_ingest import validate
 
 
 def small_profile(seed=0, **kwargs):
@@ -195,6 +196,20 @@ class TestGenerate:
                                items_per_journal=(0, 1), years=(2009, 2010), seed=20)
         with pytest.raises(ProfileError, match="profile generates no citing papers"):
             generate(profile)
+
+    # Each asks for an array larger than the address space, so it fails at
+    # once and allocates nothing.
+    @pytest.mark.parametrize("kwargs", [
+        dict(years=(-10 ** 15, 2010)),
+        dict(clusters=(ClusterProfile("1", "Alpha", 10 ** 14, 1.0, 6.0, 0.4),)),
+    ], ids=["years", "cluster-size"])
+    def test_profile_past_memory_exits_two(self, tmp_path, capsys, kwargs):
+        path = tmp_path / "profile.json"
+        profile_to_json(small_profile(**kwargs), path)
+        assert main(["synth", "--profile-file", str(path), "--out-dir", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: profile of ") and "does not fit in memory" in err
+        assert not (tmp_path / "o").exists()
 
     def test_infeasible_profiles(self):
         with pytest.raises(ProfileError):
