@@ -5,20 +5,40 @@ and plotting can be done with external tools.
 Exit codes: 0 success, 2 usage or input error, 1 internal error.  The
 default output directory is $CITEFAIR_OUT, falling back to the current
 directory.  All outputs are deterministic given inputs and seed.
-Importing this module freezes the objects its imports built (gc.freeze),
-so that neither later collections nor interpreter exit walk them.
+Importing this module imports numpy, ``errors`` and ``model`` and freezes
+the objects they built (gc.freeze), so that neither later collections nor
+interpreter exit walk them.  The other layers are registered lazily: each
+is in ``sys.modules`` and on the package, but a command compiles and runs
+only those whose names it touches, and they are not frozen.
 """
 
 from __future__ import annotations
 
 import argparse
 import gc
+import importlib.util
 import os
 import sys
+import warnings
 from contextlib import suppress
 from dataclasses import replace
 from itertools import compress
 from pathlib import Path
+
+
+def _lazy(name: str):
+    """The layer citefair.<name>: the module already imported, if any, or one
+    that is executed when one of its names is first looked up."""
+    full = f"{__package__}.{name}"
+    module = sys.modules.get(full)
+    if module is None:
+        spec = importlib.util.find_spec(full)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = sys.modules[full] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    setattr(sys.modules[__package__], name, module)
+    return module
+
 
 _collecting = gc.isenabled()
 gc.disable()
@@ -29,13 +49,8 @@ try:
 
     import numpy as np
 
-    from . import fairness as fair
-    from . import indicators as ind
-    from . import ingest as ing
-    from . import stats
-    from . import synth
+    from . import model
     from .errors import CiteFairError, ValidationError
-    from .model import cluster_order_key
 
     # The imports above built only module-lifetime objects. Frozen, no later
     # collection walks them and interpreter exit does not free them one by one.
@@ -43,6 +58,14 @@ try:
 finally:
     if _collecting:
         gc.enable()
+
+# Every layer is in sys.modules and on the package, as a tracer that wraps
+# the layers' functions expects; a command executes only those it touches.
+fair = _lazy("fairness")
+ind = _lazy("indicators")
+ing = _lazy("ingest")
+stats = _lazy("stats")
+synth = _lazy("synth")
 
 __all__ = ["main", "run", "build_parser"]
 
@@ -262,7 +285,7 @@ def cmd_correlate(args) -> int:
 
         # per-cluster ECDF points and pairwise KS distances for each table
         clusters, codes = stats.cluster_codes(journals, partition)
-        groups = sorted(range(len(clusters)), key=lambda g: cluster_order_key(clusters[g]))
+        groups = sorted(range(len(clusters)), key=lambda g: model.cluster_order_key(clusters[g]))
         for indicator_id, column in zip(ids, columns):
             values, bounds = stats.cluster_sort(column, codes, clusters)
             steps = stats.ecdf_steps(values, bounds)
@@ -311,10 +334,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--census-year", type=int, default=None,
                    help="evaluation year t (default: latest citing year)")
     p.add_argument("--min-cluster-size", type=int, default=10)
-    p.add_argument("--unknown-cited", choices=[ing.POLICY_DROP, ing.POLICY_ERROR],
-                   default=ing.POLICY_DROP)
-    p.add_argument("--zero-refs", choices=[ing.POLICY_DROP_WARN, ing.POLICY_ERROR],
-                   default=ing.POLICY_DROP_WARN)
+    p.add_argument("--unknown-cited", choices=[model.POLICY_DROP, model.POLICY_ERROR],
+                   default=model.POLICY_DROP)
+    p.add_argument("--zero-refs", choices=[model.POLICY_DROP_WARN, model.POLICY_ERROR],
+                   default=model.POLICY_DROP_WARN)
     p.add_argument("--delimiter", default="\t", type=_one_char,
                    help="delimiter of the input files (one character)")
     _add_out(p)
@@ -322,10 +345,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("indicators", help="compute indicator tables from a bundle")
     p.add_argument("--dataset", required=True, help="bundle directory from 'ingest'")
-    p.add_argument("--kind", choices=ind.KINDS, default=None,
+    p.add_argument("--kind", choices=model.KINDS, default=None,
                    help="one indicator kind (default: the standard battery)")
     p.add_argument("--window", default=None, help="2, 5 or 'all'; needs --kind")
-    p.add_argument("--counting", choices=ind.COUNTINGS, default=None,
+    p.add_argument("--counting", choices=model.COUNTINGS, default=None,
                    help="integer (default) or fractional; needs --kind")
     p.add_argument("--rescale", dest="rescale", action="store_true", default=True,
                    help="also write per-cluster mean-rescaled variants (default)")
@@ -357,12 +380,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _format_warning(message, category, filename, lineno, line=None) -> str:
+    return f"warning: {message}\n"
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
+    # a warning prints as one line, as an error does; a caller's handler
+    # (warnings.showwarning, or catch_warnings(record=True)) still receives it
+    formatwarning, warnings.formatwarning = warnings.formatwarning, _format_warning
     try:
         return args.func(args)
     except (CiteFairError, OSError) as exc:
@@ -371,6 +401,8 @@ def main(argv=None) -> int:
     except Exception as exc:  # pragma: no cover - internal failure path
         print(f"internal error: {exc!r}", file=sys.stderr)
         return 1
+    finally:
+        warnings.formatwarning = formatwarning
 
 
 def run() -> None:

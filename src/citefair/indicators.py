@@ -26,7 +26,8 @@ import numpy as np
 
 from .errors import ParseError, RescaleError
 from .ingest import _integer, _not_utf8
-from .model import WINDOW_ALL, WINDOWS, Dataset, WindowCounts, encode, vocabulary, window_counts
+from .model import (COUNTINGS, KINDS, WINDOW_ALL, WINDOWS, Dataset, WindowCounts, encode,
+                    vocabulary, window_counts)
 
 __all__ = [
     "WINDOW_ALL",
@@ -41,8 +42,6 @@ __all__ = [
     "standard_specs",
 ]
 
-KINDS = ("impact_factor", "total_cites", "cp_ratio", "numerator_only")
-COUNTINGS = ("integer", "fractional")
 NORMALIZATIONS = ("raw", "rescaled")
 
 NA = "NA"  # serialized UNDEFINED sentinel

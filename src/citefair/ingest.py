@@ -75,9 +75,10 @@ except ImportError:
         from hashlib import sha256
 
 from .errors import CiteFairError, IngestWarning, ParseError, ValidationError
-from .model import (EVENT_COLUMNS, PUBLICATION_COLUMNS, Cluster, Dataset, Events, Ids,
-                    JournalRecord, Leads, PerId, PublicationCounts, Violation, WindowCounter,
-                    WindowCounts, _causality, _excess_references, encode, repeats, vocabulary)
+from .model import (EVENT_COLUMNS, POLICY_DROP, POLICY_DROP_WARN, POLICY_ERROR,
+                    PUBLICATION_COLUMNS, Cluster, Dataset, Events, Ids, JournalRecord, Leads,
+                    PerId, PublicationCounts, Violation, WindowCounter, WindowCounts,
+                    _causality, _excess_references, encode, repeats, vocabulary)
 
 __all__ = [
     "IngestConfig",
@@ -95,10 +96,6 @@ __all__ = [
     "PUBLICATIONS_FILE",
     "CITATIONS_FILE",
 ]
-
-POLICY_DROP = "drop"
-POLICY_ERROR = "error"
-POLICY_DROP_WARN = "drop-with-warning"
 
 JOURNALS_FILE = "journals.tsv"
 PUBLICATIONS_FILE = "publications.tsv"

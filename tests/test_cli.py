@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,7 @@ import pytest
 
 import citefair
 from citefair.cli import main
+from citefair.errors import IngestWarning
 from citefair.ingest import _meta_sha256
 from citefair.synth import ClusterProfile, SynthProfile, profile_to_json
 
@@ -234,6 +236,31 @@ class TestIngestCommand:
                      "--out-dir", str(tmp_path / "bundle")]) == 0
         out = capsys.readouterr().out
         assert "excluded clusters (size < 10): 8 'Tiny' (2), 11 'Small' (8)" in out
+
+    @pytest.fixture
+    def zero_refs_argv(self, tmp_path, profile_file):
+        """ingest's argv for inputs with one n_refs 0 row, and their citations.tsv."""
+        raw, _, _ = run_pipeline(tmp_path, profile_file)
+        citations = raw / "citations.tsv"
+        with citations.open("a", encoding="utf-8") as fh:
+            fh.write("P-ZERO\tJ0001\t2010\tJ0002\t2009\t0\n")
+        return ["ingest", *(f"--{name}={raw / name}.tsv"
+                            for name in ("journals", "publications", "citations")),
+                "--out-dir", str(tmp_path / "b")], citations
+
+    def test_warning_is_one_stderr_line(self, zero_refs_argv):
+        argv, citations = zero_refs_argv
+        done = subprocess.run([sys.executable, "-m", "citefair.cli", *argv],
+                              capture_output=True, text=True, env=fresh_env(), timeout=60)
+        assert (done.returncode, done.stderr) == (
+            0, f"warning: {citations}: dropped 1 citation row(s) with n_refs=0\n")
+
+    def test_warning_reaches_the_callers_handlers(self, zero_refs_argv):
+        argv, _ = zero_refs_argv
+        formatwarning = warnings.formatwarning
+        with pytest.warns(IngestWarning, match="dropped 1 citation row"):
+            assert main(argv) == 0
+        assert warnings.formatwarning is formatwarning
 
     def test_parse_error_exit_two(self, tmp_path, capsys):
         (tmp_path / "j.tsv").write_text("journal_id\ttitle\tcluster_id\tcluster_name\n\tx\tg\tG\n")
@@ -1103,7 +1130,60 @@ def run_fresh(code: str, **env: str) -> str:
 
 class TestStartup:
     """The CLI loads OpenBLAS with one thread and freezes its import-time
-    heap; the library leaves both alone."""
+    heap; the library leaves both alone.  Every layer is registered on
+    import, but a command executes only the layers it uses."""
+
+    # the layers a tracer wraps after importing citefair.cli
+    LAYERS = ("model", "ingest", "indicators", "stats", "fairness", "synth", "cli")
+    # argv (with {raw}, {bundle}, {tables} and {out} to fill in), exit code, and
+    # the layers besides cli that the command executes
+    COMMANDS = {
+        "synth": ("synth --profile-file {raw}/profile.json --out-dir {out}", 0,
+                  "ingest model synth"),
+        "ingest": ("ingest --journals {raw}/journals.tsv --publications {raw}/publications.tsv"
+                   " --citations {raw}/citations.tsv --out-dir {out}", 0, "ingest model"),
+        "indicators": ("indicators --dataset {bundle} --out-dir {out}", 0,
+                       "indicators ingest model"),
+        "fairness": ("fairness --dataset {bundle} --table {tables}/IF2-IC.tsv --out-dir {out}", 0,
+                     "fairness indicators ingest model stats"),
+        "correlate": ("correlate --dataset {bundle} --table {tables}/IF2-IC.tsv"
+                      " --table {tables}/IF2-FC.tsv --out-dir {out}", 0,
+                      "indicators ingest model stats"),
+        "no-bundle": ("fairness --dataset {raw} --table {tables}/IF2-IC.tsv --out-dir {out}", 2,
+                      "ingest model"),
+        "help": ("--help", 0, "model"),
+    }
+
+    def test_cli_import_registers_every_layer(self):
+        code = ("import sys, citefair.cli;"
+                f" print([name for name in {self.LAYERS!r}"
+                " if f'citefair.{name}' not in sys.modules])")
+        assert run_fresh(code) == "[]"
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_command_executes_only_its_layers(self, tmp_path, profile_file, command):
+        template, code, layers = self.COMMANDS[command]
+        raw, bundle, tables = run_pipeline(tmp_path, profile_file)
+        (raw / "profile.json").write_bytes(profile_file.read_bytes())
+        argv = template.format(raw=raw, bundle=bundle, tables=tables,
+                               out=tmp_path / "out").split()
+        script = ("import contextlib, io, sys, types\n"
+                  "from citefair.cli import main\n"
+                  "with contextlib.redirect_stdout(io.StringIO()),"
+                  " contextlib.redirect_stderr(io.StringIO()):\n"
+                  f"    code = main({argv!r})\n"
+                  f"print(code, *sorted(name for name in {self.LAYERS!r} if name != 'cli'"
+                  " and type(sys.modules[f'citefair.{name}']) is types.ModuleType))")
+        assert run_fresh(script) == f"{code} {layers}"
+
+    @pytest.mark.parametrize("imports", ["citefair.stats, citefair.cli",
+                                         "citefair.cli, citefair.stats"],
+                             ids=["stats-first", "cli-first"])
+    def test_cli_and_library_share_a_layer(self, imports):
+        code = (f"import sys, {imports};"
+                " print(sys.modules['citefair.stats'] is citefair.stats is citefair.cli.stats,"
+                " type(citefair.cli.stats).__name__)")
+        assert run_fresh(code) == "True module"
 
     def test_package_import_loads_no_numpy(self):
         assert run_fresh("import sys, citefair; print('numpy' in sys.modules)") == "False"
