@@ -18,12 +18,13 @@ _MODULE_NAMES = {
                  "fairness_test", "percentage_summary"),
     "indicators": ("IndicatorSpec", "IndicatorTable", "compute_table", "compute_tables",
                    "read_table", "rescale", "tables_from_counts", "write_table"),
-    "ingest": ("IngestConfig", "ingest_bundle", "load_counts", "load_partition",
-               "parse_journals", "parse_publications", "write_dataset"),
+    "ingest": ("IngestConfig", "load_counts", "load_partition", "parse_journals",
+               "parse_publications", "write_dataset"),
     "model": ("Cluster", "Dataset", "Events", "Ids", "JournalRecord", "PublicationCounts",
               "Violation", "WindowCounts", "window_counts"),
     "stats": ("HypergeomParams", "VarianceDecomposition", "hypergeom_ci", "hypergeom_pmf",
               "pearson", "spearman", "variance_decomposition"),
+    "stream": ("ingest_bundle",),
     "synth": ("SynthProfile", "generate", "paper2010_profile"),
 }
 # exported name -> the module that defines it

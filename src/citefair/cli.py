@@ -65,6 +65,7 @@ fair = _lazy("fairness")
 ind = _lazy("indicators")
 ing = _lazy("ingest")
 stats = _lazy("stats")
+stream = _lazy("stream")
 synth = _lazy("synth")
 
 __all__ = ["main", "run", "build_parser"]
@@ -125,8 +126,8 @@ def cmd_ingest(args) -> int:
     except ValueError as exc:
         raise CiteFairError(str(exc)) from None
     out = _out_path(args)
-    summary = ing.ingest_bundle(args.journals, args.publications, args.citations, out,
-                                census_year=args.census_year, config=config)
+    summary = stream.ingest_bundle(args.journals, args.publications, args.citations, out,
+                                   census_year=args.census_year, config=config)
     print(f"dataset: {summary.retained_journals} journals in "
           f"{summary.retained_clusters} clusters, {summary.retained_events} events, "
           f"census year {summary.census_year}")

@@ -277,7 +277,7 @@ def read_table(path: str | Path) -> IndicatorTable:
     """
     path = Path(path)
     try:
-        lines = path.read_text(encoding="utf-8").split("\n")
+        lines = path.read_text(encoding="utf-8-sig").split("\n")
     except UnicodeDecodeError:
         raise _not_utf8(path) from None
     if not lines[0].startswith("#"):

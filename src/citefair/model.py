@@ -227,43 +227,6 @@ class Events(_Record):
     n_refs: np.ndarray
 
 
-def _grown(array: np.ndarray, size: int, fill) -> np.ndarray:
-    return np.concatenate([array, np.full(size - len(array), fill, array.dtype)])
-
-
-class Leads:
-    """The first row of each code and that row's fields, carried from one
-    batch of rows to the next; rows are numbered over all batches.  Codes
-    are non-negative integers."""
-
-    def __init__(self):
-        self.rows = 0
-        self.first = np.zeros(0, np.int64)  # -1 for a code not met yet
-        self.fields: list[np.ndarray] = []
-
-    def conflicts(self, codes: np.ndarray, *fields: np.ndarray) -> np.ndarray:
-        """Which rows of this batch differ in any of ``fields`` from the
-        first row of their code."""
-        if not self.fields:
-            self.fields = [np.zeros(0, field.dtype) for field in fields]
-        size = int(codes.max(initial=-1)) + 1
-        if size > len(self.first):
-            size = max(size, 2 * len(self.first))
-            self.first = _grown(self.first, size, -1)
-            self.fields = [_grown(store, size, 0) for store in self.fields]
-        new = np.flatnonzero(self.first[codes] < 0)
-        if len(new):
-            met, at = np.unique(codes[new], return_index=True)
-            self.first[met] = self.rows + new[at]
-            for store, field in zip(self.fields, fields):
-                store[met] = field[new[at]]
-        self.rows += len(codes)
-        differs = np.zeros(len(codes), bool)
-        for store, field in zip(self.fields, fields):
-            differs |= store[codes] != field
-        return differs
-
-
 def repeats(first: np.ndarray, second: np.ndarray | None = None) -> np.ndarray:
     """Which rows repeat the ``first`` code, or the (first, second) pair of
     codes, of an earlier row; codes are non-negative integers."""
@@ -412,28 +375,3 @@ def window_counts(dataset: Dataset) -> WindowCounts:
     counter = WindowCounter(tuple(j.journal_id for j in dataset.journals), dataset.census_year)
     counter.add(dataset.citation_events)
     return counter.counts(dataset.publication_counts)
-
-
-def _causality(events: Events, limit: int | None = None) -> tuple[list[Violation], int]:
-    """The first ``limit`` (default all) violations of the causality rule
-    among ``events``, in event order, and the number found."""
-    rows = np.flatnonzero(events.cited_year > events.citing_year)
-    return [Violation("event.causality", events.citing_paper_id[i],
-                      f"cited_year {events.cited_year[i]} > citing_year {events.citing_year[i]}")
-            for i in rows[:limit].tolist()], len(rows)
-
-
-def _excess_references(n_events: np.ndarray, first: np.ndarray, n_refs: np.ndarray,
-                       ids: Iterable[str], limit: int | None = None
-                       ) -> tuple[list[Violation], int]:
-    """The first ``limit`` (default all) violations of the excess_references
-    rule, one per citing paper with more events than its n_refs >= 1, listed
-    by its first event, and the number found.  The arrays are indexed by
-    paper code; ``ids`` gives the paper ids in code order."""
-    papers = np.flatnonzero(n_events)
-    papers = papers[(n_events[papers] > n_refs[papers]) & (n_refs[papers] >= 1)]
-    shown = papers[np.argsort(first[papers], kind="stable")][:limit].tolist()
-    ids = tuple(ids) if shown else ()
-    return [Violation("event.excess_references", ids[p],
-                      f"{n_events[p]} recorded references exceed n_refs={n_refs[p]}")
-            for p in shown], len(papers)

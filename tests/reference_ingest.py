@@ -1,17 +1,17 @@
-"""The whole-file ingest, kept as the reference the one-pass ingest is
-compared with: every event of citations.tsv read into one Events, the
-exclusion policy applied to them as one batch, validate run over the
-whole Dataset, and the bundle written from it.
+"""The whole-file ingest, kept as the reference the one-pass ingest
+(citefair.stream) is compared with: every event of citations.tsv read
+into one Events, the exclusion policy applied to them as one batch,
+validate run over the whole Dataset, and the bundle written from it.
 
-validate is the second statement of the rules that ingest_bundle
-enforces as it reads (the parsers, _Assembly and _census): it checks
-them all over one Dataset, hand-built ones included, and lists every
-breach.  The rest is built from the package's reader, policy and
-writers, so it checks that the stream's batching and bookkeeping change
-nothing; the rules themselves are checked against tests/oracles.py,
-which shares no code with the package.  ``bundle`` makes the bundle of a
-Dataset with ingest itself, for tests that need a bundle and no
-reference.
+validate is the second statement of the rules that stream.ingest_bundle
+enforces as it reads (the parsers of ingest, and _Assembly and _census
+of stream): it checks them all over one Dataset, hand-built ones
+included, and lists every breach.  The rest is built from the package's
+reader, policy and writers, so it checks that the stream's batching and
+bookkeeping change nothing; the rules themselves are checked against
+tests/oracles.py, which shares no code with the package.  ``bundle``
+makes the bundle of a Dataset with ingest itself, for tests that need a
+bundle and no reference.
 """
 
 from __future__ import annotations
@@ -23,10 +23,11 @@ from typing import Sequence
 import numpy as np
 
 import citefair.ingest as ing
-from citefair.ingest import IngestConfig, ingest_bundle, write_dataset
-from citefair.model import (Cluster, Dataset, Events, Ids, JournalRecord, Leads, PerId,
-                            PublicationCounts, Violation, _causality, _excess_references,
-                            repeats, vocabulary, window_counts)
+import citefair.stream as stream
+from citefair.ingest import IngestConfig, write_dataset
+from citefair.model import (Cluster, Dataset, Events, Ids, JournalRecord, PerId,
+                            PublicationCounts, Violation, repeats, vocabulary, window_counts)
+from citefair.stream import Leads, _causality, _excess_references, ingest_bundle
 
 
 def _record_violations(journals: Sequence[JournalRecord], clusters: Sequence[Cluster],
@@ -127,7 +128,7 @@ def concat(parts) -> Events:
 def parse_citations(path, config: IngestConfig = IngestConfig()) -> Events:
     """Citation events in file order: the checked batches of the reader
     ingest uses, one after the other."""
-    return concat(list(ing._CitationReader(path, config)))
+    return concat(list(stream._CitationReader(path, config)))
 
 
 def assemble(journals, clusters, publication_counts, citation_events, census_year=None,
@@ -135,13 +136,13 @@ def assemble(journals, clusters, publication_counts, citation_events, census_yea
     """The parsed inputs joined into a validated Dataset, and the summary of
     what the policy excluded.  The events go through the policy as one
     batch, and validate checks every rule over the whole Dataset."""
-    assembly = ing._Assembly(journals, clusters, publication_counts, config)
+    assembly = stream._Assembly(journals, clusters, publication_counts, config)
     events = assembly.keep(citation_events)
-    year = assembly.finish(census_year, "assembled dataset")
+    year = assembly.finish(census_year)
     dataset = Dataset(tuple(assembly.journals), tuple(assembly.clusters), assembly.counts,
                       events, year)
     violations = validate(dataset)
-    ing._raise_invalid(violations, len(violations), "assembled dataset")
+    stream._raise_invalid(violations, len(violations))
     return dataset, assembly.summary(year, census_year is None)
 
 

@@ -582,13 +582,14 @@ class TestVerifiedBundle:
 
     def test_reads_no_events(self, tmp_path, profile_file, monkeypatch):
         import citefair.ingest
+        import citefair.stream
         _, bundle, tables = run_pipeline(tmp_path, profile_file)
 
         def boom(*_):
             raise RuntimeError("events read")
 
-        for name in ("_CitationReader", "parse_publications"):
-            monkeypatch.setattr(citefair.ingest, name, boom)
+        monkeypatch.setattr(citefair.stream, "_CitationReader", boom)
+        monkeypatch.setattr(citefair.ingest, "parse_publications", boom)
         out = tmp_path / "again"
         assert self.indicators(bundle, out) == 0
         assert ({p.name: p.read_bytes() for p in out.iterdir()}
@@ -662,6 +663,7 @@ class TestVerifiedBundle:
     def test_counts_edit_alone_reads_no_input_again(self, tmp_path, profile_file, capsys,
                                                      monkeypatch):
         import citefair.ingest
+        import citefair.stream
         _, bundle, _ = run_pipeline(tmp_path, profile_file)
         counts = bundle / "counts.tsv"
         counts.write_text(counts.read_text(encoding="utf-8") + "\n", encoding="utf-8")
@@ -669,8 +671,8 @@ class TestVerifiedBundle:
         def boom(*_):
             raise RuntimeError("events read")
 
-        for name in ("_CitationReader", "parse_publications"):
-            monkeypatch.setattr(citefair.ingest, name, boom)
+        monkeypatch.setattr(citefair.stream, "_CitationReader", boom)
+        monkeypatch.setattr(citefair.ingest, "parse_publications", boom)
         capsys.readouterr()
         assert self.indicators(bundle, tmp_path / "again") == 2
         assert capsys.readouterr().err == (
@@ -1133,15 +1135,16 @@ class TestStartup:
     heap; the library leaves both alone.  Every layer is registered on
     import, but a command executes only the layers it uses."""
 
-    # the layers a tracer wraps after importing citefair.cli
-    LAYERS = ("model", "ingest", "indicators", "stats", "fairness", "synth", "cli")
+    # the layers that importing citefair.cli registers
+    LAYERS = ("model", "ingest", "stream", "indicators", "stats", "fairness", "synth", "cli")
     # argv (with {raw}, {bundle}, {tables} and {out} to fill in), exit code, and
     # the layers besides cli that the command executes
     COMMANDS = {
         "synth": ("synth --profile-file {raw}/profile.json --out-dir {out}", 0,
                   "ingest model synth"),
         "ingest": ("ingest --journals {raw}/journals.tsv --publications {raw}/publications.tsv"
-                   " --citations {raw}/citations.tsv --out-dir {out}", 0, "ingest model"),
+                   " --citations {raw}/citations.tsv --out-dir {out}", 0,
+                   "ingest model stream"),
         "indicators": ("indicators --dataset {bundle} --out-dir {out}", 0,
                        "indicators ingest model"),
         "fairness": ("fairness --dataset {bundle} --table {tables}/IF2-IC.tsv --out-dir {out}", 0,

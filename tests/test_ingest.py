@@ -1,3 +1,4 @@
+import codecs
 import csv
 import hashlib
 import io
@@ -13,15 +14,16 @@ from citefair.errors import IngestWarning, ParseError, ValidationError
 from citefair.indicators import read_table
 from citefair.ingest import (
     IngestConfig,
-    ingest_bundle,
     parse_journals,
     parse_publications,
     write_citations,
     write_dataset,
 )
 from citefair.model import Cluster, Dataset, Events, Ids, JournalRecord, PublicationCounts
+from citefair.stream import ingest_bundle
 from citefair.synth import ClusterProfile, SynthProfile, generate
 
+from conftest import small_profile
 from oracles import PublicationCount, assemble_by_rows, record_violations_by_rows
 from reference_ingest import assemble, bundle, parse_citations, validate
 
@@ -234,6 +236,38 @@ class TestUndecodableBytes:
         assert main(["fairness", "--dataset", str(tmp_path / "bundle"), "--table", str(table),
                      "--out-dir", str(tmp_path / "out")]) == 2
         assert f"{table}:3: not valid UTF-8 (byte 0xe9" in capsys.readouterr().err
+
+
+class TestByteOrderMark:
+    """A file that starts with a UTF-8 byte-order mark reads as it would
+    without it."""
+
+    def run(self, tmp_path, *argv) -> dict[str, bytes]:
+        """The files a command writes to a new directory named by its position."""
+        out = tmp_path / f"out{len(list(tmp_path.glob('out*')))}"
+        assert main([*argv, "--out-dir", str(out)]) == 0
+        return {p.name: p.read_bytes() for p in out.iterdir()}
+
+    def ingest(self, tmp_path, paths) -> dict[str, bytes]:
+        return self.run(tmp_path, "ingest", *(f"--{name}={path}" for name, path in paths.items()))
+
+    @pytest.mark.parametrize("kind", TestUndecodableBytes.INPUTS)
+    def test_same_bundle(self, tmp_path, kind):
+        paths = write_dataset(generate(small_profile(3)), tmp_path / "raw")
+        plain = self.ingest(tmp_path, paths)
+        paths[kind].write_bytes(codecs.BOM_UTF8 + paths[kind].read_bytes())
+        assert self.ingest(tmp_path, paths) == plain
+
+    def test_same_fairness_report(self, tmp_path):
+        paths = write_dataset(generate(small_profile(3)), tmp_path / "raw")
+        self.ingest(tmp_path, paths)
+        table = tmp_path / "IF2-IC.tsv"
+        table.write_bytes(self.run(tmp_path, "indicators", "--dataset", str(tmp_path / "out0"),
+                                   "--kind", "impact_factor", "--window", "2")["IF2-IC.tsv"])
+        fairness = ("fairness", "--dataset", str(tmp_path / "out0"), "--table", str(table))
+        plain = self.run(tmp_path, *fairness)
+        table.write_bytes(codecs.BOM_UTF8 + table.read_bytes())
+        assert self.run(tmp_path, *fairness) == plain
 
 
 class TestCsvErrorsAndLineNumbers:

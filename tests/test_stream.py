@@ -17,7 +17,8 @@ import pytest
 import citefair.ingest
 from citefair.cli import main
 from citefair.errors import CiteFairError, IngestWarning, ValidationError
-from citefair.ingest import ingest_bundle, parse_journals, parse_publications, write_dataset
+from citefair.ingest import parse_journals, parse_publications, write_dataset
+from citefair.stream import ingest_bundle
 from citefair.synth import ClusterProfile, SynthProfile, generate, profile_to_json
 
 from reference_ingest import assemble, parse_citations, save_bundle
