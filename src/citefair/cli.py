@@ -5,11 +5,14 @@ and plotting can be done with external tools.
 Exit codes: 0 success, 2 usage or input error, 1 internal error.  The
 default output directory is $CITEFAIR_OUT, falling back to the current
 directory.  All outputs are deterministic given inputs and seed.
-Importing this module imports numpy, ``errors`` and ``model`` and freezes
-the objects they built (gc.freeze), so that neither later collections nor
-interpreter exit walk them.  The other layers are registered lazily: each
-is in ``sys.modules`` and on the package, but a command compiles and runs
-only those whose names it touches, and they are not frozen.
+Importing this module imports no numpy: besides the standard library it
+imports only ``errors`` and ``schema``, and registers every layer lazily,
+each in ``sys.modules`` and on the package, so a command compiles and runs
+only those whose names it touches.  ``main`` first runs the checks that need
+no numpy (the arguments, and a --dataset's dataset.json), so a rejected
+command exits without loading it; then, once per process, it imports numpy
+and ``model`` and freezes the objects built so far (gc.freeze), so that
+neither later collections nor interpreter exit walk them.
 """
 
 from __future__ import annotations
@@ -24,6 +27,13 @@ from contextlib import suppress
 from dataclasses import replace
 from itertools import compress
 from pathlib import Path
+
+from . import schema
+from .errors import CiteFairError, ValidationError
+
+# One BLAS thread: a second costs half of numpy's import and makes
+# dot-product bits host-dependent.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 
 def _lazy(name: str):
@@ -40,30 +50,12 @@ def _lazy(name: str):
     return module
 
 
-_collecting = gc.isenabled()
-gc.disable()
-try:
-    # One BLAS thread: a second costs half of numpy's import and makes
-    # dot-product bits host-dependent.
-    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-
-    import numpy as np
-
-    from . import model
-    from .errors import CiteFairError, ValidationError
-
-    # The imports above built only module-lifetime objects. Frozen, no later
-    # collection walks them and interpreter exit does not free them one by one.
-    gc.freeze()
-finally:
-    if _collecting:
-        gc.enable()
-
 # Every layer is in sys.modules and on the package, as a tracer that wraps
 # the layers' functions expects; a command executes only those it touches.
 fair = _lazy("fairness")
 ind = _lazy("indicators")
 ing = _lazy("ingest")
+model = _lazy("model")
 stats = _lazy("stats")
 stream = _lazy("stream")
 synth = _lazy("synth")
@@ -195,7 +187,7 @@ def _read_table(path: str, partition, census_year: int) -> ind.IndicatorTable:
         return table
     print(f"{table.indicator_id}: ignoring {ignored} journal(s) outside the dataset")
     return replace(table, journal_ids=tuple(compress(table.journal_ids, inside)),
-                   column=table.column[np.array(inside, dtype=bool)])
+                   column=table.column.compress(inside))
 
 
 def _read_tables(paths: list[str], partition, census_year: int) -> list[ind.IndicatorTable]:
@@ -238,8 +230,8 @@ def cmd_fairness(args) -> int:
 
 
 def cmd_correlate(args) -> int:
-    if len(args.table) < 2:
-        raise CiteFairError("correlate needs at least two --table files")
+    import numpy as np
+
     partition, _, census_year = ing.load_partition(args.dataset)
     tables = _read_tables(args.table, partition, census_year)
     out = _out_path(args)
@@ -335,10 +327,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--census-year", type=int, default=None,
                    help="evaluation year t (default: latest citing year)")
     p.add_argument("--min-cluster-size", type=int, default=10)
-    p.add_argument("--unknown-cited", choices=[model.POLICY_DROP, model.POLICY_ERROR],
-                   default=model.POLICY_DROP)
-    p.add_argument("--zero-refs", choices=[model.POLICY_DROP_WARN, model.POLICY_ERROR],
-                   default=model.POLICY_DROP_WARN)
+    p.add_argument("--unknown-cited", choices=[schema.POLICY_DROP, schema.POLICY_ERROR],
+                   default=schema.POLICY_DROP)
+    p.add_argument("--zero-refs", choices=[schema.POLICY_DROP_WARN, schema.POLICY_ERROR],
+                   default=schema.POLICY_DROP_WARN)
     p.add_argument("--delimiter", default="\t", type=_one_char,
                    help="delimiter of the input files (one character)")
     _add_out(p)
@@ -346,10 +338,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("indicators", help="compute indicator tables from a bundle")
     p.add_argument("--dataset", required=True, help="bundle directory from 'ingest'")
-    p.add_argument("--kind", choices=model.KINDS, default=None,
+    p.add_argument("--kind", choices=schema.KINDS, default=None,
                    help="one indicator kind (default: the standard battery)")
     p.add_argument("--window", default=None, help="2, 5 or 'all'; needs --kind")
-    p.add_argument("--counting", choices=model.COUNTINGS, default=None,
+    p.add_argument("--counting", choices=schema.COUNTINGS, default=None,
                    help="integer (default) or fractional; needs --kind")
     p.add_argument("--rescale", dest="rescale", action="store_true", default=True,
                    help="also write per-cluster mean-rescaled variants (default)")
@@ -385,6 +377,38 @@ def _format_warning(message, category, filename, lineno, line=None) -> str:
     return f"warning: {message}\n"
 
 
+def _check(args) -> None:
+    """The checks of a command that need no numpy: correlate's table count,
+    and a --dataset's dataset.json (checked again when the bundle is read)."""
+    if args.command == "correlate" and len(args.table) < 2:
+        raise CiteFairError("correlate needs at least two --table files")
+    if getattr(args, "dataset", None) is not None:
+        schema._read_meta(Path(args.dataset))
+
+
+# The frozen generation belongs to the process, and so does this flag.
+_frozen = False
+
+
+def _freeze_imports() -> None:
+    """Once per process: import numpy and model with the cycle collector
+    off, then freeze what exists (gc.freeze), so that no later collection
+    walks those module-lifetime objects and interpreter exit does not free
+    them one by one."""
+    global _frozen
+    if _frozen:
+        return
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        vars(model)  # executes the lazily registered layer, and numpy with it
+        gc.freeze()
+        _frozen = True
+    finally:
+        if collecting:
+            gc.enable()
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -395,6 +419,8 @@ def main(argv=None) -> int:
     # (warnings.showwarning, or catch_warnings(record=True)) still receives it
     formatwarning, warnings.formatwarning = warnings.formatwarning, _format_warning
     try:
+        _check(args)
+        _freeze_imports()
         return args.func(args)
     except (CiteFairError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

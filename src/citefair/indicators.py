@@ -25,9 +25,9 @@ from typing import Mapping, Optional
 import numpy as np
 
 from .errors import ParseError, RescaleError
-from .ingest import _integer, _not_utf8
-from .model import (COUNTINGS, KINDS, WINDOW_ALL, WINDOWS, Dataset, WindowCounts, encode,
-                    vocabulary, window_counts)
+from .ingest import _integer
+from .model import WINDOW_ALL, WINDOWS, Dataset, WindowCounts, encode, vocabulary, window_counts
+from .schema import COUNTINGS, KINDS, _not_utf8
 
 __all__ = [
     "WINDOW_ALL",

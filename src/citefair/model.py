@@ -19,6 +19,9 @@ from typing import Callable, ClassVar, Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import ValidationError
+# The choice lists are defined in schema, which needs no numpy, and kept
+# here under their names.
+from .schema import COUNTINGS, KINDS, POLICY_DROP, POLICY_DROP_WARN, POLICY_ERROR
 
 __all__ = [
     "JournalRecord",
@@ -59,14 +62,6 @@ WINDOW_ALL = "all"
 # Citation windows, in the column order of WindowCounts: the 2 and 5 years
 # before the census year, and all years up to it.
 WINDOWS = (2, 5, WINDOW_ALL)
-# Indicator kinds and counting methods (indicators), and the policies for
-# unknown cited journals and zero-reference rows (ingest): kept here, with
-# the windows, so that the CLI's parser needs neither layer.
-KINDS = ("impact_factor", "total_cites", "cp_ratio", "numerator_only")
-COUNTINGS = ("integer", "fractional")
-POLICY_DROP = "drop"
-POLICY_ERROR = "error"
-POLICY_DROP_WARN = "drop-with-warning"
 
 PUBLICATION_COLUMNS = ("journal_id", "year", "citable_items")
 EVENT_COLUMNS = ("citing_paper_id", "citing_journal_id", "citing_year",

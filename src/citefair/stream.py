@@ -28,8 +28,9 @@ from .errors import CiteFairError, IngestWarning, ParseError, ValidationError
 from .ingest import (CITATION_COLUMNS, CITATIONS_FILE, INT64, IngestConfig, IngestSummary,
                      _batches, _Column, _column, _first_error, _fits, _integer, _staged,
                      _write_bundle, _Writer, parse_journals, parse_publications)
-from .model import (POLICY_ERROR, Cluster, Events, JournalRecord, PerId, PublicationCounts,
-                    Violation, WindowCounter, encode, vocabulary)
+from .model import (Cluster, Events, JournalRecord, PerId, PublicationCounts, Violation,
+                    WindowCounter, encode, vocabulary)
+from .schema import POLICY_ERROR
 
 __all__ = ["ingest_bundle"]
 

@@ -300,6 +300,13 @@ def _pair(value, field: str) -> tuple[int, int]:
     return tuple(_integer(v, f"{field}[{k}]") for k, v in enumerate(value))
 
 
+def _required(obj: dict, key: str, where: str):
+    """``obj[key]``; a missing key is an error naming it and where it is missing."""
+    if key not in obj:
+        raise ValueError(f"{where} lacks {key!r}")
+    return obj[key]
+
+
 def profile_from_json(path: str | Path) -> SynthProfile:
     """The profile of a JSON file, as profile_to_json writes it.  Sizes,
     years, the seed and the item bounds must be JSON integers; any other
@@ -312,7 +319,8 @@ def profile_from_json(path: str | Path) -> SynthProfile:
     except (ValueError, RecursionError) as exc:  # digits past int's limit are a ValueError
         raise ProfileError(f"{path}: not valid JSON ({exc})") from None
     try:
-        if not (isinstance(payload, dict) and isinstance(payload["clusters"], list)
+        if not (isinstance(payload, dict)
+                and isinstance(_required(payload, "clusters", "the profile"), list)
                 and all(isinstance(c, dict) for c in payload["clusters"])):
             raise TypeError("a profile is an object whose clusters are a list of objects")
         weights = payload.get("recency_weights", list(DEFAULT_RECENCY_WEIGHTS))
@@ -321,11 +329,11 @@ def profile_from_json(path: str | Path) -> SynthProfile:
         clusters = tuple(
             ClusterProfile(
                 cluster_id=str(c.get("cluster_id", i + 1)),
-                name=c["name"],
-                size=_integer(c["size"], f"clusters[{i}].size"),
-                mean_cites_per_item=float(c["mean_cites_per_item"]),
-                mean_refs=float(c["mean_refs"]),
-                ref_dispersion=float(c["ref_dispersion"]),
+                name=_required(c, "name", f"clusters[{i}]"),
+                size=_integer(_required(c, "size", f"clusters[{i}]"), f"clusters[{i}].size"),
+                mean_cites_per_item=float(_required(c, "mean_cites_per_item", f"clusters[{i}]")),
+                mean_refs=float(_required(c, "mean_refs", f"clusters[{i}]")),
+                ref_dispersion=float(_required(c, "ref_dispersion", f"clusters[{i}]")),
             )
             for i, c in enumerate(payload["clusters"])
         )
@@ -338,5 +346,5 @@ def profile_from_json(path: str | Path) -> SynthProfile:
             journal_spread=float(payload.get("journal_spread", 1.0)),
             recency_weights=tuple(map(float, weights)),
         )
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ProfileError(f"{path}: malformed profile ({exc})") from None

@@ -94,6 +94,23 @@ class TestSynthCommand:
         assert main(["synth", "--profile-file", str(path), "--out-dir", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err.startswith(f"error: {path}: malformed profile (")
 
+    @pytest.mark.parametrize("key", ["clusters", "name", "size", "mean_cites_per_item",
+                                     "mean_refs", "ref_dispersion"])
+    def test_profile_missing_key_named(self, tmp_path, profile_file, capsys, key):
+        profile = json.loads(profile_file.read_text(encoding="utf-8"))
+        if key == "clusters":
+            del profile[key]
+            where = "the profile"
+        else:
+            del profile["clusters"][1][key]
+            where = "clusters[1]"
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(profile), encoding="utf-8")
+        assert main(["synth", "--profile-file", str(path), "--out-dir", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (f"error: {path}: malformed profile "
+                                           f"({where} lacks {key!r})\n")
+        assert not (tmp_path / "o").exists()
+
     # Per case: the profile field, the JSON text given for it, and the part
     # of the error that names the field.
     BAD_VALUES = {
@@ -573,6 +590,55 @@ def rehash_counts(bundle):
     meta_path.write_text(json.dumps(meta), encoding="utf-8")
 
 
+class TestErrorPrecedence:
+    """Which error a command with several faults reports: correlate's table
+    count first, then the dataset.json of --dataset, then everything else."""
+
+    # each command's arguments besides --dataset, every one of them at fault:
+    # --window without --kind, --table files that do not exist
+    FAULTY = {
+        "indicators": ["--window", "2"],
+        "fairness": ["--table", "missing-a.tsv", "--table", "missing-b.tsv"],
+        "correlate": ["--table", "missing-a.tsv", "--table", "missing-b.tsv"],
+    }
+
+    def test_table_count_before_the_bundle(self, tmp_path, capsys):
+        assert main(["correlate", "--dataset", str(tmp_path / "none"), "--table", "a.tsv",
+                     "--out-dir", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == "error: correlate needs at least two --table files\n"
+
+    @pytest.mark.parametrize("command", sorted(FAULTY))
+    def test_not_a_bundle_before_the_other_arguments(self, tmp_path, capsys, command):
+        assert main([command, "--dataset", str(tmp_path), *self.FAULTY[command],
+                     "--out-dir", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (f"error: not a dataset bundle (missing dataset.json): "
+                                           f"{tmp_path}\n")
+
+    # edit of dataset.json -> the error it gives, after "error: <path>: "
+    METADATA_EDITS = {
+        "format": (lambda m: m.update(format="citefair-dataset/1"),
+                   "bundle format 'citefair-dataset/1' is not 'citefair-dataset/2'; re-run "
+                   "'citefair ingest' to write the bundle again"),
+        "stale-sha256": (lambda m: m.update(census_year=m["census_year"] + 1),
+                         "sha256 differs from that of its other fields; the file changed after "
+                         "ingest (re-run 'citefair ingest' to write the bundle again)"),
+    }
+
+    @pytest.mark.parametrize("edit", sorted(METADATA_EDITS))
+    @pytest.mark.parametrize("command", sorted(FAULTY))
+    def test_metadata_before_the_other_arguments(self, tmp_path, profile_file, capsys, command,
+                                                 edit):
+        _, bundle, _ = run_pipeline(tmp_path, profile_file)
+        meta = bundle / "dataset.json"
+        change, message = self.METADATA_EDITS[edit]
+        meta.write_text(rewrite_json(change)(meta.read_text(encoding="utf-8")), encoding="utf-8")
+        capsys.readouterr()
+        assert main([command, "--dataset", str(bundle), *self.FAULTY[command],
+                     "--out-dir", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"error: {meta}: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+
 class TestVerifiedBundle:
     """indicators computes its tables from counts.tsv once journals.tsv and
     counts.tsv match the manifest, and rejects them edited after ingest."""
@@ -948,16 +1014,19 @@ class TestExitCodes:
     def test_usage_error_is_two(self):
         assert main(["frobnicate"]) == 2
 
-    def test_internal_error_is_one(self, tmp_path, monkeypatch, capsys):
+    def test_internal_error_is_one(self, tmp_path, profile_file, monkeypatch, capsys):
         import citefair.cli as cli_mod
 
         def boom(_):
             raise RuntimeError("wires crossed")
 
+        # a bundle, so that the command gets past the check of its dataset.json
+        _, bundle, _ = run_pipeline(tmp_path, profile_file)
         monkeypatch.setattr(cli_mod.ing, "load_counts", boom)
-        assert main(["indicators", "--dataset", str(tmp_path),
-                     "--out-dir", str(tmp_path)]) == 1
-        assert "internal error" in capsys.readouterr().err
+        capsys.readouterr()
+        assert main(["indicators", "--dataset", str(bundle),
+                     "--out-dir", str(tmp_path / "out")]) == 1
+        assert "internal error: RuntimeError('wires crossed')" in capsys.readouterr().err
 
     def test_help_is_zero(self, capsys):
         assert main(["--help"]) == 0
@@ -1131,9 +1200,10 @@ def run_fresh(code: str, **env: str) -> str:
 
 
 class TestStartup:
-    """The CLI loads OpenBLAS with one thread and freezes its import-time
-    heap; the library leaves both alone.  Every layer is registered on
-    import, but a command executes only the layers it uses."""
+    """The CLI loads OpenBLAS with one thread and, once a command has passed
+    the checks that need no numpy, freezes the heap its imports built; the
+    library leaves both alone.  Every layer is registered on import, but a
+    command executes only the layers it uses."""
 
     # the layers that importing citefair.cli registers
     LAYERS = ("model", "ingest", "stream", "indicators", "stats", "fairness", "synth", "cli")
@@ -1153,8 +1223,8 @@ class TestStartup:
                       " --table {tables}/IF2-FC.tsv --out-dir {out}", 0,
                       "indicators ingest model stats"),
         "no-bundle": ("fairness --dataset {raw} --table {tables}/IF2-IC.tsv --out-dir {out}", 2,
-                      "ingest model"),
-        "help": ("--help", 0, "model"),
+                      ""),
+        "help": ("--help", 0, ""),
     }
 
     def test_cli_import_registers_every_layer(self):
@@ -1177,7 +1247,44 @@ class TestStartup:
                   f"    code = main({argv!r})\n"
                   f"print(code, *sorted(name for name in {self.LAYERS!r} if name != 'cli'"
                   " and type(sys.modules[f'citefair.{name}']) is types.ModuleType))")
-        assert run_fresh(script) == f"{code} {layers}"
+        assert run_fresh(script) == f"{code} {layers}".rstrip()
+
+    # argv (with {raw} to fill in), exit code, and what the command prints:
+    # stdout's first line for --help, stderr otherwise
+    REJECTIONS = {
+        "help": (["--help"], 0,
+                 "usage: citefair [-h] {synth,ingest,indicators,fairness,correlate} ..."),
+        "usage": (["indicators"], 2, "citefair indicators: error: the following arguments are "
+                                     "required: --dataset"),
+        "indicators": (["indicators", "--dataset", "{raw}"], 2,
+                       "error: not a dataset bundle (missing dataset.json): {raw}"),
+        "fairness": (["fairness", "--dataset", "{raw}", "--table", "{raw}/a.tsv"], 2,
+                     "error: not a dataset bundle (missing dataset.json): {raw}"),
+        "correlate": (["correlate", "--dataset", "{raw}", "--table", "{raw}/a.tsv",
+                       "--table", "{raw}/b.tsv"], 2,
+                      "error: not a dataset bundle (missing dataset.json): {raw}"),
+        "correlate-one-table": (["correlate", "--dataset", "{raw}", "--table", "{raw}/a.tsv"], 2,
+                                "error: correlate needs at least two --table files"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(REJECTIONS))
+    def test_rejection_loads_no_numpy(self, tmp_path, case):
+        template, code, message = self.REJECTIONS[case]
+        argv = [arg.replace("{raw}", str(tmp_path)) for arg in template]
+        script = ("import contextlib, io, json, sys\n"
+                  "from citefair.cli import main\n"
+                  "out, err = io.StringIO(), io.StringIO()\n"
+                  "with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
+                  f"    code = main({argv!r})\n"
+                  "print(json.dumps([code, out.getvalue(), err.getvalue(),"
+                  " 'numpy' in sys.modules]))")
+        got, out, err, numpy = json.loads(run_fresh(script))
+        assert (got, numpy) == (code, False)
+        message = message.replace("{raw}", str(tmp_path))
+        if case == "help":
+            assert (out.splitlines()[0], err) == (message, "")
+        else:
+            assert (out, err.splitlines()[-1]) == ("", message)
 
     @pytest.mark.parametrize("imports", ["citefair.stats, citefair.cli",
                                          "citefair.cli, citefair.stats"],
@@ -1209,19 +1316,36 @@ class TestStartup:
                 " print(stats.pearson(x, y).hex())")
         assert run_fresh(code) == run_fresh(code, OPENBLAS_NUM_THREADS="1")
 
-    def test_cli_import_freezes_the_heap(self):
-        code = "import gc, citefair.cli; print(gc.isenabled(), gc.get_freeze_count() > 0)"
-        assert run_fresh(code) == "True True"
+    def test_first_command_freezes_the_heap(self, tmp_path, profile_file):
+        argv = ["synth", "--profile-file", str(profile_file), "--out-dir", str(tmp_path)]
+        code = ("import contextlib, gc, io\n"
+                "from citefair.cli import main\n"
+                "imported = gc.get_freeze_count()\n"
+                "with contextlib.redirect_stdout(io.StringIO()):\n"
+                f"    rc = main({argv!r})\n"
+                "print(rc, imported, gc.isenabled(), gc.get_freeze_count() > 0)")
+        assert run_fresh(code) == "0 0 True True"
 
-    def test_disabled_collector_stays_disabled(self):
-        assert run_fresh("import gc; gc.disable(); import citefair.cli;"
-                         " print(gc.isenabled())") == "False"
+    def test_disabled_collector_stays_disabled(self, tmp_path, profile_file):
+        argv = ["synth", "--profile-file", str(profile_file), "--out-dir", str(tmp_path)]
+        code = ("import contextlib, gc, io; gc.disable()\n"
+                "from citefair.cli import main\n"
+                "with contextlib.redirect_stdout(io.StringIO()):\n"
+                f"    rc = main({argv!r})\n"
+                "print(rc, gc.isenabled(), gc.get_freeze_count() > 0)")
+        assert run_fresh(code) == "0 False True"
 
-    def test_failed_import_turns_the_collector_back_on(self):
-        code = ("import gc, sys; sys.modules['numpy'] = None\n"
-                "try:\n    import citefair.cli\nexcept ImportError:\n"
-                "    print(gc.isenabled(), gc.get_freeze_count())")
-        assert run_fresh(code) == "True 0"
+    def test_failed_import_turns_the_collector_back_on(self, tmp_path, profile_file):
+        _, bundle, _ = run_pipeline(tmp_path, profile_file)
+        argv = ["indicators", "--dataset", str(bundle), "--out-dir", str(tmp_path / "out")]
+        code = ("import contextlib, gc, io, sys; sys.modules['numpy'] = None\n"
+                "from citefair.cli import main\n"
+                "err = io.StringIO()\n"
+                "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):\n"
+                f"    codes = main(['--help']), main({argv!r})\n"
+                "print(codes, gc.isenabled(), gc.get_freeze_count(),"
+                " err.getvalue().startswith('internal error: ModuleNotFoundError'))")
+        assert run_fresh(code) == "(0, 1) True 0 True"
 
     def test_package_import_freezes_nothing(self):
         code = ("import gc, citefair; from citefair import stats, fairness, ingest;"
@@ -1229,15 +1353,16 @@ class TestStartup:
         assert run_fresh(code) == "0"
 
     def test_heap_frozen_once_per_process(self, tmp_path, profile_file):
-        # a command may free a frozen object, but freezes none of its own
         argv = ["synth", "--profile-file", str(profile_file), "--out-dir", str(tmp_path)]
         code = ("import contextlib, gc, io\n"
                 "from citefair.cli import main\n"
-                "frozen = gc.get_freeze_count()\n"
+                "counts = [gc.get_freeze_count()]\n"
                 "with contextlib.redirect_stdout(io.StringIO()):\n"
-                f"    codes = main({argv!r}), main({argv!r})\n"
-                "print(codes, 0 < gc.get_freeze_count() <= frozen)")
-        assert run_fresh(code) == "(0, 0) True"
+                "    for _ in range(2):\n"
+                f"        counts.append((main({argv!r}), gc.get_freeze_count()))\n"
+                "(imported, (first, frozen), (second, again)) = counts\n"
+                "print(imported, first, second, frozen > 0, again == frozen)")
+        assert run_fresh(code) == "0 0 0 True True"
 
     def test_module_run_prints_the_json_it_wrote(self, tmp_path, profile_file):
         # stdout is a pipe, so its buffer is written only at exit

@@ -1,7 +1,8 @@
 """Every exported name resolves, and the deleted mapping forms of the
 tables and statistics, the batched validator, the whole-Dataset
 validator and the whole-file ingest stay deleted, as do the one-pass
-census's names in the modules it moved out of."""
+census's names in the modules it moved out of; the names schema defines
+have one copy, bound again in the layers that use them."""
 
 import importlib
 import pkgutil
@@ -36,6 +37,22 @@ REMOVED = {
 # Removed names that the package exports from the module they moved to, and
 # from no other (test_package_imports_resolve checks that they resolve).
 MOVED = {"ingest_bundle": "citefair.stream"}
+
+# Names defined once, in the numpy-free schema, and bound under the same
+# name in each layer listed.
+SHARED = {
+    "KINDS": ("model", "indicators"),
+    "COUNTINGS": ("model", "indicators"),
+    "POLICY_DROP": ("model", "ingest"),
+    "POLICY_ERROR": ("model", "ingest", "stream"),
+    "POLICY_DROP_WARN": ("model", "ingest"),
+    "JOURNALS_FILE": ("ingest",),
+    "PUBLICATIONS_FILE": ("ingest",),
+    "CITATIONS_FILE": ("ingest", "stream"),
+    "_read_meta": ("ingest",),
+    "_meta_sha256": ("ingest",),
+    "_not_utf8": ("ingest", "indicators"),
+}
 
 
 def package_imports():
@@ -81,3 +98,10 @@ def test_records_have_no_concat():
 
 def test_ids_have_no_isin():
     assert not hasattr(Ids, "isin")
+
+
+@pytest.mark.parametrize("name", sorted(SHARED))
+def test_shared_names_have_one_copy(name):
+    defined = getattr(importlib.import_module("citefair.schema"), name)
+    assert [layer for layer in SHARED[name]
+            if getattr(importlib.import_module(f"citefair.{layer}"), name) is not defined] == []
